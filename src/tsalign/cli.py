@@ -118,9 +118,13 @@ def _parse_cell(cell: str, path: str, lineno: int) -> Optional[float]:
     if not cell:
         return None
     try:
-        return float(cell)
+        x = float(cell)
     except ValueError:
         raise DataError(f"{path}:{lineno}: not a number: {cell!r}") from None
+    if not math.isfinite(x):
+        raise DataError(f"{path}:{lineno}: not a finite number: {cell!r} "
+                        "(leave the cell empty to mark it missing)")
+    return x
 
 
 def write_table(table: SeriesTable, path: str) -> None:
@@ -218,7 +222,7 @@ def run(cfg: RunConfig) -> int:
         metrics["recall"] = sr.recall
         metrics["f1"] = sr.f1
     with open(cfg.report_path, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2)
+        json.dump(metrics, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
 
@@ -270,7 +274,7 @@ def _cmd_tune(args) -> int:
         "diagnostics": report.diagnostics,
     }
     with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"theta={report.theta} beta={report.beta} delta={report.delta} "
           f"k1={report.k1} k2={report.k2}")
@@ -304,7 +308,7 @@ def _cmd_score(args) -> int:
         "aligned_tuple_count": report.aligned_tuple_count,
         "total_weight": report.total_weight,
     }
-    out = json.dumps(payload, indent=2)
+    out = json.dumps(payload, indent=2, allow_nan=False)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -351,7 +355,7 @@ def _cmd_bench(args) -> int:
                       f"candidates={row['candidate_count']}")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
+            json.dump(rows, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return EXIT_OK
 

@@ -10,7 +10,10 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
 * ``compose_greedy`` emits the heaviest member of each maximal run of
   mutually conflicting candidates.
 * ``compose_expectation`` does the same but credits each group member with
-  the weight of later compatible candidates it would keep available.
+  the weight of later compatible candidates it would keep available.  The
+  credit is read from a per-cell candidate index (CSR over the (series, row)
+  cells) built once per compose, so a group of |G| members costs
+  O(|G| * |U|), where U is the set of candidates touching any member's cell.
 """
 
 from __future__ import annotations
@@ -49,9 +52,12 @@ class Alignment:
         return len(self.tuples)
 
 
+def _slot_array(rc: CandidateSet, t: SeriesTable) -> np.ndarray:
+    return np.array([r.slots for r in rc.tuples], dtype=np.intp).reshape(len(rc), t.m)
+
+
 def _weights(rc: CandidateSet, t: SeriesTable, w: WeightParams) -> list[float]:
-    slot_rows = np.array([r.slots for r in rc.tuples], dtype=np.intp).reshape(len(rc), t.m)
-    return batch_weights(t, slot_rows, w).tolist()
+    return batch_weights(t, _slot_array(rc, t), w).tolist()
 
 
 def _conflict_masks(rc: CandidateSet) -> list[int]:
@@ -137,14 +143,15 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
 
 
 def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
-                score_fn=None) -> list[int]:
+                group_scores=None) -> list[int]:
     """One grouped selection scan; returns the chosen candidate indices.
 
     A group grows while every new candidate conflicts with all current
-    members; when that breaks, the argmax (by ``score_fn`` or plain weight)
-    is emitted and the breaking candidate starts the next group unless it
-    now conflicts with the partial result.  The trailing group is flushed,
-    otherwise its members would be dropped silently.
+    members; when that breaks, the argmax (by ``group_scores(group)``, one
+    score per member, or plain weight) is emitted and the breaking candidate
+    starts the next group unless it now conflicts with the partial result.
+    A singleton group is emitted without scoring.  The trailing group is
+    flushed, otherwise its members would be dropped silently.
     """
     m = len(rc.tuples[0].slots) if len(rc) else 0
     used: list[set[int]] = [set() for _ in range(m)]
@@ -152,13 +159,16 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     group: list[int] = []
 
     def emit() -> None:
-        if score_fn is None:
-            scores = [weights[g] for g in group]
+        if len(group) == 1:
+            pick = group[0]
         else:
-            scores = [score_fn(g, group) for g in group]
-        top = max(scores)
-        tied = [g for g, s in zip(group, scores) if s == top]
-        pick = tied[0] if len(tied) == 1 else rng.choice(tied)
+            if group_scores is None:
+                scores = [weights[g] for g in group]
+            else:
+                scores = group_scores(group)
+            top = max(scores)
+            tied = [g for g, s in zip(group, scores) if s == top]
+            pick = tied[0] if len(tied) == 1 else rng.choice(tied)
         chosen.append(pick)
         for series, row in enumerate(rc.tuples[pick].slots):
             used[series].add(row)
@@ -182,14 +192,20 @@ def _share_slot(r1: AlignedTuple, r2: AlignedTuple) -> bool:
     return any(a == b for a, b in zip(r1.slots, r2.slots))
 
 
-def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, score_factory):
-    weights = _weights(rc, t, w)
+def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
+    """Run ``_group_pass`` with seeds seed, seed + 1, ... until delta holds.
+
+    ``scorer_factory(slots, weights)``, if given, returns the ``group_scores``
+    hook; it is called once per compose, so its set-up serves every attempt.
+    """
+    slots = _slot_array(rc, t)
+    weights = batch_weights(t, slots, w).tolist()
+    group_scores = scorer_factory(slots, weights) if scorer_factory is not None else None
     attempts = max(1, max_retries)
     best = None
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
-        score_fn = score_factory(weights) if score_factory is not None else None
-        chosen = _group_pass(rc, weights, rng, score_fn)
+        chosen = _group_pass(rc, weights, rng, group_scores)
         report = delta_report([rc.tuples[i] for i in chosen], t)
         alignment = _finish(chosen, rc, t, weights, strategy,
                             retries_used=attempt, report=report)
@@ -213,46 +229,75 @@ def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     return _retry_compose(rc, cfg, t, w, seed, max_retries, "greedy", None)
 
 
+def _cell_index(slots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR index from cell to candidates: ``(order, indptr)``.
+
+    Cell (series s, row r) has key ``s * n + r``; the candidates using it are
+    ``order[indptr[key]:indptr[key + 1]]``, in ascending order because the
+    argsort over the row-major key array is stable.
+    """
+    m = slots.shape[1]
+    keys = (slots + np.arange(m) * n).ravel()
+    order = np.argsort(keys, kind="stable") // m
+    indptr = np.zeros(m * n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=m * n), out=indptr[1:])
+    return order, indptr
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    # np.unique would do, but its first call pages in about 2 MB of numpy code
+    x = np.sort(x, kind="stable")
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _expectation_scorer(slots: np.ndarray, weights: list[float], n: int):
+    """Group hook scoring each member by its weight plus its expectation bonus.
+
+    Only candidates in U, the union of the index rows of the members' cells,
+    can conflict with the group, so member g's bonus is the sum of w[i] over
+    i in U with i > g and no cell shared with g.  The row-wise ``cumsum``
+    adds those weights one at a time in ascending i (masked entries add 0.0,
+    which is exact), as a forward scan does; ``np.sum`` adds pairwise and
+    could move a tie.
+    """
+    w = np.asarray(weights, dtype=float)
+    order, indptr = _cell_index(slots, n)
+    offsets = np.arange(slots.shape[1]) * n
+
+    def group_scores(group: list[int]) -> list[float]:
+        g = np.asarray(group, dtype=np.intp)
+        members = slots[g]
+        cells = _sorted_unique((members + offsets).ravel())
+        starts = indptr[cells]
+        lengths = indptr[cells + 1] - starts
+        # concatenate the ranges [start, start + length) of every member cell
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        u = _sorted_unique(order[shift + np.arange(lengths.sum())])
+        disjoint = ~(members[:, None, :] == slots[u][None, :, :]).any(axis=2)
+        keep = disjoint & (u[None, :] > g[:, None])
+        bonus = np.cumsum(np.where(keep, w[u], 0.0), axis=1)[:, -1]
+        return (w[g] + bonus).tolist()
+
+    return group_scores
+
+
 def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
                         w: WeightParams, seed: int = 0,
-                        max_retries: int = DEFAULT_MAX_RETRIES,
-                        use_pruning: bool = True) -> Alignment:
+                        max_retries: int = DEFAULT_MAX_RETRIES) -> Alignment:
     """Group scan scoring each member by its weight plus a forward-looking bonus.
 
     The bonus of group member g sums the weights of later candidates that do
     not conflict with g but conflict with at least one other group member,
-    i.e. the weight g keeps available by being chosen.  With pruning the scan
-    stops once a candidate's slots all exceed the group's row window
-    (max slot + beta), which provably cannot conflict with the group; the
-    unpruned variant scans the whole candidate list and must select
-    identically.
+    i.e. the weight g keeps available by being chosen.  The candidates that
+    conflict with the group are read from a cell index built once per
+    compose (see ``_expectation_scorer``), so scoring a group of |G| members
+    costs O(|G| * |U|) for the |U| candidates touching its cells instead of a
+    forward scan per member; singleton groups are not scored at all.  The
+    bonus is summed in ascending candidate order, one addition at a time, so
+    it is bit-identical to that scan and the seeded tie-breaks agree with it.
     """
-    beta = cfg.beta
-    tuples = rc.tuples
-    k = len(tuples)
-
-    def score_factory(weights):
-        def score(g_idx: int, group: list[int]) -> float:
-            limit = max(s for j in group for s in tuples[j].slots) + beta
-            g = tuples[g_idx]
-            members = [tuples[j] for j in group]
-            bonus = 0.0
-            for i in range(g_idx + 1, k):
-                r = tuples[i]
-                if use_pruning:
-                    if r.slots[0] > limit:
-                        break
-                    if any(s > limit for s in r.slots):
-                        continue
-                if _share_slot(r, g):
-                    continue
-                if any(_share_slot(r, mem) for mem in members):
-                    bonus += weights[i]
-            return weights[g_idx] + bonus
-
-        return score
-
-    return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation", score_factory)
+    return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation",
+                          lambda slots, weights: _expectation_scorer(slots, weights, t.n))
 
 
 def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,

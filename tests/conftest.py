@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tsalign import SeriesTable, WeightParams
+from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose, _share_slot
 
 
 def random_table(rng: np.random.Generator, m: int, n: int,
@@ -30,6 +31,51 @@ def mwis_bruteforce(weights, conflict_pairs, k):
         if total > best:
             best = total
     return best
+
+
+def expectation_scan(rc, cfg, t, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pruned=True):
+    """Oracle for ``compose_expectation``: each member's bonus from a forward scan.
+
+    The bonus of group member g sums, in ascending candidate order, the
+    weights of later candidates that share no slot with g but share one with
+    some group member.  The pruned scan stops at the first candidate whose
+    first slot exceeds the group's row window (max slot + beta) and skips any
+    candidate with a slot beyond it; the unpruned scan visits every later
+    candidate.  Both must select exactly as the indexed composer does.
+    """
+    tuples = rc.tuples
+    k = len(tuples)
+
+    def scorer_factory(slots, weights):
+        def score(g_idx, group):
+            limit = max(s for j in group for s in tuples[j].slots) + cfg.beta
+            g = tuples[g_idx]
+            members = [tuples[j] for j in group]
+            bonus = 0.0
+            for i in range(g_idx + 1, k):
+                r = tuples[i]
+                if pruned:
+                    if r.slots[0] > limit:
+                        break
+                    if any(s > limit for s in r.slots):
+                        continue
+                if _share_slot(r, g):
+                    continue
+                if any(_share_slot(r, mem) for mem in members):
+                    bonus += weights[i]
+            return weights[g_idx] + bonus
+
+        return lambda group: [score(g, group) for g in group]
+
+    return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation", scorer_factory)
+
+
+def assert_same_alignment(a, b):
+    """Equal selections, totals and retry outcomes (the consistency report aside)."""
+    assert a.tuples == b.tuples
+    assert a.total_weight == b.total_weight
+    assert a.retries_used == b.retries_used
+    assert a.exhausted == b.exhausted
 
 
 @pytest.fixture

@@ -60,6 +60,12 @@ class TestIngest:
         with pytest.raises(DataError, match="abc"):
             ingest(path)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_cell_rejected_with_line_number(self, tmp_path, token):
+        path = write_csv(tmp_path / "t.csv", f"t_1,v_1,t_2,v_2\n0,1,0,1\n1,{token},1,1\n")
+        with pytest.raises(DataError, match=f":3: not a finite number: '{token}'"):
+            ingest(path)
+
 
 class TestAlign:
     def test_end_to_end_with_truth(self, small_files, tmp_path):
@@ -94,6 +100,15 @@ class TestAlign:
         assert main(["align", "--input", str(data), "--beta", "1",
                      "--out", str(tmp_path / "a.csv"),
                      "--report", str(tmp_path / "r.json")]) == 2
+
+    def test_infinite_value_is_data_error_without_report(self, tmp_path):
+        data = write_csv(tmp_path / "data.csv",
+                         "t_1,v_1,t_2,v_2\n0,1,0,1\n10,inf,10,2\n20,3,20,3\n")
+        report = tmp_path / "report.json"
+        code = main(["align", "--input", data, "--theta", "1", "--beta", "0",
+                     "--out", str(tmp_path / "aligned.csv"), "--report", str(report)])
+        assert code == 3
+        assert not report.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["align", "--input", str(tmp_path / "nope.csv"),

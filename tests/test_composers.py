@@ -15,10 +15,14 @@ from tsalign import (
     compose_greedy,
     compose_setpacking,
     conflicts,
+    determine_beta,
+    determine_theta,
     generate_candidates,
+    generate_synthetic,
+    inject_mcar,
     weight,
 )
-from conftest import mwis_bruteforce, random_table
+from conftest import assert_same_alignment, expectation_scan, mwis_bruteforce, random_table
 
 
 def candidates_for(table, theta=1e9, beta=3, delta=math.inf):
@@ -174,10 +178,28 @@ class TestComposeExpectation:
         assert greedy.tuples == expect.tuples
 
     def test_pruned_equals_unpruned(self):
-        for table, rc, cfg, params in collect_instances(25, start_seed=500, max_candidates=16):
-            pruned = compose_expectation(rc, cfg, table, params, seed=1, use_pruning=True)
-            full = compose_expectation(rc, cfg, table, params, seed=1, use_pruning=False)
-            assert pruned.tuples == full.tuples
+        # the indexed composer against both scan oracles, with and without retries
+        for table, rc, base, params in collect_instances(25, start_seed=500, max_candidates=16):
+            for delta, retries in ((math.inf, 16), (0.5, 4), (0.05, 4)):
+                cfg = ConstraintConfig(theta=base.theta, beta=base.beta, delta=delta)
+                indexed = compose_expectation(rc, cfg, table, params, seed=1,
+                                              max_retries=retries)
+                for pruned in (True, False):
+                    assert_same_alignment(indexed, expectation_scan(
+                        rc, cfg, table, params, seed=1, max_retries=retries, pruned=pruned))
+
+    def test_matches_scan_on_benchmark_sized_groups(self):
+        # dense input with tuned windows: groups of tens of members, which the
+        # <= 16-candidate fuzz instances never reach
+        for seed in (3, 4):
+            table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=seed + 100, target="both")
+            theta = determine_theta(masked)
+            beta = determine_beta(masked, theta)
+            rc, cfg = candidates_for(masked, theta=theta, beta=beta)
+            params = WeightParams(k1=3, k2=2)
+            indexed = compose_expectation(rc, cfg, masked, params, seed=seed)
+            assert_same_alignment(indexed, expectation_scan(rc, cfg, masked, params, seed=seed))
 
     def test_bonus_steers_selection(self):
         # b conflicts with both a-followers; the bonus makes the compact pick win
