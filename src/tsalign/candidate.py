@@ -14,6 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .core import (
     AlignedTuple,
@@ -21,6 +24,7 @@ from .core import (
     SeriesTable,
     phi_similarity,
     theta_similarity,
+    weight_terms,
 )
 from .errors import SizeError
 
@@ -29,7 +33,12 @@ BRUTE_FORCE_GUARD = 10_000_000
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Constraint-feasible tuples in ascending lexicographic slot order."""
+    """Constraint-feasible tuples in ascending lexicographic slot order.
+
+    The weight-independent state every compose of the set needs (slot array,
+    weight terms, isolated mask, fitted reports) is computed on first use and
+    kept, so a tuning grid composing the same set many times builds it once.
+    """
 
     tuples: tuple[AlignedTuple, ...]
     config: ConstraintConfig
@@ -37,6 +46,29 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.tuples)
+
+    @cached_property
+    def slot_array(self) -> np.ndarray:
+        """The (N, m) array of slot vectors, one row per candidate."""
+        slots = np.array([r.slots for r in self.tuples], dtype=np.intp)
+        return slots.reshape(len(self.tuples), self.table.m)
+
+    @cached_property
+    def weight_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pair counts p and index spreads d, as ``batch_weights`` computes them."""
+        return weight_terms(self.table, self.slot_array)
+
+    @cached_property
+    def isolated(self) -> np.ndarray:
+        """Mask of the candidates that share no cell with any other candidate."""
+        m, n = self.table.m, self.table.n
+        keys = self.slot_array + np.arange(m) * n
+        return (np.bincount(keys.ravel(), minlength=m * n)[keys] == 1).all(axis=1)
+
+    @cached_property
+    def reports(self) -> dict:
+        """Consistency reports already fitted, by sorted tuple of candidate indices."""
+        return {}
 
     def __iter__(self):
         return iter(self.tuples)

@@ -38,7 +38,7 @@ EXIT_DATA = 3
 EXIT_SIZE = 4
 EXIT_EXHAUSTED = 5
 
-STRATEGIES = ("exact", "setpack", "greedy", "expect")
+STRATEGIES = tuple(composers.STRATEGIES)
 
 
 @dataclass
@@ -188,16 +188,8 @@ def run(cfg: RunConfig) -> int:
     params = WeightParams(k1=k1, k2=k2, b=cfg.b, c=cfg.c)
     constraint = ConstraintConfig(theta=theta, beta=beta, delta=delta)
     rc = generate_candidates(table, constraint)
-    if cfg.strategy == "exact":
-        alignment = composers.compose_exact(rc, constraint, table, params)
-    elif cfg.strategy == "setpack":
-        alignment = composers.compose_setpacking(rc, constraint, table, params)
-    elif cfg.strategy == "greedy":
-        alignment = composers.compose_greedy(rc, constraint, table, params,
-                                             seed=cfg.seed, max_retries=cfg.max_retries)
-    else:
-        alignment = composers.compose_expectation(rc, constraint, table, params,
-                                                  seed=cfg.seed, max_retries=cfg.max_retries)
+    alignment = composers.compose(cfg.strategy, rc, constraint, table, params,
+                                  seed=cfg.seed, max_retries=cfg.max_retries)
     write_alignment_csv(alignment, table, params, cfg.out_path)
 
     metrics = {
@@ -221,10 +213,16 @@ def run(cfg: RunConfig) -> int:
         metrics["precision"] = sr.precision
         metrics["recall"] = sr.recall
         metrics["f1"] = sr.f1
-    with open(cfg.report_path, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(metrics, cfg.report_path)
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
+
+
+def _write_json(payload, path: str) -> None:
+    """Write ``payload`` as JSON; it is serialised before the file is opened, so a
+    value JSON cannot represent raises before anything is written."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _add_align_parser(sub) -> None:
@@ -273,9 +271,7 @@ def _cmd_tune(args) -> int:
         "k1": report.k1, "k2": report.k2, "b": report.b, "c": report.c,
         "diagnostics": report.diagnostics,
     }
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(payload, args.report)
     print(f"theta={report.theta} beta={report.beta} delta={report.delta} "
           f"k1={report.k1} k2={report.k2}")
     return EXIT_OK
@@ -354,9 +350,7 @@ def _cmd_bench(args) -> int:
                       f"f1={row['f1']:.4f} tuples={row['aligned_tuple_count']} "
                       f"candidates={row['candidate_count']}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_json(rows, args.report)
     return EXIT_OK
 
 

@@ -12,8 +12,22 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
 * ``compose_expectation`` does the same but credits each group member with
   the weight of later compatible candidates it would keep available.  The
   credit is read from a per-cell candidate index (CSR over the (series, row)
-  cells) built once per compose, so a group of |G| members costs
-  O(|G| * |U|), where U is the set of candidates touching any member's cell.
+  cells) built once per compose, so a group of |G| members costs O(|G| * |U|), where U is the set
+  of candidates touching any member's cell.
+
+``STRATEGIES`` maps the strategy names to these functions and ``compose``
+dispatches through it.
+
+Cost model of the group pass behind ``greedy`` and ``expect``.  The
+weight-independent state (slot array, weight terms p and d, isolated mask)
+lives on the ``CandidateSet`` and is built on its first compose, so a tuning grid that composes one set 144 times builds it once.
+Isolated candidates, which share no cell with any other, are always chosen
+and never draw from the RNG, so they are added in bulk; the Python loop
+visits only the rest, at O(m) per candidate: used cells are one byte each
+and a candidate joins the open group when the OR of its cells' bitmasks of
+group positions covers every member.  The consistency report is fitted
+once per distinct selection of a set and reused by every compose that
+selects the same candidates.
 """
 
 from __future__ import annotations
@@ -28,17 +42,30 @@ import numpy as np
 
 from .candidate import CandidateSet
 from .consistency import ConsistencyReport, delta_report
-from .core import AlignedTuple, ConstraintConfig, SeriesTable, WeightParams, batch_weights
-from .errors import SizeError
+from .core import (AlignedTuple, ConstraintConfig, SeriesTable, WeightParams, batch_weights,
+                   combine_weights)
+from .errors import ConfigError, SizeError
 
 EXACT_GUARD = 24
 BRANCH_CAP = 64
 DEFAULT_MAX_RETRIES = 16
 
+# strategy name -> (composer function name in this module, takes seed and max_retries)
+STRATEGIES = {
+    "exact": ("compose_exact", False),
+    "setpack": ("compose_setpacking", False),
+    "greedy": ("compose_greedy", True),
+    "expect": ("compose_expectation", True),
+}
+
 
 @dataclass(frozen=True)
 class Alignment:
-    """A pairwise non-conflicting tuple set with its score and consistency report."""
+    """A pairwise non-conflicting tuple set with its score and consistency report.
+
+    ``tie_breaks`` counts the seeded random tie-breaks drawn by the group pass
+    that selected it; 0 means any seed would have selected the same.
+    """
 
     tuples: tuple[AlignedTuple, ...]
     total_weight: float
@@ -47,17 +74,30 @@ class Alignment:
     retries_used: int = 0
     exhausted: bool = False
     truncated: bool = False
+    tie_breaks: int = 0
 
     def __len__(self) -> int:
         return len(self.tuples)
 
 
-def _slot_array(rc: CandidateSet, t: SeriesTable) -> np.ndarray:
-    return np.array([r.slots for r in rc.tuples], dtype=np.intp).reshape(len(rc), t.m)
-
-
 def _weights(rc: CandidateSet, t: SeriesTable, w: WeightParams) -> list[float]:
-    return batch_weights(t, _slot_array(rc, t), w).tolist()
+    if t is not rc.table:
+        return batch_weights(t, rc.slot_array, w).tolist()
+    return combine_weights(*rc.weight_terms, w).tolist()
+
+
+def _report(rc: CandidateSet, t: SeriesTable, indices) -> ConsistencyReport:
+    """``delta_report`` of a selection, fitted once per distinct selection of ``rc``.
+
+    A set's table is fixed, so the report is a pure function of the chosen
+    indices; repeated selections (tuning grid points, retries) reuse it.
+    """
+    key = tuple(sorted(indices))
+    cache = rc.reports if t is rc.table else {}
+    report = cache.get(key)
+    if report is None:
+        report = cache[key] = delta_report([rc.tuples[i] for i in key], t)
+    return report
 
 
 def _conflict_masks(rc: CandidateSet) -> list[int]:
@@ -78,13 +118,15 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
 
 
 def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
-            truncated=False, report=None) -> Alignment:
-    chosen = sorted(rc.tuples[i] for i in indices)
+            truncated=False, report=None, tie_breaks=0) -> Alignment:
+    # rc.tuples is in lexicographic order, so sorted indices give sorted tuples
+    indices = sorted(indices)
+    chosen = tuple(rc.tuples[i] for i in indices)
     if report is None:
         report = delta_report(chosen, t)
-    total = float(sum(weights[i] for i in sorted(indices)))
-    return Alignment(tuple(chosen), total, report, strategy,
-                     retries_used=retries_used, exhausted=exhausted, truncated=truncated)
+    total = float(sum(weights[i] for i in indices))
+    return Alignment(chosen, total, report, strategy, retries_used=retries_used,
+                     exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks)
 
 
 def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
@@ -143,8 +185,8 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
 
 
 def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
-                group_scores=None) -> list[int]:
-    """One grouped selection scan; returns the chosen candidate indices.
+                group_scores=None) -> tuple[list[int], int]:
+    """One grouped selection scan; returns the chosen indices and the RNG draws.
 
     A group grows while every new candidate conflicts with all current
     members; when that breaks, the argmax (by ``group_scores(group)``, one
@@ -152,69 +194,97 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     starts the next group unless it now conflicts with the partial result.
     A singleton group is emitted without scoring.  The trailing group is
     flushed, otherwise its members would be dropped silently.
+
+    An isolated candidate (no cell shared with any other) would always form
+    a singleton group of its own that ends the group before it, so all of
+    them are chosen in bulk and the scan visits only the others, closing the
+    open group wherever an isolated one sat between two of them.  Used cells
+    are one byte each, indexed by cell key, and membership is one OR over the
+    candidate's cells of a per-cell bitmask of group positions, O(m) per
+    candidate.
     """
-    m = len(rc.tuples[0].slots) if len(rc) else 0
-    used: list[set[int]] = [set() for _ in range(m)]
-    chosen: list[int] = []
+    isolated = rc.isolated
+    chosen = np.flatnonzero(isolated).tolist()
+    rest = np.flatnonzero(~isolated)
+    if not rest.size:
+        return chosen, 0
+    m, n = rc.table.m, rc.table.n
+    # cell keys s * n + r of the visited candidates, as Python ints
+    rest_cells = (rc.slot_array[rest] + np.arange(m) * n).tolist()
+    used = bytearray(m * n)
+    member_bits = [0] * (m * n)
     group: list[int] = []
+    group_cells: list[list[int]] = []
+    draws = 0
 
     def emit() -> None:
-        if len(group) == 1:
-            pick = group[0]
-        else:
-            if group_scores is None:
-                scores = [weights[g] for g in group]
-            else:
-                scores = group_scores(group)
+        nonlocal draws
+        at = 0
+        if len(group) > 1:
+            scores = [weights[g] for g in group] if group_scores is None else group_scores(group)
             top = max(scores)
-            tied = [g for g, s in zip(group, scores) if s == top]
-            pick = tied[0] if len(tied) == 1 else rng.choice(tied)
-        chosen.append(pick)
-        for series, row in enumerate(rc.tuples[pick].slots):
-            used[series].add(row)
+            tied = [j for j, s in enumerate(scores) if s == top]
+            if len(tied) == 1:
+                at = tied[0]
+            else:
+                at = rng.choice(tied)
+                draws += 1
+        chosen.append(group[at])
+        for key in group_cells[at]:
+            used[key] = 1
+        for cells in group_cells:
+            for key in cells:
+                member_bits[key] = 0
+        group.clear()
+        group_cells.clear()
 
-    for i, r in enumerate(rc.tuples):
-        if any(row in used[series] for series, row in enumerate(r.slots)):
+    prev = -2
+    for i, mine in zip(rest.tolist(), rest_cells):
+        if group and i != prev + 1:
+            emit()
+        prev = i
+        if any(used[key] for key in mine):
             continue
-        if not group or all(_share_slot(r, rc.tuples[g]) for g in group):
-            group.append(i)
-            continue
-        emit()
-        group = []
-        if not any(row in used[series] for series, row in enumerate(r.slots)):
-            group = [i]
+        if group:
+            shared = 0
+            for key in mine:
+                shared |= member_bits[key]
+            if shared != (1 << len(group)) - 1:
+                emit()
+                if any(used[key] for key in mine):
+                    continue
+        bit = 1 << len(group)
+        for key in mine:
+            member_bits[key] |= bit
+        group.append(i)
+        group_cells.append(mine)
     if group:
         emit()
-    return chosen
-
-
-def _share_slot(r1: AlignedTuple, r2: AlignedTuple) -> bool:
-    return any(a == b for a, b in zip(r1.slots, r2.slots))
+    return chosen, draws
 
 
 def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
     """Run ``_group_pass`` with seeds seed, seed + 1, ... until delta holds.
 
-    ``scorer_factory(slots, weights)``, if given, returns the ``group_scores``
+    ``scorer_factory(rc, weights)``, if given, returns the ``group_scores``
     hook; it is called once per compose, so its set-up serves every attempt.
     """
-    slots = _slot_array(rc, t)
-    weights = batch_weights(t, slots, w).tolist()
-    group_scores = scorer_factory(slots, weights) if scorer_factory is not None else None
+    weights = _weights(rc, t, w)
+    group_scores = scorer_factory(rc, weights) if scorer_factory is not None else None
     attempts = max(1, max_retries)
     best = None
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
-        chosen = _group_pass(rc, weights, rng, group_scores)
-        report = delta_report([rc.tuples[i] for i in chosen], t)
+        chosen, draws = _group_pass(rc, weights, rng, group_scores)
+        report = _report(rc, t, chosen)
         alignment = _finish(chosen, rc, t, weights, strategy,
-                            retries_used=attempt, report=report)
+                            retries_used=attempt, report=report, tie_breaks=draws)
         if report.delta <= cfg.delta:
             return alignment
         if best is None or report.delta < best.report.delta:
             best = alignment
     return Alignment(best.tuples, best.total_weight, best.report, strategy,
-                     retries_used=attempts - 1, exhausted=True)
+                     retries_used=attempts - 1, exhausted=True, tie_breaks=best.tie_breaks)
 
 
 def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
@@ -250,7 +320,7 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
-def _expectation_scorer(slots: np.ndarray, weights: list[float], n: int):
+def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     """Group hook scoring each member by its weight plus its expectation bonus.
 
     Only candidates in U, the union of the index rows of the members' cells,
@@ -261,6 +331,8 @@ def _expectation_scorer(slots: np.ndarray, weights: list[float], n: int):
     could move a tie.
     """
     w = np.asarray(weights, dtype=float)
+    slots = rc.slot_array
+    n = rc.table.n
     order, indptr = _cell_index(slots, n)
     offsets = np.arange(slots.shape[1]) * n
 
@@ -297,7 +369,7 @@ def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     it is bit-identical to that scan and the seeded tie-breaks agree with it.
     """
     return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation",
-                          lambda slots, weights: _expectation_scorer(slots, weights, t.n))
+                          _expectation_scorer)
 
 
 def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
@@ -414,3 +486,21 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
                         truncated=truncated, report=report)
     return Alignment(alignment.tuples, alignment.total_weight, alignment.report,
                      "setpacking", exhausted=True, truncated=truncated)
+
+
+def compose(strategy: str, rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
+            w: WeightParams, seed: int = 0,
+            max_retries: int = DEFAULT_MAX_RETRIES) -> Alignment:
+    """Run the composer registered as ``strategy`` in ``STRATEGIES``.
+
+    The composer is looked up among this module's attributes at call time,
+    so a wrapper installed on, say, ``composers.compose_greedy`` is honoured.
+    The unseeded strategies ignore ``seed`` and ``max_retries``.
+    """
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    name, seeded = STRATEGIES[strategy]
+    composer = globals()[name]
+    if seeded:
+        return composer(rc, cfg, t, w, seed=seed, max_retries=max_retries)
+    return composer(rc, cfg, t, w)

@@ -10,12 +10,14 @@ predictor exposing ``predict`` can stand in; the score below only needs M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import AlignedTuple, ConstraintConfig, SeriesTable
+from .errors import DataError
 
 RIDGE = 1e-6
 
@@ -128,6 +130,8 @@ def consistency_delta(aligned_values: np.ndarray, model: ConsistencyModel) -> Co
     Per series j: A[i,j] = |M[i,j] - V[i,j]| on observed cells, normalized by
     mu_j = F_j * (max_j - min_j); Delta is the mean of the per-series sums.
     Series with mu_j = 0 contribute zero loss and are flagged degenerate.
+    Finite values near the float limit can overflow the fit or mu_j; the
+    score is then not finite and DataError is raised instead of returning it.
     """
     values = np.asarray(aligned_values, dtype=float)
     if values.ndim == 1:
@@ -152,6 +156,9 @@ def consistency_delta(aligned_values: np.ndarray, model: ConsistencyModel) -> Co
         else:
             degenerate.append(j)
     delta = float(losses.mean()) if width else 0.0
+    if not math.isfinite(delta):
+        raise DataError("the consistency score overflowed: the aligned values are "
+                        "too large in magnitude for the AR(1) fit")
     return ConsistencyReport(losses, normalizers, delta, abs_errors,
                              tuple(degenerate), not mask.any())
 
@@ -163,15 +170,14 @@ def satisfies_model_constraint(report: ConsistencyReport, cfg: ConstraintConfig)
 
 def tuple_value_matrix(tuples: Sequence[AlignedTuple], t: SeriesTable) -> np.ndarray:
     """Value matrix of an aligned result: row per tuple, column per series."""
-    out = np.empty((len(tuples), t.m))
-    for i, r in enumerate(tuples):
-        for k, row in enumerate(r.slots):
-            out[i, k] = t.values[k, row]
-    return out
+    slots = np.array([r.slots for r in tuples], dtype=np.intp).reshape(len(tuples), t.m)
+    return t.values[np.arange(t.m), slots]
 
 
 def delta_report(tuples: Sequence[AlignedTuple], t: SeriesTable) -> ConsistencyReport:
     """Fit the predictor to an aligned result (in lexicographic row order) and score it."""
     ordered = sorted(tuples)
     matrix = tuple_value_matrix(ordered, t)
-    return consistency_delta(matrix, fit_model(matrix))
+    # overflow is reported once, as the DataError of consistency_delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        return consistency_delta(matrix, fit_model(matrix))

@@ -193,16 +193,26 @@ def weight(r: AlignedTuple, t: SeriesTable, w: WeightParams) -> float:
     return (w.k1 * p + w.b) / (w.k2 * d + w.c)
 
 
-def batch_weights(t: SeriesTable, slot_rows: np.ndarray, w: WeightParams) -> np.ndarray:
-    """Vectorized ``weight`` over an (N, m) integer array of slot vectors."""
+def weight_terms(t: SeriesTable, slot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts p and index spreads d of an (N, m) integer array of slot vectors."""
     slot_rows = np.asarray(slot_rows, dtype=np.intp)
     if slot_rows.size == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros(0)
     lam = t.value_mask[np.arange(t.m)[None, :], slot_rows].sum(axis=1)
     p = lam * (lam - 1) / 2
     # full difference matrix counts each unordered pair twice
     d = np.abs(slot_rows[:, :, None] - slot_rows[:, None, :]).sum(axis=(1, 2)) / 2
+    return p, d
+
+
+def combine_weights(p: np.ndarray, d: np.ndarray, w: WeightParams) -> np.ndarray:
+    """Tuple weights (k1*p + b) / (k2*d + c) from the terms of ``weight_terms``."""
     return (w.k1 * p + w.b) / (w.k2 * d + w.c)
+
+
+def batch_weights(t: SeriesTable, slot_rows: np.ndarray, w: WeightParams) -> np.ndarray:
+    """Vectorized ``weight`` over an (N, m) integer array of slot vectors."""
+    return combine_weights(*weight_terms(t, slot_rows), w)
 
 
 def conflicts(r1: AlignedTuple, r2: AlignedTuple) -> bool:

@@ -167,18 +167,8 @@ def benchmark_alignment(n: int, m: int, jitter: float, rate: float, strategy: st
     cfg = ConstraintConfig(theta=theta, beta=beta, delta=delta)
     start = time.perf_counter()
     rc = generate_candidates(masked, cfg)
-    if strategy == "greedy":
-        alignment = composers.compose_greedy(rc, cfg, masked, weights, seed=seed,
-                                             max_retries=max_retries)
-    elif strategy == "expect":
-        alignment = composers.compose_expectation(rc, cfg, masked, weights, seed=seed,
-                                                  max_retries=max_retries)
-    elif strategy == "setpack":
-        alignment = composers.compose_setpacking(rc, cfg, masked, weights)
-    elif strategy == "exact":
-        alignment = composers.compose_exact(rc, cfg, masked, weights)
-    else:
-        raise ConfigError(f"unknown strategy {strategy!r}")
+    alignment = composers.compose(strategy, rc, cfg, masked, weights, seed=seed,
+                                  max_retries=max_retries)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = score(alignment, truth)
     return {

@@ -91,15 +91,15 @@ def determine_weights_and_delta(t: SeriesTable, theta: float, beta: int,
     alignments with an unbounded model constraint and derived seeds; the
     point with the smallest mean score wins (ties toward the smaller pair)
     and that mean becomes delta.
+
+    Every compose reuses the candidate set's cached state and fitted
+    reports.  Seeds only break weight ties, so when the first run of a grid
+    point draws no tie-break every seed selects the same, and its delta
+    stands for all ``runs`` without composing the rest.
     """
-    compose = {
-        "exact": lambda rc, cfg, tbl, w, s: composers.compose_exact(rc, cfg, tbl, w),
-        "setpack": lambda rc, cfg, tbl, w, s: composers.compose_setpacking(rc, cfg, tbl, w),
-        "greedy": composers.compose_greedy,
-        "expect": composers.compose_expectation,
-    }.get(strategy)
-    if compose is None:
+    if strategy not in composers.STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    runs = max(1, runs)
     grid = list(grid)
     if not grid:
         raise ConfigError("empty (k1, k2) grid")
@@ -111,8 +111,12 @@ def determine_weights_and_delta(t: SeriesTable, theta: float, beta: int,
     for k1, k2 in grid:
         params = WeightParams(k1=k1, k2=k2, b=1.0, c=1.0)
         deltas = []
-        for i in range(max(1, runs)):
-            alignment = compose(rc, cfg, t, params, seed + i)
+        for i in range(runs):
+            alignment = composers.compose(strategy, rc, cfg, t, params, seed=seed + i)
+            if i == 0 and alignment.tie_breaks == 0:
+                # the same list of runs copies, so the mean is bit-identical
+                deltas = [alignment.report.delta] * runs
+                break
             deltas.append(alignment.report.delta)
         mean_delta = sum(deltas) / len(deltas)
         rows.append({"k1": k1, "k2": k2, "delta_bar": mean_delta})
@@ -124,4 +128,4 @@ def determine_weights_and_delta(t: SeriesTable, theta: float, beta: int,
     delta_bar, k1, k2 = best
     return TuningReport(theta=theta, beta=beta, delta=delta_bar, k1=float(k1), k2=float(k2),
                         diagnostics={"delta_grid": rows, "strategy": strategy,
-                                     "runs": max(1, runs), "seed": seed})
+                                     "runs": runs, "seed": seed})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsalign import SeriesTable, WeightParams
-from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose, _share_slot
+from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
 
 
 def random_table(rng: np.random.Generator, m: int, n: int,
@@ -33,6 +33,52 @@ def mwis_bruteforce(weights, conflict_pairs, k):
     return best
 
 
+def _share_slot(r1, r2) -> bool:
+    return any(a == b for a, b in zip(r1.slots, r2.slots))
+
+
+def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:
+    """Oracle for ``composers._group_pass``: the plain scan over every candidate.
+
+    Used rows are kept in per-series sets, a candidate joins the group only if
+    it shares a slot with every member (checked pairwise), and isolated
+    candidates take no shortcut.  Returns the chosen indices in emit order.
+    """
+    m = len(rc.tuples[0].slots) if len(rc) else 0
+    used = [set() for _ in range(m)]
+    chosen = []
+    group = []
+
+    def emit():
+        if len(group) == 1:
+            pick = group[0]
+        else:
+            if group_scores is None:
+                scores = [weights[g] for g in group]
+            else:
+                scores = group_scores(group)
+            top = max(scores)
+            tied = [g for g, s in zip(group, scores) if s == top]
+            pick = tied[0] if len(tied) == 1 else rng.choice(tied)
+        chosen.append(pick)
+        for series, row in enumerate(rc.tuples[pick].slots):
+            used[series].add(row)
+
+    for i, r in enumerate(rc.tuples):
+        if any(row in used[series] for series, row in enumerate(r.slots)):
+            continue
+        if not group or all(_share_slot(r, rc.tuples[g]) for g in group):
+            group.append(i)
+            continue
+        emit()
+        group = []
+        if not any(row in used[series] for series, row in enumerate(r.slots)):
+            group = [i]
+    if group:
+        emit()
+    return chosen
+
+
 def expectation_scan(rc, cfg, t, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pruned=True):
     """Oracle for ``compose_expectation``: each member's bonus from a forward scan.
 
@@ -46,7 +92,7 @@ def expectation_scan(rc, cfg, t, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pru
     tuples = rc.tuples
     k = len(tuples)
 
-    def scorer_factory(slots, weights):
+    def scorer_factory(rc, weights):
         def score(g_idx, group):
             limit = max(s for j in group for s in tuples[j].slots) + cfg.beta
             g = tuples[g_idx]

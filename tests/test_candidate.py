@@ -6,11 +6,15 @@ from tsalign import (
     ConstraintConfig,
     SeriesTable,
     SizeError,
+    WeightParams,
     brute_force_candidates,
+    conflicts,
     generate_candidates,
     phi_similarity,
     theta_similarity,
+    weight,
 )
+from tsalign.core import combine_weights, index_spread, pair_count
 from conftest import random_table
 
 
@@ -72,6 +76,24 @@ class TestGenerateCandidates:
         small = {r.slots for r in generate_candidates(table, lo)}
         large = {r.slots for r in generate_candidates(table, hi)}
         assert small <= large
+
+
+class TestCandidateState:
+    @settings(max_examples=80, deadline=None)
+    @given(small_tables(), st.floats(0, 40), st.integers(0, 3))
+    def test_cached_state_matches_scalar_helpers(self, table, theta, beta):
+        rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
+        assert rc.slot_array.shape == (len(rc), table.m)
+        assert [tuple(row) for row in rc.slot_array.tolist()] == [r.slots for r in rc]
+        p, d = rc.weight_terms
+        assert p.tolist() == [pair_count(r, table) for r in rc]
+        assert d.tolist() == [index_spread(r) for r in rc]
+        params = WeightParams(k1=3, k2=2)
+        assert combine_weights(p, d, params).tolist() == pytest.approx(
+            [weight(r, table, params) for r in rc], rel=1e-12)
+        assert rc.isolated.tolist() == [
+            not any(conflicts(r, o) for j, o in enumerate(rc) if j != i)
+            for i, r in enumerate(rc)]
 
 
 class TestBruteForce:

@@ -110,6 +110,21 @@ class TestAlign:
         assert code == 3
         assert not report.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["align", "--theta", "1", "--beta", "0"],
+        ["align", "--theta", "1", "--beta", "0", "--tune-delta"],
+        ["tune"],
+    ])
+    def test_overflowing_values_are_data_error_without_report(self, tmp_path, argv):
+        # finite, but the AR(1) fit and the normalizers overflow to a non-finite delta
+        data = write_csv(tmp_path / "data.csv", "t_1,v_1,t_2,v_2\n" + "".join(
+            f"{i},{sign}1e308,{i},{-sign}1e308\n" for i, sign in enumerate((1, -1, 1, -1))))
+        report = tmp_path / "report.json"
+        code = main([*argv, "--input", data, "--report", str(report)]
+                    + (["--out", str(tmp_path / "aligned.csv")] if argv[0] == "align" else []))
+        assert code == 3
+        assert not report.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["align", "--input", str(tmp_path / "nope.csv"),
                      "--theta", "1", "--beta", "1"]) == 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,17 @@ from tsalign import (
     inject_mcar,
     weight,
 )
-from conftest import assert_same_alignment, expectation_scan, mwis_bruteforce, random_table
+from tsalign import composers
+from tsalign.candidate import CandidateSet
+from tsalign.composers import _expectation_scorer, _group_pass, _weights
+from tsalign.errors import ConfigError
+from conftest import (
+    assert_same_alignment,
+    expectation_scan,
+    group_pass_scan,
+    mwis_bruteforce,
+    random_table,
+)
 
 
 def candidates_for(table, theta=1e9, beta=3, delta=math.inf):
@@ -168,6 +179,118 @@ class TestComposeGreedy:
         if alignment.report.delta > 1e-15:
             assert alignment.exhausted
             assert alignment.retries_used == 2
+
+
+def assert_pass_matches_scan(rc, table, params, seeds=(0, 1, 2, 3)):
+    """Greedy and expect scoring: same chosen set and RNG state as the plain scan.
+
+    Returns the number of passes that drew a random tie-break.
+    """
+    weights = _weights(rc, table, params)
+    drawn = 0
+    for scorer in (None, _expectation_scorer(rc, weights)):
+        for seed in seeds:
+            fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+            chosen, draws = _group_pass(rc, weights, fast_rng, scorer)
+            assert sorted(chosen) == sorted(group_pass_scan(rc, weights, slow_rng, scorer))
+            assert fast_rng.getstate() == slow_rng.getstate()
+            assert (draws == 0) == (fast_rng.getstate() == random.Random(seed).getstate())
+            drawn += draws > 0
+    return drawn
+
+
+class TestGroupPass:
+    def test_matches_scan_with_many_isolated(self):
+        # a theta below the jitter leaves about half of the candidates sharing
+        # no cell with any other, as on the --tune-delta benchmark input
+        isolated = total = drawn = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            table, _ = generate_synthetic(12, int(rng.integers(2, 5)), 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=seed + 1, target="values")
+            rc, _ = candidates_for(masked, theta=float(rng.uniform(2, 8)), beta=1)
+            isolated += int(rc.isolated.sum())
+            total += len(rc)
+            for params in (WeightParams(k1=3, k2=2), WeightParams(k1=3, k2=0)):
+                drawn += assert_pass_matches_scan(rc, masked, params)
+        assert isolated > total / 3
+        assert drawn
+
+    def test_matches_scan_without_isolated(self):
+        drawn = 0
+        for seed in range(30):
+            rng = np.random.default_rng(1000 + seed)
+            table = random_table(rng, int(rng.integers(2, 4)), 8, missing_rate=0.2)
+            rc, _ = candidates_for(table, theta=1e9, beta=2)
+            assert len(rc) and not rc.isolated.any()
+            for params in (WeightParams(k1=1, k2=1), WeightParams(k1=3, k2=0)):
+                drawn += assert_pass_matches_scan(rc, table, params)
+        assert drawn
+
+    def test_matches_scan_at_tuning_benchmark_size(self):
+        # n=1000, m=4, 20 % of values missing, tuned windows, as in --tune-delta runs
+        table, _ = generate_synthetic(1000, 4, 4.0, seed=31, tick=10.0)
+        masked = inject_mcar(table, 0.2, seed=1, target="values")
+        theta = determine_theta(masked)
+        rc, _ = candidates_for(masked, theta=theta, beta=determine_beta(masked, theta))
+        assert 0 < rc.isolated.sum() < len(rc)
+        drawn = 0
+        for k1, k2 in ((1, 1), (3, 2), (1, 6)):
+            drawn += assert_pass_matches_scan(rc, masked, WeightParams(k1=k1, k2=k2), seeds=(0, 5))
+        assert drawn
+
+    def test_isolated_candidate_closes_the_group_before_it(self):
+        # a and b share cell (1, 5); so does the lighter-spread k, which would
+        # join their group were it not closed by the isolated i between them
+        t = SeriesTable(np.tile(np.arange(10.0), (3, 1)), np.ones((3, 10)))
+        a, b, i, k = (AlignedTuple(s) for s in ((0, 5, 5), (1, 5, 6), (2, 8, 8), (3, 5, 7)))
+        rc = CandidateSet((a, b, i, k), ConstraintConfig(theta=1e9, beta=9), t)
+        assert rc.isolated.tolist() == [False, False, True, False]
+        params = WeightParams(k1=1, k2=1)
+        assert_pass_matches_scan(rc, t, params)
+        chosen, _ = _group_pass(rc, _weights(rc, t, params), random.Random(0))
+        assert sorted(chosen) in ([0, 2], [1, 2])
+
+    def test_empty_and_all_isolated(self, staggered_table, fig_params):
+        rc, _ = candidates_for(staggered_table, theta=2, beta=0)
+        assert rc.isolated.all()
+        assert_pass_matches_scan(rc, staggered_table, fig_params)
+        rc, _ = candidates_for(staggered_table, theta=0, beta=0)
+        assert_pass_matches_scan(rc, staggered_table, fig_params)
+
+
+class TestStrategyRegistry:
+    def test_resolves_composer_at_call_time(self, monkeypatch, staggered_table, fig_params):
+        rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
+        calls = []
+        real = composers.compose_greedy
+
+        def wrapped(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(composers, "compose_greedy", wrapped)
+        composers.compose("greedy", rc, cfg, staggered_table, fig_params, seed=4, max_retries=2)
+        assert calls == [{"seed": 4, "max_retries": 2}]
+
+    def test_every_strategy_matches_its_composer(self, staggered_table, fig_params):
+        rc, cfg = candidates_for(staggered_table, theta=25, beta=1)
+        direct = {
+            "exact": compose_exact(rc, cfg, staggered_table, fig_params),
+            "setpack": compose_setpacking(rc, cfg, staggered_table, fig_params),
+            "greedy": compose_greedy(rc, cfg, staggered_table, fig_params, seed=3),
+            "expect": compose_expectation(rc, cfg, staggered_table, fig_params, seed=3),
+        }
+        assert set(direct) == set(composers.STRATEGIES)
+        for name, alignment in direct.items():
+            via = composers.compose(name, rc, cfg, staggered_table, fig_params, seed=3)
+            assert via.strategy == alignment.strategy
+            assert_same_alignment(via, alignment)
+
+    def test_unknown_strategy(self, staggered_table, fig_params):
+        rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
+        with pytest.raises(ConfigError):
+            composers.compose("random", rc, cfg, staggered_table, fig_params)
 
 
 class TestComposeExpectation:

@@ -1,16 +1,48 @@
 import math
+import random
 
 import pytest
 
 from tsalign import (
     ConfigError,
+    ConstraintConfig,
     SeriesTable,
+    WeightParams,
+    batch_weights,
+    delta_report,
     determine_beta,
     determine_theta,
     determine_weights_and_delta,
+    generate_candidates,
     generate_synthetic,
+    inject_mcar,
 )
-from tsalign.tuning import _beta_from_samples, nearest_rank
+from tsalign.composers import _expectation_scorer
+from tsalign.tuning import DEFAULT_GRID, _beta_from_samples, nearest_rank
+from conftest import group_pass_scan
+
+
+def grid_by_fresh_composes(t, theta, beta, strategy, seed, runs):
+    """Oracle for the tuning grid: every grid point and seed scanned, every report fitted anew.
+
+    Returns the delta_grid rows, the winning (delta_bar, k1, k2), and how many
+    grid points drew a random tie-break.
+    """
+    rc = generate_candidates(t, ConstraintConfig(theta=theta, beta=beta))
+    slots = [r.slots for r in rc.tuples]
+    rows, drew = [], 0
+    for k1, k2 in DEFAULT_GRID:
+        weights = batch_weights(t, slots, WeightParams(k1=k1, k2=k2)).tolist()
+        scorer = _expectation_scorer(rc, weights) if strategy == "expect" else None
+        deltas = []
+        for i in range(runs):
+            rng = random.Random(seed + i)
+            chosen = group_pass_scan(rc, weights, rng, scorer)
+            drew += i == 0 and rng.getstate() != random.Random(seed).getstate()
+            deltas.append(delta_report([rc.tuples[j] for j in chosen], t).delta)
+        rows.append({"k1": k1, "k2": k2, "delta_bar": sum(deltas) / len(deltas)})
+    best = min((r["delta_bar"], r["k1"], r["k2"]) for r in rows)
+    return rows, best, drew
 
 
 class TestNearestRank:
@@ -114,6 +146,25 @@ class TestDetermineWeightsAndDelta:
         deltas = {r["delta_bar"] for r in report.diagnostics["delta_grid"]}
         assert len(deltas) == 1
         assert (report.k1, report.k2) == (1.0, 6.0)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "expect"])
+    def test_matches_fresh_composes_of_every_grid_point(self, strategy):
+        # cached candidate state, one fit per distinct selection and skipped
+        # seeds must not move any delta_bar; both kinds of grid point occur
+        drew = 0
+        for seed in (3, 4):
+            table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=1, target="values")
+            theta = determine_theta(masked)
+            beta = determine_beta(masked, theta)
+            report = determine_weights_and_delta(masked, theta, beta,
+                                                 strategy=strategy, seed=seed)
+            rows, best, grid_drew = grid_by_fresh_composes(masked, theta, beta,
+                                                           strategy, seed, runs=4)
+            assert report.diagnostics["delta_grid"] == rows
+            assert (report.delta, report.k1, report.k2) == best
+            drew += grid_drew
+        assert 0 < drew < 2 * len(DEFAULT_GRID)
 
     def test_rejects_empty_grid(self):
         table, _ = generate_synthetic(20, 2, 1.0, seed=4)
