@@ -40,6 +40,7 @@ from .evaluation import (
     benchmark_alignment,
     generate_synthetic,
     inject_mcar,
+    pair_accuracy,
     score,
 )
 from .tuning import TuningReport, determine_beta, determine_theta, determine_weights_and_delta
@@ -54,7 +55,7 @@ __all__ = [
     "compose_exact", "compose_expectation", "compose_greedy", "compose_setpacking",
     "conflicts", "consistency_delta", "delta_report", "determine_beta",
     "determine_theta", "determine_weights_and_delta", "fit_model",
-    "generate_candidates", "generate_synthetic", "inject_mcar", "phi_similarity",
-    "satisfies_model_constraint", "score", "theta_similarity", "tuple_value_matrix",
-    "weight",
+    "generate_candidates", "generate_synthetic", "inject_mcar", "pair_accuracy",
+    "phi_similarity", "satisfies_model_constraint", "score", "theta_similarity",
+    "tuple_value_matrix", "weight",
 ]

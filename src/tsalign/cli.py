@@ -2,6 +2,12 @@
 
 Subcommands: align, tune, synth, score, bench.  Data files are wide CSVs
 with header t_1,v_1,...,t_m,v_m where an empty cell means missing.
+
+The data path works on whole columns.  ``ingest`` reads the records with
+``csv.reader``, parses each column with Python ``float`` per cell into an
+(m, n) array and checks finiteness and timestamp order on whole columns,
+reporting the first defect in file order.  ``write_alignment_csv`` gathers
+the cells of all tuples with one index and formats each column at once.
 """
 
 from __future__ import annotations
@@ -13,23 +19,14 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import composers, evaluation, tuning
 from .candidate import generate_candidates
 from .composers import Alignment
-from .consistency import ConsistencyReport
-from .core import (
-    AlignedTuple,
-    ConstraintConfig,
-    SeriesTable,
-    WeightParams,
-    phi_similarity,
-    theta_similarity,
-)
-from .core import weight as tuple_weight
+from .core import ConstraintConfig, SeriesTable, WeightParams, batch_weights
 from .errors import AlignmentError, ConfigError, DataError, SizeError, StructuralError
 
 EXIT_OK = 0
@@ -74,7 +71,16 @@ class RunConfig:
 
 
 def ingest(path: str) -> SeriesTable:
-    """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics."""
+    """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics.
+
+    The records are read with ``csv.reader`` and then handled column by
+    column: every cell is parsed with Python ``float`` (so surrounding
+    blanks, ``1_000``, ``.5`` and ``-0.0`` read as ``float`` reads them), a
+    blank cell is missing (NaN), and the finiteness and strictly-increasing
+    checks run on whole columns.  A file with several defects reports the
+    first one in file order: a ragged row, or a cell that is not a number or
+    not finite.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -89,42 +95,65 @@ def ingest(path: str) -> SeriesTable:
                     for k in range(m) for i in range(2)]
         if rem or m < 2 or [h.strip() for h in header] != expected:
             raise DataError(f"{path}: header must be t_1,v_1,...,t_m,v_m with m >= 2")
-        ts_cols: list[list[Optional[float]]] = [[] for _ in range(m)]
-        v_cols: list[list[Optional[float]]] = [[] for _ in range(m)]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 * m:
-                raise DataError(f"{path}:{lineno}: expected {2 * m} cells, got {len(row)}")
-            for k in range(m):
-                ts_cols[k].append(_parse_cell(row[2 * k], path, lineno))
-                v_cols[k].append(_parse_cell(row[2 * k + 1], path, lineno))
+        records = list(reader)
+    linenos = range(2, len(records) + 2)
+    if not all(records):
+        # blank records are skipped, but keep their place in the line count
+        linenos = [i for i, row in zip(linenos, records) if row]
+        records = [row for row in records if row]
+    widths = np.fromiter(map(len, records), np.intp, len(records))
+    ragged = np.flatnonzero(widths != 2 * m)
+    n = int(ragged[0]) if ragged.size else len(records)
+    columns = list(zip(*records[:n])) or [()] * (2 * m)
+    del records
+    cells = np.empty((2 * m, n))
+    first = None  # (row, message) of the first defect in file order
+    for c, col in enumerate(columns):
+        defect = _parse_column(col, cells[c])
+        if defect is not None and (first is None or defect[0] < first[0]):
+            first = defect
+    if first is not None:
+        raise DataError(f"{path}:{linenos[first[0]]}: {first[1]}")
+    if n < len(widths):
+        raise DataError(f"{path}:{linenos[n]}: expected {2 * m} cells, got {widths[n]}")
+    ts, vs = cells[0::2], cells[1::2]
     bad = []
     for k in range(m):
-        prev = None
-        for i, x in enumerate(ts_cols[k]):
-            if x is None:
-                continue
-            if prev is not None and x <= prev:
-                bad.append(f"series {k + 1} line {i + 2}")
-            prev = x
+        rows = np.flatnonzero(~np.isnan(ts[k]))
+        present = ts[k, rows]
+        bad += [f"series {k + 1} line {i + 2}"
+                for i in rows[1:][present[1:] <= present[:-1]].tolist()]
     if bad:
         raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
-    return SeriesTable.from_columns(list(zip(ts_cols, v_cols)))
+    return SeriesTable(ts, vs)
 
 
-def _parse_cell(cell: str, path: str, lineno: int) -> Optional[float]:
-    cell = cell.strip()
-    if not cell:
-        return None
+def _parse_column(col: Sequence[str], out: np.ndarray) -> Optional[tuple[int, str]]:
+    """Parse one column into ``out``: Python ``float`` per cell, NaN for a blank cell.
+
+    Returns the column's first defect as (row, message), or None.
+    """
+    stop = len(col)  # cells from here on are left unparsed
     try:
-        x = float(cell)
+        out[:] = np.fromiter(map(float, [cell or "nan" for cell in col]), float, len(col))
     except ValueError:
-        raise DataError(f"{path}:{lineno}: not a number: {cell!r}") from None
-    if not math.isfinite(x):
-        raise DataError(f"{path}:{lineno}: not a finite number: {cell!r} "
+        # a cell of blanks, or one that is not a number: find it cell by cell
+        out[:] = np.nan
+        for i, cell in enumerate(col):
+            if cell.strip():
+                try:
+                    out[i] = float(cell)
+                except ValueError:
+                    stop = i
+                    break
+    # a blank cell parses to NaN; any other cell that is not finite is a defect
+    odd = [i for i in np.flatnonzero(~np.isfinite(out[:stop])).tolist() if col[i].strip()]
+    if odd:
+        return odd[0], (f"not a finite number: {col[odd[0]].strip()!r} "
                         "(leave the cell empty to mark it missing)")
-    return x
+    if stop < len(col):
+        return stop, f"not a number: {col[stop].strip()!r}"
+    return None
 
 
 def write_table(table: SeriesTable, path: str) -> None:
@@ -146,24 +175,44 @@ def _format_cell(x: float) -> str:
 
 def write_alignment_csv(alignment: Alignment, table: SeriesTable,
                         params: WeightParams, path: str) -> None:
-    """One row per tuple: 1-based row index, timestamp, value per series, then W/theta/phi."""
+    """One row per tuple: 1-based row index, timestamp, value per series, then W/theta/phi.
+
+    Rows follow the tuples' slot order.  The cells of all tuples are gathered
+    with one index into the table, and every column is formatted as a whole:
+    floats with ``repr``, a missing cell (or a theta_sim over fewer than two
+    timestamps) as an empty cell.
+    """
+    m = table.m
+    slots = np.array([r.slots for r in alignment.tuples], dtype=np.intp).reshape(-1, m)
+    slots = slots[np.lexsort(slots.T[::-1])]
+    series = np.arange(m)
+    ts = table.timestamps[series, slots]
+    vs = table.values[series, slots]
+    present = ~np.isnan(ts)
+    hi = np.where(present, ts, -np.inf).max(axis=1)
+    lo = np.where(present, ts, np.inf).min(axis=1)
+    theta = np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
+    columns = []
+    header = []
+    for k in range(m):
+        header += [f"idx_{k + 1}", f"t_{k + 1}", f"v_{k + 1}"]
+        columns += [list(map(str, (slots[:, k] + 1).tolist())),
+                    _format_column(ts[:, k]), _format_column(vs[:, k])]
+    columns += [_format_column(batch_weights(table, slots, params)),
+                _format_column(theta),
+                list(map(str, (slots.max(axis=1) - slots.min(axis=1)).tolist()))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = []
-        for k in range(table.m):
-            header += [f"idx_{k + 1}", f"t_{k + 1}", f"v_{k + 1}"]
         writer.writerow(header + ["weight", "theta_sim", "phi_sim"])
-        for r in sorted(alignment.tuples):
-            row = []
-            for k, slot in enumerate(r.slots):
-                row += [str(slot + 1),
-                        _format_cell(table.timestamps[k, slot]),
-                        _format_cell(table.values[k, slot])]
-            th = theta_similarity(r, table)
-            row += [repr(float(tuple_weight(r, table, params))),
-                    "" if th is None else repr(float(th)),
-                    str(phi_similarity(r))]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
+
+
+def _format_column(x: np.ndarray) -> list[str]:
+    """``repr`` of every float of ``x``, and an empty string for NaN."""
+    out = list(map(repr, x.tolist()))
+    for i in np.flatnonzero(np.isnan(x)).tolist():
+        out[i] = ""
+    return out
 
 
 def run(cfg: RunConfig) -> int:
@@ -293,16 +342,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_score(args) -> int:
     truth = evaluation.GroundTruth.same_row(ingest(args.truth))
-    tuples, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
-    placeholder = ConsistencyReport(np.zeros(0), np.zeros(0), 0.0,
-                                    np.zeros((0, 0)), (), True)
-    alignment = Alignment(tuples=tuples, total_weight=weight_sum,
-                          report=placeholder, strategy="from-file")
-    report = evaluation.score(alignment, truth)
+    slots, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
+    precision, recall, f1 = evaluation.pair_accuracy(slots, truth)
     payload = {
-        "precision": report.precision, "recall": report.recall, "f1": report.f1,
-        "aligned_tuple_count": report.aligned_tuple_count,
-        "total_weight": report.total_weight,
+        "precision": precision, "recall": recall, "f1": f1,
+        "aligned_tuple_count": len(slots),
+        "total_weight": weight_sum,
     }
     out = json.dumps(payload, indent=2, allow_nan=False)
     if args.report:
@@ -312,8 +357,9 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _read_alignment_csv(path: str, m: int):
-    tuples = []
+def _read_alignment_csv(path: str, m: int) -> tuple[list[list[int]], float]:
+    """The 0-based slot vectors of an aligned CSV, one per row, and its weight sum."""
+    slots = []
     total = 0.0
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -328,13 +374,12 @@ def _read_alignment_csv(path: str, m: int):
             if not row:
                 continue
             try:
-                slots = tuple(int(row[3 * k]) - 1 for k in range(m))
+                slots.append([int(row[3 * k]) - 1 for k in range(m)])
                 if row[3 * m]:
                     total += float(row[3 * m])
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed alignment row") from None
-            tuples.append(AlignedTuple(slots))
-    return tuple(tuples), total
+    return slots, total
 
 
 def _cmd_bench(args) -> int:

@@ -1,4 +1,9 @@
-"""Ground-truth scoring, MCAR injection, and synthetic benchmark generation."""
+"""Ground-truth scoring, MCAR injection, and synthetic benchmark generation.
+
+Scoring is column-wise: every truth cell carries a group id in one
+(m * n) array, and an aligned pair of cells hits when both carry the same
+id.  Aligned pairs are integer keys, deduplicated by sorting.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,8 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -30,24 +37,26 @@ class GroundTruth:
     table: SeriesTable
     groups: tuple[tuple[Cell, ...], ...]
 
-    def pair_set(self) -> set[frozenset[Cell]]:
-        pairs: set[frozenset[Cell]] = set()
-        for group in self.groups:
-            for a in range(len(group)):
-                for b in range(a + 1, len(group)):
-                    pairs.add(frozenset((group[a], group[b])))
-        return pairs
+    @cached_property
+    def cell_groups(self) -> np.ndarray:
+        """Group id of every cell at index series * n + row, -1 for a cell in no group."""
+        n = self.table.n
+        sizes = np.fromiter(map(len, self.groups), np.intp, len(self.groups))
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.groups)), np.intp,
+                           2 * int(sizes.sum()))
+        ids = np.full(self.table.m * n, -1, dtype=np.intp)
+        ids[flat[0::2] * n + flat[1::2]] = np.repeat(np.arange(sizes.size), sizes)
+        return ids
 
     @classmethod
     def same_row(cls, table: SeriesTable) -> "GroundTruth":
         """Truth where row i of every series is simultaneous (synthetic convention)."""
         present = table.timestamp_mask | table.value_mask
-        groups = []
-        for i in range(table.n):
-            group = tuple((k, i) for k in range(table.m) if present[k, i])
-            if group:
-                groups.append(group)
-        return cls(table, tuple(groups))
+        rows, series = np.nonzero(present.T)
+        cells = list(zip(series.tolist(), rows.tolist()))
+        ends = np.cumsum(np.count_nonzero(present, axis=0)).tolist()
+        starts = [0, *ends[:-1]]
+        return cls(table, tuple(tuple(cells[a:b]) for a, b in zip(starts, ends) if b > a))
 
 
 @dataclass(frozen=True)
@@ -60,25 +69,42 @@ class ScoreReport:
     delta: float
 
 
-def score(alignment: Alignment, truth: GroundTruth) -> ScoreReport:
-    """Pair-level precision/recall/F1 of an alignment against the truth pairing.
+def pair_accuracy(slots, truth: GroundTruth) -> tuple[float, float, float]:
+    """Pair-level precision, recall and F1 of aligned tuples against the truth pairing.
 
-    A tuple asserts one pair per series pair, identified by (series, row)
-    cell indices; precision over an empty alignment is defined as 0.
+    ``slots`` holds one slot vector per tuple: an (T, m) integer array, or a
+    sequence of ``AlignedTuple.slots``.  A tuple asserts one pair of cells
+    per series pair; a pair asserted by several tuples counts once.  A pair
+    hits when both cells carry the same truth group id, and the truth holds
+    C(|g|, 2) pairs per group g.  Precision over no pairs is defined as 0.
     """
     m, n = truth.table.m, truth.table.n
-    aligned_pairs: set[frozenset[Cell]] = set()
-    for r in alignment.tuples:
-        if len(r.slots) != m or any(not 0 <= row < n for row in r.slots):
-            raise StructuralError("alignment does not fit the truth table")
-        for a in range(m):
-            for b in range(a + 1, m):
-                aligned_pairs.add(frozenset(((a, r.slots[a]), (b, r.slots[b]))))
-    truth_pairs = truth.pair_set()
-    hit = len(aligned_pairs & truth_pairs)
-    precision = hit / len(aligned_pairs) if aligned_pairs else 0.0
-    recall = hit / len(truth_pairs) if truth_pairs else 0.0
+    try:
+        slots = np.asarray(slots, dtype=np.intp)
+    except ValueError:
+        raise StructuralError("alignment does not fit the truth table") from None
+    if slots.size == 0:
+        slots = slots.reshape(0, m)
+    if slots.ndim != 2 or slots.shape[1] != m or ((slots < 0) | (slots >= n)).any():
+        raise StructuralError("alignment does not fit the truth table")
+    cells = slots + np.arange(m) * n
+    a, b = np.triu_indices(m, 1)
+    keys = np.sort((cells[:, a] * (m * n) + cells[:, b]).ravel())
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+    ids = truth.cell_groups
+    first, second = ids[keys // (m * n)], ids[keys % (m * n)]
+    hit = int(np.count_nonzero((first == second) & (first >= 0)))
+    sizes = np.bincount(ids[ids >= 0])
+    truth_pairs = int((sizes * (sizes - 1) // 2).sum())
+    precision = hit / keys.size if keys.size else 0.0
+    recall = hit / truth_pairs if truth_pairs else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
+
+
+def score(alignment: Alignment, truth: GroundTruth) -> ScoreReport:
+    """Pair-level precision/recall/F1 of an alignment (see ``pair_accuracy``)."""
+    precision, recall, f1 = pair_accuracy([r.slots for r in alignment.tuples], truth)
     return ScoreReport(precision, recall, f1, len(alignment.tuples),
                        alignment.total_weight, alignment.report.delta)
 

@@ -6,6 +6,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import composers
 from .candidate import generate_candidates
 from .core import ConstraintConfig, SeriesTable, WeightParams
@@ -28,15 +30,15 @@ class TuningReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def nearest_rank(samples: list[float], percentile: float) -> float:
-    """Nearest-rank percentile: the ceil(p/100 * N)-th smallest sample."""
-    if not samples:
+def nearest_rank(samples, percentile: float):
+    """Nearest-rank percentile: the ceil(p/100 * N)-th smallest sample (a list or an array)."""
+    samples = np.asarray(samples)
+    if samples.size == 0:
         raise ConfigError("percentile of an empty sample set")
     if not 0 <= percentile <= 100:
         raise ConfigError("percentile must lie in [0, 100]")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(percentile / 100 * len(ordered)))
-    return ordered[rank - 1]
+    rank = max(1, math.ceil(percentile / 100 * samples.size))
+    return np.partition(samples, rank - 1)[rank - 1]
 
 
 def determine_theta(t: SeriesTable, percentile: float = 95.0) -> float:
@@ -44,22 +46,20 @@ def determine_theta(t: SeriesTable, percentile: float = 95.0) -> float:
 
     Rows proxy simultaneous recording; the requested percentile of all
     pairwise |T_i - T_j| within rows tolerates most of the observed delays.
+    The gaps of every series pair are taken as whole rows of the table.
     """
-    diffs: list[float] = []
-    ts = t.timestamps
-    for i in range(t.n):
-        col = ts[:, i]
-        present = col[col == col]
-        for a in range(len(present)):
-            for b in range(a + 1, len(present)):
-                diffs.append(abs(float(present[a]) - float(present[b])))
-    if not diffs:
+    a, b = np.triu_indices(t.m, 1)
+    diffs = np.abs(t.timestamps[a] - t.timestamps[b]).ravel()
+    diffs = diffs[~np.isnan(diffs)]
+    if diffs.size == 0:
         raise ConfigError("no row has two or more non-missing timestamps; cannot determine theta")
     return float(nearest_rank(diffs, percentile))
 
 
-def _beta_from_samples(samples: list[int], beta_lower: int) -> int:
-    return max(beta_lower + 1, int(nearest_rank(samples, 80.0))) if samples else beta_lower + 1
+def _beta_from_samples(samples, beta_lower: int) -> int:
+    if len(samples) == 0:
+        return beta_lower + 1
+    return max(beta_lower + 1, int(nearest_rank(samples, 80.0)))
 
 
 def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
@@ -67,17 +67,15 @@ def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
 
     Candidates are scanned with a window widened to beta_lower + m so the
     observed distribution is not clipped at the lower bound itself; the
-    result is the 80th percentile, floored at beta_lower + 1.
+    result is the 80th percentile, floored at beta_lower + 1.  The samples
+    are |slot_a - slot_b| over every series pair of every candidate, read
+    from the candidate set's slot array.
     """
     scan_cfg = ConstraintConfig(theta=theta, beta=beta_lower + t.m)
-    rc = generate_candidates(t, scan_cfg)
-    samples: list[int] = []
-    for r in rc:
-        slots = r.slots
-        for a in range(len(slots)):
-            for b in range(a + 1, len(slots)):
-                samples.append(abs(slots[a] - slots[b]))
-    if not samples:
+    slots = generate_candidates(t, scan_cfg).slot_array
+    a, b = np.triu_indices(t.m, 1)
+    samples = np.abs(slots[:, a] - slots[:, b]).ravel()
+    if samples.size == 0:
         warnings.warn("no candidate tuples under the widened scan; falling back to beta_lower + 1")
     return _beta_from_samples(samples, beta_lower)
 

@@ -1,8 +1,14 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
-from tsalign import SeriesTable, WeightParams
+from tsalign import SeriesTable, WeightParams, generate_candidates
 from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
+from tsalign.core import ConstraintConfig, phi_similarity, theta_similarity, weight
+from tsalign.errors import ConfigError, DataError, StructuralError
+from tsalign.evaluation import ScoreReport
 
 
 def random_table(rng: np.random.Generator, m: int, n: int,
@@ -14,6 +20,161 @@ def random_table(rng: np.random.Generator, m: int, n: int,
     ts = np.where(rng.random((m, n)) < missing_rate, np.nan, ts)
     values = np.where(rng.random((m, n)) < missing_rate, np.nan, values)
     return SeriesTable(ts, values)
+
+
+def gappy_table(rng: np.random.Generator, m: int, n: int) -> SeriesTable:
+    """``random_table`` plus one all-missing row and one series with no timestamps
+    or no values at all (when n allows)."""
+    t = random_table(rng, m, n, missing_rate=float(rng.uniform(0.0, 0.5)))
+    ts, vs = np.array(t.timestamps), np.array(t.values)
+    if n:
+        row = rng.integers(n)
+        ts[:, row] = vs[:, row] = np.nan
+        (ts if rng.random() < 0.5 else vs)[rng.integers(m)] = np.nan
+    return SeriesTable(ts, vs)
+
+
+def assert_same_table(a: SeriesTable, b: SeriesTable):
+    """Bit-equal timestamps and values: NaN matches NaN, -0.0 does not match 0.0."""
+    assert a.timestamps.shape == b.timestamps.shape
+    assert np.array_equal(a.timestamps.view(np.int64), b.timestamps.view(np.int64))
+    assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+
+
+def sorted_rank(samples, percentile: float):
+    """Nearest-rank percentile by sorting a list: the ceil(p/100 * N)-th smallest."""
+    ordered = sorted(samples)
+    return ordered[max(1, math.ceil(percentile / 100 * len(ordered))) - 1]
+
+
+def ingest_scan(path: str) -> SeriesTable:
+    """Oracle for ``cli.ingest``: the row-major scan that parses cell by cell.
+
+    Raises the DataError of the first defect in file order; the
+    strictly-increasing check runs only once every cell has parsed.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        m = len(header) // 2
+        ts_cols = [[] for _ in range(m)]
+        v_cols = [[] for _ in range(m)]
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2 * m:
+                raise DataError(f"{path}:{lineno}: expected {2 * m} cells, got {len(row)}")
+            for k in range(m):
+                ts_cols[k].append(_parse_cell_scan(row[2 * k], path, lineno))
+                v_cols[k].append(_parse_cell_scan(row[2 * k + 1], path, lineno))
+    bad = []
+    for k in range(m):
+        prev = None
+        for i, x in enumerate(ts_cols[k]):
+            if x is None:
+                continue
+            if prev is not None and x <= prev:
+                bad.append(f"series {k + 1} line {i + 2}")
+            prev = x
+    if bad:
+        raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
+    return SeriesTable.from_columns(list(zip(ts_cols, v_cols)))
+
+
+def _parse_cell_scan(cell, path, lineno):
+    cell = cell.strip()
+    if not cell:
+        return None
+    try:
+        x = float(cell)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: not a number: {cell!r}") from None
+    if not math.isfinite(x):
+        raise DataError(f"{path}:{lineno}: not a finite number: {cell!r} "
+                        "(leave the cell empty to mark it missing)")
+    return x
+
+
+def _format_cell_scan(x) -> str:
+    return "" if x != x else repr(float(x))
+
+
+def write_alignment_scan(alignment, table, params, path) -> None:
+    """Oracle for ``cli.write_alignment_csv``: one row per sorted tuple, cell by cell,
+    with the scalar ``theta_similarity``, ``phi_similarity`` and ``weight``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = []
+        for k in range(table.m):
+            header += [f"idx_{k + 1}", f"t_{k + 1}", f"v_{k + 1}"]
+        writer.writerow(header + ["weight", "theta_sim", "phi_sim"])
+        for r in sorted(alignment.tuples):
+            row = []
+            for k, slot in enumerate(r.slots):
+                row += [str(slot + 1),
+                        _format_cell_scan(table.timestamps[k, slot]),
+                        _format_cell_scan(table.values[k, slot])]
+            th = theta_similarity(r, table)
+            row += [repr(float(weight(r, table, params))),
+                    "" if th is None else repr(float(th)),
+                    str(phi_similarity(r))]
+            writer.writerow(row)
+
+
+def truth_pair_set(truth) -> set:
+    """Every unordered pair of cells that share a truth group, as frozensets."""
+    pairs = set()
+    for group in truth.groups:
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                pairs.add(frozenset((group[a], group[b])))
+    return pairs
+
+
+def score_scan(alignment, truth) -> ScoreReport:
+    """Oracle for ``evaluation.score``: aligned and true cell pairs as frozenset sets."""
+    m, n = truth.table.m, truth.table.n
+    aligned_pairs = set()
+    for r in alignment.tuples:
+        if len(r.slots) != m or any(not 0 <= row < n for row in r.slots):
+            raise StructuralError("alignment does not fit the truth table")
+        for a in range(m):
+            for b in range(a + 1, m):
+                aligned_pairs.add(frozenset(((a, r.slots[a]), (b, r.slots[b]))))
+    truth_pairs = truth_pair_set(truth)
+    hit = len(aligned_pairs & truth_pairs)
+    precision = hit / len(aligned_pairs) if aligned_pairs else 0.0
+    recall = hit / len(truth_pairs) if truth_pairs else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return ScoreReport(precision, recall, f1, len(alignment.tuples),
+                       alignment.total_weight, alignment.report.delta)
+
+
+def theta_scan(t: SeriesTable, percentile: float = 95.0) -> float:
+    """Oracle for ``tuning.determine_theta``: the row-by-row scan of present timestamps."""
+    diffs = []
+    ts = t.timestamps
+    for i in range(t.n):
+        col = ts[:, i]
+        present = col[col == col]
+        for a in range(len(present)):
+            for b in range(a + 1, len(present)):
+                diffs.append(abs(float(present[a]) - float(present[b])))
+    if not diffs:
+        raise ConfigError("no row has two or more non-missing timestamps; cannot determine theta")
+    return float(sorted_rank(diffs, percentile))
+
+
+def beta_samples_scan(t: SeriesTable, theta: float, beta_lower: int = 0) -> list[int]:
+    """Oracle for the gap samples of ``tuning.determine_beta``: a double loop per tuple."""
+    rc = generate_candidates(t, ConstraintConfig(theta=theta, beta=beta_lower + t.m))
+    samples = []
+    for r in rc:
+        slots = r.slots
+        for a in range(len(slots)):
+            for b in range(a + 1, len(slots)):
+                samples.append(abs(slots[a] - slots[b]))
+    return samples
 
 
 def mwis_bruteforce(weights, conflict_pairs, k):

@@ -2,10 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tsalign import DataError
-from tsalign.cli import ingest, main, write_table
+from tsalign import (
+    AlignedTuple,
+    Alignment,
+    ConstraintConfig,
+    DataError,
+    SeriesTable,
+    WeightParams,
+    compose_greedy,
+    generate_candidates,
+)
+from tsalign.cli import ingest, main, write_alignment_csv, write_table
+from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import generate_synthetic, inject_mcar
+from conftest import assert_same_table, gappy_table, ingest_scan, write_alignment_scan
 
 
 def write_csv(path, text):
@@ -65,6 +77,136 @@ class TestIngest:
         path = write_csv(tmp_path / "t.csv", f"t_1,v_1,t_2,v_2\n0,1,0,1\n1,{token},1,1\n")
         with pytest.raises(DataError, match=f":3: not a finite number: '{token}'"):
             ingest(path)
+
+
+class TestIngestMatchesScan:
+    """The column-wise ingest against the row-major scan it replaced."""
+
+    @staticmethod
+    def both(path):
+        """Each ingest's table, or the message of the DataError it raised."""
+        out = []
+        for parse in (ingest, ingest_scan):
+            try:
+                out.append(parse(str(path)))
+            except DataError as exc:
+                out.append(str(exc))
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 30))
+    def test_random_tables(self, tmp_path_factory, seed, m, n):
+        path = tmp_path_factory.mktemp("ingest") / "t.csv"
+        write_table(gappy_table(np.random.default_rng(seed), m, n), str(path))
+        fast, scan = self.both(path)
+        assert_same_table(fast, scan)
+
+    @pytest.mark.parametrize("cells", [
+        [" 1.5 ", "1_000", "+3", "5."],
+        ["-0.0", "1e-310", ".5", "  "],
+        ["\t2\t", "1E3", "-1_0.2_5", "0x"],
+        ["", " ", "-0.0", "1e308"],
+    ])
+    def test_odd_tokens(self, tmp_path, cells):
+        # row 2 holds the odd tokens, row 3 one more number per column
+        text = "t_1,v_1,t_2,v_2\n" + ",".join(cells) + "\n9e9,0,9e9,0\n"
+        path = write_csv(tmp_path / "t.csv", text)
+        fast, scan = self.both(path)
+        if isinstance(scan, str):
+            assert fast == scan
+        else:
+            assert_same_table(fast, scan)
+
+    def test_odd_tokens_read_as_python_float(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv",
+                         "t_1,v_1,t_2,v_2\n -0.0 ,1_000,.5,1e-310\n+3,5.,  ,\n")
+        table = ingest(path)
+        assert str(table.timestamps[0, 0]) == "-0.0"
+        assert table.values[0].tolist() == [1000.0, 5.0]
+        assert table.timestamps[1, 0] == 0.5 and np.isnan(table.timestamps[1, 1])
+        assert table.values[1, 0] == 1e-310 and np.isnan(table.values[1, 1])
+
+    def test_header_only(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2,t_3,v_3\n")
+        fast, scan = self.both(path)
+        assert fast.timestamps.shape == (3, 0)
+        assert_same_table(fast, scan)
+
+    @pytest.mark.parametrize("text, message", [
+        # not a number at line 4 column 3, inf at line 3 column 1, ragged line 6
+        ("0,1,0,1\ninf,1,1,1\n2,1,x,1\n3,1,3,1\n4,1\n", ":3: not a finite number: 'inf'"),
+        # a parse error before a ragged row, and a non-finite cell after it
+        ("0,1,0,1\n1,1,1,abc\n2,1\n3,nan,3,1\n", ":3: not a number: 'abc'"),
+        ("0,1,0,1\n1,1,1\n2,1,2,abc\n", ":3: expected 4 cells, got 3"),
+        # two defects on one line: the leftmost one
+        ("0,1,0,1\n1,1,zz,-inf\n", ":3: not a number: 'zz'"),
+        ("0,1,0,1\n1,1,1,-inf\n2,nan,2,1\n", ":3: not a finite number: '-inf'"),
+        # the first of two cells that are not numbers, not a non-finite one between them
+        ("0,1,0,1\n1,abc,1,1\n2,inf,2,1\n3,xyz,3,1\n", ":3: not a number: 'abc'"),
+        # a cell of blanks is missing, the next defect still reported
+        ("0, ,0,1\n1,1, ,1\n2, NaN ,2,1\n", ":4: not a finite number: 'NaN'"),
+        # blank records keep their place in the line count
+        ("0,1,0,1\n\n\n1,1,1,oops\n", ":5: not a number: 'oops'"),
+        # several decreasing timestamps, listed by series then line
+        ("5,1,0,1\n3,1,1,1\n4,1,0,1\n2,1,,1\n",
+         "not strictly increasing at series 1 line 3, series 1 line 5, series 2 line 4"),
+        ("0,1,5,1\n\n1,1,4,1\n", "not strictly increasing at series 2 line"),
+        ("1,1,0,1\n1,1,1,1\n", "not strictly increasing at series 1 line 3"),
+    ])
+    def test_first_defect_in_file_order(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n" + text)
+        fast, scan = self.both(path)
+        assert isinstance(scan, str) and message in scan
+        assert fast == scan
+
+
+def make_alignment(tuples):
+    report = ConsistencyReport(np.zeros(0), np.zeros(0), 0.0, np.zeros((0, 0)), (), True)
+    return Alignment(tuple(tuples), 0.0, report, "test")
+
+
+def random_alignment(rng, table, params):
+    """A greedy alignment of ``table`` under random windows."""
+    cfg = ConstraintConfig(theta=float(rng.uniform(0, 30)), beta=int(rng.integers(0, 3)))
+    return compose_greedy(generate_candidates(table, cfg), cfg, table, params,
+                          seed=int(rng.integers(100)))
+
+
+class TestWriteAlignmentMatchesScan:
+    """The column-wise alignment writer against the tuple-by-tuple scan it replaced."""
+
+    @staticmethod
+    def assert_same_file(tmp_path, alignment, table, params):
+        fast, scan = tmp_path / "fast.csv", tmp_path / "scan.csv"
+        write_alignment_csv(alignment, table, params, str(fast))
+        write_alignment_scan(alignment, table, params, str(scan))
+        assert fast.read_bytes() == scan.read_bytes()
+        return fast
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 25))
+    def test_random_alignments(self, tmp_path_factory, seed, m, n):
+        rng = np.random.default_rng(seed)
+        table = gappy_table(rng, m, n)
+        params = WeightParams(*rng.integers(0, 4, size=2), *rng.uniform(0.5, 2, size=2))
+        self.assert_same_file(tmp_path_factory.mktemp("write"), random_alignment(rng, table, params),
+                              table, params)
+
+    def test_unsorted_and_repeated_tuples(self, tmp_path, fig_params):
+        rng = np.random.default_rng(3)
+        table = gappy_table(rng, 4, 12)
+        tuples = [AlignedTuple(tuple(rng.integers(0, 12, size=4))) for _ in range(30)]
+        self.assert_same_file(tmp_path, make_alignment(tuples + tuples[:5]), table, fig_params)
+
+    def test_signed_zero_timestamps(self, tmp_path, fig_params):
+        table = SeriesTable(np.array([[-0.0, 1.0], [0.0, 2.0], [-0.0, 3.0]]), np.ones((3, 2)))
+        tuples = [AlignedTuple((0, 0, 0)), AlignedTuple((1, 1, 1))]
+        out = self.assert_same_file(tmp_path, make_alignment(tuples), table, fig_params)
+        assert out.read_text().splitlines()[1].split(",")[-2] == "0.0"
+
+    def test_empty_alignment_is_header_only(self, tmp_path, staggered_table, fig_params):
+        out = self.assert_same_file(tmp_path, make_alignment([]), staggered_table, fig_params)
+        assert out.read_bytes() == b"idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\r\n"
 
 
 class TestAlign:
@@ -206,6 +348,28 @@ class TestScoreCommand:
         payload = json.loads(report_path.read_text())
         assert 0 <= payload["f1"] <= 1
         assert payload["aligned_tuple_count"] > 0
+
+    def test_score_matches_align_with_truth(self, small_files, tmp_path, capsys):
+        data, truth = small_files
+        aligned, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        assert main(["align", "--input", str(data), "--strategy", "expect",
+                     "--tune-theta", "--tune-beta", "--truth", str(truth),
+                     "--out", str(aligned), "--report", str(report)]) == 0
+        score_path = tmp_path / "score.json"
+        assert main(["score", "--aligned", str(aligned), "--truth", str(truth),
+                     "--report", str(score_path)]) == 0
+        metrics = json.loads(report.read_text())
+        payload = json.loads(score_path.read_text())
+        for key in ("precision", "recall", "f1", "aligned_tuple_count"):
+            assert payload[key] == metrics[key]
+        assert payload["total_weight"] == pytest.approx(metrics["total_weight"])
+
+    def test_rows_outside_the_truth_are_data_error(self, small_files, tmp_path, capsys):
+        _, truth = small_files
+        aligned = write_csv(tmp_path / "aligned.csv",
+                            "idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\n"
+                            "1,0.0,1.0,999,0.0,1.0,1.0,0.0,998\n")
+        assert main(["score", "--aligned", aligned, "--truth", str(truth)]) == 3
 
 
 class TestBench:

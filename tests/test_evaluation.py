@@ -11,9 +11,11 @@ from tsalign import (
     StructuralError,
     generate_synthetic,
     inject_mcar,
+    pair_accuracy,
     score,
 )
 from tsalign.consistency import ConsistencyReport
+from conftest import gappy_table, score_scan, truth_pair_set
 
 
 def make_alignment(tuples, total_weight=0.0, delta=0.0):
@@ -71,6 +73,63 @@ class TestScore:
         if r.precision + r.recall > 0:
             assert r.f1 == pytest.approx(
                 2 * r.precision * r.recall / (r.precision + r.recall))
+
+
+class TestScoreMatchesScan:
+    """Group-id scoring against the frozenset pair sets it replaced."""
+
+    @staticmethod
+    def random_tuples(rng, m, n, count):
+        """Mostly near-diagonal slot vectors, so some hit; with conflicts and repeats."""
+        base = rng.integers(0, n, size=(count, 1))
+        slots = np.clip(base + rng.integers(-1, 2, size=(count, m)), 0, n - 1)
+        tuples = [AlignedTuple(tuple(row)) for row in slots]
+        return tuples + tuples[:count // 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 20))
+    def test_random_alignments(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        truth = GroundTruth.same_row(gappy_table(rng, m, n))
+        tuples = self.random_tuples(rng, m, n, int(rng.integers(0, 3 * n)))
+        alignment = make_alignment(tuples, total_weight=float(len(tuples)), delta=0.5)
+        assert score(alignment, truth) == score_scan(alignment, truth)
+
+    def test_synthetic_truth_with_duplicates(self):
+        table, truth = generate_synthetic(30, 4, 1.0, seed=31)
+        tuples = [AlignedTuple((i, i, i + 1 if i < 29 else i, i)) for i in range(30)]
+        alignment = make_alignment(tuples + tuples[::3])
+        report = score(alignment, truth)
+        assert report == score_scan(alignment, truth)
+        assert 0 < report.precision < 1 and 0 < report.recall < 1
+
+    def test_empty_alignment_matches_scan(self):
+        table, truth = generate_synthetic(5, 3, 0.5, seed=32)
+        assert score(make_alignment([]), truth) == score_scan(make_alignment([]), truth)
+
+    def test_plain_slot_vectors(self):
+        _, truth = generate_synthetic(6, 3, 0.5, seed=33)
+        tuples = [AlignedTuple((i, i, (i + 1) % 6)) for i in range(6)]
+        report = score(make_alignment(tuples), truth)
+        expected = (report.precision, report.recall, report.f1)
+        assert pair_accuracy([r.slots for r in tuples], truth) == expected
+        assert pair_accuracy(np.array([r.slots for r in tuples]), truth) == expected
+        assert pair_accuracy(np.zeros((0, 3), dtype=int), truth) == (0.0, 0.0, 0.0)
+
+    def test_ragged_slot_vectors_rejected(self):
+        _, truth = generate_synthetic(4, 2, 0.5, seed=34)
+        with pytest.raises(StructuralError):
+            pair_accuracy([(0, 0), (1, 1, 1)], truth)
+        with pytest.raises(StructuralError):
+            pair_accuracy([(0, -1)], truth)
+
+    def test_group_ids_follow_the_groups(self):
+        table = SeriesTable(np.array([[0.0, np.nan, 2.0], [0.0, np.nan, np.nan]]),
+                            np.array([[1.0, np.nan, np.nan], [np.nan, np.nan, 1.0]]))
+        truth = GroundTruth.same_row(table)
+        assert truth.groups == (((0, 0), (1, 0)), ((0, 2), (1, 2)))
+        assert truth.cell_groups.tolist() == [0, -1, 1, 0, -1, 1]
+        assert len(truth_pair_set(truth)) == 2
 
 
 class TestInjectMcar:

@@ -1,7 +1,10 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsalign import (
     ConfigError,
@@ -19,7 +22,7 @@ from tsalign import (
 )
 from tsalign.composers import _expectation_scorer
 from tsalign.tuning import DEFAULT_GRID, _beta_from_samples, nearest_rank
-from conftest import group_pass_scan
+from conftest import beta_samples_scan, gappy_table, group_pass_scan, sorted_rank, theta_scan
 
 
 def grid_by_fresh_composes(t, theta, beta, strategy, seed, runs):
@@ -114,6 +117,49 @@ class TestDetermineBeta:
         table, _ = generate_synthetic(40, 3, 1.0, seed=5)
         for lower in range(0, 3):
             assert determine_beta(table, theta=3.0, beta_lower=lower) > lower
+
+
+class TestThetaBetaMatchScans:
+    """The column-wise theta and slot-array beta scans against the per-row/per-tuple loops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 25),
+           st.sampled_from([0.0, 12.5, 50.0, 80.0, 95.0, 100.0]))
+    def test_theta(self, seed, m, n, percentile):
+        t = gappy_table(np.random.default_rng(seed), m, n)
+        try:
+            expected = theta_scan(t, percentile)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                determine_theta(t, percentile)
+            return
+        assert determine_theta(t, percentile) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 14),
+           st.integers(0, 2))
+    def test_beta(self, seed, m, n, beta_lower):
+        rng = np.random.default_rng(seed)
+        t = gappy_table(rng, m, n)
+        theta = float(rng.uniform(0, 40))
+        samples = beta_samples_scan(t, theta, beta_lower)
+        expected = max(beta_lower + 1, sorted_rank(samples, 80.0)) if samples else beta_lower + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert determine_beta(t, theta, beta_lower) == expected
+
+    def test_synthetic_input(self):
+        table, _ = generate_synthetic(400, 4, 2.5, seed=41)
+        masked = inject_mcar(table, 0.3, seed=42, target="both")
+        theta = determine_theta(masked)
+        assert theta == theta_scan(masked)
+        samples = beta_samples_scan(masked, theta)
+        assert determine_beta(masked, theta) == max(1, sorted_rank(samples, 80.0))
+
+    def test_nearest_rank_takes_arrays(self):
+        samples = [3.5, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.5]
+        for p in range(0, 101, 5):
+            assert nearest_rank(np.array(samples), p) == sorted_rank(samples, p)
 
 
 class TestDetermineWeightsAndDelta:
