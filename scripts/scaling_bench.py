@@ -12,8 +12,7 @@ import time
 from tsalign import (
     ConstraintConfig,
     WeightParams,
-    compose_expectation,
-    compose_greedy,
+    composers,
     generate_candidates,
     generate_synthetic,
     inject_mcar,
@@ -27,9 +26,8 @@ def timed_run(n, m, jitter, rate, theta, beta, strategy, seed):
     params = WeightParams(3, 2, 1, 1)
     start = time.perf_counter()
     rc = generate_candidates(masked, cfg)
-    compose = compose_greedy if strategy == "greedy" else compose_expectation
-    alignment = compose(rc, cfg, masked, params, seed=seed)
-    return time.perf_counter() - start, len(rc), len(alignment.tuples)
+    alignment = composers.compose(strategy, rc, cfg, masked, params, seed=seed)
+    return time.perf_counter() - start, len(rc), len(alignment)
 
 
 def main() -> None:

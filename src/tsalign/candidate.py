@@ -1,18 +1,40 @@
 """Candidate tuple generation under the time and position constraints.
 
-The generator walks one cursor per series in ascending lexicographic order.
-After fixing a prefix of cursors, the remaining cursors are confined to the
-window [max(prefix) - beta, min(prefix) + beta], which is exactly the set of
-rows that can still satisfy the position constraint.  Timestamp monotonicity
-lets the walk skip a row whose timestamp already breaks the time constraint
-against the prefix without visiting any of its extensions.  The brute-force
-enumerator below is the testing oracle: both must return identical sets.
+Candidates are built level by level, one series at a time, straight into one
+(N, m) int32 slot array.  After level k, every prefix (a slot of each of the
+series 1..k) that still satisfies both constraints is kept, with its row
+range (smin, smax) and the range (tmin, tmax) of its present timestamps.
+A prefix can only be extended by a row of the next series in the window
+
+    [max(smax - beta, 0), min(smin + beta, n - 1)],
+
+which is exactly the set of rows that keeps the position constraint, so the
+windows of all prefixes are expanded at once: ``np.repeat`` gives each
+expanded row its parent prefix, and the row itself is its position in the
+flat expansion minus the parent's offset there (a cumsum of the window
+widths) plus the window's first row.  A prefix's timestamp range is within
+theta, so a present timestamp x widens it past theta only at a new end:
+x - tmin > theta or tmax - x > theta, the same subtractions the range check
+makes.  Such rows are masked out; a missing timestamp compares False and
+leaves the range as it is.
+
+The output is in ascending lexicographic slot order with no duplicates: the
+prefixes of a level are in lexicographic order, ``np.repeat`` keeps the
+parents in that order, and each parent's window rows are ascending, so the
+expansion is already sorted by (parent, row), which is lexicographic order
+of the longer prefixes.  A level stores only each kept row's parent index
+and slot; the full rows are gathered once, at the end, by following the
+parent indices back to the first series.
+
+The cost of a level is the sum of its prefixes' window widths (at most
+min(2 * beta + 1, n) each), in time and in memory, including the rows the
+time constraint then drops.  The brute-force enumerator below is the
+testing oracle: both must return identical sets.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,41 +51,54 @@ from .core import (
 from .errors import SizeError
 
 BRUTE_FORCE_GUARD = 10_000_000
+INT32_MAX = np.iinfo(np.int32).max
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class CandidateSet:
     """Constraint-feasible tuples in ascending lexicographic slot order.
 
-    The weight-independent state every compose of the set needs (slot array,
-    weight terms, isolated mask, fitted reports) is computed on first use and
-    kept, so a tuning grid composing the same set many times builds it once.
+    ``slots`` is the (N, m) int32 array of slot vectors, one row per
+    candidate.  It and the weight-independent state every compose of the set
+    needs (weight terms, isolated mask, fitted reports) are shared by every
+    compose of the set, so the arrays are read-only; the state is computed on
+    first use and kept, so a tuning grid composing the same set many times
+    builds it once.  ``tuples`` is the per-candidate ``AlignedTuple`` view,
+    built on first access.
     """
 
-    tuples: tuple[AlignedTuple, ...]
+    slots: np.ndarray
     config: ConstraintConfig
     table: SeriesTable
 
+    def __post_init__(self):
+        slots = np.asarray(self.slots, dtype=np.int32).reshape(-1, self.table.m)
+        object.__setattr__(self, "slots", _read_only(slots))
+
     def __len__(self) -> int:
-        return len(self.tuples)
+        return self.slots.shape[0]
 
     @cached_property
-    def slot_array(self) -> np.ndarray:
-        """The (N, m) array of slot vectors, one row per candidate."""
-        slots = np.array([r.slots for r in self.tuples], dtype=np.intp)
-        return slots.reshape(len(self.tuples), self.table.m)
+    def tuples(self) -> tuple[AlignedTuple, ...]:
+        return tuple(map(AlignedTuple, self.slots.tolist()))
 
     @cached_property
     def weight_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Pair counts p and index spreads d, as ``batch_weights`` computes them."""
-        return weight_terms(self.table, self.slot_array)
+        p, d = weight_terms(self.table, self.slots)
+        return _read_only(p), _read_only(d)
 
     @cached_property
     def isolated(self) -> np.ndarray:
         """Mask of the candidates that share no cell with any other candidate."""
         m, n = self.table.m, self.table.n
-        keys = self.slot_array + np.arange(m) * n
-        return (np.bincount(keys.ravel(), minlength=m * n)[keys] == 1).all(axis=1)
+        keys = self.slots + np.arange(m) * n
+        return _read_only((np.bincount(keys.ravel(), minlength=m * n)[keys] == 1).all(axis=1))
 
     @cached_property
     def reports(self) -> dict:
@@ -80,52 +115,45 @@ class CandidateSet:
 def generate_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
     """All tuples with theta_similarity <= theta and phi_similarity <= beta."""
     m, n = t.m, t.n
-    if n == 0:
-        return CandidateSet((), cfg, t)
     theta = cfg.theta
-    beta = cfg.beta
-    ts_rows = [row.tolist() for row in t.timestamps]
-    out: list[AlignedTuple] = []
-    slots = [0] * m
-    last = m - 1
-
-    def extend(k: int, lo: int, hi: int, smin: int, smax: int, tmin: float, tmax: float) -> None:
-        row_ts = ts_rows[k]
-        for v in range(lo, hi + 1):
-            x = row_ts[v]
-            if x == x:  # timestamp present
-                ntmin = x if x < tmin else tmin
-                ntmax = x if x > tmax else tmax
-                if ntmax - ntmin > theta:
-                    continue
-            else:
-                ntmin, ntmax = tmin, tmax
-            slots[k] = v
-            if k == last:
-                out.append(AlignedTuple(tuple(slots)))
-            else:
-                nsmin = v if v < smin else smin
-                nsmax = v if v > smax else smax
-                nlo = nsmax - beta
-                if nlo < 0:
-                    nlo = 0
-                nhi = nsmin + beta
-                if nhi > n - 1:
-                    nhi = n - 1
-                extend(k + 1, nlo, nhi, nsmin, nsmax, ntmin, ntmax)
-
-    first_ts = ts_rows[0]
-    for v0 in range(n):
-        slots[0] = v0
-        x = first_ts[v0]
-        if x == x:
-            tmin = tmax = x
-        else:
-            tmin, tmax = math.inf, -math.inf
-        lo = max(0, v0 - beta)
-        hi = min(n - 1, v0 + beta)
-        extend(1, lo, hi, v0, v0, tmin, tmax)
-    return CandidateSet(tuple(out), cfg, t)
+    beta = min(cfg.beta, n)  # a wider window is clipped to the table anyway
+    ts = t.timestamps
+    # the prefixes of the first series: every row, with its timestamp as the range
+    smin = smax = np.arange(n, dtype=np.int32)
+    present = ~np.isnan(ts[0])
+    tmin = np.where(present, ts[0], np.inf)
+    tmax = np.where(present, ts[0], -np.inf)
+    parents: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    for k in range(1, m):
+        lo = np.maximum(smax - beta, 0)
+        widths = np.minimum(smin + beta, n - 1) - lo + 1
+        total = int(widths.sum())
+        if total > INT32_MAX:
+            raise SizeError(f"{total} partial candidates at series {k + 1} overflow int32")
+        parent = np.repeat(np.arange(widths.size, dtype=np.int32), widths)
+        # row = lo[parent] + (position - first position of parent)
+        row = np.arange(total, dtype=np.int32)
+        row -= np.repeat(np.cumsum(widths, dtype=np.int32) - widths - lo, widths)
+        x = ts[k][row]
+        # a missing x compares False: it never breaks theta
+        keep = ~((x - np.repeat(tmin, widths) > theta) | (np.repeat(tmax, widths) - x > theta))
+        parent, row = parent[keep], row[keep]
+        parents.append(parent)
+        rows.append(row)
+        if k < m - 1:
+            # fmin/fmax skip a missing timestamp, leaving the parent's range as it is
+            x = x[keep]
+            tmin, tmax = np.fmin(tmin[parent], x), np.fmax(tmax[parent], x)
+            smin, smax = np.minimum(smin[parent], row), np.maximum(smax[parent], row)
+    # gather the full rows by following the parents back to the first series
+    slots = np.empty((rows[-1].size, m), dtype=np.int32)
+    index = np.arange(rows[-1].size, dtype=np.int32)
+    for k in range(m - 1, 0, -1):
+        slots[:, k] = rows.pop()[index]
+        index = parents.pop()[index]
+    slots[:, 0] = index
+    return CandidateSet(slots, cfg, t)
 
 
 def brute_force_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
@@ -140,5 +168,5 @@ def brute_force_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSe
         th = theta_similarity(r, t)
         if th is not None and th > cfg.theta:
             continue
-        out.append(r)
-    return CandidateSet(tuple(out), cfg, t)
+        out.append(combo)
+    return CandidateSet(np.array(out, dtype=np.int32).reshape(-1, t.m), cfg, t)

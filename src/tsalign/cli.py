@@ -121,7 +121,7 @@ def ingest(path: str) -> SeriesTable:
     for k in range(m):
         rows = np.flatnonzero(~np.isnan(ts[k]))
         present = ts[k, rows]
-        bad += [f"series {k + 1} line {i + 2}"
+        bad += [f"series {k + 1} line {linenos[i]}"
                 for i in rows[1:][present[1:] <= present[:-1]].tolist()]
     if bad:
         raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
@@ -183,7 +183,7 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     timestamps) as an empty cell.
     """
     m = table.m
-    slots = np.array([r.slots for r in alignment.tuples], dtype=np.intp).reshape(-1, m)
+    slots = alignment.slots.reshape(-1, m)
     slots = slots[np.lexsort(slots.T[::-1])]
     series = np.arange(m)
     ts = table.timestamps[series, slots]
@@ -249,7 +249,7 @@ def run(cfg: RunConfig) -> int:
         "k1": k1, "k2": k2, "b": cfg.b, "c": cfg.c,
         "seed": cfg.seed,
         "candidate_count": len(rc),
-        "aligned_tuple_count": len(alignment.tuples),
+        "aligned_tuple_count": len(alignment),
         "total_weight": alignment.total_weight,
         "delta_score": alignment.report.delta,
         "retries_used": alignment.retries_used,

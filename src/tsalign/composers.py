@@ -36,7 +36,8 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,14 @@ STRATEGIES = {
 class Alignment:
     """A pairwise non-conflicting tuple set with its score and consistency report.
 
+    ``slots`` is the read-only (T, m) int32 array of the chosen slot vectors,
+    in ascending lexicographic order when a composer made it; ``tuples`` is
+    the per-tuple ``AlignedTuple`` view, built on first access.
     ``tie_breaks`` counts the seeded random tie-breaks drawn by the group pass
     that selected it; 0 means any seed would have selected the same.
     """
 
-    tuples: tuple[AlignedTuple, ...]
+    slots: np.ndarray
     total_weight: float
     report: ConsistencyReport
     strategy: str
@@ -76,13 +80,22 @@ class Alignment:
     truncated: bool = False
     tie_breaks: int = 0
 
+    def __post_init__(self):
+        slots = np.array(self.slots, dtype=np.int32)
+        slots.setflags(write=False)
+        object.__setattr__(self, "slots", slots)
+
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.slots)
+
+    @cached_property
+    def tuples(self) -> tuple[AlignedTuple, ...]:
+        return tuple(map(AlignedTuple, self.slots.tolist()))
 
 
 def _weights(rc: CandidateSet, t: SeriesTable, w: WeightParams) -> list[float]:
     if t is not rc.table:
-        return batch_weights(t, rc.slot_array, w).tolist()
+        return batch_weights(t, rc.slots, w).tolist()
     return combine_weights(*rc.weight_terms, w).tolist()
 
 
@@ -96,7 +109,7 @@ def _report(rc: CandidateSet, t: SeriesTable, indices) -> ConsistencyReport:
     cache = rc.reports if t is rc.table else {}
     report = cache.get(key)
     if report is None:
-        report = cache[key] = delta_report([rc.tuples[i] for i in key], t)
+        report = cache[key] = delta_report(rc.slots[list(key)], t)
     return report
 
 
@@ -104,8 +117,8 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
     """Bitmask per candidate of the candidates it conflicts with (self included)."""
     k = len(rc)
     by_cell: dict[tuple[int, int], list[int]] = {}
-    for i, r in enumerate(rc.tuples):
-        for series, row in enumerate(r.slots):
+    for i, slots in enumerate(rc.slots.tolist()):
+        for series, row in enumerate(slots):
             by_cell.setdefault((series, row), []).append(i)
     masks = [0] * k
     for indices in by_cell.values():
@@ -119,9 +132,9 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
 
 def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
             truncated=False, report=None, tie_breaks=0) -> Alignment:
-    # rc.tuples is in lexicographic order, so sorted indices give sorted tuples
+    # rc.slots is in lexicographic order, so sorted indices give sorted rows
     indices = sorted(indices)
-    chosen = tuple(rc.tuples[i] for i in indices)
+    chosen = rc.slots[indices]
     if report is None:
         report = delta_report(chosen, t)
     total = float(sum(weights[i] for i in indices))
@@ -143,6 +156,7 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     weights = _weights(rc, t, w)
     conflict = _conflict_masks(rc)
     check_delta = math.isfinite(cfg.delta)
+    rows = [tuple(r) for r in rc.slots.tolist()]
 
     best_w = 0.0
     best_sel: tuple[int, ...] = ()
@@ -160,10 +174,10 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
             return
         report = None
         if check_delta:
-            report = delta_report([rc.tuples[i] for i in selection], t)
+            report = delta_report(rc.slots[list(selection)], t)
             if report.delta > cfg.delta:
                 return
-        key = tuple(sorted(rc.tuples[i].slots for i in selection))
+        key = tuple(sorted(rows[i] for i in selection))
         if total > best_w or key < best_key:
             best_w, best_sel, best_key = total, selection, key
             best_report = report
@@ -210,7 +224,7 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
         return chosen, 0
     m, n = rc.table.m, rc.table.n
     # cell keys s * n + r of the visited candidates, as Python ints
-    rest_cells = (rc.slot_array[rest] + np.arange(m) * n).tolist()
+    rest_cells = (rc.slots[rest] + np.arange(m) * n).tolist()
     used = bytearray(m * n)
     member_bits = [0] * (m * n)
     group: list[int] = []
@@ -283,8 +297,7 @@ def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
             return alignment
         if best is None or report.delta < best.report.delta:
             best = alignment
-    return Alignment(best.tuples, best.total_weight, best.report, strategy,
-                     retries_used=attempts - 1, exhausted=True, tie_breaks=best.tie_breaks)
+    return replace(best, retries_used=attempts - 1, exhausted=True)
 
 
 def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
@@ -331,7 +344,7 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     could move a tie.
     """
     w = np.asarray(weights, dtype=float)
-    slots = rc.slot_array
+    slots = rc.slots
     n = rc.table.n
     order, indptr = _cell_index(slots, n)
     offsets = np.arange(slots.shape[1]) * n
@@ -385,7 +398,7 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     k = len(rc)
     weights = _weights(rc, t, w)
     m = t.m
-    tuples = rc.tuples
+    rows = [tuple(r) for r in rc.slots.tolist()]
     conflict = _conflict_masks(rc)
 
     def complete(state: int) -> int:
@@ -462,8 +475,7 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
 
     def evaluate(state: int):
         sel = list(bits(state))
-        ordered = sorted(tuples[i] for i in sel)
-        report = delta_report(ordered, t)
+        report = delta_report(rc.slots[sel], t)
         total = sum(weights[i] for i in sel)
         return total, report, sel
 
@@ -471,21 +483,15 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     fallback = None
     for state in finished:
         total, report, sel = evaluate(state)
-        key = tuple(sorted(tuples[i].slots for i in sel))
+        key = tuple(sorted(rows[i] for i in sel))
         if report.delta <= cfg.delta:
             if best is None or total > best[0] or (total == best[0] and key < best[3]):
                 best = (total, report, sel, key)
         if fallback is None or report.delta < fallback[1].delta:
             fallback = (total, report, sel, key)
-    if best is not None:
-        total, report, sel, _ = best
-        return _finish(sel, rc, t, weights, "setpacking",
-                       truncated=truncated, report=report)
-    total, report, sel, _ = fallback
-    alignment = _finish(sel, rc, t, weights, "setpacking",
-                        truncated=truncated, report=report)
-    return Alignment(alignment.tuples, alignment.total_weight, alignment.report,
-                     "setpacking", exhausted=True, truncated=truncated)
+    total, report, sel, _ = fallback if best is None else best
+    return _finish(sel, rc, t, weights, "setpacking", exhausted=best is None,
+                   truncated=truncated, report=report)
 
 
 def compose(strategy: str, rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,

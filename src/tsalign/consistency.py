@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import AlignedTuple, ConstraintConfig, SeriesTable
+from .core import ConstraintConfig, SeriesTable, slot_matrix
 from .errors import DataError
 
 RIDGE = 1e-6
@@ -168,16 +167,23 @@ def satisfies_model_constraint(report: ConsistencyReport, cfg: ConstraintConfig)
     return report.delta <= cfg.delta
 
 
-def tuple_value_matrix(tuples: Sequence[AlignedTuple], t: SeriesTable) -> np.ndarray:
-    """Value matrix of an aligned result: row per tuple, column per series."""
-    slots = np.array([r.slots for r in tuples], dtype=np.intp).reshape(len(tuples), t.m)
-    return t.values[np.arange(t.m), slots]
+def tuple_value_matrix(slots, t: SeriesTable) -> np.ndarray:
+    """Value matrix of an aligned result: row per tuple, column per series.
+
+    ``slots`` is anything ``core.slot_matrix`` reads: a (T, m) slot array, or
+    a sequence of slot vectors or of ``AlignedTuple``.
+    """
+    return t.values[np.arange(t.m), slot_matrix(slots, t.m)]
 
 
-def delta_report(tuples: Sequence[AlignedTuple], t: SeriesTable) -> ConsistencyReport:
-    """Fit the predictor to an aligned result (in lexicographic row order) and score it."""
-    ordered = sorted(tuples)
-    matrix = tuple_value_matrix(ordered, t)
+def delta_report(slots, t: SeriesTable) -> ConsistencyReport:
+    """Fit the predictor to an aligned result (in lexicographic row order) and score it.
+
+    ``slots`` is read as by ``tuple_value_matrix``; its rows are put in
+    lexicographic order first, so the order they come in does not matter.
+    """
+    slots = slot_matrix(slots, t.m)
+    matrix = tuple_value_matrix(slots[np.lexsort(slots.T[::-1])], t)
     # overflow is reported once, as the DataError of consistency_delta
     with np.errstate(over="ignore", invalid="ignore"):
         return consistency_delta(matrix, fit_model(matrix))

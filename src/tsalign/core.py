@@ -98,6 +98,14 @@ class AlignedTuple:
         return len(self.slots)
 
 
+def slot_matrix(rows, m: int) -> np.ndarray:
+    """(T, m) integer array of slot vectors from an array, or from a sequence of
+    slot vectors or of ``AlignedTuple``."""
+    if not isinstance(rows, np.ndarray):
+        rows = [r.slots if isinstance(r, AlignedTuple) else r for r in rows]
+    return np.asarray(rows, dtype=np.intp).reshape(-1, m)
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """Coefficients of the tuple weight: (k1*p + b) / (k2*d + c)."""

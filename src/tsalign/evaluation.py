@@ -73,7 +73,7 @@ def pair_accuracy(slots, truth: GroundTruth) -> tuple[float, float, float]:
     """Pair-level precision, recall and F1 of aligned tuples against the truth pairing.
 
     ``slots`` holds one slot vector per tuple: an (T, m) integer array, or a
-    sequence of ``AlignedTuple.slots``.  A tuple asserts one pair of cells
+    sequence of slot vectors.  A tuple asserts one pair of cells
     per series pair; a pair asserted by several tuples counts once.  A pair
     hits when both cells carry the same truth group id, and the truth holds
     C(|g|, 2) pairs per group g.  Precision over no pairs is defined as 0.
@@ -104,8 +104,8 @@ def pair_accuracy(slots, truth: GroundTruth) -> tuple[float, float, float]:
 
 def score(alignment: Alignment, truth: GroundTruth) -> ScoreReport:
     """Pair-level precision/recall/F1 of an alignment (see ``pair_accuracy``)."""
-    precision, recall, f1 = pair_accuracy([r.slots for r in alignment.tuples], truth)
-    return ScoreReport(precision, recall, f1, len(alignment.tuples),
+    precision, recall, f1 = pair_accuracy(alignment.slots, truth)
+    return ScoreReport(precision, recall, f1, len(alignment),
                        alignment.total_weight, alignment.report.delta)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -56,10 +57,17 @@ def determine_theta(t: SeriesTable, percentile: float = 95.0) -> float:
     return float(nearest_rank(diffs, percentile))
 
 
-def _beta_from_samples(samples, beta_lower: int) -> int:
-    if len(samples) == 0:
+def _beta_from_gap_counts(counts: np.ndarray, beta_lower: int) -> int:
+    """80th nearest-rank percentile of the gaps counted per value, floored at beta_lower + 1.
+
+    ``counts[v]`` is the number of gap samples equal to v; the percentile is
+    the smallest v whose cumulative count reaches the rank ceil(0.8 * N).
+    """
+    total = int(counts.sum())
+    if total == 0:
         return beta_lower + 1
-    return max(beta_lower + 1, int(nearest_rank(samples, 80.0)))
+    rank = max(1, math.ceil(80.0 / 100 * total))
+    return max(beta_lower + 1, int(np.searchsorted(np.cumsum(counts), rank)))
 
 
 def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
@@ -68,16 +76,18 @@ def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
     Candidates are scanned with a window widened to beta_lower + m so the
     observed distribution is not clipped at the lower bound itself; the
     result is the 80th percentile, floored at beta_lower + 1.  The samples
-    are |slot_a - slot_b| over every series pair of every candidate, read
-    from the candidate set's slot array.
+    are |slot_a - slot_b| over every series pair of every candidate.  No
+    gap exceeds the scan window, so they are counted per value with
+    ``np.bincount``, one series pair at a time, instead of being collected.
     """
     scan_cfg = ConstraintConfig(theta=theta, beta=beta_lower + t.m)
-    slots = generate_candidates(t, scan_cfg).slot_array
-    a, b = np.triu_indices(t.m, 1)
-    samples = np.abs(slots[:, a] - slots[:, b]).ravel()
-    if samples.size == 0:
+    slots = generate_candidates(t, scan_cfg).slots
+    counts = np.zeros(min(scan_cfg.beta, t.n) + 1, dtype=np.int64)
+    for a, b in itertools.combinations(range(t.m), 2):
+        counts += np.bincount(np.abs(slots[:, a] - slots[:, b]), minlength=counts.size)
+    if not counts.any():
         warnings.warn("no candidate tuples under the widened scan; falling back to beta_lower + 1")
-    return _beta_from_samples(samples, beta_lower)
+    return _beta_from_gap_counts(counts, beta_lower)
 
 
 def determine_weights_and_delta(t: SeriesTable, theta: float, beta: int,

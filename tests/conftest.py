@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tsalign import SeriesTable, WeightParams, generate_candidates
+from tsalign import SeriesTable, WeightParams
 from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
 from tsalign.core import ConstraintConfig, phi_similarity, theta_similarity, weight
 from tsalign.errors import ConfigError, DataError, StructuralError
@@ -59,9 +59,11 @@ def ingest_scan(path: str) -> SeriesTable:
         m = len(header) // 2
         ts_cols = [[] for _ in range(m)]
         v_cols = [[] for _ in range(m)]
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            linenos.append(lineno)
             if len(row) != 2 * m:
                 raise DataError(f"{path}:{lineno}: expected {2 * m} cells, got {len(row)}")
             for k in range(m):
@@ -74,7 +76,7 @@ def ingest_scan(path: str) -> SeriesTable:
             if x is None:
                 continue
             if prev is not None and x <= prev:
-                bad.append(f"series {k + 1} line {i + 2}")
+                bad.append(f"series {k + 1} line {linenos[i]}")
             prev = x
     if bad:
         raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
@@ -167,14 +169,57 @@ def theta_scan(t: SeriesTable, percentile: float = 95.0) -> float:
 
 def beta_samples_scan(t: SeriesTable, theta: float, beta_lower: int = 0) -> list[int]:
     """Oracle for the gap samples of ``tuning.determine_beta``: a double loop per tuple."""
-    rc = generate_candidates(t, ConstraintConfig(theta=theta, beta=beta_lower + t.m))
     samples = []
-    for r in rc:
-        slots = r.slots
+    for slots in walk_scan(t, ConstraintConfig(theta=theta, beta=beta_lower + t.m)).tolist():
         for a in range(len(slots)):
             for b in range(a + 1, len(slots)):
                 samples.append(abs(slots[a] - slots[b]))
     return samples
+
+
+def walk_scan(t: SeriesTable, cfg: ConstraintConfig) -> np.ndarray:
+    """Oracle for ``generate_candidates``: the recursive walk, one cursor per series.
+
+    After fixing a prefix of cursors, the next cursor runs over the window
+    [max(prefix) - beta, min(prefix) + beta] in ascending order, skipping a
+    row whose present timestamp breaks theta against the prefix together
+    with all its extensions.  Returns the (N, m) int32 slot array in the
+    order the walk emits it, which is ascending lexicographic.
+    """
+    m, n = t.m, t.n
+    theta, beta = cfg.theta, cfg.beta
+    ts_rows = [row.tolist() for row in t.timestamps]
+    out: list[int] = []
+    slots = [0] * m
+    last = m - 1
+
+    def extend(k, lo, hi, smin, smax, tmin, tmax):
+        row_ts = ts_rows[k]
+        for v in range(lo, hi + 1):
+            x = row_ts[v]
+            if x == x:  # timestamp present
+                ntmin = x if x < tmin else tmin
+                ntmax = x if x > tmax else tmax
+                if ntmax - ntmin > theta:
+                    continue
+            else:
+                ntmin, ntmax = tmin, tmax
+            slots[k] = v
+            if k == last:
+                out.extend(slots)
+            else:
+                nsmin = v if v < smin else smin
+                nsmax = v if v > smax else smax
+                extend(k + 1, max(0, nsmax - beta), min(n - 1, nsmin + beta),
+                       nsmin, nsmax, ntmin, ntmax)
+
+    first_ts = ts_rows[0]
+    for v0 in range(n):
+        slots[0] = v0
+        x = first_ts[v0]
+        tmin, tmax = (x, x) if x == x else (math.inf, -math.inf)
+        extend(1, max(0, v0 - beta), min(n - 1, v0 + beta), v0, v0, tmin, tmax)
+    return np.array(out, dtype=np.int32).reshape(-1, m)
 
 
 def mwis_bruteforce(weights, conflict_pairs, k):

@@ -1,21 +1,36 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsalign import (
+    ConfigError,
     ConstraintConfig,
     SeriesTable,
     SizeError,
     WeightParams,
     brute_force_candidates,
+    compose_greedy,
     conflicts,
+    determine_beta,
+    determine_theta,
     generate_candidates,
     phi_similarity,
     theta_similarity,
     weight,
 )
+from tsalign import candidate
 from tsalign.core import combine_weights, index_spread, pair_count
-from conftest import random_table
+from conftest import gappy_table, random_table, walk_scan
+
+# the walk oracle visits every candidate in Python; the fixed cases below
+# stay under this many, which keeps each comparison well under a second
+WALK_CAP = 150_000
+# (m, n) of the tuned-window cases: the largest n per m under WALK_CAP
+WALK_SIZES = [(2, 300), (3, 300), (4, 120), (5, 30), (6, 12)]
+# (m, n) where even theta = inf and beta >= n stay under WALK_CAP (n^m candidates)
+FULL_SIZES = [(2, 40), (3, 20), (4, 10), (5, 7), (6, 6)]
 
 
 @st.composite
@@ -78,13 +93,117 @@ class TestGenerateCandidates:
         assert small <= large
 
 
+def assert_matches_walk(t: SeriesTable, theta: float, beta: int) -> None:
+    """``generate_candidates(...).slots`` equals the walk in dtype, shape and row order."""
+    cfg = ConstraintConfig(theta=theta, beta=beta)
+    fast = generate_candidates(t, cfg).slots
+    assert len(fast) <= WALK_CAP
+    walk = walk_scan(t, cfg)
+    assert fast.dtype == walk.dtype == np.int32
+    assert fast.shape == walk.shape == (len(walk), t.m)
+    assert np.array_equal(fast, walk)
+
+
+def tuned_theta(t: SeriesTable) -> float:
+    try:
+        return determine_theta(t)
+    except ConfigError:  # no row with two timestamps
+        return 10.0
+
+
+class TestMatchesWalk:
+    """The level-wise generator against the recursive walk it replaced."""
+
+    @pytest.mark.parametrize("m, n", WALK_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scan_and_tuned_windows(self, m, n, seed):
+        t = gappy_table(np.random.default_rng([m, n, seed]), m, n)
+        theta = tuned_theta(t)
+        # the beta scan's window (beta_lower 0), the tuned beta, theta = 0 and beta = 0
+        for theta_k, beta in ((theta, m), (theta, determine_beta(t, theta)),
+                              (0.0, m), (theta, 0)):
+            assert_matches_walk(t, theta_k, beta)
+
+    @pytest.mark.parametrize("m, n", FULL_SIZES)
+    def test_window_wider_than_table(self, m, n):
+        t = gappy_table(np.random.default_rng([m, n]), m, n)
+        for theta in (tuned_theta(t), math.inf):
+            for beta in (n - 1, n, n + 1, 10**12):
+                assert_matches_walk(t, theta, beta)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_empty_and_single_row_tables(self, m):
+        rng = np.random.default_rng(m)
+        for n in (0, 1, 2):
+            t = gappy_table(rng, m, n)
+            for theta in (0.0, 5.0, math.inf):
+                for beta in (0, 1, m):
+                    assert_matches_walk(t, theta, beta)
+
+    @pytest.mark.parametrize("m, n", WALK_SIZES)
+    def test_series_without_timestamps(self, m, n):
+        t = gappy_table(np.random.default_rng([m, n, 7]), m, n)
+        ts = np.array(t.timestamps)
+        ts[m // 2] = np.nan
+        t = SeriesTable(ts, t.values)
+        theta = tuned_theta(t)
+        for beta in (0, 1, determine_beta(t, theta)):
+            assert_matches_walk(t, theta, beta)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(FULL_SIZES), st.data())
+    def test_random_small_tables(self, seed, size, data):
+        m, n_max = size
+        n = data.draw(st.integers(0, n_max))
+        theta = data.draw(st.sampled_from([0.0, math.inf]) | st.floats(0, 60))
+        beta = data.draw(st.integers(0, n + 2))
+        assert_matches_walk(gappy_table(np.random.default_rng(seed), m, n), theta, beta)
+
+
+def test_level_overflowing_int32_is_size_error(monkeypatch, staggered_table):
+    # a level of more than INT32_MAX expanded rows would wrap the int32 arrays
+    monkeypatch.setattr(candidate, "INT32_MAX", 8)
+    assert len(generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=1))) == 7
+    with pytest.raises(SizeError, match="overflow int32"):
+        generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
+
+
+class TestReadOnly:
+    """The candidate arrays are shared by every compose of the set; none may be written."""
+
+    def test_candidate_arrays_reject_writes(self, staggered_table):
+        rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
+        for array in (rc.slots, *rc.weight_terms, rc.isolated):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        with pytest.raises(ValueError, match="read-only"):
+            rc.slots += 1
+        assert rc.slots[0].tolist() == [0, 0]
+
+    def test_hand_made_set_is_read_only_too(self, staggered_table):
+        slots = np.array([[0, 0], [1, 1]])
+        rc = brute_force_candidates(staggered_table, ConstraintConfig(theta=2, beta=0))
+        for made in (rc, type(rc)(slots, rc.config, staggered_table)):
+            assert made.slots.dtype == np.int32
+            with pytest.raises(ValueError, match="read-only"):
+                made.slots[0, 0] = 1
+        slots[0, 0] = 1  # the caller's own array stays writeable
+
+    def test_alignment_slots_reject_writes(self, staggered_table, fig_params):
+        cfg = ConstraintConfig(theta=2, beta=0)
+        alignment = compose_greedy(generate_candidates(staggered_table, cfg), cfg,
+                                   staggered_table, fig_params)
+        with pytest.raises(ValueError, match="read-only"):
+            alignment.slots[0, 0] = 2
+
+
 class TestCandidateState:
     @settings(max_examples=80, deadline=None)
     @given(small_tables(), st.floats(0, 40), st.integers(0, 3))
     def test_cached_state_matches_scalar_helpers(self, table, theta, beta):
         rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
-        assert rc.slot_array.shape == (len(rc), table.m)
-        assert [tuple(row) for row in rc.slot_array.tolist()] == [r.slots for r in rc]
+        assert rc.slots.shape == (len(rc), table.m) and rc.slots.dtype == np.int32
+        assert [tuple(row) for row in rc.slots.tolist()] == [r.slots for r in rc]
         p, d = rc.weight_terms
         assert p.tolist() == [pair_count(r, table) for r in rc]
         assert d.tolist() == [index_spread(r) for r in rc]

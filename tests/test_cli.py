@@ -57,6 +57,13 @@ class TestIngest:
         with pytest.raises(DataError, match="series 1 line 3"):
             ingest(path)
 
+    def test_decreasing_timestamp_after_blank_line_names_the_file_line(self, tmp_path):
+        # the offending row is on line 4 of the file; line 3 is blank
+        path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n0,1,5,1\n\n1,1,4,1\n")
+        for read in (ingest, ingest_scan):
+            with pytest.raises(DataError, match="at series 2 line 4$"):
+                read(path)
+
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "time,value\n0,1\n")
         with pytest.raises(DataError, match="header"):
@@ -162,7 +169,7 @@ class TestIngestMatchesScan:
 
 def make_alignment(tuples):
     report = ConsistencyReport(np.zeros(0), np.zeros(0), 0.0, np.zeros((0, 0)), (), True)
-    return Alignment(tuple(tuples), 0.0, report, "test")
+    return Alignment([r.slots for r in tuples], 0.0, report, "test")
 
 
 def random_alignment(rng, table, params):

@@ -243,8 +243,8 @@ class TestGroupPass:
         # a and b share cell (1, 5); so does the lighter-spread k, which would
         # join their group were it not closed by the isolated i between them
         t = SeriesTable(np.tile(np.arange(10.0), (3, 1)), np.ones((3, 10)))
-        a, b, i, k = (AlignedTuple(s) for s in ((0, 5, 5), (1, 5, 6), (2, 8, 8), (3, 5, 7)))
-        rc = CandidateSet((a, b, i, k), ConstraintConfig(theta=1e9, beta=9), t)
+        slots = np.array([(0, 5, 5), (1, 5, 6), (2, 8, 8), (3, 5, 7)], dtype=np.int32)
+        rc = CandidateSet(slots, ConstraintConfig(theta=1e9, beta=9), t)
         assert rc.isolated.tolist() == [False, False, True, False]
         params = WeightParams(k1=1, k2=1)
         assert_pass_matches_scan(rc, t, params)

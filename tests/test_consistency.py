@@ -11,6 +11,7 @@ from tsalign import (
     consistency_delta,
     delta_report,
     fit_model,
+    generate_synthetic,
     satisfies_model_constraint,
     tuple_value_matrix,
 )
@@ -149,3 +150,14 @@ class TestTupleValueMatrix:
         a = delta_report([AlignedTuple((1, 1)), AlignedTuple((0, 0))], staggered_table)
         b = delta_report([AlignedTuple((0, 0)), AlignedTuple((1, 1))], staggered_table)
         assert a.delta == b.delta
+
+    def test_delta_report_reads_arrays_in_lexicographic_order(self):
+        # enough rows for a fitted AR(1), whose score depends on the row order
+        table, _ = generate_synthetic(12, 2, 0.5, seed=6)
+        slots = np.stack([np.arange(12), np.arange(12)], axis=1)
+        shuffled = slots[np.random.default_rng(1).permutation(12)]
+        expected = delta_report([AlignedTuple(tuple(r)) for r in slots.tolist()], table)
+        assert delta_report(shuffled, table).delta == expected.delta
+        assert delta_report(shuffled.astype(np.int32).tolist(), table).delta == expected.delta
+        unsorted = tuple_value_matrix(shuffled, table)
+        assert consistency_delta(unsorted, fit_model(unsorted)).delta != expected.delta

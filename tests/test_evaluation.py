@@ -20,7 +20,7 @@ from conftest import gappy_table, score_scan, truth_pair_set
 
 def make_alignment(tuples, total_weight=0.0, delta=0.0):
     report = ConsistencyReport(np.zeros(0), np.zeros(0), delta, np.zeros((0, 0)), (), True)
-    return Alignment(tuple(sorted(tuples)), total_weight, report, "test")
+    return Alignment([r.slots for r in sorted(tuples)], total_weight, report, "test")
 
 
 class TestScore:

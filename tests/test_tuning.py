@@ -21,7 +21,7 @@ from tsalign import (
     inject_mcar,
 )
 from tsalign.composers import _expectation_scorer
-from tsalign.tuning import DEFAULT_GRID, _beta_from_samples, nearest_rank
+from tsalign.tuning import DEFAULT_GRID, _beta_from_gap_counts, nearest_rank
 from conftest import beta_samples_scan, gappy_table, group_pass_scan, sorted_rank, theta_scan
 
 
@@ -32,7 +32,7 @@ def grid_by_fresh_composes(t, theta, beta, strategy, seed, runs):
     grid points drew a random tie-break.
     """
     rc = generate_candidates(t, ConstraintConfig(theta=theta, beta=beta))
-    slots = [r.slots for r in rc.tuples]
+    slots = rc.slots
     rows, drew = [], 0
     for k1, k2 in DEFAULT_GRID:
         weights = batch_weights(t, slots, WeightParams(k1=k1, k2=k2)).tolist()
@@ -42,7 +42,7 @@ def grid_by_fresh_composes(t, theta, beta, strategy, seed, runs):
             rng = random.Random(seed + i)
             chosen = group_pass_scan(rc, weights, rng, scorer)
             drew += i == 0 and rng.getstate() != random.Random(seed).getstate()
-            deltas.append(delta_report([rc.tuples[j] for j in chosen], t).delta)
+            deltas.append(delta_report(rc.slots[chosen], t).delta)
         rows.append({"k1": k1, "k2": k2, "delta_bar": sum(deltas) / len(deltas)})
     best = min((r["delta_bar"], r["k1"], r["k2"]) for r in rows)
     return rows, best, drew
@@ -93,9 +93,12 @@ class TestDetermineTheta:
 
 class TestDetermineBeta:
     def test_sample_floor_and_percentile(self):
-        assert _beta_from_samples([0, 0, 0, 0, 1, 1, 1, 2, 2, 3], beta_lower=0) == 2
-        assert _beta_from_samples([0, 0, 0, 0], beta_lower=0) == 1
-        assert _beta_from_samples([], beta_lower=2) == 3
+        counts = np.bincount([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
+        assert _beta_from_gap_counts(counts, beta_lower=0) == 2
+        assert _beta_from_gap_counts(np.bincount([0, 0, 0, 0]), beta_lower=0) == 1
+        # rank ceil(0.8 * 6) = 5: the fifth smallest gap, not the fourth
+        assert _beta_from_gap_counts(np.bincount([1, 1, 1, 1, 2, 2]), beta_lower=0) == 2
+        assert _beta_from_gap_counts(np.zeros(5, dtype=np.int64), beta_lower=2) == 3
 
     def test_aligned_rows_floor_applies(self):
         t = SeriesTable.from_columns([
