@@ -65,11 +65,11 @@ class CandidateSet:
 
     ``slots`` is the (N, m) int32 array of slot vectors, one row per
     candidate.  It and the weight-independent state every compose of the set
-    needs (weight terms, isolated mask, fitted reports) are shared by every
-    compose of the set, so the arrays are read-only; the state is computed on
-    first use and kept, so a tuning grid composing the same set many times
-    builds it once.  ``tuples`` is the per-candidate ``AlignedTuple`` view,
-    built on first access.
+    needs (weight terms, isolated mask, weight-class representatives, fitted
+    reports) are shared by every compose of the set, so the arrays are
+    read-only; the state is computed on first use and kept, so a run that
+    tunes delta on the set and then composes it builds it once.  ``tuples``
+    is the per-candidate ``AlignedTuple`` view, built on first access.
     """
 
     slots: np.ndarray
@@ -99,6 +99,22 @@ class CandidateSet:
         m, n = self.table.m, self.table.n
         keys = self.slots + np.arange(m) * n
         return _read_only((np.bincount(keys.ravel(), minlength=m * n)[keys] == 1).all(axis=1))
+
+    @cached_property
+    def class_representatives(self) -> np.ndarray:
+        """One non-isolated candidate per distinct weight-term class (p, d).
+
+        A weight reads only p and d, so every candidate weighs as its class's
+        representative under any ``WeightParams``.  The classes are found by
+        sorting on (p, d) and keeping the first candidate of each run.
+        """
+        p, d = self.weight_terms
+        rest = np.flatnonzero(~self.isolated)
+        order = rest[np.lexsort((d[rest], p[rest]))]
+        po, do = p[order], d[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (po[1:] != po[:-1]) | (do[1:] != do[:-1])
+        return _read_only(order[first])
 
     @cached_property
     def reports(self) -> dict:

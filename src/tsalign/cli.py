@@ -223,20 +223,25 @@ def run(cfg: RunConfig) -> int:
     theta = cfg.theta if cfg.theta is not None else tuning.determine_theta(table)
     beta = cfg.beta if cfg.beta is not None else tuning.determine_beta(
         table, theta, beta_lower=cfg.beta_lower)
+    # the tuning grid and the final compose share this set; each reads delta
+    # from the constraint it is given
+    rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
     k1 = 1.0 if cfg.k1 is None else cfg.k1
     k2 = 1.0 if cfg.k2 is None else cfg.k2
+    diagnostics = {}
     if cfg.tune_delta:
         # explicit weights narrow the search to a single grid point
         grid = ([(k1, k2)] if cfg.k1 is not None and cfg.k2 is not None
                 else tuning.DEFAULT_GRID)
         report = tuning.determine_weights_and_delta(
-            table, theta, beta, grid=grid, strategy=cfg.strategy, seed=cfg.seed)
+            rc, grid=grid, strategy=cfg.strategy, seed=cfg.seed)
         delta, k1, k2 = report.delta, report.k1, report.k2
+        diagnostics = {key: report.diagnostics[key]
+                       for key in ("grid_composes", "grid_distinct_passes")}
     else:
         delta = cfg.delta if cfg.delta is not None else math.inf
     params = WeightParams(k1=k1, k2=k2, b=cfg.b, c=cfg.c)
     constraint = ConstraintConfig(theta=theta, beta=beta, delta=delta)
-    rc = generate_candidates(table, constraint)
     alignment = composers.compose(cfg.strategy, rc, constraint, table, params,
                                   seed=cfg.seed, max_retries=cfg.max_retries)
     write_alignment_csv(alignment, table, params, cfg.out_path)
@@ -254,6 +259,9 @@ def run(cfg: RunConfig) -> int:
         "delta_score": alignment.report.delta,
         "retries_used": alignment.retries_used,
         "exhausted": alignment.exhausted,
+        # deterministic outcomes the fields above leave out
+        "diagnostics": {"tie_breaks": alignment.tie_breaks,
+                        "truncated": alignment.truncated, **diagnostics},
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
     if cfg.truth_path:
@@ -312,9 +320,10 @@ def _cmd_tune(args) -> int:
     table = ingest(args.input)
     theta = tuning.determine_theta(table, percentile=args.percentile)
     beta = tuning.determine_beta(table, theta, beta_lower=args.beta_lower)
+    rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
     grid = [(k1, k2) for k1 in range(1, args.k_max + 1) for k2 in range(1, args.k_max + 1)]
     report = tuning.determine_weights_and_delta(
-        table, theta, beta, grid=grid, strategy=args.strategy, seed=args.seed)
+        rc, grid=grid, strategy=args.strategy, seed=args.seed)
     payload = {
         "theta": report.theta, "beta": report.beta, "delta": report.delta,
         "k1": report.k1, "k2": report.k2, "b": report.b, "c": report.c,

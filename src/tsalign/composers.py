@@ -20,7 +20,8 @@ dispatches through it.
 
 Cost model of the group pass behind ``greedy`` and ``expect``.  The
 weight-independent state (slot array, weight terms p and d, isolated mask)
-lives on the ``CandidateSet`` and is built on its first compose, so a tuning grid that composes one set 144 times builds it once.
+lives on the ``CandidateSet`` and is built on its first compose, so a run
+whose tuning grid and final compose share one set builds it once.
 Isolated candidates, which share no cell with any other, are always chosen
 and never draw from the RNG, so they are added in bulk; the Python loop
 visits only the rest, at O(m) per candidate: used cells are one byte each
@@ -28,6 +29,12 @@ and a candidate joins the open group when the OR of its cells' bitmasks of
 group positions covers every member.  The consistency report is fitted
 once per distinct selection of a set and reused by every compose that
 selects the same candidates.
+
+``pass_key`` tells a caller composing one set under many weightings which of
+them run the same passes.  ``greedy`` compares weights only by order, so
+weightings that rank the (p, d) classes of the set alike, ties included,
+select alike under each seed; the tuning grid composes each such ranking
+once.  ``expect`` adds weights into its scores, so it has no such key.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -277,6 +285,25 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     return chosen, draws
 
 
+def pass_key(strategy: str, rc: CandidateSet, w: WeightParams) -> Optional[bytes]:
+    """Memo key of the group passes ``strategy`` runs on ``rc`` under ``w``, or None.
+
+    ``greedy`` reads weights only through ``max`` and ``==`` among the
+    non-isolated candidates, and every candidate weighs as the representative
+    of its (p, d) class, so the dense rank (tied weights share a rank) of the
+    representatives' weights decides each pass.  Two weightings with equal
+    keys select the same candidates and draw the same tie-breaks under any
+    seed.  ``expect`` scores members by sums of weights, which no ranking
+    decides, and so do the unseeded strategies: they get None.
+    """
+    if strategy != "greedy":
+        return None
+    reps = rc.class_representatives
+    p, d = rc.weight_terms
+    weights = combine_weights(p[reps], d[reps], w)
+    return np.searchsorted(_sorted_unique(weights), weights).tobytes()
+
+
 def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
     """Run ``_group_pass`` with seeds seed, seed + 1, ... until delta holds.
 
@@ -330,7 +357,9 @@ def _cell_index(slots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
     # np.unique would do, but its first call pages in about 2 MB of numpy code
     x = np.sort(x, kind="stable")
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
 
 
 def _expectation_scorer(rc: CandidateSet, weights: list[float]):

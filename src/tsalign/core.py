@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -202,15 +203,25 @@ def weight(r: AlignedTuple, t: SeriesTable, w: WeightParams) -> float:
 
 
 def weight_terms(t: SeriesTable, slot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair counts p and index spreads d of an (N, m) integer array of slot vectors."""
-    slot_rows = np.asarray(slot_rows, dtype=np.intp)
+    """Pair counts p and index spreads d of an (N, m) integer array of slot vectors.
+
+    Both are summed one series (p) or one series pair (d) at a time, so every
+    temporary holds N entries; the integer sums are exact.
+    """
+    slot_rows = np.asarray(slot_rows)
+    if slot_rows.dtype != np.int32:
+        # differences of int32 row indices fit in int32, so a candidate set's
+        # slots are read without a copy; any other dtype is widened
+        slot_rows = slot_rows.astype(np.intp, copy=False)
     if slot_rows.size == 0:
         return np.zeros(0), np.zeros(0)
-    lam = t.value_mask[np.arange(t.m)[None, :], slot_rows].sum(axis=1)
-    p = lam * (lam - 1) / 2
-    # full difference matrix counts each unordered pair twice
-    d = np.abs(slot_rows[:, :, None] - slot_rows[:, None, :]).sum(axis=(1, 2)) / 2
-    return p, d
+    lam = np.zeros(len(slot_rows), dtype=np.intp)
+    for k in range(t.m):
+        lam += t.value_mask[k][slot_rows[:, k]]
+    spread = np.zeros(len(slot_rows), dtype=np.intp)
+    for a, b in itertools.combinations(range(t.m), 2):
+        spread += np.abs(slot_rows[:, a] - slot_rows[:, b])
+    return lam * (lam - 1) / 2, spread.astype(float)
 
 
 def combine_weights(p: np.ndarray, d: np.ndarray, w: WeightParams) -> np.ndarray:

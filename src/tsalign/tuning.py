@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import composers
-from .candidate import generate_candidates
+from .candidate import CandidateSet, generate_candidates
 from .core import ConstraintConfig, SeriesTable, WeightParams
 from .errors import ConfigError
 
@@ -90,20 +90,26 @@ def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
     return _beta_from_gap_counts(counts, beta_lower)
 
 
-def determine_weights_and_delta(t: SeriesTable, theta: float, beta: int,
-                                grid=DEFAULT_GRID, strategy: str = "greedy",
+def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: str = "greedy",
                                 seed: int = 0, runs: int = 4) -> TuningReport:
     """Pick (k1, k2) minimizing the mean consistency score, and set delta to it.
 
-    The bias terms are fixed at b = c = 1.  Each grid point composes ``runs``
+    ``rc`` is the candidate set of the run, generated under the tuned theta
+    and beta; the final compose uses the same set, so the weight terms,
+    isolated mask and fitted reports are built once for both.  The bias
+    terms are fixed at b = c = 1.  Each grid point composes ``runs``
     alignments with an unbounded model constraint and derived seeds; the
     point with the smallest mean score wins (ties toward the smaller pair)
     and that mean becomes delta.
 
-    Every compose reuses the candidate set's cached state and fitted
-    reports.  Seeds only break weight ties, so when the first run of a grid
-    point draws no tie-break every seed selects the same, and its delta
-    stands for all ``runs`` without composing the rest.
+    Seeds only break weight ties, so when the first run of a grid point
+    draws no tie-break every seed selects the same, and its delta stands for
+    all ``runs`` without composing the rest.  Grid points whose weightings
+    share a ``composers.pass_key`` (for ``greedy``: the dense rank of the
+    weights of the set's (p, d) classes) run the same passes, so the deltas
+    of the first such point stand for the others.  ``diagnostics`` counts
+    the composes run (``grid_composes``) and the grid points whose passes
+    were composed rather than read from that memo (``grid_distinct_passes``).
     """
     if strategy not in composers.STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -111,21 +117,30 @@ def determine_weights_and_delta(t: SeriesTable, theta: float, beta: int,
     grid = list(grid)
     if not grid:
         raise ConfigError("empty (k1, k2) grid")
+    theta, beta = rc.config.theta, rc.config.beta
     cfg = ConstraintConfig(theta=theta, beta=beta, delta=math.inf)
-    rc = generate_candidates(t, cfg)
 
+    memo: dict[bytes, list[float]] = {}
+    composes = passes = 0
     rows = []
     best = None
     for k1, k2 in grid:
         params = WeightParams(k1=k1, k2=k2, b=1.0, c=1.0)
-        deltas = []
-        for i in range(runs):
-            alignment = composers.compose(strategy, rc, cfg, t, params, seed=seed + i)
-            if i == 0 and alignment.tie_breaks == 0:
-                # the same list of runs copies, so the mean is bit-identical
-                deltas = [alignment.report.delta] * runs
-                break
-            deltas.append(alignment.report.delta)
+        memo_key = composers.pass_key(strategy, rc, params)
+        deltas = memo.get(memo_key)  # None for a strategy without a key
+        if deltas is None:
+            passes += 1
+            deltas = []
+            for i in range(runs):
+                alignment = composers.compose(strategy, rc, cfg, rc.table, params, seed=seed + i)
+                composes += 1
+                if i == 0 and alignment.tie_breaks == 0:
+                    # the same list of runs copies, so the mean is bit-identical
+                    deltas = [alignment.report.delta] * runs
+                    break
+                deltas.append(alignment.report.delta)
+            if memo_key is not None:
+                memo[memo_key] = deltas
         mean_delta = sum(deltas) / len(deltas)
         rows.append({"k1": k1, "k2": k2, "delta_bar": mean_delta})
         key = (mean_delta, k1, k2)
@@ -136,4 +151,5 @@ def determine_weights_and_delta(t: SeriesTable, theta: float, beta: int,
     delta_bar, k1, k2 = best
     return TuningReport(theta=theta, beta=beta, delta=delta_bar, k1=float(k1), k2=float(k2),
                         diagnostics={"delta_grid": rows, "strategy": strategy,
-                                     "runs": runs, "seed": seed})
+                                     "runs": runs, "seed": seed, "grid_composes": composes,
+                                     "grid_distinct_passes": passes})

@@ -222,6 +222,15 @@ def walk_scan(t: SeriesTable, cfg: ConstraintConfig) -> np.ndarray:
     return np.array(out, dtype=np.int32).reshape(-1, m)
 
 
+def weight_terms_tensor(t: SeriesTable, slot_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``core.weight_terms``: p from an (N, m) mask gather, d from the
+    (N, m, m) difference tensor, which counts each unordered pair twice."""
+    slot_rows = np.asarray(slot_rows, dtype=np.intp)
+    lam = t.value_mask[np.arange(t.m)[None, :], slot_rows].sum(axis=1)
+    d = np.abs(slot_rows[:, :, None] - slot_rows[:, None, :]).sum(axis=(1, 2)) / 2
+    return lam * (lam - 1) / 2, d
+
+
 def mwis_bruteforce(weights, conflict_pairs, k):
     """Independent oracle: max-weight independent set by bitmask enumeration."""
     best = 0.0

@@ -173,7 +173,7 @@ class TestReadOnly:
 
     def test_candidate_arrays_reject_writes(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
-        for array in (rc.slots, *rc.weight_terms, rc.isolated):
+        for array in (rc.slots, *rc.weight_terms, rc.isolated, rc.class_representatives):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
         with pytest.raises(ValueError, match="read-only"):
@@ -213,6 +213,12 @@ class TestCandidateState:
         assert rc.isolated.tolist() == [
             not any(conflicts(r, o) for j, o in enumerate(rc) if j != i)
             for i, r in enumerate(rc)]
+        # one representative per (p, d) class of the non-isolated candidates
+        classes = list(zip(p.tolist(), d.tolist()))
+        reps = rc.class_representatives.tolist()
+        assert not rc.isolated[reps].any()
+        assert sorted(classes[i] for i in reps) == sorted(
+            {c for c, alone in zip(classes, rc.isolated) if not alone})
 
 
 class TestBruteForce:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tsalign import (
     SeriesTable,
     WeightParams,
     compose_greedy,
+    determine_weights_and_delta,
     generate_candidates,
 )
 from tsalign.cli import ingest, main, write_alignment_csv, write_table
@@ -303,6 +305,34 @@ class TestAlign:
         assert metrics["k1"] == 3.0 and metrics["k2"] == 2.0
         assert metrics["delta"] is not None
         assert code in (0, 5)
+
+    def test_report_diagnostics(self, tmp_path):
+        table, _ = generate_synthetic(60, 3, 4.0, seed=23, tick=10.0)
+        data = tmp_path / "data.csv"
+        write_table(inject_mcar(table, 0.2, seed=24), str(data))
+        table = ingest(str(data))
+        rc = generate_candidates(table, ConstraintConfig(theta=8, beta=2))
+        tuned = determine_weights_and_delta(rc, strategy="greedy", seed=2)
+        grid = {key: tuned.diagnostics[key] for key in ("grid_composes", "grid_distinct_passes")}
+        assert 1 < grid["grid_distinct_passes"] < grid["grid_composes"]
+        report = tmp_path / "report.json"
+        tie_breaks = []
+        for tune, delta, params, counts in (
+                (False, math.inf, WeightParams(k1=1, k2=1), {}),
+                (True, tuned.delta, WeightParams(k1=tuned.k1, k2=tuned.k2), grid)):
+            main(["align", "--input", str(data), "--strategy", "greedy", "--seed", "2",
+                  "--theta", "8", "--beta", "2", *(["--tune-delta"] if tune else []),
+                  "--out", str(tmp_path / "a.csv"), "--report", str(report)])
+            alignment = compose_greedy(rc, ConstraintConfig(theta=8, beta=2, delta=delta),
+                                       table, params, seed=2)
+            assert json.loads(report.read_text())["diagnostics"] == {
+                "tie_breaks": alignment.tie_breaks, "truncated": False, **counts}
+            tie_breaks.append(alignment.tie_breaks)
+        assert any(tie_breaks)
+        tuning = tmp_path / "tuning.json"
+        assert main(["tune", "--input", str(data), "--report", str(tuning)]) == 0
+        diagnostics = json.loads(tuning.read_text())["diagnostics"]
+        assert 0 < diagnostics["grid_distinct_passes"] <= diagnostics["grid_composes"]
 
     def test_report_flags_match_recheck(self, small_files, tmp_path):
         data, _ = small_files

@@ -18,6 +18,8 @@ from tsalign import (
     theta_similarity,
     weight,
 )
+from tsalign.core import index_spread, pair_count, weight_terms
+from conftest import gappy_table, weight_terms_tensor
 
 
 def table_with_timestamps(*rows_per_series):
@@ -162,6 +164,32 @@ class TestWeight:
         batched = batch_weights(t, slot_rows, fig_params)
         for row, expected in zip(slot_rows, batched):
             assert weight(AlignedTuple(tuple(row)), t, fig_params) == pytest.approx(expected)
+
+
+class TestWeightTerms:
+    """``weight_terms`` sums one series pair at a time; it must equal the old
+    (N, m, m) tensor bit for bit, and the scalar helpers."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_tensor_and_scalar_helpers(self, m):
+        rng = np.random.default_rng(60 + m)
+        for n in (1, 7, 40):
+            t = gappy_table(rng, m, n)
+            rows = rng.integers(0, n, size=(50, m))
+            p, d = weight_terms(t, rows.astype(np.int32))
+            for same in (weight_terms(t, rows), weight_terms(t, rows.tolist()),
+                         weight_terms_tensor(t, rows)):
+                assert p.dtype == d.dtype == same[0].dtype == same[1].dtype == float
+                assert np.array_equal(p, same[0]) and np.array_equal(d, same[1])
+            tuples = [AlignedTuple(tuple(r)) for r in rows.tolist()]
+            assert d.tolist() == [index_spread(r) for r in tuples]
+            assert p.tolist() == [pair_count(r, t) for r in tuples]
+
+    def test_empty(self):
+        t = SeriesTable(np.tile(np.arange(2.0), (3, 1)), np.zeros((3, 2)))
+        for rows in ([], np.zeros((0, 3), dtype=np.int32)):
+            p, d = weight_terms(t, rows)
+            assert p.size == d.size == 0
 
 
 class TestConflicts:

@@ -32,7 +32,9 @@ def test_every_target_is_a_callable(tracing):
             f"tsalign.{module}.{attr}"
 
 
-def test_traced_run_records_the_stage_spans(tracing, tmp_path, monkeypatch):
+@pytest.fixture
+def traced_align(tracing, tmp_path, monkeypatch):
+    """Run ``align`` with the benchmark's tracer installed; returns the spans."""
     table, truth = generate_synthetic(60, 3, 1.0, seed=51)
     write_table(inject_mcar(table, 0.2, seed=52), str(tmp_path / "data.csv"))
     write_table(truth.table, str(tmp_path / "truth.csv"))
@@ -42,11 +44,35 @@ def test_traced_run_records_the_stage_spans(tracing, tmp_path, monkeypatch):
         monkeypatch.setattr(mod, attr, getattr(mod, attr))
     tracer = tracing.Tracer()
     tracer.install()
-    assert main(["align", "--input", str(tmp_path / "data.csv"),
-                 "--truth", str(tmp_path / "truth.csv"), "--tune-theta", "--tune-beta",
-                 "--out", str(tmp_path / "aligned.csv"),
-                 "--report", str(tmp_path / "report.json")]) == 0
-    names = {span["name"] for span in tracer.spans}
+
+    def run(*args):
+        assert main(["align", "--input", str(tmp_path / "data.csv"),
+                     "--truth", str(tmp_path / "truth.csv"), "--tune-theta", "--tune-beta",
+                     *args, "--out", str(tmp_path / "aligned.csv"),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        return tracer.spans
+
+    return run
+
+
+def test_traced_run_records_the_stage_spans(traced_align):
+    names = {span["name"] for span in traced_align()}
     for name in ("cli.ingest", "cli.write_alignment_csv", "evaluation.score",
                  "tuning.determine_theta", "tuning.determine_beta"):
         assert name in names
+
+
+def test_traced_tune_delta_run_generates_one_candidate_set(traced_align):
+    # candidate.generate_candidates.candidates reads the spans under cli.run,
+    # and the grid's composes must show under tuning.determine_weights_and_delta
+    spans = traced_align("--strategy", "greedy", "--tune-delta")
+
+    def children(parent):
+        return [s["name"] for s in spans
+                if s["parent"] is not None and spans[s["parent"]]["name"] == parent]
+
+    assert "composers.compose" in children("tuning.determine_weights_and_delta")
+    generated = [s for s in spans if s["name"] == "candidate.generate_candidates"]
+    assert len(generated) == 2
+    assert children("cli.run").count("candidate.generate_candidates") == 1
+    assert children("tuning.determine_beta").count("candidate.generate_candidates") == 1

@@ -20,19 +20,25 @@ from tsalign import (
     generate_synthetic,
     inject_mcar,
 )
+from tsalign import composers
+from tsalign.candidate import CandidateSet
 from tsalign.composers import _expectation_scorer
 from tsalign.tuning import DEFAULT_GRID, _beta_from_gap_counts, nearest_rank
 from conftest import beta_samples_scan, gappy_table, group_pass_scan, sorted_rank, theta_scan
 
 
-def grid_by_fresh_composes(t, theta, beta, strategy, seed, runs):
+def candidates(t, theta, beta):
+    return generate_candidates(t, ConstraintConfig(theta=theta, beta=beta))
+
+
+def grid_by_fresh_composes(rc, strategy, seed, runs):
     """Oracle for the tuning grid: every grid point and seed scanned, every report fitted anew.
 
-    Returns the delta_grid rows, the winning (delta_bar, k1, k2), and how many
-    grid points drew a random tie-break.
+    Only ``rc.slots`` and ``rc.table`` are read, none of the set's cached
+    state.  Returns the delta_grid rows, the winning (delta_bar, k1, k2), and
+    how many grid points drew a random tie-break.
     """
-    rc = generate_candidates(t, ConstraintConfig(theta=theta, beta=beta))
-    slots = rc.slots
+    t, slots = rc.table, rc.slots
     rows, drew = [], 0
     for k1, k2 in DEFAULT_GRID:
         weights = batch_weights(t, slots, WeightParams(k1=k1, k2=k2)).tolist()
@@ -168,7 +174,7 @@ class TestThetaBetaMatchScans:
 class TestDetermineWeightsAndDelta:
     def test_single_point_grid(self):
         table, _ = generate_synthetic(30, 2, 1.0, seed=2)
-        report = determine_weights_and_delta(table, theta=3.0, beta=1,
+        report = determine_weights_and_delta(candidates(table, theta=3.0, beta=1),
                                              grid=[(3, 2)], strategy="greedy", seed=0)
         assert (report.k1, report.k2) == (3.0, 2.0)
         assert report.b == 1.0 and report.c == 1.0
@@ -176,7 +182,7 @@ class TestDetermineWeightsAndDelta:
 
     def test_argmin_selection(self):
         table, _ = generate_synthetic(40, 2, 1.0, seed=3)
-        report = determine_weights_and_delta(table, theta=3.0, beta=1,
+        report = determine_weights_and_delta(candidates(table, theta=3.0, beta=1),
                                              grid=[(1, 1), (4, 2), (2, 5)],
                                              strategy="greedy", seed=1)
         grid_rows = report.diagnostics["delta_grid"]
@@ -189,7 +195,7 @@ class TestDetermineWeightsAndDelta:
         # zero jitter + beta 0 leaves only conflict-free diagonal candidates, so
         # every grid point composes the same alignment and ties on delta-bar
         table, _ = generate_synthetic(20, 2, 0.0, seed=8)
-        report = determine_weights_and_delta(table, theta=0.5, beta=0,
+        report = determine_weights_and_delta(candidates(table, theta=0.5, beta=0),
                                              grid=[(5, 5), (2, 2), (2, 1), (1, 6)],
                                              strategy="greedy", seed=0)
         deltas = {r["delta_bar"] for r in report.diagnostics["delta_grid"]}
@@ -206,25 +212,86 @@ class TestDetermineWeightsAndDelta:
             masked = inject_mcar(table, 0.2, seed=1, target="values")
             theta = determine_theta(masked)
             beta = determine_beta(masked, theta)
-            report = determine_weights_and_delta(masked, theta, beta,
+            report = determine_weights_and_delta(candidates(masked, theta, beta),
                                                  strategy=strategy, seed=seed)
-            rows, best, grid_drew = grid_by_fresh_composes(masked, theta, beta,
+            rows, best, grid_drew = grid_by_fresh_composes(candidates(masked, theta, beta),
                                                            strategy, seed, runs=4)
             assert report.diagnostics["delta_grid"] == rows
             assert (report.delta, report.k1, report.k2) == best
             drew += grid_drew
         assert 0 < drew < 2 * len(DEFAULT_GRID)
 
+    def test_memo_composes_each_distinct_pass_once(self, monkeypatch):
+        # the seeds-3/4 inputs above; the key here is the dense rank of every
+        # non-isolated candidate's weight, not of the class representatives
+        def rank(rc, w):
+            weights = batch_weights(rc.table, rc.slots, w)[~rc.isolated]
+            return tuple(np.unique(weights, return_inverse=True)[1].ravel())
+
+        composed = []
+        compose_greedy = composers.compose_greedy
+
+        def recording(rc, cfg, t, w, seed=0, max_retries=0):
+            composed.append((rank(rc, w), seed))
+            return compose_greedy(rc, cfg, t, w, seed=seed, max_retries=max_retries)
+
+        monkeypatch.setattr(composers, "compose_greedy", recording)
+        for seed in (3, 4):
+            table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=1, target="values")
+            theta = determine_theta(masked)
+            rc = candidates(masked, theta, determine_beta(masked, theta))
+            composed.clear()
+            report = determine_weights_and_delta(rc, strategy="greedy", seed=seed)
+            keys = {key for key, _ in composed}
+            assert len(composed) == len(set(composed)) < len(DEFAULT_GRID) * 4
+            assert {key for key, s in composed if s == seed} == keys
+            # every grid point's ranking was composed
+            for k1, k2 in DEFAULT_GRID:
+                assert rank(rc, WeightParams(k1=k1, k2=k2)) in keys
+            assert report.diagnostics["grid_composes"] == len(composed)
+            assert report.diagnostics["grid_distinct_passes"] == len(keys) < len(DEFAULT_GRID)
+            assert composers.pass_key("expect", rc, WeightParams()) is None
+
+    def test_tied_classes_get_their_own_key(self):
+        # A = (0, 1, 0) has p = 1, d = 2 and B = (0, 3, 2) has p = 3, d = 6; they
+        # share cell (0, 0).  With b = c = 1, A weighs (k1 + 1) / (2 k2 + 1) and B
+        # (3 k1 + 1) / (6 k2 + 1): both exactly 1.0 when k1 = 2 k2, as at (2, 1)
+        # and (4, 2), A heavier below that line and B above it.  A ranking that
+        # broke the tie would file the tied points with one side or the other.
+        rng = np.random.default_rng(17)
+        ts = np.tile(np.arange(12.0), (3, 1))
+        vs = rng.normal(size=(3, 12))
+        vs[2, 0] = np.nan
+        slots = [(0, 1, 0), (0, 3, 2)] + [(i, i, i) for i in range(4, 12)]
+        rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=3),
+                          SeriesTable(ts, vs))
+        p, d = rc.weight_terms
+        assert (p[:2].tolist(), d[:2].tolist()) == ([1.0, 3.0], [2.0, 6.0])
+        assert rc.isolated.tolist() == [False, False] + [True] * 8
+        for k1, k2 in ((2, 1), (4, 2), (6, 3)):
+            weights = batch_weights(rc.table, rc.slots[:2], WeightParams(k1=k1, k2=k2))
+            assert weights.tolist() == [1.0, 1.0]
+        report = determine_weights_and_delta(rc, strategy="greedy", seed=0)
+        rows, best, drew = grid_by_fresh_composes(rc, "greedy", 0, runs=4)
+        assert report.diagnostics["delta_grid"] == rows
+        assert (report.delta, report.k1, report.k2) == best
+        assert drew == 3
+        # A only, B only, and the seeds' mix of both at the tied points
+        assert len({row["delta_bar"] for row in rows}) == 3
+        assert report.diagnostics["grid_distinct_passes"] == 3
+        assert report.diagnostics["grid_composes"] == 1 + 4 + 1
+
     def test_rejects_empty_grid(self):
         table, _ = generate_synthetic(20, 2, 1.0, seed=4)
         with pytest.raises(ConfigError):
-            determine_weights_and_delta(table, theta=3.0, beta=1, grid=[])
+            determine_weights_and_delta(candidates(table, theta=3.0, beta=1), grid=[])
 
     def test_end_to_end_default_grid_regression(self):
         table, _ = generate_synthetic(120, 3, 1.2, seed=11)
         theta = determine_theta(table, percentile=95)
         beta = determine_beta(table, theta, beta_lower=0)
-        report = determine_weights_and_delta(table, theta, beta,
+        report = determine_weights_and_delta(candidates(table, theta, beta),
                                              strategy="greedy", seed=0, runs=2)
         assert math.isfinite(report.delta)
         assert report.delta > 0
