@@ -65,11 +65,12 @@ class CandidateSet:
 
     ``slots`` is the (N, m) int32 array of slot vectors, one row per
     candidate.  It and the weight-independent state every compose of the set
-    needs (weight terms, isolated mask, weight-class representatives, fitted
-    reports) are shared by every compose of the set, so the arrays are
-    read-only; the state is computed on first use and kept, so a run that
-    tunes delta on the set and then composes it builds it once.  ``tuples``
-    is the per-candidate ``AlignedTuple`` view, built on first access.
+    needs (weight terms, isolated mask, weight-class representatives, the
+    row window state of ``expect``, fitted reports) are shared by every
+    compose of the set, so the arrays are read-only; the state is computed on
+    first use and kept, so a run that tunes delta on the set and then
+    composes it builds it once.  ``tuples`` is the per-candidate
+    ``AlignedTuple`` view, built on first access.
     """
 
     slots: np.ndarray
@@ -99,6 +100,33 @@ class CandidateSet:
         m, n = self.table.m, self.table.n
         keys = self.slots + np.arange(m) * n
         return _read_only((np.bincount(keys.ravel(), minlength=m * n)[keys] == 1).all(axis=1))
+
+    @cached_property
+    def slot_spread(self) -> int:
+        """Largest slot spread (max slot minus min slot) of any candidate; 0 if empty.
+
+        Read from the slots, not from ``config.beta``, which a hand-made set
+        need not keep.
+        """
+        if not len(self):
+            return 0
+        return int((self.slots.max(axis=1) - self.slots.min(axis=1)).max())
+
+    @cached_property
+    def slot_columns(self) -> np.ndarray:
+        """The slots as a contiguous (m, N) array, one row per series."""
+        return _read_only(np.ascontiguousarray(self.slots.T))
+
+    @cached_property
+    def row_starts(self) -> np.ndarray:
+        """``row_starts[r]``: index of the first candidate whose first slot is >= r.
+
+        Defined for r = 0..n; the candidates whose first slot lies in
+        [a, b] are ``row_starts[a]:row_starts[b + 1]``, since the slots are
+        in lexicographic order with the first series as the major key.
+        """
+        rows = np.arange(self.table.n + 1)
+        return _read_only(np.searchsorted(self.slot_columns[0], rows))
 
     @cached_property
     def class_representatives(self) -> np.ndarray:

@@ -157,20 +157,14 @@ def _parse_column(col: Sequence[str], out: np.ndarray) -> Optional[tuple[int, st
 
 
 def write_table(table: SeriesTable, path: str) -> None:
-    """Inverse of ingest: write a SeriesTable as a wide CSV."""
+    """Inverse of ingest: write a SeriesTable as a wide CSV, one column at a time."""
+    columns = []
+    for k in range(table.m):
+        columns += [_format_column(table.timestamps[k]), _format_column(table.values[k])]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"{p}_{k + 1}" for k in range(table.m) for p in ("t", "v")])
-        for i in range(table.n):
-            row = []
-            for k in range(table.m):
-                row.append(_format_cell(table.timestamps[k, i]))
-                row.append(_format_cell(table.values[k, i]))
-            writer.writerow(row)
-
-
-def _format_cell(x: float) -> str:
-    return "" if x != x else repr(float(x))
+        writer.writerows(zip(*columns))
 
 
 def write_alignment_csv(alignment: Alignment, table: SeriesTable,
@@ -230,9 +224,10 @@ def run(cfg: RunConfig) -> int:
     k2 = 1.0 if cfg.k2 is None else cfg.k2
     diagnostics = {}
     if cfg.tune_delta:
-        # explicit weights narrow the search to a single grid point
-        grid = ([(k1, k2)] if cfg.k1 is not None and cfg.k2 is not None
-                else tuning.DEFAULT_GRID)
+        # an explicit weight fixes its coordinate; the grid searches the other
+        grid = list(dict.fromkeys(
+            (g1 if cfg.k1 is None else cfg.k1, g2 if cfg.k2 is None else cfg.k2)
+            for g1, g2 in tuning.DEFAULT_GRID))
         report = tuning.determine_weights_and_delta(
             rc, grid=grid, strategy=cfg.strategy, seed=cfg.seed)
         delta, k1, k2 = report.delta, report.k1, report.k2

@@ -10,10 +10,12 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
 * ``compose_greedy`` emits the heaviest member of each maximal run of
   mutually conflicting candidates.
 * ``compose_expectation`` does the same but credits each group member with
-  the weight of later compatible candidates it would keep available.  The
-  credit is read from a per-cell candidate index (CSR over the (series, row)
-  cells) built once per compose, so a group of |G| members costs O(|G| * |U|), where U is the set
-  of candidates touching any member's cell.
+  the weight of later compatible candidates it would keep available.  Every
+  candidate that can conflict with a group lies in one contiguous index
+  range, the window W of candidates whose first-series row is within twice
+  the set's largest slot spread of the group's rows, so a group of |G|
+  members costs O(|G| * |W| * m): one equality test of the members against
+  the window.  The window state is cached on the ``CandidateSet``.
 
 ``STRATEGIES`` maps the strategy names to these functions and ``compose``
 dispatches through it.
@@ -265,7 +267,7 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
         if group and i != prev + 1:
             emit()
         prev = i
-        if any(used[key] for key in mine):
+        if any(map(used.__getitem__, mine)):
             continue
         if group:
             shared = 0
@@ -273,7 +275,7 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
                 shared |= member_bits[key]
             if shared != (1 << len(group)) - 1:
                 emit()
-                if any(used[key] for key in mine):
+                if any(map(used.__getitem__, mine)):
                     continue
         bit = 1 << len(group)
         for key in mine:
@@ -339,21 +341,6 @@ def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     return _retry_compose(rc, cfg, t, w, seed, max_retries, "greedy", None)
 
 
-def _cell_index(slots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR index from cell to candidates: ``(order, indptr)``.
-
-    Cell (series s, row r) has key ``s * n + r``; the candidates using it are
-    ``order[indptr[key]:indptr[key + 1]]``, in ascending order because the
-    argsort over the row-major key array is stable.
-    """
-    m = slots.shape[1]
-    keys = (slots + np.arange(m) * n).ravel()
-    order = np.argsort(keys, kind="stable") // m
-    indptr = np.zeros(m * n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(keys, minlength=m * n), out=indptr[1:])
-    return order, indptr
-
-
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
     # np.unique would do, but its first call pages in about 2 MB of numpy code
     x = np.sort(x, kind="stable")
@@ -365,31 +352,34 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     """Group hook scoring each member by its weight plus its expectation bonus.
 
-    Only candidates in U, the union of the index rows of the members' cells,
-    can conflict with the group, so member g's bonus is the sum of w[i] over
-    i in U with i > g and no cell shared with g.  The row-wise ``cumsum``
-    adds those weights one at a time in ascending i (masked entries add 0.0,
-    which is exact), as a forward scan does; ``np.sum`` adds pairwise and
-    could move a tie.
+    Member g's bonus is the sum of w[i] over the later candidates i that
+    share a cell with some member but none with g.  If i shares cell (k, r)
+    with a member, both first slots lie within s of r, for s the set's
+    largest slot spread, so they lie within 2s of each other.  The slots
+    are in lexicographic order with the first series as the major key, so
+    every such i lies in the window W of candidates whose first slot is in
+    [first slot of group[0] - 2s, first slot of group[-1] + 2s], one
+    contiguous index range.  One (m, |G|, |W|) equality test on the
+    column-major slots, reduced over the series axis, tells which members
+    share a cell with which window candidates.  The row-wise ``cumsum`` adds
+    the kept weights one at a time in ascending i; every other entry adds
+    0.0, which is exact, so the scores equal a forward scan's bit for bit.
+    ``np.sum`` adds pairwise and could move a tie.
     """
     w = np.asarray(weights, dtype=float)
-    slots = rc.slots
+    columns = rc.slot_columns
+    first = columns[0]
+    starts = rc.row_starts
+    reach = 2 * rc.slot_spread
     n = rc.table.n
-    order, indptr = _cell_index(slots, n)
-    offsets = np.arange(slots.shape[1]) * n
 
     def group_scores(group: list[int]) -> list[float]:
         g = np.asarray(group, dtype=np.intp)
-        members = slots[g]
-        cells = _sorted_unique((members + offsets).ravel())
-        starts = indptr[cells]
-        lengths = indptr[cells + 1] - starts
-        # concatenate the ranges [start, start + length) of every member cell
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        u = _sorted_unique(order[shift + np.arange(lengths.sum())])
-        disjoint = ~(members[:, None, :] == slots[u][None, :, :]).any(axis=2)
-        keep = disjoint & (u[None, :] > g[:, None])
-        bonus = np.cumsum(np.where(keep, w[u], 0.0), axis=1)[:, -1]
+        lo = starts[max(int(first[group[0]]) - reach, 0)]
+        hi = starts[min(int(first[group[-1]]) + reach + 1, n)]
+        shares = (columns[:, g, None] == columns[:, None, lo:hi]).any(axis=0)
+        keep = shares.any(axis=0) & ~shares & (np.arange(lo, hi) > g[:, None])
+        bonus = np.where(keep, w[lo:hi], 0.0).cumsum(axis=1)[:, -1]
         return (w[g] + bonus).tolist()
 
     return group_scores
@@ -403,10 +393,10 @@ def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     The bonus of group member g sums the weights of later candidates that do
     not conflict with g but conflict with at least one other group member,
     i.e. the weight g keeps available by being chosen.  The candidates that
-    conflict with the group are read from a cell index built once per
-    compose (see ``_expectation_scorer``), so scoring a group of |G| members
-    costs O(|G| * |U|) for the |U| candidates touching its cells instead of a
-    forward scan per member; singleton groups are not scored at all.  The
+    can conflict with the group lie in one contiguous window of first-series
+    rows (see ``_expectation_scorer``), so scoring a group of |G| members
+    costs O(|G| * |W| * m) for the |W| candidates in that window instead of
+    a forward scan per member; singleton groups are not scored at all.  The
     bonus is summed in ascending candidate order, one addition at a time, so
     it is bit-identical to that scan and the seeded tie-breaks agree with it.
     """

@@ -101,6 +101,19 @@ def _format_cell_scan(x) -> str:
     return "" if x != x else repr(float(x))
 
 
+def write_table_scan(table, path) -> None:
+    """Oracle for ``cli.write_table``: one row per table row, cell by cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"{p}_{k + 1}" for k in range(table.m) for p in ("t", "v")])
+        for i in range(table.n):
+            row = []
+            for k in range(table.m):
+                row.append(_format_cell_scan(table.timestamps[k, i]))
+                row.append(_format_cell_scan(table.values[k, i]))
+            writer.writerow(row)
+
+
 def write_alignment_scan(alignment, table, params, path) -> None:
     """Oracle for ``cli.write_alignment_csv``: one row per sorted tuple, cell by cell,
     with the scalar ``theta_similarity``, ``phi_similarity`` and ``weight``."""
@@ -329,6 +342,36 @@ def expectation_scan(rc, cfg, t, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pru
         return lambda group: [score(g, group) for g in group]
 
     return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation", scorer_factory)
+
+
+def union_scorer(rc, weights):
+    """Oracle for ``composers._expectation_scorer``: scores over the CSR cell union.
+
+    A CSR index maps cell key ``s * n + r`` to the candidates using it, in
+    ascending order.  A group's U is the union of its members' index rows,
+    and member g's bonus adds w[i] over i in U with i > g and no cell shared
+    with g, one at a time in ascending i.
+    """
+    w = np.asarray(weights, dtype=float)
+    slots = rc.slots
+    m, n = slots.shape[1], rc.table.n
+    offsets = np.arange(m) * n
+    keys = (slots + offsets).ravel()
+    order = np.argsort(keys, kind="stable") // m
+    indptr = np.zeros(m * n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=m * n), out=indptr[1:])
+
+    def group_scores(group):
+        g = np.asarray(group, dtype=np.intp)
+        members = slots[g]
+        cells = np.unique(members + offsets)
+        u = np.unique(np.concatenate([order[indptr[c]:indptr[c + 1]] for c in cells]))
+        disjoint = ~(members[:, None, :] == slots[u][None, :, :]).any(axis=2)
+        keep = disjoint & (u[None, :] > g[:, None])
+        bonus = np.cumsum(np.where(keep, w[u], 0.0), axis=1)[:, -1]
+        return (w[g] + bonus).tolist()
+
+    return group_scores
 
 
 def assert_same_alignment(a, b):

@@ -173,7 +173,8 @@ class TestReadOnly:
 
     def test_candidate_arrays_reject_writes(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
-        for array in (rc.slots, *rc.weight_terms, rc.isolated, rc.class_representatives):
+        for array in (rc.slots, *rc.weight_terms, rc.isolated, rc.class_representatives,
+                      rc.slot_columns, rc.row_starts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
         with pytest.raises(ValueError, match="read-only"):
@@ -219,6 +220,12 @@ class TestCandidateState:
         assert not rc.isolated[reps].any()
         assert sorted(classes[i] for i in reps) == sorted(
             {c for c, alone in zip(classes, rc.isolated) if not alone})
+        # the row window state of expect
+        assert rc.slot_spread == max((max(r.slots) - min(r.slots) for r in rc), default=0)
+        assert rc.slot_columns.flags.c_contiguous
+        assert np.array_equal(rc.slot_columns, rc.slots.T)
+        assert rc.row_starts.tolist() == [sum(r.slots[0] < row for r in rc)
+                                          for row in range(table.n + 1)]
 
 
 class TestBruteForce:

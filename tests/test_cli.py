@@ -19,7 +19,8 @@ from tsalign import (
 from tsalign.cli import ingest, main, write_alignment_csv, write_table
 from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import generate_synthetic, inject_mcar
-from conftest import assert_same_table, gappy_table, ingest_scan, write_alignment_scan
+from conftest import (assert_same_table, gappy_table, ingest_scan, write_alignment_scan,
+                      write_table_scan)
 
 
 def write_csv(path, text):
@@ -218,6 +219,31 @@ class TestWriteAlignmentMatchesScan:
         assert out.read_bytes() == b"idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\r\n"
 
 
+class TestWriteTableMatchesScan:
+    """The column-wise table writer against the cell-by-cell writer it replaced."""
+
+    @staticmethod
+    def assert_same_file(tmp_path, table):
+        fast, scan = tmp_path / "fast.csv", tmp_path / "scan.csv"
+        write_table(table, str(fast))
+        write_table_scan(table, str(scan))
+        assert fast.read_bytes() == scan.read_bytes()
+        return fast
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 30))
+    def test_random_tables(self, tmp_path_factory, seed, m, n):
+        self.assert_same_file(tmp_path_factory.mktemp("table"),
+                              gappy_table(np.random.default_rng(seed), m, n))
+
+    def test_missing_and_signed_zero_cells(self, tmp_path):
+        table = SeriesTable(np.array([[-0.0, np.nan, 2.5], [0.0, 1e-310, np.nan]]),
+                            np.array([[np.nan, -0.0, 1e308], [-1.5, np.nan, 0.1]]))
+        out = self.assert_same_file(tmp_path, table)
+        assert out.read_text().splitlines()[1:] == ["-0.0,,0.0,-1.5", ",-0.0,1e-310,",
+                                                    "2.5,1e+308,,0.1"]
+
+
 class TestAlign:
     def test_end_to_end_with_truth(self, small_files, tmp_path):
         data, truth = small_files
@@ -305,6 +331,26 @@ class TestAlign:
         assert metrics["k1"] == 3.0 and metrics["k2"] == 2.0
         assert metrics["delta"] is not None
         assert code in (0, 5)
+
+    @pytest.mark.parametrize("given", [{"k2": 6.0}, {"k1": 5.0}, {"k1": 3.0, "k2": 2.0}])
+    def test_tune_delta_searches_only_the_weights_not_given(self, small_files, tmp_path,
+                                                             given):
+        data, _ = small_files
+        report = tmp_path / "report.json"
+        flags = [token for key, value in given.items() for token in (f"--{key}", str(value))]
+        code = main(["align", "--input", str(data), "--strategy", "greedy",
+                     "--theta", "3", "--beta", "1", "--tune-delta", *flags,
+                     "--out", str(tmp_path / "a.csv"), "--report", str(report)])
+        assert code in (0, 5)
+        rc = generate_candidates(ingest(str(data)), ConstraintConfig(theta=3, beta=1))
+        grid = [(k1, k2) for k1 in ([given["k1"]] if "k1" in given else range(1, 7))
+                for k2 in ([given["k2"]] if "k2" in given else range(1, 7))]
+        tuned = determine_weights_and_delta(rc, grid=grid, strategy="greedy")
+        metrics = json.loads(report.read_text())
+        assert {key: metrics[key] for key in given} == given
+        assert (metrics["k1"], metrics["k2"], metrics["delta"]) == (tuned.k1, tuned.k2,
+                                                                     tuned.delta)
+        assert metrics["diagnostics"]["grid_composes"] == tuned.diagnostics["grid_composes"]
 
     def test_report_diagnostics(self, tmp_path):
         table, _ = generate_synthetic(60, 3, 4.0, seed=23, tick=10.0)

@@ -33,6 +33,7 @@ from conftest import (
     group_pass_scan,
     mwis_bruteforce,
     random_table,
+    union_scorer,
 )
 
 
@@ -334,6 +335,56 @@ class TestComposeExpectation:
         params = WeightParams(k1=1, k2=1, b=1, c=1)
         expect = compose_expectation(rc, cfg, t, params, seed=0)
         assert_valid_alignment(expect, rc, cfg, t, params)
+
+
+def assert_window_matches_union(rc, table, params, seeds=(0, 1, 2, 3)):
+    """The window scorer's list equals the CSR-union oracle's, with float ``==``,
+    for every group the pass scores.  Returns the number of groups scored."""
+    weights = _weights(rc, table, params)
+    window, union = _expectation_scorer(rc, weights), union_scorer(rc, weights)
+    scored = 0
+
+    def both(group):
+        nonlocal scored
+        scores = window(group)
+        assert scores == union(group), group
+        scored += 1
+        return scores
+
+    for seed in seeds:
+        _group_pass(rc, weights, random.Random(seed), both)
+    return scored
+
+
+class TestWindowScorer:
+    def test_matches_union_on_fuzz_sets(self):
+        scored = 0
+        for table, rc, _, params in collect_instances(60, start_seed=500, max_candidates=16):
+            scored += assert_window_matches_union(rc, table, params)
+        assert scored
+
+    def test_matches_union_on_benchmark_sized_groups(self):
+        for seed in (3, 4):
+            table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=seed + 100, target="both")
+            theta = determine_theta(masked)
+            rc, _ = candidates_for(masked, theta=theta, beta=determine_beta(masked, theta))
+            for params in (WeightParams(k1=3, k2=2), WeightParams(k1=1, k2=6)):
+                assert assert_window_matches_union(rc, masked, params, seeds=(seed,)) > 50
+
+    def test_window_reaches_twice_the_spread(self):
+        # a (0, 2) and b (0, 3) share cell (0, 0); c (4, 2) shares cell (1, 2)
+        # with a alone, so it counts toward b's bonus.  Its first slot is 4
+        # rows past the group's, within twice the largest spread (3) but not
+        # within the spread itself, and the config's beta of 0 bounds neither.
+        t = SeriesTable(np.tile(np.arange(8.0), (2, 1)), np.ones((2, 8)))
+        rc = CandidateSet(np.array([(0, 2), (0, 3), (4, 2)], dtype=np.int32),
+                          ConstraintConfig(theta=1e9, beta=0), t)
+        assert rc.slot_spread == 3
+        params = WeightParams(k1=1, k2=1)
+        assert assert_window_matches_union(rc, t, params, seeds=(0,)) == 1
+        w = _weights(rc, t, params)
+        assert _expectation_scorer(rc, w)([0, 1]) == [w[0], w[1] + w[2]]
 
 
 class TestComposeSetpacking:
