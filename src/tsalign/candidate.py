@@ -65,12 +65,20 @@ class CandidateSet:
 
     ``slots`` is the (N, m) int32 array of slot vectors, one row per
     candidate.  It and the weight-independent state every compose of the set
-    needs (weight terms, isolated mask, weight-class representatives, the
-    row window state of ``expect``, fitted reports) are shared by every
-    compose of the set, so the arrays are read-only; the state is computed on
-    first use and kept, so a run that tunes delta on the set and then
-    composes it builds it once.  ``tuples`` is the per-candidate
-    ``AlignedTuple`` view, built on first access.
+    needs (weight terms, isolated mask, conflict segments, weight-class
+    representatives, the row window state of ``expect``, fitted reports and
+    greedy segment walks) are shared by every compose of the set, so the
+    arrays are read-only; the state is computed on first use and kept, so a
+    run that tunes delta on the set and then composes it builds it once.
+    ``tuples`` is the per-candidate ``AlignedTuple`` view, built on first
+    access.
+
+    The group pass visits the non-isolated candidates (``visited``) in index
+    order.  A conflict segment is a maximal run of them that no cell links
+    to the rest: between two consecutive segments, no cell is used by a
+    candidate on each side.  ``segment_bounds`` holds the S + 1 positions in
+    ``visited`` where the S segments start, then ``len(visited)``.  Like the
+    isolated mask, the segments do not depend on the weights.
     """
 
     slots: np.ndarray
@@ -100,6 +108,49 @@ class CandidateSet:
         m, n = self.table.m, self.table.n
         keys = self.slots + np.arange(m) * n
         return _read_only((np.bincount(keys.ravel(), minlength=m * n)[keys] == 1).all(axis=1))
+
+    @cached_property
+    def visited(self) -> np.ndarray:
+        """Indices of the candidates that are not isolated, ascending."""
+        return _read_only(np.flatnonzero(~self.isolated))
+
+    @cached_property
+    def segment_bounds(self) -> np.ndarray:
+        """Start positions in ``visited`` of the conflict segments, then ``len(visited)``.
+
+        Segment j is ``visited[bounds[j]:bounds[j + 1]]``.  A segment ends
+        after position q when no cell used at or before q is used after it:
+        ``reach[q]``, the running maximum over positions up to q of the last
+        position using any of their cells, equals q.
+        """
+        m, n = self.table.m, self.table.n
+        count = self.visited.size
+        if not count:
+            return _read_only(np.zeros(1, dtype=np.intp))
+        position = np.arange(count)
+        # cell keys s * n + r, one series at a time
+        columns = [self.slots[self.visited, s] + s * n for s in range(m)]
+        last = np.zeros(m * n, dtype=np.intp)
+        for keys in columns:
+            np.maximum.at(last, keys, position)
+        reach = last[columns[0]]
+        for keys in columns[1:]:
+            np.maximum(reach, last[keys], out=reach)
+        np.maximum.accumulate(reach, out=reach)
+        ends = np.flatnonzero(reach == position) + 1
+        return _read_only(np.concatenate(([0], ends)))
+
+    @cached_property
+    def pass_lists(self) -> tuple[list[int], list[int], list[list[int]], list[int]]:
+        """The group pass's Python-list view of the set, built once for all passes.
+
+        The isolated indices, the ``visited`` indices, the cell keys
+        s * n + r of each visited candidate, and ``segment_bounds``.
+        """
+        m, n = self.table.m, self.table.n
+        cells = self.slots[self.visited] + np.arange(m) * n
+        return (np.flatnonzero(self.isolated).tolist(), self.visited.tolist(), cells.tolist(),
+                self.segment_bounds.tolist())
 
     @cached_property
     def slot_spread(self) -> int:
@@ -137,7 +188,7 @@ class CandidateSet:
         sorting on (p, d) and keeping the first candidate of each run.
         """
         p, d = self.weight_terms
-        rest = np.flatnonzero(~self.isolated)
+        rest = self.visited
         order = rest[np.lexsort((d[rest], p[rest]))]
         po, do = p[order], d[order]
         first = np.ones(order.size, dtype=bool)
@@ -147,6 +198,15 @@ class CandidateSet:
     @cached_property
     def reports(self) -> dict:
         """Consistency reports already fitted, by sorted tuple of candidate indices."""
+        return {}
+
+    @cached_property
+    def walks(self) -> dict:
+        """Chosen indices of the greedy segment walks that drew no tie-break.
+
+        Keyed by (segment index, dense ranks of the segment's weights within
+        the segment, as int32 bytes); see ``composers._group_pass``.
+        """
         return {}
 
     def __iter__(self):

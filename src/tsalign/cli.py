@@ -232,7 +232,7 @@ def run(cfg: RunConfig) -> int:
             rc, grid=grid, strategy=cfg.strategy, seed=cfg.seed)
         delta, k1, k2 = report.delta, report.k1, report.k2
         diagnostics = {key: report.diagnostics[key]
-                       for key in ("grid_composes", "grid_distinct_passes")}
+                       for key in ("grid_composes", "grid_distinct_passes", "grid_segment_walks")}
     else:
         delta = cfg.delta if cfg.delta is not None else math.inf
     params = WeightParams(k1=k1, k2=k2, b=cfg.b, c=cfg.c)
@@ -243,7 +243,7 @@ def run(cfg: RunConfig) -> int:
 
     metrics = {
         "strategy": cfg.strategy,
-        "theta": theta,
+        "theta": None if math.isinf(theta) else theta,
         "beta": beta,
         "delta": None if math.isinf(delta) else delta,
         "k1": k1, "k2": k2, "b": cfg.b, "c": cfg.c,
@@ -256,7 +256,9 @@ def run(cfg: RunConfig) -> int:
         "exhausted": alignment.exhausted,
         # deterministic outcomes the fields above leave out
         "diagnostics": {"tie_breaks": alignment.tie_breaks,
-                        "truncated": alignment.truncated, **diagnostics},
+                        "truncated": alignment.truncated,
+                        **_model_flags(alignment.report),
+                        "segments": len(rc.segment_bounds) - 1, **diagnostics},
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
     if cfg.truth_path:
@@ -267,6 +269,14 @@ def run(cfg: RunConfig) -> int:
         metrics["f1"] = sr.f1
     _write_json(metrics, cfg.report_path)
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
+
+
+def _model_flags(report) -> dict:
+    """The degenerate and fallback flags of a consistency report, series numbered from 1."""
+    return {"degenerate_series": [j + 1 for j in report.degenerate_series],
+            "all_missing": report.all_missing,
+            "fallback_series": [j + 1 for j in report.fallback_series],
+            "full_fallback": report.full_fallback}
 
 
 def _write_json(payload, path: str) -> None:

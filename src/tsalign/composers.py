@@ -21,16 +21,31 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
 dispatches through it.
 
 Cost model of the group pass behind ``greedy`` and ``expect``.  The
-weight-independent state (slot array, weight terms p and d, isolated mask)
-lives on the ``CandidateSet`` and is built on its first compose, so a run
-whose tuning grid and final compose share one set builds it once.
-Isolated candidates, which share no cell with any other, are always chosen
-and never draw from the RNG, so they are added in bulk; the Python loop
-visits only the rest, at O(m) per candidate: used cells are one byte each
-and a candidate joins the open group when the OR of its cells' bitmasks of
-group positions covers every member.  The consistency report is fitted
-once per distinct selection of a set and reused by every compose that
-selects the same candidates.
+weight-independent state (slot array, weight terms p and d, isolated mask,
+conflict segments and the Python lists the loop reads) lives on the
+``CandidateSet`` and is built on its first compose, so a run whose tuning
+grid and final compose share one set builds it once.  Isolated candidates,
+which share no cell with any other, are always chosen and never draw from
+the RNG, so they are added in bulk; the Python loop visits only the rest,
+at O(m) per candidate: used cells are one byte each and a candidate joins
+the open group when the OR of its cells' bitmasks of group positions covers
+every member.  The consistency report is fitted once per distinct selection
+of a set and reused by every compose that selects the same candidates.
+
+The visited candidates fall into conflict segments: no cell is used on both
+sides of the boundary between two segments.  So the first candidate after
+a boundary conflicts with no member of the open group and closes it, and no
+cell chosen before a boundary can make a candidate after it skip.  Each
+segment's choices therefore depend only on its own weights and on the RNG
+draws it makes, and the segments draw in order.  ``greedy`` compares weights
+only within a group, so the dense rank of a segment's weights within the
+segment decides its walk.  A walk that drew no tie-break is stored on the
+set under (segment index, those ranks), and every later pass with the same
+key reads it instead of walking.  A greedy pass then costs one O(N log N)
+ranking of its weights and one dict lookup per segment, plus O(m) per
+candidate of the segments it walks.  A walk that drew is walked again every
+time, so the RNG stream and the draw count are those of a full scan.
+``expect`` adds weights into its scores and walks every segment.
 
 ``pass_key`` tells a caller composing one set under many weightings which of
 them run the same passes.  ``greedy`` compares weights only by order, so
@@ -79,6 +94,8 @@ class Alignment:
     the per-tuple ``AlignedTuple`` view, built on first access.
     ``tie_breaks`` counts the seeded random tie-breaks drawn by the group pass
     that selected it; 0 means any seed would have selected the same.
+    ``segment_walks`` counts the conflict segments that pass walked rather
+    than read from the set's memo of greedy walks.
     """
 
     slots: np.ndarray
@@ -89,6 +106,7 @@ class Alignment:
     exhausted: bool = False
     truncated: bool = False
     tie_breaks: int = 0
+    segment_walks: int = 0
 
     def __post_init__(self):
         slots = np.array(self.slots, dtype=np.int32)
@@ -141,15 +159,17 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
 
 
 def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
-            truncated=False, report=None, tie_breaks=0) -> Alignment:
+            truncated=False, report=None, tie_breaks=0, segment_walks=0) -> Alignment:
     # rc.slots is in lexicographic order, so sorted indices give sorted rows
     indices = sorted(indices)
     chosen = rc.slots[indices]
     if report is None:
         report = delta_report(chosen, t)
-    total = float(sum(weights[i] for i in indices))
+    # adds left to right, as a generator over the indices would
+    total = float(sum(map(weights.__getitem__, indices)))
     return Alignment(chosen, total, report, strategy, retries_used=retries_used,
-                     exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks)
+                     exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks,
+                     segment_walks=segment_walks)
 
 
 def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
@@ -208,9 +228,29 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     return _finish(best_sel, rc, t, weights, "exact", report=best_report)
 
 
+def _segment_ranks(rc: CandidateSet, weights: list[float]) -> bytes:
+    """Dense rank (tied weights share a rank) of each visited candidate's weight
+    within its conflict segment, as int32 bytes in ``rc.visited`` order."""
+    _, visit, _, _ = rc.pass_lists
+    bounds = rc.segment_bounds
+    sizes = np.diff(bounds)
+    w = np.fromiter(map(weights.__getitem__, visit), float, len(visit))
+    # sorted by segment, then weight, so segment j keeps positions bounds[j]:bounds[j + 1]
+    order = np.lexsort((w, np.repeat(np.arange(sizes.size), sizes)))
+    ws = w[order]
+    new = np.ones(ws.size, dtype=bool)
+    new[1:] = ws[1:] != ws[:-1]
+    new[bounds[:-1]] = True
+    rank = np.cumsum(new)
+    ranks = np.empty(ws.size, dtype=np.int32)
+    ranks[order] = rank - np.repeat(rank[bounds[:-1]], sizes)
+    return ranks.tobytes()
+
+
 def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
-                group_scores=None) -> tuple[list[int], int]:
-    """One grouped selection scan; returns the chosen indices and the RNG draws.
+                group_scores=None) -> tuple[list[int], int, int]:
+    """One grouped selection scan; returns the chosen indices, the RNG draws and
+    the segments walked.
 
     A group grows while every new candidate conflicts with all current
     members; when that breaks, the argmax (by ``group_scores(group)``, one
@@ -226,20 +266,34 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     are one byte each, indexed by cell key, and membership is one OR over the
     candidate's cells of a per-cell bitmask of group positions, O(m) per
     candidate.
+
+    The visited candidates are walked one conflict segment
+    (``rc.segment_bounds``) at a time.  The first candidate of a segment
+    shares no cell with any earlier one, so it closes the open group, and
+    no cell chosen in an earlier segment can make a later one skip a
+    candidate: a segment's choices depend only on its own weights and on the
+    RNG draws it makes.  Without ``group_scores`` (``greedy``) the weights
+    are read only through ``max`` and ``==`` among one group's members, all
+    inside one segment, so the dense rank of the segment's weights within
+    the segment decides its walk.  A walk that drew no tie-break is stored
+    in ``rc.walks`` under (segment index, those ranks), and a later pass
+    with the same key takes its choices without walking; a walk that drew
+    is never stored, so every pass makes the same draws in the same order
+    and leaves the RNG as the unsegmented scan would.  ``group_scores`` adds
+    weights into its scores, so with it every segment is walked.
     """
-    isolated = rc.isolated
-    chosen = np.flatnonzero(isolated).tolist()
-    rest = np.flatnonzero(~isolated)
-    if not rest.size:
-        return chosen, 0
+    isolated, visit, visit_cells, bounds = rc.pass_lists
+    chosen = isolated[:]
+    if not visit:
+        return chosen, 0, 0
     m, n = rc.table.m, rc.table.n
-    # cell keys s * n + r of the visited candidates, as Python ints
-    rest_cells = (rc.slots[rest] + np.arange(m) * n).tolist()
     used = bytearray(m * n)
     member_bits = [0] * (m * n)
     group: list[int] = []
     group_cells: list[list[int]] = []
-    draws = 0
+    draws = walked = 0
+    memo = rc.walks if group_scores is None else None
+    ranks = _segment_ranks(rc, weights) if memo is not None else b""
 
     def emit() -> None:
         nonlocal draws
@@ -263,28 +317,39 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
         group_cells.clear()
 
     prev = -2
-    for i, mine in zip(rest.tolist(), rest_cells):
-        if group and i != prev + 1:
-            emit()
-        prev = i
-        if any(map(used.__getitem__, mine)):
-            continue
-        if group:
-            shared = 0
-            for key in mine:
-                shared |= member_bits[key]
-            if shared != (1 << len(group)) - 1:
+    for segment, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if memo is not None:
+            walk_key = (segment, ranks[4 * lo:4 * hi])
+            hit = memo.get(walk_key)
+            if hit is not None:
+                chosen += hit
+                continue
+        start, drawn = len(chosen), draws
+        walked += 1
+        for i, mine in zip(visit[lo:hi], visit_cells[lo:hi]):
+            if group and i != prev + 1:
                 emit()
-                if any(map(used.__getitem__, mine)):
-                    continue
-        bit = 1 << len(group)
-        for key in mine:
-            member_bits[key] |= bit
-        group.append(i)
-        group_cells.append(mine)
-    if group:
-        emit()
-    return chosen, draws
+            prev = i
+            if any(map(used.__getitem__, mine)):
+                continue
+            if group:
+                shared = 0
+                for key in mine:
+                    shared |= member_bits[key]
+                if shared != (1 << len(group)) - 1:
+                    emit()
+                    if any(map(used.__getitem__, mine)):
+                        continue
+            bit = 1 << len(group)
+            for key in mine:
+                member_bits[key] |= bit
+            group.append(i)
+            group_cells.append(mine)
+        if group:
+            emit()
+        if memo is not None and draws == drawn:
+            memo[walk_key] = tuple(chosen[start:])
+    return chosen, draws, walked
 
 
 def pass_key(strategy: str, rc: CandidateSet, w: WeightParams) -> Optional[bytes]:
@@ -318,10 +383,10 @@ def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
     best = None
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
-        chosen, draws = _group_pass(rc, weights, rng, group_scores)
+        chosen, draws, walked = _group_pass(rc, weights, rng, group_scores)
         report = _report(rc, t, chosen)
-        alignment = _finish(chosen, rc, t, weights, strategy,
-                            retries_used=attempt, report=report, tie_breaks=draws)
+        alignment = _finish(chosen, rc, t, weights, strategy, retries_used=attempt,
+                            report=report, tie_breaks=draws, segment_walks=walked)
         if report.delta <= cfg.delta:
             return alignment
         if best is None or report.delta < best.report.delta:

@@ -11,7 +11,7 @@ predictor exposing ``predict`` can stand in; the score below only needs M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,7 +113,14 @@ def fit_model(aligned_values: np.ndarray) -> ConsistencyModel:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Per-series normalized losses and their mean, the score Delta."""
+    """Per-series normalized losses and their mean, the score Delta.
+
+    ``degenerate_series`` (0-based) had mu_j = 0 and no loss; ``all_missing``
+    is set when no value was observed.  ``fallback_series`` and
+    ``full_fallback`` are the fitted model's flags, set by ``delta_report``:
+    the series (0-based) it predicts by their mean, and whether it fell back
+    to the mean for every series.
+    """
 
     per_series_loss: np.ndarray
     normalizers: np.ndarray
@@ -121,6 +128,8 @@ class ConsistencyReport:
     abs_errors: np.ndarray
     degenerate_series: tuple[int, ...] = ()
     all_missing: bool = False
+    fallback_series: tuple[int, ...] = ()
+    full_fallback: bool = False
 
 
 def consistency_delta(aligned_values: np.ndarray, model: ConsistencyModel) -> ConsistencyReport:
@@ -181,9 +190,13 @@ def delta_report(slots, t: SeriesTable) -> ConsistencyReport:
 
     ``slots`` is read as by ``tuple_value_matrix``; its rows are put in
     lexicographic order first, so the order they come in does not matter.
+    The report carries the fitted model's fallback flags.
     """
     slots = slot_matrix(slots, t.m)
     matrix = tuple_value_matrix(slots[np.lexsort(slots.T[::-1])], t)
     # overflow is reported once, as the DataError of consistency_delta
     with np.errstate(over="ignore", invalid="ignore"):
-        return consistency_delta(matrix, fit_model(matrix))
+        model = fit_model(matrix)
+        report = consistency_delta(matrix, model)
+    return replace(report, fallback_series=model.fallback_series,
+                   full_fallback=model.full_fallback)

@@ -117,6 +117,8 @@ class WeightParams:
     c: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k1, self.k2, self.b, self.c))):
+            raise ConfigError("k1, k2, b and c must be finite")
         if self.k1 < 0 or self.k2 < 0:
             raise ConfigError("k1 and k2 must be non-negative")
         if self.b <= 0 or self.c <= 0:
@@ -132,8 +134,8 @@ class ConstraintConfig:
     delta: float = math.inf
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ConfigError("theta must be non-negative")
+        if math.isnan(self.theta) or self.theta < 0:
+            raise ConfigError("theta must be non-negative (infinity disables the time check)")
         if self.beta != int(self.beta) or self.beta < 0:
             raise ConfigError("beta must be a non-negative integer")
         object.__setattr__(self, "beta", int(self.beta))

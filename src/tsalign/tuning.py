@@ -96,7 +96,8 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
 
     ``rc`` is the candidate set of the run, generated under the tuned theta
     and beta; the final compose uses the same set, so the weight terms,
-    isolated mask and fitted reports are built once for both.  The bias
+    isolated mask, conflict segments, fitted reports and stored greedy
+    segment walks are built once for both.  The bias
     terms are fixed at b = c = 1.  Each grid point composes ``runs``
     alignments with an unbounded model constraint and derived seeds; the
     point with the smallest mean score wins (ties toward the smaller pair)
@@ -109,7 +110,11 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     weights of the set's (p, d) classes) run the same passes, so the deltas
     of the first such point stand for the others.  ``diagnostics`` counts
     the composes run (``grid_composes``) and the grid points whose passes
-    were composed rather than read from that memo (``grid_distinct_passes``).
+    were composed rather than read from that memo (``grid_distinct_passes``),
+    the conflict segments of the set (``segments``) and the segment walks
+    the composes made rather than read from the set's memo of greedy walks
+    (``grid_segment_walks``; at most ``segments`` per compose, exactly that
+    for ``expect``).
     """
     if strategy not in composers.STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -121,7 +126,7 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     cfg = ConstraintConfig(theta=theta, beta=beta, delta=math.inf)
 
     memo: dict[bytes, list[float]] = {}
-    composes = passes = 0
+    composes = passes = walks = 0
     rows = []
     best = None
     for k1, k2 in grid:
@@ -134,6 +139,7 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
             for i in range(runs):
                 alignment = composers.compose(strategy, rc, cfg, rc.table, params, seed=seed + i)
                 composes += 1
+                walks += alignment.segment_walks
                 if i == 0 and alignment.tie_breaks == 0:
                     # the same list of runs copies, so the mean is bit-identical
                     deltas = [alignment.report.delta] * runs
@@ -152,4 +158,6 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     return TuningReport(theta=theta, beta=beta, delta=delta_bar, k1=float(k1), k2=float(k2),
                         diagnostics={"delta_grid": rows, "strategy": strategy,
                                      "runs": runs, "seed": seed, "grid_composes": composes,
-                                     "grid_distinct_passes": passes})
+                                     "grid_distinct_passes": passes,
+                                     "segments": len(rc.segment_bounds) - 1,
+                                     "grid_segment_walks": walks})

@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 
 import numpy as np
 import pytest
@@ -263,6 +264,40 @@ def mwis_bruteforce(weights, conflict_pairs, k):
 
 def _share_slot(r1, r2) -> bool:
     return any(a == b for a, b in zip(r1.slots, r2.slots))
+
+
+class CountingRandom(random.Random):
+    """``random.Random`` that counts its ``choice`` calls in ``draws``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def choice(self, seq):
+        self.draws += 1
+        return super().choice(seq)
+
+
+def segment_bounds_scan(rc) -> list[int]:
+    """Oracle for ``CandidateSet.segment_bounds``: every split of the visited order
+    that no cell crosses.
+
+    The visited candidates are the non-isolated ones in index order.  For each
+    position q, the cells used before q are intersected with those used from q
+    on; q is a boundary when the intersection is empty.  Returns 0, the
+    boundaries, then the number of visited candidates (just [0] when none).
+    """
+    rows = [tuple(r) for r, alone in zip(rc.slots.tolist(), rc.isolated.tolist()) if not alone]
+    cells = [{(s, row) for s, row in enumerate(r)} for r in rows]
+    bounds = [0]
+    for q in range(1, len(rows)):
+        before = set().union(*cells[:q])
+        after = set().union(*cells[q:])
+        if not before & after:
+            bounds.append(q)
+    if rows:
+        bounds.append(len(rows))
+    return bounds
 
 
 def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:

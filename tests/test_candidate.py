@@ -16,13 +16,15 @@ from tsalign import (
     determine_beta,
     determine_theta,
     generate_candidates,
+    generate_synthetic,
+    inject_mcar,
     phi_similarity,
     theta_similarity,
     weight,
 )
 from tsalign import candidate
 from tsalign.core import combine_weights, index_spread, pair_count
-from conftest import gappy_table, random_table, walk_scan
+from conftest import gappy_table, random_table, segment_bounds_scan, walk_scan
 
 # the walk oracle visits every candidate in Python; the fixed cases below
 # stay under this many, which keeps each comparison well under a second
@@ -174,7 +176,7 @@ class TestReadOnly:
     def test_candidate_arrays_reject_writes(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
         for array in (rc.slots, *rc.weight_terms, rc.isolated, rc.class_representatives,
-                      rc.slot_columns, rc.row_starts):
+                      rc.slot_columns, rc.row_starts, rc.visited, rc.segment_bounds):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
         with pytest.raises(ValueError, match="read-only"):
@@ -226,6 +228,45 @@ class TestCandidateState:
         assert np.array_equal(rc.slot_columns, rc.slots.T)
         assert rc.row_starts.tolist() == [sum(r.slots[0] < row for r in rc)
                                           for row in range(table.n + 1)]
+
+
+class TestSegments:
+    @settings(max_examples=120, deadline=None)
+    @given(small_tables(), st.floats(0, 40), st.integers(0, 3))
+    def test_bounds_match_the_split_scan(self, table, theta, beta):
+        rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
+        assert rc.visited.tolist() == np.flatnonzero(~rc.isolated).tolist()
+        assert rc.segment_bounds.tolist() == segment_bounds_scan(rc)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bounds_match_the_split_scan_on_tuned_inputs(self, seed):
+        # missing values leave many short segments (the --tune-delta input);
+        # missing timestamps widen the windows into one or two long ones
+        for n, target in ((150, "values"), (60, "both")):
+            table, _ = generate_synthetic(n, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=1, target=target)
+            theta = determine_theta(masked)
+            rc = generate_candidates(masked, ConstraintConfig(
+                theta=theta, beta=determine_beta(masked, theta)))
+            bounds = rc.segment_bounds.tolist()
+            assert bounds == segment_bounds_scan(rc)
+            if target == "values":
+                assert 10 < len(bounds) - 1 < rc.visited.size / 2
+
+    def test_hand_made_bounds(self):
+        # a-b share (0, 1); c-d share (1, 4) and d-e share (0, 5), so c..e is one
+        # segment though c and e share nothing; the isolated i splits nothing
+        t = SeriesTable(np.tile(np.arange(8.0), (2, 1)), np.ones((2, 8)))
+        slots = [(1, 1), (1, 2), (3, 4), (4, 0), (5, 4), (5, 6), (7, 7)]
+        rc = candidate.CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
+        assert rc.isolated.tolist() == [False, False, False, True, False, False, True]
+        assert rc.visited.tolist() == [0, 1, 2, 4, 5]
+        assert rc.segment_bounds.tolist() == [0, 2, 5] == segment_bounds_scan(rc)
+
+    def test_empty_and_all_isolated(self, staggered_table):
+        for theta in (0, 2):
+            rc = generate_candidates(staggered_table, ConstraintConfig(theta=theta, beta=0))
+            assert rc.segment_bounds.tolist() == [0] == segment_bounds_scan(rc)
 
 
 class TestBruteForce:

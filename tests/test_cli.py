@@ -359,8 +359,11 @@ class TestAlign:
         table = ingest(str(data))
         rc = generate_candidates(table, ConstraintConfig(theta=8, beta=2))
         tuned = determine_weights_and_delta(rc, strategy="greedy", seed=2)
-        grid = {key: tuned.diagnostics[key] for key in ("grid_composes", "grid_distinct_passes")}
+        grid = {key: tuned.diagnostics[key] for key in (
+            "grid_composes", "grid_distinct_passes", "grid_segment_walks")}
+        segments = len(rc.segment_bounds) - 1
         assert 1 < grid["grid_distinct_passes"] < grid["grid_composes"]
+        assert 0 < grid["grid_segment_walks"] < segments * grid["grid_composes"]
         report = tmp_path / "report.json"
         tie_breaks = []
         for tune, delta, params, counts in (
@@ -371,14 +374,67 @@ class TestAlign:
                   "--out", str(tmp_path / "a.csv"), "--report", str(report)])
             alignment = compose_greedy(rc, ConstraintConfig(theta=8, beta=2, delta=delta),
                                        table, params, seed=2)
+            fit = alignment.report
             assert json.loads(report.read_text())["diagnostics"] == {
-                "tie_breaks": alignment.tie_breaks, "truncated": False, **counts}
+                "tie_breaks": alignment.tie_breaks, "truncated": False,
+                "degenerate_series": [j + 1 for j in fit.degenerate_series],
+                "all_missing": fit.all_missing,
+                "fallback_series": [j + 1 for j in fit.fallback_series],
+                "full_fallback": fit.full_fallback, "segments": segments, **counts}
             tie_breaks.append(alignment.tie_breaks)
         assert any(tie_breaks)
         tuning = tmp_path / "tuning.json"
         assert main(["tune", "--input", str(data), "--report", str(tuning)]) == 0
         diagnostics = json.loads(tuning.read_text())["diagnostics"]
         assert 0 < diagnostics["grid_distinct_passes"] <= diagnostics["grid_composes"]
+        assert 0 < diagnostics["grid_segment_walks"] <= (diagnostics["segments"]
+                                                         * diagnostics["grid_composes"])
+
+    def test_report_numbers_flagged_series_from_one(self, tmp_path):
+        # series 2 has no value: it is degenerate, and without a complete row
+        # every series falls back to its mean
+        table, _ = generate_synthetic(40, 3, 1.0, seed=21)
+        vs = np.array(table.values)
+        vs[1] = np.nan
+        data = tmp_path / "data.csv"
+        write_table(SeriesTable(table.timestamps, vs), str(data))
+        report = tmp_path / "report.json"
+        assert main(["align", "--input", str(data), "--strategy", "greedy",
+                     "--theta", "3", "--beta", "1",
+                     "--out", str(tmp_path / "a.csv"), "--report", str(report)]) == 0
+        diagnostics = json.loads(report.read_text())["diagnostics"]
+        assert {key: diagnostics[key] for key in (
+            "degenerate_series", "all_missing", "fallback_series", "full_fallback")} == {
+            "degenerate_series": [2], "all_missing": False,
+            "fallback_series": [1, 2, 3], "full_fallback": False}
+
+    @pytest.mark.parametrize("flags", [
+        ["--theta", "nan", "--beta", "1"],
+        ["--theta", "nan", "--tune-beta"],
+        ["--theta", "3", "--beta", "1", "--k2", "nan"],
+        ["--theta", "3", "--beta", "1", "--c", "inf"],
+        ["--theta", "3", "--beta", "1", "--b", "nan"],
+        ["--tune-theta", "--tune-beta", "--tune-delta", "--k1", "inf"],
+    ])
+    def test_non_finite_option_is_config_error_without_artifacts(self, tmp_path, flags):
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--n", "50", "--m", "3", "--out", str(data)]) == 0
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        code = main(["align", "--input", str(data), "--strategy", "greedy", *flags,
+                     "--out", str(out), "--report", str(report)])
+        assert code == 2
+        assert not out.exists() and not report.exists()
+
+    def test_infinite_theta_is_reported_as_null(self, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--n", "50", "--m", "3", "--out", str(data)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["align", "--input", str(data), "--strategy", "greedy",
+                     "--theta", "inf", "--beta", "1",
+                     "--out", str(tmp_path / "a.csv"), "--report", str(report)]) == 0
+        metrics = json.loads(report.read_text())
+        assert metrics["theta"] is None and metrics["delta"] is None
+        assert metrics["aligned_tuple_count"] > 0
 
     def test_report_flags_match_recheck(self, small_files, tmp_path):
         data, _ = small_files

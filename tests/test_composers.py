@@ -18,6 +18,7 @@ from tsalign import (
     conflicts,
     determine_beta,
     determine_theta,
+    determine_weights_and_delta,
     generate_candidates,
     generate_synthetic,
     inject_mcar,
@@ -28,6 +29,7 @@ from tsalign.candidate import CandidateSet
 from tsalign.composers import _expectation_scorer, _group_pass, _weights
 from tsalign.errors import ConfigError
 from conftest import (
+    CountingRandom,
     assert_same_alignment,
     expectation_scan,
     group_pass_scan,
@@ -183,19 +185,24 @@ class TestComposeGreedy:
 
 
 def assert_pass_matches_scan(rc, table, params, seeds=(0, 1, 2, 3)):
-    """Greedy and expect scoring: same chosen set and RNG state as the plain scan.
+    """Greedy and expect scoring: same chosen set, draw count and RNG state as the
+    plain scan, whatever greedy walks ``rc`` has stored already.
 
     Returns the number of passes that drew a random tie-break.
     """
     weights = _weights(rc, table, params)
+    segments = len(rc.segment_bounds) - 1
     drawn = 0
     for scorer in (None, _expectation_scorer(rc, weights)):
         for seed in seeds:
-            fast_rng, slow_rng = random.Random(seed), random.Random(seed)
-            chosen, draws = _group_pass(rc, weights, fast_rng, scorer)
+            fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
+            chosen, draws, walked = _group_pass(rc, weights, fast_rng, scorer)
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, slow_rng, scorer))
+            assert draws == slow_rng.draws
             assert fast_rng.getstate() == slow_rng.getstate()
             assert (draws == 0) == (fast_rng.getstate() == random.Random(seed).getstate())
+            # expect walks every segment; greedy at most that
+            assert walked == segments if scorer else walked <= segments
             drawn += draws > 0
     return drawn
 
@@ -249,7 +256,7 @@ class TestGroupPass:
         assert rc.isolated.tolist() == [False, False, True, False]
         params = WeightParams(k1=1, k2=1)
         assert_pass_matches_scan(rc, t, params)
-        chosen, _ = _group_pass(rc, _weights(rc, t, params), random.Random(0))
+        chosen, _, _ = _group_pass(rc, _weights(rc, t, params), random.Random(0))
         assert sorted(chosen) in ([0, 2], [1, 2])
 
     def test_empty_and_all_isolated(self, staggered_table, fig_params):
@@ -335,6 +342,88 @@ class TestComposeExpectation:
         params = WeightParams(k1=1, k2=1, b=1, c=1)
         expect = compose_expectation(rc, cfg, t, params, seed=0)
         assert_valid_alignment(expect, rc, cfg, t, params)
+
+
+class TestSegmentedPass:
+    """``_group_pass`` walks one conflict segment at a time and stores greedy walks."""
+
+    def test_matches_scan_on_fuzz_sets(self):
+        # the second weighting and the repeat of the first read stored walks
+        drawn = 0
+        for table, rc, _, params in collect_instances(60, start_seed=500, max_candidates=16):
+            for w in (params, WeightParams(k1=1, k2=1), params):
+                drawn += assert_pass_matches_scan(rc, table, w)
+        assert drawn
+
+    def test_matches_scan_on_benchmark_sized_inputs(self):
+        # the seeds-3/4 inputs of the tuning tests under part of the grid; the
+        # later weightings read most segments from the walks the earlier stored
+        for seed in (3, 4):
+            table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=1, target="values")
+            theta = determine_theta(masked)
+            rc, _ = candidates_for(masked, theta=theta, beta=determine_beta(masked, theta))
+            segments = len(rc.segment_bounds) - 1
+            assert segments > 10
+            drawn = walked = 0
+            # k2 = 0 weighs by p alone, which ties many groups
+            grid = ((1, 1), (3, 2), (1, 6), (3, 0), (6, 1), (2, 2), (3, 2))
+            for k1, k2 in grid:
+                params = WeightParams(k1=k1, k2=k2)
+                drawn += assert_pass_matches_scan(rc, masked, params, seeds=(seed, seed + 1))
+                walked += _group_pass(rc, _weights(rc, masked, params), random.Random(seed))[2]
+            assert drawn
+            assert walked < segments * len(grid) / 2
+
+    def test_tie_drawing_walk_is_not_stored(self):
+        # a = (1, 0) and b = (1, 2) share (0, 1) and weigh alike under any
+        # weighting (p = 1, d = 1): segment 0 draws on every pass.  c = (5, 5)
+        # beats e = (5, 6) in segment 1 without a draw; i = (8, 8) is isolated.
+        t = SeriesTable(np.tile(np.arange(10.0), (2, 1)), np.ones((2, 10)))
+        slots = [(1, 0), (1, 2), (5, 5), (5, 6), (8, 8)]
+        rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
+        assert rc.segment_bounds.tolist() == [0, 2, 4]
+        weights = _weights(rc, t, WeightParams(k1=3, k2=2))
+        picks = []
+        for seed in (0, 1, 0):
+            fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
+            chosen, draws, walked = _group_pass(rc, weights, fast_rng)
+            assert sorted(chosen) == sorted(group_pass_scan(rc, weights, slow_rng))
+            assert draws == slow_rng.draws == 1
+            assert fast_rng.getstate() == slow_rng.getstate()
+            # segment 1 is walked once, then read from the stored walk
+            assert walked == (2 if not picks else 1)
+            picks.append(sorted(chosen))
+        assert picks[0] != picks[1] and picks[0] == picks[2]
+        assert [key[0] for key in rc.walks] == [1]
+
+    def test_rankings_share_one_segment_and_differ_in_another(self):
+        # m = 3; a = (0, 0, 0) and b = (0, 0, 1) form segment 0 and have p = 3,
+        # d = 0 and 2, so a is heavier under any k2 > 0.  c = (5, 6, 5) (p = 1,
+        # d = 2, v(2, 5) missing) and e = (5, 8, 7) (p = 3, d = 6) form segment
+        # 1: c is heavier at (1, 1), e at (6, 1).  At (1, 1) both segments rank
+        # their members [1, 0], so only the segment index tells their walks apart.
+        vs = np.ones((3, 12))
+        vs[2, 5] = np.nan
+        t = SeriesTable(np.tile(np.arange(12.0), (3, 1)), vs)
+        slots = [(0, 0, 0), (0, 0, 1), (5, 6, 5), (5, 8, 7), (10, 10, 10)]
+        rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
+        p, d = rc.weight_terms
+        assert (p.tolist(), d.tolist()) == ([3.0, 3.0, 1.0, 3.0, 3.0], [0.0, 2.0, 2.0, 6.0, 0.0])
+        assert rc.segment_bounds.tolist() == [0, 2, 4]
+        # (1, 1) walks both segments, (6, 1) only segment 1, (1, 1) again none
+        for (k1, k2), picked, walks in (((1, 1), [0, 2, 4], 2), ((6, 1), [0, 3, 4], 1),
+                                        ((1, 1), [0, 2, 4], 0)):
+            weights = _weights(rc, t, WeightParams(k1=k1, k2=k2))
+            chosen, draws, walked = _group_pass(rc, weights, random.Random(0))
+            assert sorted(chosen) == sorted(group_pass_scan(rc, weights, random.Random(0)))
+            assert (sorted(chosen), draws, walked) == (picked, 0, walks)
+        # the grid composes both rankings: 2 + 1 segment walks, not 2 * 2
+        fresh = CandidateSet(rc.slots, rc.config, t)
+        report = determine_weights_and_delta(fresh, grid=[(1, 1), (6, 1)], strategy="greedy")
+        assert {key: report.diagnostics[key] for key in (
+            "grid_composes", "grid_distinct_passes", "segments", "grid_segment_walks")} == {
+            "grid_composes": 2, "grid_distinct_passes": 2, "segments": 2, "grid_segment_walks": 3}
 
 
 def assert_window_matches_union(rc, table, params, seeds=(0, 1, 2, 3)):

@@ -146,6 +146,29 @@ class TestTupleValueMatrix:
         assert m[0, 0] == 1.0 and m[0, 1] == 2.0
         assert np.isnan(m[1, 0]) and m[1, 1] == 2.5
 
+    def test_delta_report_carries_the_model_flags(self):
+        table, _ = generate_synthetic(12, 3, 0.5, seed=6)
+        vs = np.array(table.values)
+        # series 2 has values in even rows only: no row before one of them is
+        # complete, so it alone falls back to its mean
+        vs[1, 1::2] = np.nan
+        gappy = type(table)(table.timestamps, vs)
+        vs = np.array(vs)
+        vs[1] = np.nan  # no value at all: no complete row, no normalizer
+        empty_series = type(table)(table.timestamps, vs)
+        for t, rows, fallback, full, degenerate in (
+                (gappy, 12, (1,), False, ()),
+                (gappy, 3, (0, 1, 2), True, ()),
+                (empty_series, 12, (0, 1, 2), False, (1,))):
+            slots = np.tile(np.arange(rows)[:, None], (1, 3))
+            model = fit_model(tuple_value_matrix(slots, t))
+            assert (model.fallback_series, model.full_fallback) == (fallback, full)
+            report = delta_report(slots, t)
+            assert (report.fallback_series, report.full_fallback) == (fallback, full)
+            assert (report.degenerate_series, report.all_missing) == (degenerate, False)
+        empty = delta_report(np.zeros((0, 3), dtype=int), table)
+        assert empty.full_fallback and empty.all_missing
+
     def test_delta_report_sorts_rows(self, staggered_table):
         a = delta_report([AlignedTuple((1, 1)), AlignedTuple((0, 0))], staggered_table)
         b = delta_report([AlignedTuple((0, 0)), AlignedTuple((1, 1))], staggered_table)

@@ -121,6 +121,12 @@ class TestWeight:
         with pytest.raises(ConfigError):
             WeightParams(c=-2)
 
+    @pytest.mark.parametrize("name", ["k1", "k2", "b", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            WeightParams(**{name: value})
+
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
     def test_positive_and_monotone(self, s0, s1, s2):
         t = SeriesTable.from_columns([
@@ -226,3 +232,8 @@ class TestConstraintConfig:
     def test_rejects_bad_thresholds(self, kwargs):
         with pytest.raises(ConfigError):
             ConstraintConfig(**kwargs)
+
+    def test_rejects_nan_theta_but_not_infinite(self):
+        with pytest.raises(ConfigError, match="theta"):
+            ConstraintConfig(theta=math.nan, beta=0)
+        assert math.isinf(ConstraintConfig(theta=math.inf, beta=0).theta)

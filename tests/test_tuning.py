@@ -253,6 +253,24 @@ class TestDetermineWeightsAndDelta:
             assert report.diagnostics["grid_distinct_passes"] == len(keys) < len(DEFAULT_GRID)
             assert composers.pass_key("expect", rc, WeightParams()) is None
 
+    @pytest.mark.parametrize("strategy", ["greedy", "expect"])
+    def test_counts_segment_walks(self, strategy):
+        # the seeds-3/4 inputs above: greedy reads most segments from the walks
+        # stored on the set, expect walks every segment of every compose
+        for seed in (3, 4):
+            table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=1, target="values")
+            theta = determine_theta(masked)
+            rc = candidates(masked, theta, determine_beta(masked, theta))
+            diagnostics = determine_weights_and_delta(rc, strategy=strategy,
+                                                      seed=seed).diagnostics
+            assert diagnostics["segments"] == len(rc.segment_bounds) - 1 > 10
+            every = diagnostics["segments"] * diagnostics["grid_composes"]
+            if strategy == "expect":
+                assert diagnostics["grid_segment_walks"] == every
+            else:
+                assert 0 < diagnostics["grid_segment_walks"] < every / 4
+
     def test_tied_classes_get_their_own_key(self):
         # A = (0, 1, 0) has p = 1, d = 2 and B = (0, 3, 2) has p = 3, d = 6; they
         # share cell (0, 0).  With b = c = 1, A weighs (k1 + 1) / (2 k2 + 1) and B
