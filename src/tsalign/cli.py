@@ -16,9 +16,9 @@ import argparse
 import csv
 import json
 import math
+import statistics
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,38 +36,6 @@ EXIT_SIZE = 4
 EXIT_EXHAUSTED = 5
 
 STRATEGIES = tuple(composers.STRATEGIES)
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    strategy: str = "expect"
-    theta: Optional[float] = None
-    tune_theta: bool = False
-    beta: Optional[int] = None
-    tune_beta: bool = False
-    delta: Optional[float] = None
-    tune_delta: bool = False
-    k1: Optional[float] = None
-    k2: Optional[float] = None
-    b: float = 1.0
-    c: float = 1.0
-    seed: int = 0
-    max_retries: int = 16
-    beta_lower: int = 0
-    truth_path: Optional[str] = None
-    out_path: str = "aligned.csv"
-    report_path: str = "report.json"
-
-    def validate(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        if (self.theta is None) == (not self.tune_theta):
-            raise ConfigError("pass exactly one of --theta or --tune-theta")
-        if (self.beta is None) == (not self.tune_beta):
-            raise ConfigError("pass exactly one of --beta or --tune-beta")
-        if self.delta is not None and self.tune_delta:
-            raise ConfigError("pass at most one of --delta or --tune-delta")
 
 
 def ingest(path: str) -> SeriesTable:
@@ -209,45 +177,49 @@ def _format_column(x: np.ndarray) -> list[str]:
     return out
 
 
-def run(cfg: RunConfig) -> int:
-    """Full pipeline: ingest, tune, generate, compose, score, write artifacts."""
-    cfg.validate()
+def run(args) -> int:
+    """``align``: ingest, tune, generate, compose, score, write artifacts."""
+    if (args.theta is None) == (not args.tune_theta):
+        raise ConfigError("pass exactly one of --theta or --tune-theta")
+    if (args.beta is None) == (not args.tune_beta):
+        raise ConfigError("pass exactly one of --beta or --tune-beta")
+    if args.delta is not None and args.tune_delta:
+        raise ConfigError("pass at most one of --delta or --tune-delta")
     started = time.perf_counter()
-    table = ingest(cfg.input_path)
-    theta = cfg.theta if cfg.theta is not None else tuning.determine_theta(table)
-    beta = cfg.beta if cfg.beta is not None else tuning.determine_beta(
-        table, theta, beta_lower=cfg.beta_lower)
+    table = ingest(args.input)
+    theta, beta = tuning.determine_windows(table, args.theta, args.beta,
+                                           beta_lower=args.beta_lower)
     # the tuning grid and the final compose share this set; each reads delta
     # from the constraint it is given
     rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
-    k1 = 1.0 if cfg.k1 is None else cfg.k1
-    k2 = 1.0 if cfg.k2 is None else cfg.k2
+    k1 = 1.0 if args.k1 is None else args.k1
+    k2 = 1.0 if args.k2 is None else args.k2
     diagnostics = {}
-    if cfg.tune_delta:
+    if args.tune_delta:
         # an explicit weight fixes its coordinate; the grid searches the other
         grid = list(dict.fromkeys(
-            (g1 if cfg.k1 is None else cfg.k1, g2 if cfg.k2 is None else cfg.k2)
+            (g1 if args.k1 is None else args.k1, g2 if args.k2 is None else args.k2)
             for g1, g2 in tuning.DEFAULT_GRID))
         report = tuning.determine_weights_and_delta(
-            rc, grid=grid, strategy=cfg.strategy, seed=cfg.seed)
+            rc, grid=grid, strategy=args.strategy, seed=args.seed)
         delta, k1, k2 = report.delta, report.k1, report.k2
         diagnostics = {key: report.diagnostics[key]
                        for key in ("grid_composes", "grid_distinct_passes", "grid_segment_walks")}
     else:
-        delta = cfg.delta if cfg.delta is not None else math.inf
-    params = WeightParams(k1=k1, k2=k2, b=cfg.b, c=cfg.c)
+        delta = args.delta if args.delta is not None else math.inf
+    params = WeightParams(k1=k1, k2=k2, b=args.b, c=args.c)
     constraint = ConstraintConfig(theta=theta, beta=beta, delta=delta)
-    alignment = composers.compose(cfg.strategy, rc, constraint, table, params,
-                                  seed=cfg.seed, max_retries=cfg.max_retries)
-    write_alignment_csv(alignment, table, params, cfg.out_path)
+    alignment = composers.compose(args.strategy, rc, constraint, table, params,
+                                  seed=args.seed, max_retries=args.max_retries)
+    write_alignment_csv(alignment, table, params, args.out)
 
     metrics = {
-        "strategy": cfg.strategy,
+        "strategy": args.strategy,
         "theta": None if math.isinf(theta) else theta,
         "beta": beta,
         "delta": None if math.isinf(delta) else delta,
-        "k1": k1, "k2": k2, "b": cfg.b, "c": cfg.c,
-        "seed": cfg.seed,
+        "k1": k1, "k2": k2, "b": args.b, "c": args.c,
+        "seed": args.seed,
         "candidate_count": len(rc),
         "aligned_tuple_count": len(alignment),
         "total_weight": alignment.total_weight,
@@ -261,13 +233,13 @@ def run(cfg: RunConfig) -> int:
                         "segments": len(rc.segment_bounds) - 1, **diagnostics},
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
-    if cfg.truth_path:
-        truth = evaluation.GroundTruth.same_row(ingest(cfg.truth_path))
+    if args.truth:
+        truth = evaluation.GroundTruth.same_row(ingest(args.truth))
         sr = evaluation.score(alignment, truth)
         metrics["precision"] = sr.precision
         metrics["recall"] = sr.recall
         metrics["f1"] = sr.f1
-    _write_json(metrics, cfg.report_path)
+    _write_json(metrics, args.report)
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
 
 
@@ -279,12 +251,17 @@ def _model_flags(report) -> dict:
             "full_fallback": report.full_fallback}
 
 
-def _write_json(payload, path: str) -> None:
-    """Write ``payload`` as JSON; it is serialised before the file is opened, so a
-    value JSON cannot represent raises before anything is written."""
+def _write_json(payload, path: str) -> str:
+    """Write ``payload`` as JSON to ``path`` unless it is empty, and return the text.
+
+    It is serialised before the file is opened, so a value JSON cannot
+    represent raises before anything is written.
+    """
     text = json.dumps(payload, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 def _add_align_parser(sub) -> None:
@@ -309,22 +286,10 @@ def _add_align_parser(sub) -> None:
     p.add_argument("--report", default="report.json")
 
 
-def _cmd_align(args) -> int:
-    cfg = RunConfig(
-        input_path=args.input, strategy=args.strategy,
-        theta=args.theta, tune_theta=args.tune_theta,
-        beta=args.beta, tune_beta=args.tune_beta,
-        delta=args.delta, tune_delta=args.tune_delta,
-        k1=args.k1, k2=args.k2, b=args.b, c=args.c,
-        seed=args.seed, max_retries=args.max_retries, beta_lower=args.beta_lower,
-        truth_path=args.truth, out_path=args.out, report_path=args.report)
-    return run(cfg)
-
-
 def _cmd_tune(args) -> int:
     table = ingest(args.input)
-    theta = tuning.determine_theta(table, percentile=args.percentile)
-    beta = tuning.determine_beta(table, theta, beta_lower=args.beta_lower)
+    theta, beta = tuning.determine_windows(table, percentile=args.percentile,
+                                           beta_lower=args.beta_lower)
     rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
     grid = [(k1, k2) for k1 in range(1, args.k_max + 1) for k2 in range(1, args.k_max + 1)]
     report = tuning.determine_weights_and_delta(
@@ -363,11 +328,7 @@ def _cmd_score(args) -> int:
         "aligned_tuple_count": len(slots),
         "total_weight": weight_sum,
     }
-    out = json.dumps(payload, indent=2, allow_nan=False)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    print(out)
+    print(_write_json(payload, args.report))
     return EXIT_OK
 
 
@@ -397,19 +358,42 @@ def _read_alignment_csv(path: str, m: int) -> tuple[list[list[int]], float]:
 
 
 def _cmd_bench(args) -> int:
+    """Run the strategy x size x missing-rate matrix; print each run, then a summary.
+
+    The summary has one line per (strategy, n, rate): the mean F1, aligned
+    tuples and candidates over the seeds, the median ``wall_time_ms``, and
+    from the second size on its growth factor over the previous size.
+    """
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be at least 1")
     rows = []
+    summary = []
     for strategy in args.strategies:
-        for rate in args.rates:
-            for s in range(args.seeds):
-                row = evaluation.benchmark_alignment(
-                    args.n, args.m, args.jitter, rate, strategy, args.seed + s,
-                    tick=args.tick, value_model=args.value_model)
-                rows.append(row)
-                print(f"{strategy:7s} rate={rate:.2f} seed={args.seed + s} "
-                      f"f1={row['f1']:.4f} tuples={row['aligned_tuple_count']} "
-                      f"candidates={row['candidate_count']}")
-    if args.report:
-        _write_json(rows, args.report)
+        previous = {}  # rate -> median wall time at the previous size
+        for n in args.n:
+            for rate in args.rates:
+                runs = []
+                for seed in range(args.seed, args.seed + args.seeds):
+                    row = evaluation.benchmark_alignment(
+                        n, args.m, args.jitter, rate, strategy, seed, tick=args.tick,
+                        value_model=args.value_model, theta=args.theta, beta=args.beta)
+                    runs.append(row)
+                    print(f"{strategy:7s} n={n} rate={rate:.2f} seed={seed} "
+                          f"f1={row['f1']:.4f} tuples={row['aligned_tuple_count']} "
+                          f"candidates={row['candidate_count']}")
+                rows += runs
+                median = statistics.median(r["wall_time_ms"] for r in runs)
+                growth = f" x{median / previous[rate]:.2f}" if rate in previous else ""
+                previous[rate] = median
+                summary.append(
+                    f"{strategy:7s} n={n} rate={rate:.2f} "
+                    f"f1={statistics.mean(r['f1'] for r in runs):.4f} "
+                    f"tuples={statistics.mean(r['aligned_tuple_count'] for r in runs):.1f} "
+                    f"candidates={statistics.mean(r['candidate_count'] for r in runs):.1f} "
+                    f"median_ms={median:.1f}{growth}")
+    print("-- mean over seeds, median wall time")
+    print("\n".join(summary))
+    _write_json(rows, args.report)
     return EXIT_OK
 
 
@@ -447,12 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--report", default="")
 
-    p = sub.add_parser("bench", help="strategy x missing-rate benchmark matrix")
-    p.add_argument("--n", type=int, default=500)
+    p = sub.add_parser("bench", help="strategy x size x missing-rate benchmark matrix")
+    p.add_argument("--n", type=int, nargs="+", default=[500])
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--jitter", type=float, default=2.5)
     p.add_argument("--tick", type=float, default=10.0)
     p.add_argument("--value-model", choices=("ar1", "sine", "walk"), default="ar1")
+    p.add_argument("--theta", type=float)
+    p.add_argument("--beta", type=int)
     p.add_argument("--rates", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4])
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -465,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"align": _cmd_align, "tune": _cmd_tune, "synth": _cmd_synth,
+    handlers = {"align": run, "tune": _cmd_tune, "synth": _cmd_synth,
                 "score": _cmd_score, "bench": _cmd_bench}
     try:
         return handlers[args.command](args)

@@ -186,11 +186,9 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     weights = _weights(rc, t, w)
     conflict = _conflict_masks(rc)
     check_delta = math.isfinite(cfg.delta)
-    rows = [tuple(r) for r in rc.slots.tolist()]
 
     best_w = 0.0
     best_sel: tuple[int, ...] = ()
-    best_key = ()
     empty_report = delta_report([], t)
     best_report = empty_report
 
@@ -199,7 +197,7 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
         suffix[i] = suffix[i + 1] + weights[i]
 
     def visit(selection: tuple[int, ...], total: float) -> None:
-        nonlocal best_w, best_sel, best_key, best_report
+        nonlocal best_w, best_sel, best_report
         if total < best_w:
             return
         report = None
@@ -207,9 +205,10 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
             report = delta_report(rc.slots[list(selection)], t)
             if report.delta > cfg.delta:
                 return
-        key = tuple(sorted(rows[i] for i in selection))
-        if total > best_w or key < best_key:
-            best_w, best_sel, best_key = total, selection, key
+        # a selection is ascending, and rc.slots is in lexicographic order, so
+        # comparing selections compares their sorted tuple lists
+        if total > best_w or selection < best_sel:
+            best_w, best_sel = total, selection
             best_report = report
 
     visit((), 0.0)
@@ -482,7 +481,6 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     k = len(rc)
     weights = _weights(rc, t, w)
     m = t.m
-    rows = [tuple(r) for r in rc.slots.tolist()]
     conflict = _conflict_masks(rc)
 
     def complete(state: int) -> int:
@@ -567,13 +565,14 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     fallback = None
     for state in finished:
         total, report, sel = evaluate(state)
-        key = tuple(sorted(rows[i] for i in sel))
+        # sel is ascending, and rc.slots is in lexicographic order, so comparing
+        # selections compares their sorted tuple lists
         if report.delta <= cfg.delta:
-            if best is None or total > best[0] or (total == best[0] and key < best[3]):
-                best = (total, report, sel, key)
+            if best is None or total > best[0] or (total == best[0] and sel < best[2]):
+                best = (total, report, sel)
         if fallback is None or report.delta < fallback[1].delta:
-            fallback = (total, report, sel, key)
-    total, report, sel, _ = fallback if best is None else best
+            fallback = (total, report, sel)
+    total, report, sel = fallback if best is None else best
     return _finish(sel, rc, t, weights, "setpacking", exhausted=best is None,
                    truncated=truncated, report=report)
 

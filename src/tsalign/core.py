@@ -227,8 +227,16 @@ def weight_terms(t: SeriesTable, slot_rows: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def combine_weights(p: np.ndarray, d: np.ndarray, w: WeightParams) -> np.ndarray:
-    """Tuple weights (k1*p + b) / (k2*d + c) from the terms of ``weight_terms``."""
-    return (w.k1 * p + w.b) / (w.k2 * d + w.c)
+    """Tuple weights (k1*p + b) / (k2*d + c) from the terms of ``weight_terms``.
+
+    Raises ConfigError when a weight overflows, as k1 = 1e308 or c = 1e-320
+    can make it, so no run goes on to write a non-finite weight.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (w.k1 * p + w.b) / (w.k2 * d + w.c)
+    if not np.isfinite(weights).all():
+        raise ConfigError("a tuple weight overflows under these k1, k2, b and c")
+    return weights
 
 
 def batch_weights(t: SeriesTable, slot_rows: np.ndarray, w: WeightParams) -> np.ndarray:

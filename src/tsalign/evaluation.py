@@ -178,28 +178,31 @@ def generate_synthetic(n: int, m: int, timestamp_jitter: float,
     return table, GroundTruth.same_row(table)
 
 
+BENCH_WEIGHTS = WeightParams(3, 2, 1, 1)
+
+
 def benchmark_alignment(n: int, m: int, jitter: float, rate: float, strategy: str,
                         seed: int, *, tick: float = 10.0, value_model: str = "ar1",
-                        theta_percentile: float = 100.0, beta_lower: int = 0,
-                        weights: WeightParams = WeightParams(3, 2, 1, 1),
-                        target: str = "values", delta: float = math.inf,
-                        max_retries: int = 16) -> dict:
-    """One synthetic benchmark run: generate, mask, tune theta/beta, compose, score."""
+                        theta: float | None = None, beta: int | None = None) -> dict:
+    """One synthetic benchmark run: generate, mask values, compose, score.
+
+    A window not given is tuned on the masked table, theta at the 100th
+    percentile.  The run composes under ``BENCH_WEIGHTS`` with no model
+    constraint; ``wall_time_ms`` covers candidate generation and the compose.
+    """
     complete, truth = generate_synthetic(n, m, jitter, value_model=value_model,
                                          seed=seed, tick=tick)
-    masked = inject_mcar(complete, rate, seed=seed + 1, target=target)
-    theta = tuning.determine_theta(masked, percentile=theta_percentile)
-    beta = tuning.determine_beta(masked, theta, beta_lower=beta_lower)
-    cfg = ConstraintConfig(theta=theta, beta=beta, delta=delta)
+    masked = inject_mcar(complete, rate, seed=seed + 1)
+    theta, beta = tuning.determine_windows(masked, theta, beta, percentile=100.0)
+    cfg = ConstraintConfig(theta=theta, beta=beta)
     start = time.perf_counter()
     rc = generate_candidates(masked, cfg)
-    alignment = composers.compose(strategy, rc, cfg, masked, weights, seed=seed,
-                                  max_retries=max_retries)
+    alignment = composers.compose(strategy, rc, cfg, masked, BENCH_WEIGHTS, seed=seed)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = score(alignment, truth)
     return {
         "strategy": strategy, "n": n, "m": m, "rate": rate, "seed": seed,
-        "theta": theta, "beta": beta,
+        "theta": None if math.isinf(theta) else theta, "beta": beta,
         "candidate_count": len(rc),
         "aligned_tuple_count": report.aligned_tuple_count,
         "total_weight": report.total_weight,

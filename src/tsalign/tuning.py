@@ -90,6 +90,21 @@ def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
     return _beta_from_gap_counts(counts, beta_lower)
 
 
+def determine_windows(t: SeriesTable, theta: float | None = None, beta: int | None = None,
+                      percentile: float = 95.0, beta_lower: int = 0) -> tuple[float, int]:
+    """The time and position windows of a run: each one given is kept, the other tuned.
+
+    A missing ``theta`` is the ``percentile`` of the same-row timestamp gaps
+    (``determine_theta``); a missing ``beta`` is tuned under that theta,
+    floored at ``beta_lower + 1`` (``determine_beta``).
+    """
+    if theta is None:
+        theta = determine_theta(t, percentile=percentile)
+    if beta is None:
+        beta = determine_beta(t, theta, beta_lower=beta_lower)
+    return theta, beta
+
+
 def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: str = "greedy",
                                 seed: int = 0, runs: int = 4) -> TuningReport:
     """Pick (k1, k2) minimizing the mean consistency score, and set delta to it.

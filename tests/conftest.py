@@ -1,15 +1,17 @@
 import csv
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
-from tsalign import SeriesTable, WeightParams
+from tsalign import SeriesTable, WeightParams, composers, tuning
+from tsalign.candidate import generate_candidates
 from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
 from tsalign.core import ConstraintConfig, phi_similarity, theta_similarity, weight
 from tsalign.errors import ConfigError, DataError, StructuralError
-from tsalign.evaluation import ScoreReport
+from tsalign.evaluation import ScoreReport, generate_synthetic, inject_mcar, score
 
 
 def random_table(rng: np.random.Generator, m: int, n: int,
@@ -407,6 +409,34 @@ def union_scorer(rc, weights):
         return (w[g] + bonus).tolist()
 
     return group_scores
+
+
+def benchmark_scan(n: int, m: int, jitter: float, rate: float, strategy: str,
+                   seed: int, *, tick: float = 10.0, value_model: str = "ar1") -> dict:
+    """Oracle for ``evaluation.benchmark_alignment`` with both windows tuned: the
+    stage sequence spelled out, theta at the 100th percentile and beta above 0."""
+    complete, truth = generate_synthetic(n, m, jitter, value_model=value_model,
+                                         seed=seed, tick=tick)
+    masked = inject_mcar(complete, rate, seed=seed + 1, target="values")
+    theta = tuning.determine_theta(masked, percentile=100.0)
+    beta = tuning.determine_beta(masked, theta, beta_lower=0)
+    cfg = ConstraintConfig(theta=theta, beta=beta, delta=math.inf)
+    start = time.perf_counter()
+    rc = generate_candidates(masked, cfg)
+    alignment = composers.compose(strategy, rc, cfg, masked, WeightParams(3, 2, 1, 1),
+                                  seed=seed, max_retries=16)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    report = score(alignment, truth)
+    return {
+        "strategy": strategy, "n": n, "m": m, "rate": rate, "seed": seed,
+        "theta": theta, "beta": beta,
+        "candidate_count": len(rc),
+        "aligned_tuple_count": report.aligned_tuple_count,
+        "total_weight": report.total_weight,
+        "delta_score": alignment.report.delta,
+        "precision": report.precision, "recall": report.recall, "f1": report.f1,
+        "wall_time_ms": elapsed_ms,
+    }
 
 
 def assert_same_alignment(a, b):

@@ -19,8 +19,9 @@ from tsalign import (
 from tsalign.cli import ingest, main, write_alignment_csv, write_table
 from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import generate_synthetic, inject_mcar
-from conftest import (assert_same_table, gappy_table, ingest_scan, write_alignment_scan,
-                      write_table_scan)
+from tsalign.tuning import determine_beta, determine_theta
+from conftest import (assert_same_table, benchmark_scan, gappy_table, ingest_scan,
+                      write_alignment_scan, write_table_scan)
 
 
 def write_csv(path, text):
@@ -415,6 +416,9 @@ class TestAlign:
         ["--theta", "3", "--beta", "1", "--c", "inf"],
         ["--theta", "3", "--beta", "1", "--b", "nan"],
         ["--tune-theta", "--tune-beta", "--tune-delta", "--k1", "inf"],
+        # finite, but the weights overflow to inf
+        ["--theta", "3", "--beta", "1", "--k1", "1e308", "--k2", "1e308"],
+        ["--theta", "3", "--beta", "1", "--c", "1e-320"],
     ])
     def test_non_finite_option_is_config_error_without_artifacts(self, tmp_path, flags):
         data = tmp_path / "data.csv"
@@ -511,6 +515,11 @@ class TestScoreCommand:
         assert main(["score", "--aligned", aligned, "--truth", str(truth)]) == 3
 
 
+def without_wall_time(rows):
+    return [{key: value for key, value in row.items() if key != "wall_time_ms"}
+            for row in rows]
+
+
 class TestBench:
     def test_small_matrix(self, tmp_path, capsys):
         report = tmp_path / "bench.json"
@@ -521,3 +530,57 @@ class TestBench:
         rows = json.loads(report.read_text())
         assert len(rows) == 2
         assert all(0 <= r["f1"] <= 1 for r in rows)
+
+    def test_rows_match_the_stage_sequence(self, tmp_path, capsys):
+        report = tmp_path / "bench.json"
+        assert main(["bench", "--n", "40", "60", "--m", "3", "--seeds", "2",
+                     "--rates", "0.1", "0.4", "--strategies", "greedy", "expect",
+                     "--report", str(report)]) == 0
+        expected = [benchmark_scan(n, 3, 2.5, rate, strategy, seed)
+                    for strategy in ("greedy", "expect") for n in (40, 60)
+                    for rate in (0.1, 0.4) for seed in range(2)]
+        assert without_wall_time(json.loads(report.read_text())) == without_wall_time(expected)
+
+    def test_given_windows_are_used(self, tmp_path, capsys):
+        report = tmp_path / "bench.json"
+        assert main(["bench", "--n", "60", "--m", "3", "--seeds", "2", "--rates", "0.2",
+                     "--theta", "7", "--beta", "1", "--report", str(report)]) == 0
+        rows = json.loads(report.read_text())
+        assert len(rows) == 4
+        assert all((row["theta"], row["beta"]) == (7.0, 1) for row in rows)
+
+    def test_summary_line_per_strategy_size_and_rate(self, capsys):
+        assert main(["bench", "--n", "40", "80", "--m", "2", "--seeds", "2",
+                     "--rates", "0.1", "0.3", "--strategies", "greedy", "expect"]) == 0
+        summary = [line.split() for line in capsys.readouterr().out.splitlines()
+                   if "median_ms=" in line]
+        assert [tuple(words[:3]) for words in summary] == [
+            (strategy, f"n={n}", f"rate={rate}") for strategy in ("greedy", "expect")
+            for n in (40, 80) for rate in ("0.10", "0.30")]
+        for words in summary:
+            growth = words[-1].startswith("x")
+            assert growth == (words[1] == "n=80")
+            if growth:
+                assert float(words[-1][1:]) > 0
+
+    def test_zero_seeds_is_config_error(self):
+        assert main(["bench", "--n", "40", "--seeds", "0"]) == 2
+
+
+class TestTune:
+    def test_report_matches_the_stage_sequence(self, small_files, tmp_path, capsys):
+        data, _ = small_files
+        report = tmp_path / "tuning.json"
+        assert main(["tune", "--input", str(data), "--percentile", "90", "--beta-lower", "1",
+                     "--k-max", "3", "--seed", "1", "--report", str(report)]) == 0
+        table = ingest(str(data))
+        theta = determine_theta(table, percentile=90)
+        beta = determine_beta(table, theta, beta_lower=1)
+        rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
+        tuned = determine_weights_and_delta(
+            rc, grid=[(k1, k2) for k1 in range(1, 4) for k2 in range(1, 4)],
+            strategy="greedy", seed=1)
+        assert json.loads(report.read_text()) == json.loads(json.dumps({
+            "theta": tuned.theta, "beta": tuned.beta, "delta": tuned.delta,
+            "k1": tuned.k1, "k2": tuned.k2, "b": tuned.b, "c": tuned.c,
+            "diagnostics": tuned.diagnostics}))

@@ -489,6 +489,19 @@ class TestComposeSetpacking:
         exact = compose_exact(rc, cfg, t, params)
         assert packed.total_weight == pytest.approx(exact.total_weight)
 
+    def test_equal_terminal_branches_break_to_lexicographically_smallest(self):
+        # the search ends in two packings of weight 8; the smaller sorted tuple list wins
+        t = SeriesTable.from_columns([
+            ([0.0, 10.0], [1.0, None]),
+            ([1.0, 11.0], [2.0, 3.0]),
+            ([2.0, 12.0], [None, 4.0]),
+        ])
+        rc, cfg = candidates_for(t, theta=100, beta=2)
+        params = WeightParams(k1=2, k2=0, b=1, c=1)
+        packed = compose_setpacking(rc, cfg, t, params)
+        assert packed.total_weight == 8.0
+        assert packed.slots.tolist() == [[0, 0, 1], [1, 1, 0]]
+
     def test_single_candidate(self, fig_params):
         t = SeriesTable.from_columns([([0.0], [1.0]), ([0.0], [1.0])])
         rc, cfg = candidates_for(t, theta=1, beta=0)
