@@ -8,6 +8,8 @@ The data path works on whole columns.  ``ingest`` reads the records with
 (m, n) array and checks finiteness and timestamp order on whole columns,
 reporting the first defect in file order.  ``write_alignment_csv`` gathers
 the cells of all tuples with one index and formats each column at once.
+Both writers then join each row's cells with commas and write the rows in
+blocks of ``WRITE_BLOCK_ROWS``, one ``write`` per block.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import statistics
 import sys
 import time
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +39,10 @@ EXIT_SIZE = 4
 EXIT_EXHAUSTED = 5
 
 STRATEGIES = tuple(composers.STRATEGIES)
+
+# rows joined per write: one joined string for the whole file would hold a
+# second copy of every cell in memory, and larger blocks write no faster
+WRITE_BLOCK_ROWS = 256
 
 
 def ingest(path: str) -> SeriesTable:
@@ -129,10 +136,7 @@ def write_table(table: SeriesTable, path: str) -> None:
     columns = []
     for k in range(table.m):
         columns += [_format_column(table.timestamps[k]), _format_column(table.values[k])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{p}_{k + 1}" for k in range(table.m) for p in ("t", "v")])
-        writer.writerows(zip(*columns))
+    _write_rows([f"{p}_{k + 1}" for k in range(table.m) for p in ("t", "v")], columns, path)
 
 
 def write_alignment_csv(alignment: Alignment, table: SeriesTable,
@@ -163,10 +167,23 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     columns += [_format_column(batch_weights(table, slots, params)),
                 _format_column(theta),
                 list(map(str, (slots.max(axis=1) - slots.min(axis=1)).tolist()))]
+    _write_rows(header + ["weight", "theta_sim", "phi_sim"], columns, path)
+
+
+def _write_rows(header: list[str], columns: list[list[str]], path: str) -> None:
+    """Write ``header`` and then the rows of ``columns`` as CSV lines ending in CRLF.
+
+    Each row is its cells joined by commas, and each block of
+    ``WRITE_BLOCK_ROWS`` rows is one ``write``.  The bytes are those of
+    ``csv.writer``: no cell holds a comma, a quote or a line break (cells are
+    ``repr`` of numbers or empty), and every row has at least two cells, so
+    no cell needs quoting.
+    """
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["weight", "theta_sim", "phi_sim"])
-        writer.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, WRITE_BLOCK_ROWS)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def _format_column(x: np.ndarray) -> list[str]:
@@ -211,6 +228,13 @@ def run(args) -> int:
     constraint = ConstraintConfig(theta=theta, beta=beta, delta=delta)
     alignment = composers.compose(args.strategy, rc, constraint, table, params,
                                   seed=args.seed, max_retries=args.max_retries)
+    scores = {}
+    truth_s = 0.0  # left out of wall_time_ms
+    if args.truth:
+        # scored before anything is written, so a bad truth leaves no artifact
+        truth_started = time.perf_counter()
+        scores = _truth_scores(args.truth, table, alignment)
+        truth_s = time.perf_counter() - truth_started
     write_alignment_csv(alignment, table, params, args.out)
 
     metrics = {
@@ -230,17 +254,28 @@ def run(args) -> int:
         "diagnostics": {"tie_breaks": alignment.tie_breaks,
                         "truncated": alignment.truncated,
                         **_model_flags(alignment.report),
-                        "segments": len(rc.segment_bounds) - 1, **diagnostics},
-        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
+                        "segments": len(rc.segment_bounds) - 1, **diagnostics,
+                        "attempt_deltas": list(alignment.attempt_deltas)},
+        "wall_time_ms": (time.perf_counter() - started - truth_s) * 1000.0,
+        **scores,
     }
-    if args.truth:
-        truth = evaluation.GroundTruth.same_row(ingest(args.truth))
-        sr = evaluation.score(alignment, truth)
-        metrics["precision"] = sr.precision
-        metrics["recall"] = sr.recall
-        metrics["f1"] = sr.f1
     _write_json(metrics, args.report)
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
+
+
+def _truth_scores(path: str, table: SeriesTable, alignment: Alignment) -> dict:
+    """Precision, recall and F1 of ``alignment`` against the truth CSV at ``path``.
+
+    The truth must have the input's series and rows.  It is dropped on
+    return, so it does not add to the memory of the writing that follows.
+    """
+    truth = evaluation.GroundTruth.same_row(ingest(path))
+    if (truth.table.m, truth.table.n) != (table.m, table.n):
+        raise StructuralError(
+            f"{path}: truth has {truth.table.m} series of {truth.table.n} rows, "
+            f"input has {table.m} series of {table.n} rows")
+    sr = evaluation.score(alignment, truth)
+    return {"precision": sr.precision, "recall": sr.recall, "f1": sr.f1}
 
 
 def _model_flags(report) -> dict:
@@ -333,7 +368,11 @@ def _cmd_score(args) -> int:
 
 
 def _read_alignment_csv(path: str, m: int) -> tuple[list[list[int]], float]:
-    """The 0-based slot vectors of an aligned CSV, one per row, and its weight sum."""
+    """The 0-based slot vectors of an aligned CSV, one per row, and its weight sum.
+
+    A weight that is not finite, or one that takes the sum past the largest
+    float, is a DataError naming its line.
+    """
     slots = []
     total = 0.0
     try:
@@ -354,6 +393,10 @@ def _read_alignment_csv(path: str, m: int) -> tuple[list[list[int]], float]:
                     total += float(row[3 * m])
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed alignment row") from None
+            if not math.isfinite(total):
+                # a nan or inf weight, or a sum past the largest float
+                raise DataError(f"{path}:{lineno}: weight {row[3 * m]!r} makes the "
+                                "weight sum non-finite")
     return slots, total
 
 

@@ -95,7 +95,9 @@ class Alignment:
     ``tie_breaks`` counts the seeded random tie-breaks drawn by the group pass
     that selected it; 0 means any seed would have selected the same.
     ``segment_walks`` counts the conflict segments that pass walked rather
-    than read from the set's memo of greedy walks.
+    than read from the set's memo of greedy walks.  ``attempt_deltas`` holds
+    the delta score of each attempt of a retrying composer, in attempt
+    order; the unseeded composers make no attempts and leave it empty.
     """
 
     slots: np.ndarray
@@ -107,6 +109,7 @@ class Alignment:
     truncated: bool = False
     tie_breaks: int = 0
     segment_walks: int = 0
+    attempt_deltas: tuple[float, ...] = ()
 
     def __post_init__(self):
         slots = np.array(self.slots, dtype=np.int32)
@@ -159,7 +162,8 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
 
 
 def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
-            truncated=False, report=None, tie_breaks=0, segment_walks=0) -> Alignment:
+            truncated=False, report=None, tie_breaks=0, segment_walks=0,
+            attempt_deltas=()) -> Alignment:
     # rc.slots is in lexicographic order, so sorted indices give sorted rows
     indices = sorted(indices)
     chosen = rc.slots[indices]
@@ -169,7 +173,7 @@ def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
     total = float(sum(map(weights.__getitem__, indices)))
     return Alignment(chosen, total, report, strategy, retries_used=retries_used,
                      exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks,
-                     segment_walks=segment_walks)
+                     segment_walks=segment_walks, attempt_deltas=attempt_deltas)
 
 
 def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
@@ -380,17 +384,20 @@ def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
     group_scores = scorer_factory(rc, weights) if scorer_factory is not None else None
     attempts = max(1, max_retries)
     best = None
+    deltas = ()
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
         chosen, draws, walked = _group_pass(rc, weights, rng, group_scores)
         report = _report(rc, t, chosen)
+        deltas += (report.delta,)
         alignment = _finish(chosen, rc, t, weights, strategy, retries_used=attempt,
-                            report=report, tie_breaks=draws, segment_walks=walked)
+                            report=report, tie_breaks=draws, segment_walks=walked,
+                            attempt_deltas=deltas)
         if report.delta <= cfg.delta:
             return alignment
         if best is None or report.delta < best.report.delta:
             best = alignment
-    return replace(best, retries_used=attempts - 1, exhausted=True)
+    return replace(best, retries_used=attempts - 1, exhausted=True, attempt_deltas=deltas)
 
 
 def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,

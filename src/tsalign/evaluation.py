@@ -11,8 +11,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -22,41 +20,35 @@ from .composers import Alignment
 from .core import ConstraintConfig, SeriesTable, WeightParams
 from .errors import ConfigError, StructuralError
 
-Cell = tuple[int, int]  # (series, row)
-
 
 @dataclass(frozen=True)
 class GroundTruth:
     """The complete table plus which cells are genuinely simultaneous.
 
-    Each group lists the (series, row) cells recorded at the same semantic
-    time; every non-missing cell of the complete table belongs to exactly
-    one group.
+    ``cell_groups`` is the read-only group id of every cell at index
+    series * n + row, -1 for a cell in no group.  The cells recorded at the
+    same semantic time share one id; every non-missing cell of the complete
+    table belongs to exactly one group.
     """
 
     table: SeriesTable
-    groups: tuple[tuple[Cell, ...], ...]
+    cell_groups: np.ndarray
 
-    @cached_property
-    def cell_groups(self) -> np.ndarray:
-        """Group id of every cell at index series * n + row, -1 for a cell in no group."""
-        n = self.table.n
-        sizes = np.fromiter(map(len, self.groups), np.intp, len(self.groups))
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.groups)), np.intp,
-                           2 * int(sizes.sum()))
-        ids = np.full(self.table.m * n, -1, dtype=np.intp)
-        ids[flat[0::2] * n + flat[1::2]] = np.repeat(np.arange(sizes.size), sizes)
-        return ids
+    def __post_init__(self):
+        ids = np.array(self.cell_groups, dtype=np.intp)
+        ids.setflags(write=False)
+        object.__setattr__(self, "cell_groups", ids)
 
     @classmethod
     def same_row(cls, table: SeriesTable) -> "GroundTruth":
-        """Truth where row i of every series is simultaneous (synthetic convention)."""
+        """Truth where row i of every series is simultaneous (synthetic convention).
+
+        The rows with some present cell are numbered 0, 1, ... in row order,
+        by one cumsum over the presence mask; a missing cell gets -1.
+        """
         present = table.timestamp_mask | table.value_mask
-        rows, series = np.nonzero(present.T)
-        cells = list(zip(series.tolist(), rows.tolist()))
-        ends = np.cumsum(np.count_nonzero(present, axis=0)).tolist()
-        starts = [0, *ends[:-1]]
-        return cls(table, tuple(tuple(cells[a:b]) for a, b in zip(starts, ends) if b > a))
+        row_ids = np.cumsum(present.any(axis=0)) - 1
+        return cls(table, np.where(present, row_ids, -1).ravel())
 
 
 @dataclass(frozen=True)
@@ -140,6 +132,8 @@ def generate_synthetic(n: int, m: int, timestamp_jitter: float,
     """
     if n < 2 or m < 2:
         raise ConfigError("need n >= 2 and m >= 2")
+    if not (math.isfinite(timestamp_jitter) and math.isfinite(tick)):
+        raise ConfigError("jitter and tick must be finite")
     if timestamp_jitter < 0:
         raise ConfigError("jitter must be non-negative")
     if timestamp_jitter >= tick / 2:

@@ -139,10 +139,22 @@ def write_alignment_scan(alignment, table, params, path) -> None:
             writer.writerow(row)
 
 
+def same_row_groups_scan(table) -> tuple:
+    """Oracle for ``GroundTruth.same_row``: one group per row with a present cell,
+    holding that row's present (series, row) cells in series order."""
+    groups = []
+    for i in range(table.n):
+        group = tuple((k, i) for k in range(table.m)
+                      if table.timestamp_mask[k, i] or table.value_mask[k, i])
+        if group:
+            groups.append(group)
+    return tuple(groups)
+
+
 def truth_pair_set(truth) -> set:
     """Every unordered pair of cells that share a truth group, as frozensets."""
     pairs = set()
-    for group in truth.groups:
+    for group in same_row_groups_scan(truth.table):
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
                 pairs.add(frozenset((group[a], group[b])))

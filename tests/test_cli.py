@@ -16,12 +16,16 @@ from tsalign import (
     determine_weights_and_delta,
     generate_candidates,
 )
-from tsalign.cli import ingest, main, write_alignment_csv, write_table
+from tsalign.cli import WRITE_BLOCK_ROWS, ingest, main, write_alignment_csv, write_table
 from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import generate_synthetic, inject_mcar
 from tsalign.tuning import determine_beta, determine_theta
 from conftest import (assert_same_table, benchmark_scan, gappy_table, ingest_scan,
                       write_alignment_scan, write_table_scan)
+
+# row counts around the writers' block boundaries
+BLOCK_EDGES = (0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1,
+               2 * WRITE_BLOCK_ROWS + 1)
 
 
 def write_csv(path, text):
@@ -219,6 +223,14 @@ class TestWriteAlignmentMatchesScan:
         out = self.assert_same_file(tmp_path, make_alignment([]), staggered_table, fig_params)
         assert out.read_bytes() == b"idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\r\n"
 
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    def test_rows_across_block_boundaries(self, tmp_path, fig_params, rows):
+        rng = np.random.default_rng(rows)
+        table = gappy_table(rng, 3, 40)
+        tuples = [AlignedTuple(tuple(rng.integers(0, 40, size=3))) for _ in range(rows)]
+        out = self.assert_same_file(tmp_path, make_alignment(tuples), table, fig_params)
+        assert out.read_bytes().count(b"\r\n") == rows + 1
+
 
 class TestWriteTableMatchesScan:
     """The column-wise table writer against the cell-by-cell writer it replaced."""
@@ -243,6 +255,11 @@ class TestWriteTableMatchesScan:
         out = self.assert_same_file(tmp_path, table)
         assert out.read_text().splitlines()[1:] == ["-0.0,,0.0,-1.5", ",-0.0,1e-310,",
                                                     "2.5,1e+308,,0.1"]
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    def test_rows_across_block_boundaries(self, tmp_path, rows):
+        out = self.assert_same_file(tmp_path, gappy_table(np.random.default_rng(rows), 3, rows))
+        assert out.read_bytes().count(b"\r\n") == rows + 1
 
 
 class TestAlign:
@@ -302,6 +319,39 @@ class TestAlign:
                     + (["--out", str(tmp_path / "aligned.csv")] if argv[0] == "align" else []))
         assert code == 3
         assert not report.exists()
+
+    @pytest.mark.parametrize("truth_shape", [None, (2, 20), (2, 60), (3, 30)])
+    def test_bad_truth_is_data_error_without_artifacts(self, tmp_path, truth_shape):
+        # no truth file, or a truth whose series or rows differ from the input's
+        table, _ = generate_synthetic(30, 2, 1.0, seed=25)
+        data, truth = tmp_path / "data.csv", tmp_path / "truth.csv"
+        write_table(table, str(data))
+        if truth_shape is not None:
+            m, n = truth_shape
+            write_table(generate_synthetic(n, m, 1.0, seed=25)[0], str(truth))
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        code = main(["align", "--input", str(data), "--strategy", "greedy",
+                     "--theta", "3", "--beta", "1", "--truth", str(truth),
+                     "--out", str(out), "--report", str(report)])
+        assert code == 3
+        assert not out.exists() and not report.exists()
+
+    def test_report_lists_the_delta_of_each_attempt(self, small_files, tmp_path):
+        data, _ = small_files
+        report = tmp_path / "report.json"
+        code = main(["align", "--input", str(data), "--strategy", "greedy", "--seed", "4",
+                     "--theta", "3", "--beta", "1", "--delta", "1e-15", "--max-retries", "3",
+                     "--out", str(tmp_path / "a.csv"), "--report", str(report)])
+        metrics = json.loads(report.read_text())
+        # attempt i is one compose with seed 4 + i
+        table = ingest(str(data))
+        cfg = ConstraintConfig(theta=3, beta=1, delta=1e-15)
+        rc = generate_candidates(table, cfg)
+        expected = [compose_greedy(rc, cfg, table, WeightParams(k1=1, k2=1),
+                                   seed=4 + i, max_retries=1).report.delta for i in range(3)]
+        assert code == 5 and metrics["retries_used"] == 2
+        assert metrics["diagnostics"]["attempt_deltas"] == expected
+        assert metrics["delta_score"] == min(expected)
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["align", "--input", str(tmp_path / "nope.csv"),
@@ -381,7 +431,8 @@ class TestAlign:
                 "degenerate_series": [j + 1 for j in fit.degenerate_series],
                 "all_missing": fit.all_missing,
                 "fallback_series": [j + 1 for j in fit.fallback_series],
-                "full_fallback": fit.full_fallback, "segments": segments, **counts}
+                "full_fallback": fit.full_fallback, "segments": segments, **counts,
+                "attempt_deltas": list(alignment.attempt_deltas)}
             tie_breaks.append(alignment.tie_breaks)
         assert any(tie_breaks)
         tuning = tmp_path / "tuning.json"
@@ -478,6 +529,19 @@ class TestSynth:
         assert not np.isnan(complete.values).any()
 
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--jitter", "nan"],
+        ["synth", "--jitter", "inf"],
+        ["synth", "--tick", "nan"],
+        ["bench", "--n", "40", "--seeds", "1", "--jitter", "nan"],
+    ])
+    def test_non_finite_jitter_or_tick_is_config_error_without_file(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        code = main([*argv, "--out" if argv[0] == "synth" else "--report", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+
 class TestScoreCommand:
     def test_score_round_trip(self, small_files, tmp_path, capsys):
         data, truth = small_files
@@ -513,6 +577,19 @@ class TestScoreCommand:
                             "idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\n"
                             "1,0.0,1.0,999,0.0,1.0,1.0,0.0,998\n")
         assert main(["score", "--aligned", aligned, "--truth", str(truth)]) == 3
+
+    @pytest.mark.parametrize("weights", [["nan"], ["inf"], ["1e308", "1e308"]])
+    def test_non_finite_weight_sum_is_data_error_without_report(self, small_files, tmp_path,
+                                                                 weights):
+        _, truth = small_files
+        aligned = write_csv(tmp_path / "aligned.csv",
+                            "idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\n" + "".join(
+                                f"{i},0.0,1.0,{i},0.0,1.0,{w},0.0,0\n"
+                                for i, w in enumerate(weights, start=1)))
+        report = tmp_path / "score.json"
+        assert main(["score", "--aligned", aligned, "--truth", str(truth),
+                     "--report", str(report)]) == 3
+        assert not report.exists()
 
 
 def without_wall_time(rows):

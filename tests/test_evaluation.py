@@ -15,7 +15,7 @@ from tsalign import (
     score,
 )
 from tsalign.consistency import ConsistencyReport
-from conftest import gappy_table, score_scan, truth_pair_set
+from conftest import gappy_table, same_row_groups_scan, score_scan, truth_pair_set
 
 
 def make_alignment(tuples, total_weight=0.0, delta=0.0):
@@ -127,9 +127,23 @@ class TestScoreMatchesScan:
         table = SeriesTable(np.array([[0.0, np.nan, 2.0], [0.0, np.nan, np.nan]]),
                             np.array([[1.0, np.nan, np.nan], [np.nan, np.nan, 1.0]]))
         truth = GroundTruth.same_row(table)
-        assert truth.groups == (((0, 0), (1, 0)), ((0, 2), (1, 2)))
+        assert same_row_groups_scan(table) == (((0, 0), (1, 0)), ((0, 2), (1, 2)))
         assert truth.cell_groups.tolist() == [0, -1, 1, 0, -1, 1]
         assert len(truth_pair_set(truth)) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 20))
+    def test_group_ids_match_the_group_scan(self, seed, m, n):
+        # gappy tables hold an all-missing row and a series with no
+        # timestamps or no values (at n = 1 every cell is missing)
+        table = gappy_table(np.random.default_rng(seed), m, n)
+        ids = np.full(m * n, -1)
+        for gid, group in enumerate(same_row_groups_scan(table)):
+            for series, row in group:
+                ids[series * n + row] = gid
+        cell_groups = GroundTruth.same_row(table).cell_groups
+        assert cell_groups.tolist() == ids.tolist()
+        assert not cell_groups.flags.writeable
 
 
 class TestInjectMcar:
@@ -214,8 +228,9 @@ class TestGenerateSynthetic:
 
     def test_truth_covers_every_cell_once(self):
         table, truth = generate_synthetic(12, 3, 1.0, seed=17)
-        seen = [cell for group in truth.groups for cell in group]
+        seen = [cell for group in same_row_groups_scan(truth.table) for cell in group]
         assert len(seen) == len(set(seen)) == table.m * table.n
+        assert np.bincount(truth.cell_groups).tolist() == [table.m] * table.n
 
     @pytest.mark.parametrize("model", ["ar1", "sine", "walk"])
     def test_value_models(self, model):
@@ -227,3 +242,10 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 2, 1.0, value_model="brown", seed=0)
         with pytest.raises(ConfigError):
             generate_synthetic(1, 2, 1.0, seed=0)
+
+    @pytest.mark.parametrize("jitter, tick", [(float("nan"), 10.0), (float("inf"), 10.0),
+                                              (1.0, float("nan")), (1.0, float("inf")),
+                                              (1.0, float("-inf"))])
+    def test_rejects_non_finite_jitter_and_tick(self, jitter, tick):
+        with pytest.raises(ConfigError, match="finite"):
+            generate_synthetic(10, 2, jitter, seed=0, tick=tick)
