@@ -202,7 +202,8 @@ class CandidateSet:
 
     @cached_property
     def walks(self) -> dict:
-        """Chosen indices of the greedy segment walks that drew no tie-break.
+        """Chosen indices, multi-member group count and largest group of the
+        greedy segment walks that drew no tie-break.
 
         Keyed by (segment index, dense ranks of the segment's weights within
         the segment, as int32 bytes); see ``composers._group_pass``.

@@ -255,6 +255,7 @@ def run(args) -> int:
                         "truncated": alignment.truncated,
                         **_model_flags(alignment.report),
                         "segments": len(rc.segment_bounds) - 1, **diagnostics,
+                        **_group_counts(args.strategy, alignment),
                         "attempt_deltas": list(alignment.attempt_deltas)},
         "wall_time_ms": (time.perf_counter() - started - truth_s) * 1000.0,
         **scores,
@@ -276,6 +277,14 @@ def _truth_scores(path: str, table: SeriesTable, alignment: Alignment) -> dict:
             f"input has {table.m} series of {table.n} rows")
     sr = evaluation.score(alignment, truth)
     return {"precision": sr.precision, "recall": sr.recall, "f1": sr.f1}
+
+
+def _group_counts(strategy: str, alignment: Alignment) -> dict:
+    """The group counts of the final pass, for the strategies that run one."""
+    if strategy not in ("greedy", "expect"):
+        return {}
+    return {"multi_member_groups": alignment.multi_member_groups,
+            "largest_group": alignment.largest_group}
 
 
 def _model_flags(report) -> dict:
@@ -356,8 +365,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_score(args) -> int:
     truth = evaluation.GroundTruth.same_row(ingest(args.truth))
-    slots, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
+    lines, slots, cells, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
     precision, recall, f1 = evaluation.pair_accuracy(slots, truth)
+    _check_cells(args.aligned, lines, slots, cells, truth.table)
     payload = {
         "precision": precision, "recall": recall, "f1": f1,
         "aligned_tuple_count": len(slots),
@@ -367,13 +377,18 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _read_alignment_csv(path: str, m: int) -> tuple[list[list[int]], float]:
-    """The 0-based slot vectors of an aligned CSV, one per row, and its weight sum.
+def _read_alignment_csv(path: str, m: int
+                        ) -> tuple[list[int], list[list[int]], list[list[float]], float]:
+    """The line numbers, 0-based slot vectors and t/v cells of an aligned CSV's
+    rows, and its weight sum.
 
+    A row's cells are t_1, v_1, ..., t_m, v_m, NaN where the cell is empty.
     A weight that is not finite, or one that takes the sum past the largest
     float, is a DataError naming its line.
     """
+    lines = []
     slots = []
+    cells = []
     total = 0.0
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -389,15 +404,41 @@ def _read_alignment_csv(path: str, m: int) -> tuple[list[list[int]], float]:
                 continue
             try:
                 slots.append([int(row[3 * k]) - 1 for k in range(m)])
+                cells.append([float(row[3 * k + j]) if row[3 * k + j] else math.nan
+                              for k in range(m) for j in (1, 2)])
                 if row[3 * m]:
                     total += float(row[3 * m])
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed alignment row") from None
+            lines.append(lineno)
             if not math.isfinite(total):
                 # a nan or inf weight, or a sum past the largest float
                 raise DataError(f"{path}:{lineno}: weight {row[3 * m]!r} makes the "
                                 "weight sum non-finite")
-    return slots, total
+    return lines, slots, cells, total
+
+
+def _check_cells(path: str, lines: list[int], slots: list[list[int]],
+                 cells: list[list[float]], table: SeriesTable) -> None:
+    """DataError naming the first line with a present t/v cell that differs
+    from the truth table's cell at that row's slot.
+
+    The slots must lie inside the table, as ``evaluation.pair_accuracy`` checks.
+    """
+    m = table.m
+    index = np.asarray(slots, dtype=np.intp).reshape(-1, m)
+    got = np.asarray(cells, dtype=float).reshape(-1, m, 2)
+    series = np.arange(m)
+    want = np.stack([table.timestamps[series, index], table.values[series, index]], axis=2)
+    bad = ~np.isnan(got) & (got != want)
+    rows = np.flatnonzero(bad.any(axis=(1, 2)))
+    if rows.size:
+        r = int(rows[0])
+        k, j = divmod(int(np.flatnonzero(bad[r])[0]), 2)
+        name = f"{'tv'[j]}_{k + 1}"
+        raise DataError(f"{path}:{lines[r]}: {name} {float(got[r, k, j])!r} differs from "
+                        f"the truth's {float(want[r, k, j])!r} at row {index[r, k] + 1}; "
+                        "is the truth that of the aligned input?")
 
 
 def _cmd_bench(args) -> int:

@@ -11,11 +11,14 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
   mutually conflicting candidates.
 * ``compose_expectation`` does the same but credits each group member with
   the weight of later compatible candidates it would keep available.  Every
-  candidate that can conflict with a group lies in one contiguous index
-  range, the window W of candidates whose first-series row is within twice
-  the set's largest slot spread of the group's rows, so a group of |G|
-  members costs O(|G| * |W| * m): one equality test of the members against
-  the window.  The window state is cached on the ``CandidateSet``.
+  later candidate that can conflict with a group lies in one contiguous
+  index range, the window W from ``group[0] + 1`` to the last candidate whose
+  first-series row is at most twice the set's largest slot spread past the
+  last member's.  A group with |G| * |W| up to ``PYTHON_SCORE_LIMIT`` is
+  scored in plain Python, O(|W| * (m + |G|)) over the window's visited
+  candidates; a larger one costs O(|G| * |W| * m) in numpy, one equality
+  test of the members against the window.  The window state is cached on
+  the ``CandidateSet``.
 
 ``STRATEGIES`` maps the strategy names to these functions and ``compose``
 dispatches through it.
@@ -59,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -75,6 +79,10 @@ from .errors import ConfigError, SizeError
 EXACT_GUARD = 24
 BRANCH_CAP = 64
 DEFAULT_MAX_RETRIES = 16
+# expect scores a group with |G| * |W| up to this in Python, a larger one with
+# numpy: the two paths' per-group times cross between 80 and 112 on the groups
+# of dense and sparse inputs alike
+PYTHON_SCORE_LIMIT = 96
 
 # strategy name -> (composer function name in this module, takes seed and max_retries)
 STRATEGIES = {
@@ -95,7 +103,10 @@ class Alignment:
     ``tie_breaks`` counts the seeded random tie-breaks drawn by the group pass
     that selected it; 0 means any seed would have selected the same.
     ``segment_walks`` counts the conflict segments that pass walked rather
-    than read from the set's memo of greedy walks.  ``attempt_deltas`` holds
+    than read from the set's memo of greedy walks.  ``multi_member_groups``
+    counts the groups of two or more members that pass emitted and
+    ``largest_group`` is the size of its largest group: 1 when every group
+    was a singleton, 0 when it chose nothing.  ``attempt_deltas`` holds
     the delta score of each attempt of a retrying composer, in attempt
     order; the unseeded composers make no attempts and leave it empty.
     """
@@ -109,6 +120,8 @@ class Alignment:
     truncated: bool = False
     tie_breaks: int = 0
     segment_walks: int = 0
+    multi_member_groups: int = 0
+    largest_group: int = 0
     attempt_deltas: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -163,7 +176,7 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
 
 def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
             truncated=False, report=None, tie_breaks=0, segment_walks=0,
-            attempt_deltas=()) -> Alignment:
+            groups=(0, 0), attempt_deltas=()) -> Alignment:
     # rc.slots is in lexicographic order, so sorted indices give sorted rows
     indices = sorted(indices)
     chosen = rc.slots[indices]
@@ -173,7 +186,8 @@ def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
     total = float(sum(map(weights.__getitem__, indices)))
     return Alignment(chosen, total, report, strategy, retries_used=retries_used,
                      exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks,
-                     segment_walks=segment_walks, attempt_deltas=attempt_deltas)
+                     segment_walks=segment_walks, multi_member_groups=groups[0],
+                     largest_group=groups[1], attempt_deltas=attempt_deltas)
 
 
 def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
@@ -251,9 +265,10 @@ def _segment_ranks(rc: CandidateSet, weights: list[float]) -> bytes:
 
 
 def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
-                group_scores=None) -> tuple[list[int], int, int]:
-    """One grouped selection scan; returns the chosen indices, the RNG draws and
-    the segments walked.
+                group_scores=None) -> tuple[list[int], int, int, tuple[int, int]]:
+    """One grouped selection scan; returns the chosen indices, the RNG draws,
+    the segments walked, and the number of groups of two or more members with
+    the size of the largest group (1 if all were singletons, 0 if none).
 
     A group grows while every new candidate conflicts with all current
     members; when that breaks, the argmax (by ``group_scores(group)``, one
@@ -279,16 +294,18 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     are read only through ``max`` and ``==`` among one group's members, all
     inside one segment, so the dense rank of the segment's weights within
     the segment decides its walk.  A walk that drew no tie-break is stored
-    in ``rc.walks`` under (segment index, those ranks), and a later pass
-    with the same key takes its choices without walking; a walk that drew
+    in ``rc.walks`` under (segment index, those ranks), with its count of
+    multi-member groups and its largest group, and a later pass with the same
+    key takes its choices and counts without walking; a walk that drew
     is never stored, so every pass makes the same draws in the same order
     and leaves the RNG as the unsegmented scan would.  ``group_scores`` adds
     weights into its scores, so with it every segment is walked.
     """
     isolated, visit, visit_cells, bounds = rc.pass_lists
     chosen = isolated[:]
+    multi, largest = 0, min(len(chosen), 1)
     if not visit:
-        return chosen, 0, 0
+        return chosen, 0, 0, (multi, largest)
     m, n = rc.table.m, rc.table.n
     used = bytearray(m * n)
     member_bits = [0] * (m * n)
@@ -299,9 +316,11 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     ranks = _segment_ranks(rc, weights) if memo is not None else b""
 
     def emit() -> None:
-        nonlocal draws
+        nonlocal draws, multi, segment_largest
         at = 0
+        segment_largest = max(segment_largest, len(group))
         if len(group) > 1:
+            multi += 1
             scores = [weights[g] for g in group] if group_scores is None else group_scores(group)
             top = max(scores)
             tied = [j for j, s in enumerate(scores) if s == top]
@@ -325,9 +344,12 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
             walk_key = (segment, ranks[4 * lo:4 * hi])
             hit = memo.get(walk_key)
             if hit is not None:
-                chosen += hit
+                picks, groups, most = hit
+                chosen += picks
+                multi += groups
+                largest = max(largest, most)
                 continue
-        start, drawn = len(chosen), draws
+        start, drawn, grouped, segment_largest = len(chosen), draws, multi, 0
         walked += 1
         for i, mine in zip(visit[lo:hi], visit_cells[lo:hi]):
             if group and i != prev + 1:
@@ -350,9 +372,10 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
             group_cells.append(mine)
         if group:
             emit()
+        largest = max(largest, segment_largest)
         if memo is not None and draws == drawn:
-            memo[walk_key] = tuple(chosen[start:])
-    return chosen, draws, walked
+            memo[walk_key] = (tuple(chosen[start:]), multi - grouped, segment_largest)
+    return chosen, draws, walked, (multi, largest)
 
 
 def pass_key(strategy: str, rc: CandidateSet, w: WeightParams) -> Optional[bytes]:
@@ -387,12 +410,12 @@ def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
     deltas = ()
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
-        chosen, draws, walked = _group_pass(rc, weights, rng, group_scores)
+        chosen, draws, walked, groups = _group_pass(rc, weights, rng, group_scores)
         report = _report(rc, t, chosen)
         deltas += (report.delta,)
         alignment = _finish(chosen, rc, t, weights, strategy, retries_used=attempt,
                             report=report, tie_breaks=draws, segment_walks=walked,
-                            attempt_deltas=deltas)
+                            groups=groups, attempt_deltas=deltas)
         if report.delta <= cfg.delta:
             return alignment
         if best is None or report.delta < best.report.delta:
@@ -428,30 +451,58 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     with a member, both first slots lie within s of r, for s the set's
     largest slot spread, so they lie within 2s of each other.  The slots
     are in lexicographic order with the first series as the major key, so
-    every such i lies in the window W of candidates whose first slot is in
-    [first slot of group[0] - 2s, first slot of group[-1] + 2s], one
-    contiguous index range.  One (m, |G|, |W|) equality test on the
-    column-major slots, reduced over the series axis, tells which members
-    share a cell with which window candidates.  The row-wise ``cumsum`` adds
-    the kept weights one at a time in ascending i; every other entry adds
-    0.0, which is exact, so the scores equal a forward scan's bit for bit.
-    ``np.sum`` adds pairwise and could move a tie.
+    every such i after group[0] lies in the window W of candidates from
+    group[0] + 1 up to the last whose first slot is at most the first slot
+    of group[-1] plus 2s, one contiguous index range.
+
+    A group with |G| * |W| at most ``PYTHON_SCORE_LIMIT`` is scored in plain
+    Python: a dict from cell key to the bitmask of the members using it,
+    then one walk over the visited candidates of W, found by bisecting
+    ``rc.visited``; isolated candidates share no cell and add nothing.  A
+    larger group takes one (m, |G|, |W|) equality test on the column-major
+    slots, reduced over the series axis, which tells which members share a
+    cell with which window candidates, and its row-wise ``cumsum``.  Both
+    add the kept weights one at a time in ascending i, the cumsum's other
+    entries adding 0.0, which is exact, so both paths equal a forward scan
+    bit for bit.  ``np.sum`` adds pairwise, and from Python 3.12 the builtin
+    ``sum`` of floats is compensated; either could move a tie.
     """
     w = np.asarray(weights, dtype=float)
     columns = rc.slot_columns
     first = columns[0]
-    starts = rc.row_starts
+    starts = rc.row_starts.tolist()
     reach = 2 * rc.slot_spread
     n = rc.table.n
+    _, visit, visit_cells, _ = rc.pass_lists
 
     def group_scores(group: list[int]) -> list[float]:
-        g = np.asarray(group, dtype=np.intp)
-        lo = starts[max(int(first[group[0]]) - reach, 0)]
+        lo = group[0] + 1
         hi = starts[min(int(first[group[-1]]) + reach + 1, n)]
-        shares = (columns[:, g, None] == columns[:, None, lo:hi]).any(axis=0)
-        keep = shares.any(axis=0) & ~shares & (np.arange(lo, hi) > g[:, None])
-        bonus = np.where(keep, w[lo:hi], 0.0).cumsum(axis=1)[:, -1]
-        return (w[g] + bonus).tolist()
+        if len(group) * (hi - lo) > PYTHON_SCORE_LIMIT:
+            g = np.asarray(group, dtype=np.intp)
+            shares = (columns[:, g, None] == columns[:, None, lo:hi]).any(axis=0)
+            keep = shares.any(axis=0) & ~shares & (np.arange(lo, hi) > g[:, None])
+            bonus = np.where(keep, w[lo:hi], 0.0).cumsum(axis=1)[:, -1]
+            return (w[g] + bonus).tolist()
+        owner: dict[int, int] = {}
+        at = p = bisect_left(visit, group[0])
+        for j, g in enumerate(group):
+            p = bisect_left(visit, g, p)
+            for key in visit_cells[p]:
+                owner[key] = owner.get(key, 0) | 1 << j
+        bonus = [0.0] * len(group)
+        for p in range(at + 1, bisect_left(visit, hi, p)):
+            shared = 0
+            for key in visit_cells[p]:
+                shared |= owner.get(key, 0)
+            if shared:
+                i = visit[p]
+                for j, g in enumerate(group):
+                    if g >= i:
+                        break
+                    if not shared >> j & 1:
+                        bonus[j] += weights[i]
+        return [weights[g] + b for g, b in zip(group, bonus)]
 
     return group_scores
 
@@ -467,9 +518,10 @@ def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     can conflict with the group lie in one contiguous window of first-series
     rows (see ``_expectation_scorer``), so scoring a group of |G| members
     costs O(|G| * |W| * m) for the |W| candidates in that window instead of
-    a forward scan per member; singleton groups are not scored at all.  The
-    bonus is summed in ascending candidate order, one addition at a time, so
-    it is bit-identical to that scan and the seeded tie-breaks agree with it.
+    a forward scan per member, in plain Python for small groups; singleton
+    groups are not scored at all.  The bonus is summed in ascending candidate
+    order, one addition at a time, so it is bit-identical to that scan and
+    the seeded tie-breaks agree with it.
     """
     return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation",
                           _expectation_scorer)

@@ -136,6 +136,8 @@ def generate_synthetic(n: int, m: int, timestamp_jitter: float,
         raise ConfigError("jitter and tick must be finite")
     if timestamp_jitter < 0:
         raise ConfigError("jitter must be non-negative")
+    if tick <= 0:
+        raise ConfigError("tick must be positive")
     if timestamp_jitter >= tick / 2:
         warnings.warn("jitter >= tick/2: cross-row timestamps may interleave")
     rng = np.random.default_rng(seed)

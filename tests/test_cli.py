@@ -432,6 +432,8 @@ class TestAlign:
                 "all_missing": fit.all_missing,
                 "fallback_series": [j + 1 for j in fit.fallback_series],
                 "full_fallback": fit.full_fallback, "segments": segments, **counts,
+                "multi_member_groups": alignment.multi_member_groups,
+                "largest_group": alignment.largest_group,
                 "attempt_deltas": list(alignment.attempt_deltas)}
             tie_breaks.append(alignment.tie_breaks)
         assert any(tie_breaks)
@@ -541,6 +543,21 @@ class TestSynth:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n", "5", "--m", "2", "--tick", "-10", "--jitter", "1"],
+        ["synth", "--tick", "0"],
+        ["bench", "--n", "40", "--seeds", "1", "--tick", "-1"],
+    ])
+    def test_non_positive_tick_is_config_error_without_file(self, tmp_path, argv, capsys):
+        out, truth = tmp_path / "out.csv", tmp_path / "truth.csv"
+        if argv[0] == "synth":
+            argv = [*argv, "--out", str(out), "--truth-out", str(truth)]
+        else:
+            argv = [*argv, "--report", str(out)]
+        assert main(argv) == 2
+        assert not out.exists() and not truth.exists()
+        assert capsys.readouterr().out == ""
+
 
 class TestScoreCommand:
     def test_score_round_trip(self, small_files, tmp_path, capsys):
@@ -577,6 +594,30 @@ class TestScoreCommand:
                             "idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\n"
                             "1,0.0,1.0,999,0.0,1.0,1.0,0.0,998\n")
         assert main(["score", "--aligned", aligned, "--truth", str(truth)]) == 3
+
+    def test_truth_of_another_table_is_data_error_without_report(self, tmp_path, capsys):
+        # the n = 60 truth is another table; against its own truth the score is unchanged
+        for n in (30, 60):
+            assert main(["synth", "--n", str(n), "--m", "2", "--seed", "3", "--rate", "0.2",
+                         "--out", str(tmp_path / f"data{n}.csv"),
+                         "--truth-out", str(tmp_path / f"truth{n}.csv")]) == 0
+        aligned = tmp_path / "aligned.csv"
+        assert main(["align", "--input", str(tmp_path / "data30.csv"), "--strategy", "greedy",
+                     "--theta", "3", "--beta", "1", "--out", str(aligned),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        own = tmp_path / "own.json"
+        assert main(["score", "--aligned", str(aligned), "--truth", str(tmp_path / "truth30.csv"),
+                     "--report", str(own)]) == 0
+        assert own.read_text() == (
+            '{\n  "precision": 1.0,\n  "recall": 0.9666666666666667,\n'
+            '  "f1": 0.983050847457627,\n  "aligned_tuple_count": 29,\n'
+            '  "total_weight": 52.0\n}\n')
+        capsys.readouterr()
+        other = tmp_path / "other.json"
+        assert main(["score", "--aligned", str(aligned), "--truth", str(tmp_path / "truth60.csv"),
+                     "--report", str(other)]) == 3
+        assert not other.exists()
+        assert f"{aligned}:2: v_1 " in capsys.readouterr().err
 
     @pytest.mark.parametrize("weights", [["nan"], ["inf"], ["1e308", "1e308"]])
     def test_non_finite_weight_sum_is_data_error_without_report(self, small_files, tmp_path,

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -37,6 +38,18 @@ from conftest import (
     random_table,
     union_scorer,
 )
+
+
+# the group scorer's size bound set to: every group in numpy, the shipped
+# bound, every group in Python
+SCORE_LIMITS = (0, composers.PYTHON_SCORE_LIMIT, 10**9)
+
+
+def each_score_limit(monkeypatch):
+    """Set ``composers.PYTHON_SCORE_LIMIT`` to each of ``SCORE_LIMITS`` in turn."""
+    for limit in SCORE_LIMITS:
+        monkeypatch.setattr(composers, "PYTHON_SCORE_LIMIT", limit)
+        yield limit
 
 
 def candidates_for(table, theta=1e9, beta=3, delta=math.inf):
@@ -196,7 +209,7 @@ def assert_pass_matches_scan(rc, table, params, seeds=(0, 1, 2, 3)):
     for scorer in (None, _expectation_scorer(rc, weights)):
         for seed in seeds:
             fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
-            chosen, draws, walked = _group_pass(rc, weights, fast_rng, scorer)
+            chosen, draws, walked, _ = _group_pass(rc, weights, fast_rng, scorer)
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, slow_rng, scorer))
             assert draws == slow_rng.draws
             assert fast_rng.getstate() == slow_rng.getstate()
@@ -256,7 +269,7 @@ class TestGroupPass:
         assert rc.isolated.tolist() == [False, False, True, False]
         params = WeightParams(k1=1, k2=1)
         assert_pass_matches_scan(rc, t, params)
-        chosen, _, _ = _group_pass(rc, _weights(rc, t, params), random.Random(0))
+        chosen, _, _, _ = _group_pass(rc, _weights(rc, t, params), random.Random(0))
         assert sorted(chosen) in ([0, 2], [1, 2])
 
     def test_empty_and_all_isolated(self, staggered_table, fig_params):
@@ -308,18 +321,22 @@ class TestComposeExpectation:
         expect = compose_expectation(rc, cfg, staggered_table, fig_params, seed=3)
         assert greedy.tuples == expect.tuples
 
-    def test_pruned_equals_unpruned(self):
-        # the indexed composer against both scan oracles, with and without retries
-        for table, rc, base, params in collect_instances(25, start_seed=500, max_candidates=16):
-            for delta, retries in ((math.inf, 16), (0.5, 4), (0.05, 4)):
-                cfg = ConstraintConfig(theta=base.theta, beta=base.beta, delta=delta)
-                indexed = compose_expectation(rc, cfg, table, params, seed=1,
-                                              max_retries=retries)
-                for pruned in (True, False):
-                    assert_same_alignment(indexed, expectation_scan(
-                        rc, cfg, table, params, seed=1, max_retries=retries, pruned=pruned))
+    def test_pruned_equals_unpruned(self, monkeypatch):
+        # the indexed composer against both scan oracles, with and without
+        # retries, under each scorer path
+        instances = collect_instances(25, start_seed=500, max_candidates=16)
+        for _ in each_score_limit(monkeypatch):
+            for table, rc, base, params in instances:
+                for delta, retries in ((math.inf, 16), (0.5, 4), (0.05, 4)):
+                    cfg = ConstraintConfig(theta=base.theta, beta=base.beta, delta=delta)
+                    indexed = compose_expectation(rc, cfg, table, params, seed=1,
+                                                  max_retries=retries)
+                    for pruned in (True, False):
+                        assert_same_alignment(indexed, expectation_scan(
+                            rc, cfg, table, params, seed=1, max_retries=retries,
+                            pruned=pruned))
 
-    def test_matches_scan_on_benchmark_sized_groups(self):
+    def test_matches_scan_on_benchmark_sized_groups(self, monkeypatch):
         # dense input with tuned windows: groups of tens of members, which the
         # <= 16-candidate fuzz instances never reach
         for seed in (3, 4):
@@ -329,8 +346,10 @@ class TestComposeExpectation:
             beta = determine_beta(masked, theta)
             rc, cfg = candidates_for(masked, theta=theta, beta=beta)
             params = WeightParams(k1=3, k2=2)
-            indexed = compose_expectation(rc, cfg, masked, params, seed=seed)
-            assert_same_alignment(indexed, expectation_scan(rc, cfg, masked, params, seed=seed))
+            scan = expectation_scan(rc, cfg, masked, params, seed=seed)
+            for _ in each_score_limit(monkeypatch):
+                assert_same_alignment(compose_expectation(rc, cfg, masked, params, seed=seed),
+                                      scan)
 
     def test_bonus_steers_selection(self):
         # b conflicts with both a-followers; the bonus makes the compact pick win
@@ -375,6 +394,32 @@ class TestSegmentedPass:
             assert drawn
             assert walked < segments * len(grid) / 2
 
+    def test_group_counts_match_the_scored_groups(self):
+        # a hook sees each group of two or more members once; ranking by plain
+        # weight selects as greedy does, and the stored walks of the repeated
+        # greedy passes must report the counts their walks found
+        table, _ = generate_synthetic(150, 4, 4.0, seed=3, tick=10.0)
+        masked = inject_mcar(table, 0.2, seed=1, target="values")
+        theta = determine_theta(masked)
+        rc, _ = candidates_for(masked, theta=theta, beta=determine_beta(masked, theta))
+        for params in (WeightParams(k1=3, k2=2), WeightParams(k1=1, k2=6)):
+            weights = _weights(rc, masked, params)
+            for greedy, scorer in ((True, lambda group: [weights[g] for g in group]),
+                                   (False, _expectation_scorer(rc, weights))):
+                sizes = []
+
+                def counting(group):
+                    sizes.append(len(group))
+                    return scorer(group)
+
+                chosen, _, _, counts = _group_pass(rc, weights, random.Random(0), counting)
+                assert counts == (len(sizes), max(sizes, default=min(len(chosen), 1)))
+                assert len(sizes) > 10
+                if greedy:
+                    # the first pass walks and stores segments, the second reads them
+                    for _ in range(2):
+                        assert _group_pass(rc, weights, random.Random(0))[3] == counts
+
     def test_tie_drawing_walk_is_not_stored(self):
         # a = (1, 0) and b = (1, 2) share (0, 1) and weigh alike under any
         # weighting (p = 1, d = 1): segment 0 draws on every pass.  c = (5, 5)
@@ -387,7 +432,7 @@ class TestSegmentedPass:
         picks = []
         for seed in (0, 1, 0):
             fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
-            chosen, draws, walked = _group_pass(rc, weights, fast_rng)
+            chosen, draws, walked, _ = _group_pass(rc, weights, fast_rng)
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, slow_rng))
             assert draws == slow_rng.draws == 1
             assert fast_rng.getstate() == slow_rng.getstate()
@@ -415,7 +460,7 @@ class TestSegmentedPass:
         for (k1, k2), picked, walks in (((1, 1), [0, 2, 4], 2), ((6, 1), [0, 3, 4], 1),
                                         ((1, 1), [0, 2, 4], 0)):
             weights = _weights(rc, t, WeightParams(k1=k1, k2=k2))
-            chosen, draws, walked = _group_pass(rc, weights, random.Random(0))
+            chosen, draws, walked, _ = _group_pass(rc, weights, random.Random(0))
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, random.Random(0)))
             assert (sorted(chosen), draws, walked) == (picked, 0, walks)
         # the grid composes both rankings: 2 + 1 segment walks, not 2 * 2
@@ -446,22 +491,55 @@ def assert_window_matches_union(rc, table, params, seeds=(0, 1, 2, 3)):
 
 
 class TestWindowScorer:
-    def test_matches_union_on_fuzz_sets(self):
-        scored = 0
-        for table, rc, _, params in collect_instances(60, start_seed=500, max_candidates=16):
-            scored += assert_window_matches_union(rc, table, params)
-        assert scored
+    def test_matches_union_on_fuzz_sets(self, monkeypatch):
+        instances = collect_instances(60, start_seed=500, max_candidates=16)
+        for _ in each_score_limit(monkeypatch):
+            scored = 0
+            for table, rc, _, params in instances:
+                scored += assert_window_matches_union(rc, table, params)
+            assert scored
 
-    def test_matches_union_on_benchmark_sized_groups(self):
+    def test_matches_union_on_benchmark_sized_groups(self, monkeypatch):
         for seed in (3, 4):
             table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
             masked = inject_mcar(table, 0.2, seed=seed + 100, target="both")
             theta = determine_theta(masked)
             rc, _ = candidates_for(masked, theta=theta, beta=determine_beta(masked, theta))
-            for params in (WeightParams(k1=3, k2=2), WeightParams(k1=1, k2=6)):
-                assert assert_window_matches_union(rc, masked, params, seeds=(seed,)) > 50
+            for _ in each_score_limit(monkeypatch):
+                for params in (WeightParams(k1=3, k2=2), WeightParams(k1=1, k2=6)):
+                    assert assert_window_matches_union(rc, masked, params, seeds=(seed,)) > 50
 
-    def test_window_reaches_twice_the_spread(self):
+    def test_groups_at_and_above_the_limit(self, monkeypatch):
+        # a = (0, 0) and b = (0, 1) share cell (0, 0); the set is every (r, r')
+        # with |r - r'| <= 6 in lexicographic order, cut after `size` candidates,
+        # all with first slot <= 12 = 2 * spread, so group [a, b] has the window
+        # 1..size - 1 and |G| * |W| = 2 * (size - 1)
+        limit = composers.PYTHON_SCORE_LIMIT
+        assert limit % 2 == 0
+        t = SeriesTable(np.tile(np.arange(30.0), (2, 1)), np.ones((2, 30)))
+        grid = [(r, q) for r in range(13) for q in range(30) if abs(r - q) <= 6]
+        params = WeightParams(k1=1, k2=1)
+        bisects = []
+
+        def counting_bisect(*args):
+            bisects.append(args)
+            return bisect.bisect_left(*args)
+
+        monkeypatch.setattr(composers, "bisect_left", counting_bisect)
+        for size, in_python in ((limit // 2 + 1, True), (limit // 2 + 2, False)):
+            assert size <= len(grid)
+            rc = CandidateSet(np.array(grid[:size], dtype=np.int32),
+                              ConstraintConfig(theta=1e9, beta=6), t)
+            assert rc.slot_spread == 6
+            w = _weights(rc, t, params)
+            bisects.clear()
+            scores = _expectation_scorer(rc, w)([0, 1])
+            assert bool(bisects) == in_python
+            assert scores == union_scorer(rc, w)([0, 1])
+            assert scores[1] > w[1]
+            assert assert_window_matches_union(rc, t, params) > 0
+
+    def test_window_reaches_twice_the_spread(self, monkeypatch):
         # a (0, 2) and b (0, 3) share cell (0, 0); c (4, 2) shares cell (1, 2)
         # with a alone, so it counts toward b's bonus.  Its first slot is 4
         # rows past the group's, within twice the largest spread (3) but not
@@ -471,9 +549,10 @@ class TestWindowScorer:
                           ConstraintConfig(theta=1e9, beta=0), t)
         assert rc.slot_spread == 3
         params = WeightParams(k1=1, k2=1)
-        assert assert_window_matches_union(rc, t, params, seeds=(0,)) == 1
         w = _weights(rc, t, params)
-        assert _expectation_scorer(rc, w)([0, 1]) == [w[0], w[1] + w[2]]
+        for _ in each_score_limit(monkeypatch):
+            assert assert_window_matches_union(rc, t, params, seeds=(0,)) == 1
+            assert _expectation_scorer(rc, w)([0, 1]) == [w[0], w[1] + w[2]]
 
 
 class TestComposeSetpacking:
