@@ -3,18 +3,22 @@
 Subcommands: align, tune, synth, score, bench.  Data files are wide CSVs
 with header t_1,v_1,...,t_m,v_m where an empty cell means missing.
 
-The data path works on whole columns.  ``ingest`` reads the records with
-``csv.reader``, parses each column with Python ``float`` per cell into an
-(m, n) array and checks finiteness and timestamp order on whole columns,
-reporting the first defect in file order.  ``write_alignment_csv`` gathers
-the cells of all tuples with one index and formats each column at once.
-Both writers then join each row's cells with commas and write the rows in
-blocks of ``WRITE_BLOCK_ROWS``, one ``write`` per block.
+The data path works on blocks of ``BLOCK_ROWS`` rows, so it holds the
+Python strings of one block at a time.  ``ingest`` reads the records with
+``csv.reader`` block by block, parses each column of a block with Python
+``float`` per cell into an (m, rows) array and rejects a block's first
+defect at once, so several defects report the first in file order; the
+timestamp order is checked on whole columns at the end.  ``score`` reads the
+aligned CSV in the same blocks.  ``write_alignment_csv`` gathers the cells of
+all tuples with one index into numeric columns, and both writers format,
+join and write one block of rows at a time.  A file that is not UTF-8, or
+that ``csv`` cannot read, is a DataError.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -22,7 +26,7 @@ import statistics
 import sys
 import time
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,28 +44,72 @@ EXIT_EXHAUSTED = 5
 
 STRATEGIES = tuple(composers.STRATEGIES)
 
-# rows joined per write: one joined string for the whole file would hold a
-# second copy of every cell in memory, and larger blocks write no faster
-WRITE_BLOCK_ROWS = 256
+# records read, and rows formatted and written, per block, so the data path
+# holds the Python strings of one block, never of the whole file.  On an
+# n=8000, m=4 align, 256 gives the lowest peak RSS (38.3 MB; 39.4 at 1024,
+# 41.5 at 2048), and read and write times are flat from 128 to 8192.
+BLOCK_ROWS = 256
+
+
+@contextlib.contextmanager
+def _csv_reader(path: str):
+    """A ``csv.reader`` over the file at ``path``.
+
+    A leading byte-order mark is dropped.  A file that cannot be opened, is
+    not UTF-8 text or holds a record ``csv`` cannot read (such as a cell
+    over its field size limit) raises a DataError naming the file, and the
+    line for the record.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                            f"{exc.reason})") from None
+
+
+def _blocks(reader) -> Iterator[list[list[str]]]:
+    """The records of ``reader`` in lists of at most ``BLOCK_ROWS``.
+
+    A ``csv.Error`` is raised only after the records before it have been
+    yielded, so a defect in them is still the first one reported.
+    """
+    while True:
+        block, error = [], None
+        try:
+            for row in islice(reader, BLOCK_ROWS):
+                block.append(row)
+        except csv.Error as exc:
+            error = exc
+        if block:
+            yield block
+        if error is not None:
+            raise error
+        if not block:
+            return
 
 
 def ingest(path: str) -> SeriesTable:
     """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics.
 
-    The records are read with ``csv.reader`` and then handled column by
-    column: every cell is parsed with Python ``float`` (so surrounding
-    blanks, ``1_000``, ``.5`` and ``-0.0`` read as ``float`` reads them), a
-    blank cell is missing (NaN), and the finiteness and strictly-increasing
-    checks run on whole columns.  A file with several defects reports the
-    first one in file order: a ragged row, or a cell that is not a number or
-    not finite.
+    The records are read with ``csv.reader`` in blocks of ``BLOCK_ROWS``, and
+    each block is handled column by column: every cell is parsed with Python
+    ``float`` (so surrounding blanks, ``1_000``, ``.5`` and ``-0.0`` read as
+    ``float`` reads them), a blank cell is missing (NaN), and non-finite
+    cells are found on whole columns.  A block with a defect raises at once,
+    so a file with several defects reports the first one in file order: a
+    ragged row, or a cell that is not a number or not finite.  The
+    strictly-increasing check runs on whole columns once every block has
+    parsed.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if not header:
             raise DataError(f"{path}: empty file")
@@ -70,37 +118,64 @@ def ingest(path: str) -> SeriesTable:
                     for k in range(m) for i in range(2)]
         if rem or m < 2 or [h.strip() for h in header] != expected:
             raise DataError(f"{path}: header must be t_1,v_1,...,t_m,v_m with m >= 2")
-        records = list(reader)
-    linenos = range(2, len(records) + 2)
-    if not all(records):
-        # blank records are skipped, but keep their place in the line count
-        linenos = [i for i, row in zip(linenos, records) if row]
-        records = [row for row in records if row]
-    widths = np.fromiter(map(len, records), np.intp, len(records))
-    ragged = np.flatnonzero(widths != 2 * m)
-    n = int(ragged[0]) if ragged.size else len(records)
-    columns = list(zip(*records[:n])) or [()] * (2 * m)
-    del records
-    cells = np.empty((2 * m, n))
-    first = None  # (row, message) of the first defect in file order
-    for c, col in enumerate(columns):
-        defect = _parse_column(col, cells[c])
-        if defect is not None and (first is None or defect[0] < first[0]):
-            first = defect
-    if first is not None:
-        raise DataError(f"{path}:{linenos[first[0]]}: {first[1]}")
-    if n < len(widths):
-        raise DataError(f"{path}:{linenos[n]}: expected {2 * m} cells, got {widths[n]}")
+        parts = [np.empty((2 * m, 0))]  # the (2m, rows) cells of each block
+        skips = []  # per blank record, the number of non-blank records before it
+        n = 0
+        for records in _blocks(reader):
+            if not all(records):
+                kept = []
+                for row in records:
+                    if row:
+                        kept.append(row)
+                    else:
+                        skips.append(n + len(kept))
+                records = kept
+            cells, defect = _parse_block(records, m)
+            if defect is not None:
+                row, message = defect
+                raise DataError(f"{path}:{_lines(n + row, skips)}: {message}")
+            parts.append(cells)
+            n += len(records)
+    cells = np.concatenate(parts, axis=1)
+    del parts
     ts, vs = cells[0::2], cells[1::2]
     bad = []
     for k in range(m):
         rows = np.flatnonzero(~np.isnan(ts[k]))
         present = ts[k, rows]
-        bad += [f"series {k + 1} line {linenos[i]}"
-                for i in rows[1:][present[1:] <= present[:-1]].tolist()]
+        bad += [f"series {k + 1} line {line}"
+                for line in _lines(rows[1:][present[1:] <= present[:-1]], skips).tolist()]
     if bad:
         raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
     return SeriesTable(ts, vs)
+
+
+def _lines(rows, skips: list[int]):
+    """The file lines of non-blank records ``rows`` (0-based), given the
+    blank records' ``skips`` of ``ingest``: the header is line 1."""
+    return np.asarray(rows) + 2 + np.searchsorted(skips, rows, side="right")
+
+
+def _parse_block(records: list[list[str]], m: int
+                 ) -> tuple[np.ndarray, Optional[tuple[int, str]]]:
+    """The (2m, rows) cells of a block of non-blank records, and its first
+    defect in file order as (row, message), or None.
+
+    Only the rows before the first ragged one are parsed.
+    """
+    widths = np.fromiter(map(len, records), np.intp, len(records))
+    ragged = np.flatnonzero(widths != 2 * m)
+    n = int(ragged[0]) if ragged.size else len(records)
+    columns = list(zip(*records[:n])) or [()] * (2 * m)
+    cells = np.empty((2 * m, n))
+    first = None
+    for c, col in enumerate(columns):
+        defect = _parse_column(col, cells[c])
+        if defect is not None and (first is None or defect[0] < first[0]):
+            first = defect
+    if first is None and n < len(records):
+        first = n, f"expected {2 * m} cells, got {widths[n]}"
+    return cells, first
 
 
 def _parse_column(col: Sequence[str], out: np.ndarray) -> Optional[tuple[int, str]]:
@@ -132,11 +207,12 @@ def _parse_column(col: Sequence[str], out: np.ndarray) -> Optional[tuple[int, st
 
 
 def write_table(table: SeriesTable, path: str) -> None:
-    """Inverse of ingest: write a SeriesTable as a wide CSV, one column at a time."""
-    columns = []
+    """Inverse of ingest: write a SeriesTable as a wide CSV."""
+    header, columns = [], []
     for k in range(table.m):
-        columns += [_format_column(table.timestamps[k]), _format_column(table.values[k])]
-    _write_rows([f"{p}_{k + 1}" for k in range(table.m) for p in ("t", "v")], columns, path)
+        header += [f"t_{k + 1}", f"v_{k + 1}"]
+        columns += [table.timestamps[k], table.values[k]]
+    _write_rows(header, columns, path)
 
 
 def write_alignment_csv(alignment: Alignment, table: SeriesTable,
@@ -144,9 +220,9 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     """One row per tuple: 1-based row index, timestamp, value per series, then W/theta/phi.
 
     Rows follow the tuples' slot order.  The cells of all tuples are gathered
-    with one index into the table, and every column is formatted as a whole:
-    floats with ``repr``, a missing cell (or a theta_sim over fewer than two
-    timestamps) as an empty cell.
+    with one index into the table into numeric columns, which ``_write_rows``
+    formats: a missing cell (or a theta_sim over fewer than two timestamps)
+    as an empty cell.
     """
     m = table.m
     slots = alignment.slots.reshape(-1, m)
@@ -162,32 +238,32 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     header = []
     for k in range(m):
         header += [f"idx_{k + 1}", f"t_{k + 1}", f"v_{k + 1}"]
-        columns += [list(map(str, (slots[:, k] + 1).tolist())),
-                    _format_column(ts[:, k]), _format_column(vs[:, k])]
-    columns += [_format_column(batch_weights(table, slots, params)),
-                _format_column(theta),
-                list(map(str, (slots.max(axis=1) - slots.min(axis=1)).tolist()))]
+        columns += [slots[:, k] + 1, ts[:, k], vs[:, k]]
+    columns += [batch_weights(table, slots, params), theta,
+                slots.max(axis=1) - slots.min(axis=1)]
     _write_rows(header + ["weight", "theta_sim", "phi_sim"], columns, path)
 
 
-def _write_rows(header: list[str], columns: list[list[str]], path: str) -> None:
-    """Write ``header`` and then the rows of ``columns`` as CSV lines ending in CRLF.
+def _write_rows(header: list[str], columns: list[np.ndarray], path: str) -> None:
+    """Write ``header`` and then the rows of the numeric ``columns`` as CSV
+    lines ending in CRLF.
 
-    Each row is its cells joined by commas, and each block of
-    ``WRITE_BLOCK_ROWS`` rows is one ``write``.  The bytes are those of
-    ``csv.writer``: no cell holds a comma, a quote or a line break (cells are
-    ``repr`` of numbers or empty), and every row has at least two cells, so
-    no cell needs quoting.
+    Each block of ``BLOCK_ROWS`` rows is formatted, joined and written on its
+    own: a cell is the ``repr`` of its Python int or float, or empty for NaN,
+    and each row is its cells joined by commas.  The bytes are those of
+    ``csv.writer``: no cell holds a comma, a quote or a line break, and every
+    row has at least two cells, so no cell needs quoting.
     """
-    rows = map(",".join, zip(*columns))
+    n = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, WRITE_BLOCK_ROWS)):
-            fh.write("\r\n".join(block) + "\r\n")
+        for start in range(0, n, BLOCK_ROWS):
+            cells = [_format_column(x[start:start + BLOCK_ROWS]) for x in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _format_column(x: np.ndarray) -> list[str]:
-    """``repr`` of every float of ``x``, and an empty string for NaN."""
+    """``repr`` of every number of ``x``, and an empty string for NaN."""
     out = list(map(repr, x.tolist()))
     for i in np.flatnonzero(np.isnan(x)).tolist():
         out[i] = ""
@@ -378,58 +454,65 @@ def _cmd_score(args) -> int:
 
 
 def _read_alignment_csv(path: str, m: int
-                        ) -> tuple[list[int], list[list[int]], list[list[float]], float]:
-    """The line numbers, 0-based slot vectors and t/v cells of an aligned CSV's
-    rows, and its weight sum.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The line numbers, (T, m) 0-based slots and (T, 2m) t/v cells of an
+    aligned CSV's rows, and its weight sum.
 
-    A row's cells are t_1, v_1, ..., t_m, v_m, NaN where the cell is empty.
-    A weight that is not finite, or one that takes the sum past the largest
-    float, is a DataError naming its line.
+    The records are read in blocks of ``BLOCK_ROWS``; each block's rows
+    become arrays before the next block is read.  A row's cells are t_1,
+    v_1, ..., t_m, v_m, NaN where the cell is empty.  A row whose index does
+    not fit a 64-bit integer is malformed.  A weight that is not finite, or
+    one that takes the sum past the largest float, is a DataError naming its
+    line.
     """
-    lines = []
-    slots = []
-    cells = []
+    # one array per block, after an empty one for a file without rows
+    lines, slots = [np.empty(0, np.intp)], [np.empty((0, m), np.intp)]
+    cells = [np.empty((0, 2 * m))]
     total = 0.0
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    lineno = 1
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if not header or len(header) != 3 * m + 3:
             raise DataError(f"{path}: expected an alignment CSV for {m} series")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                slots.append([int(row[3 * k]) - 1 for k in range(m)])
-                cells.append([float(row[3 * k + j]) if row[3 * k + j] else math.nan
-                              for k in range(m) for j in (1, 2)])
-                if row[3 * m]:
-                    total += float(row[3 * m])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed alignment row") from None
-            lines.append(lineno)
-            if not math.isfinite(total):
-                # a nan or inf weight, or a sum past the largest float
-                raise DataError(f"{path}:{lineno}: weight {row[3 * m]!r} makes the "
-                                "weight sum non-finite")
-    return lines, slots, cells, total
+        for records in _blocks(reader):
+            block_lines, block_slots, block_cells = [], [], []
+            for row in records:
+                lineno += 1
+                if not row:
+                    continue
+                try:
+                    slot = [int(row[3 * k]) - 1 for k in range(m)]
+                    if max(map(abs, slot)) >= 2 ** 63:
+                        raise ValueError
+                    block_slots.append(slot)
+                    block_cells.append([float(row[3 * k + j]) if row[3 * k + j] else math.nan
+                                        for k in range(m) for j in (1, 2)])
+                    if row[3 * m]:
+                        total += float(row[3 * m])
+                except (ValueError, IndexError):
+                    raise DataError(f"{path}:{lineno}: malformed alignment row") from None
+                block_lines.append(lineno)
+                if not math.isfinite(total):
+                    # a nan or inf weight, or a sum past the largest float
+                    raise DataError(f"{path}:{lineno}: weight {row[3 * m]!r} makes the "
+                                    "weight sum non-finite")
+            lines.append(np.array(block_lines, dtype=np.intp))
+            slots.append(np.array(block_slots, dtype=np.intp).reshape(-1, m))
+            cells.append(np.array(block_cells, dtype=float).reshape(-1, 2 * m))
+    return np.concatenate(lines), np.concatenate(slots), np.concatenate(cells), total
 
 
-def _check_cells(path: str, lines: list[int], slots: list[list[int]],
-                 cells: list[list[float]], table: SeriesTable) -> None:
+def _check_cells(path: str, lines: np.ndarray, slots: np.ndarray,
+                 cells: np.ndarray, table: SeriesTable) -> None:
     """DataError naming the first line with a present t/v cell that differs
     from the truth table's cell at that row's slot.
 
     The slots must lie inside the table, as ``evaluation.pair_accuracy`` checks.
     """
     m = table.m
-    index = np.asarray(slots, dtype=np.intp).reshape(-1, m)
-    got = np.asarray(cells, dtype=float).reshape(-1, m, 2)
+    got = cells.reshape(-1, m, 2)
     series = np.arange(m)
-    want = np.stack([table.timestamps[series, index], table.values[series, index]], axis=2)
+    want = np.stack([table.timestamps[series, slots], table.values[series, slots]], axis=2)
     bad = ~np.isnan(got) & (got != want)
     rows = np.flatnonzero(bad.any(axis=(1, 2)))
     if rows.size:
@@ -437,7 +520,7 @@ def _check_cells(path: str, lines: list[int], slots: list[list[int]],
         k, j = divmod(int(np.flatnonzero(bad[r])[0]), 2)
         name = f"{'tv'[j]}_{k + 1}"
         raise DataError(f"{path}:{lines[r]}: {name} {float(got[r, k, j])!r} differs from "
-                        f"the truth's {float(want[r, k, j])!r} at row {index[r, k] + 1}; "
+                        f"the truth's {float(want[r, k, j])!r} at row {slots[r, k] + 1}; "
                         "is the truth that of the aligned input?")
 
 

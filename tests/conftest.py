@@ -53,8 +53,9 @@ def sorted_rank(samples, percentile: float):
 def ingest_scan(path: str) -> SeriesTable:
     """Oracle for ``cli.ingest``: the row-major scan that parses cell by cell.
 
-    Raises the DataError of the first defect in file order; the
-    strictly-increasing check runs only once every cell has parsed.
+    Raises the DataError of the first defect in file order, a record that
+    ``csv`` cannot read included; the strictly-increasing check runs only
+    once every cell has parsed.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -63,15 +64,18 @@ def ingest_scan(path: str) -> SeriesTable:
         ts_cols = [[] for _ in range(m)]
         v_cols = [[] for _ in range(m)]
         linenos = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            linenos.append(lineno)
-            if len(row) != 2 * m:
-                raise DataError(f"{path}:{lineno}: expected {2 * m} cells, got {len(row)}")
-            for k in range(m):
-                ts_cols[k].append(_parse_cell_scan(row[2 * k], path, lineno))
-                v_cols[k].append(_parse_cell_scan(row[2 * k + 1], path, lineno))
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                linenos.append(lineno)
+                if len(row) != 2 * m:
+                    raise DataError(f"{path}:{lineno}: expected {2 * m} cells, got {len(row)}")
+                for k in range(m):
+                    ts_cols[k].append(_parse_cell_scan(row[2 * k], path, lineno))
+                    v_cols[k].append(_parse_cell_scan(row[2 * k + 1], path, lineno))
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     bad = []
     for k in range(m):
         prev = None
@@ -98,6 +102,37 @@ def _parse_cell_scan(cell, path, lineno):
         raise DataError(f"{path}:{lineno}: not a finite number: {cell!r} "
                         "(leave the cell empty to mark it missing)")
     return x
+
+
+def read_alignment_scan(path: str, m: int):
+    """Oracle for ``cli._read_alignment_csv``: the row-by-row reader that keeps
+    every row's line, slots and cells as Python lists until the end."""
+    lines, slots, cells = [], [], []
+    total = 0.0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or len(header) != 3 * m + 3:
+            raise DataError(f"{path}: expected an alignment CSV for {m} series")
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    slots.append([int(row[3 * k]) - 1 for k in range(m)])
+                    cells.append([float(row[3 * k + j]) if row[3 * k + j] else math.nan
+                                  for k in range(m) for j in (1, 2)])
+                    if row[3 * m]:
+                        total += float(row[3 * m])
+                except (ValueError, IndexError):
+                    raise DataError(f"{path}:{lineno}: malformed alignment row") from None
+                lines.append(lineno)
+                if not math.isfinite(total):
+                    raise DataError(f"{path}:{lineno}: weight {row[3 * m]!r} makes the "
+                                    "weight sum non-finite")
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    return lines, slots, cells, total
 
 
 def _format_cell_scan(x) -> str:

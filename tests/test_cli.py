@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,16 +18,18 @@ from tsalign import (
     determine_weights_and_delta,
     generate_candidates,
 )
-from tsalign.cli import WRITE_BLOCK_ROWS, ingest, main, write_alignment_csv, write_table
+from tsalign import cli
+from tsalign.cli import BLOCK_ROWS, ingest, main, write_alignment_csv, write_table
 from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import generate_synthetic, inject_mcar
 from tsalign.tuning import determine_beta, determine_theta
 from conftest import (assert_same_table, benchmark_scan, gappy_table, ingest_scan,
-                      write_alignment_scan, write_table_scan)
+                      random_table, read_alignment_scan, write_alignment_scan, write_table_scan)
 
-# row counts around the writers' block boundaries
-BLOCK_EDGES = (0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1,
-               2 * WRITE_BLOCK_ROWS + 1)
+# row counts around the block boundaries of BLOCK_ROWS and of a quarter of it;
+# the writer tests run each count at both block sizes
+BLOCK_SIZES = (BLOCK_ROWS // 4, BLOCK_ROWS)
+BLOCK_EDGES = (0, 1) + tuple(r for b in BLOCK_SIZES for r in (b - 1, b, b + 1, 2 * b + 1))
 
 
 def write_csv(path, text):
@@ -111,6 +115,9 @@ class TestIngestMatchesScan:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 30))
     def test_random_tables(self, tmp_path_factory, seed, m, n):
+        self.check_random_table(tmp_path_factory, seed, m, n)
+
+    def check_random_table(self, tmp_path_factory, seed, m, n):
         path = tmp_path_factory.mktemp("ingest") / "t.csv"
         write_table(gappy_table(np.random.default_rng(seed), m, n), str(path))
         fast, scan = self.both(path)
@@ -175,6 +182,110 @@ class TestIngestMatchesScan:
         assert fast == scan
 
 
+# a cell one character over the csv module's field size limit
+OVERSIZED = "9" * (csv.field_size_limit() + 1)
+
+
+@pytest.fixture(scope="class")
+def blocks_of_three():
+    """``BLOCK_ROWS`` of 3 for a whole class, so small files cross many blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "BLOCK_ROWS", 3)
+        yield
+
+
+@pytest.mark.usefixtures("blocks_of_three")
+class TestIngestMatchesScanInSmallBlocks(TestIngestMatchesScan):
+    """The same comparisons in blocks of 3 records, plus defects at the block edges.
+
+    The first block holds lines 2-4 of the file, the second lines 5-7.
+    """
+
+    # hypothesis runs a test method from one class only
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 30))
+    def test_random_tables(self, tmp_path_factory, seed, m, n):
+        self.check_random_table(tmp_path_factory, seed, m, n)
+
+    @pytest.mark.parametrize("text, message", [
+        # the last row of one block and the first row of the next
+        ("0,1,0,1\n1,1,1,1\n2,1\n3,x,3,1\n", ":4: expected 4 cells, got 2"),
+        ("0,1,0,1\n1,1,1,1\n2,x,2,1\n3,1\n", ":4: not a number: 'x'"),
+        ("0,1,0,1\n1,1,1,1\n2,inf,2,1\n3,x,3,1\n", ":4: not a finite number: 'inf'"),
+        ("0,1,0,1\n1,1,1,1\n2,1,2,1\n3,1,3\n", ":5: expected 4 cells, got 3"),
+        ("0,1,0,1\n1,1,1,1\n2,1,2,1\n3,1,3,x\n4,1\n", ":5: not a number: 'x'"),
+        ("0,1,0,1\n1,1,1,1\n2,1,2,1\n3,1,-inf,1\n4,y,4,1\n", ":5: not a finite number: '-inf'"),
+        # a defect in the third block
+        ("0,1,0,1\n1,1,1,1\n2,1,2,1\n3,1,3,1\n4,1,4,1\n5,1,5,1\n6,x,6,1\n",
+         ":8: not a number: 'x'"),
+        # a decrease across the edge, and one before a blank record of the second block
+        ("0,1,0,1\n1,1,1,1\n5,1,2,1\n4,1,3,1\n", "not strictly increasing at series 1 line 5"),
+        ("0,1,0,1\n1,1,1,1\n2,1,2,1\n3,1,3,1\n2,1,4,1\n\n",
+         "not strictly increasing at series 1 line 6"),
+        # blank records across the edge, and a block of blank records only
+        ("0,1,0,1\n\n\n\n1,1,1,oops\n", ":6: not a number: 'oops'"),
+        ("0,1,0,1\n\n\n\n1,1,0,1\n", "not strictly increasing at series 2 line 6"),
+        ("0,1,0,1\n1,1,1,1\n2,1,2,1\n\n\n\n3,1,1,1\n",
+         "not strictly increasing at series 2 line 8"),
+    ])
+    def test_defects_at_block_edges(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n" + text)
+        fast, scan = self.both(path)
+        assert isinstance(scan, str) and message in scan
+        assert fast == scan
+
+    @pytest.mark.parametrize("text, message", [
+        # a cell csv cannot read counts as a defect of its record, in file order
+        ("0,1,0,1\nx,1,1,1\n2,{big},2,1\n", ":3: not a number: 'x'"),
+        ("0,1,0,1\n1,1,1,1\nx,1,2,1\n3,{big},3,1\n", ":4: not a number: 'x'"),
+        ("0,1,0,1\n1,{big},1,1\n2,x,2,1\n", ":3: field larger than field limit"),
+        ("0,1,0,1\n1,1,1,1\n2,1,2,1\n3,1,3,{big}\n", ":5: field larger than field limit"),
+    ])
+    def test_unreadable_record_in_file_order(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n" + text.format(big=OVERSIZED))
+        fast, scan = self.both(path)
+        assert isinstance(scan, str) and message in scan
+        assert fast == scan
+
+    def test_blank_records_only(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n" + "\n" * 7)
+        fast, scan = self.both(path)
+        assert fast.timestamps.shape == (2, 0)
+        assert_same_table(fast, scan)
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(DataError, match="t.csv: empty file$"):
+            ingest(write_csv(tmp_path / "t.csv", ""))
+
+
+def traced_peak(call, *args):
+    """The result of ``call(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDataPathMemory:
+    N, M = 20000, 4
+    CELLS = 2 * M * N * 8  # bytes of the table's float cells
+
+    def test_ingest_holds_one_block_of_strings(self, tmp_path):
+        # a whole-file list of records held 2m strings per row, about 14 MB here
+        path = str(tmp_path / "t.csv")
+        write_table(random_table(np.random.default_rng(0), self.M, self.N), path)
+        table, peak = traced_peak(ingest, path)
+        assert table.n == self.N
+        assert peak < 4 * self.CELLS + 2_000_000
+
+    def test_write_table_holds_one_block_of_strings(self, tmp_path):
+        # formatting whole columns held every cell's string, about 11 MB here
+        table = random_table(np.random.default_rng(0), self.M, self.N)
+        _, peak = traced_peak(write_table, table, str(tmp_path / "t.csv"))
+        assert peak < self.CELLS + 2_000_000
+
+
 def make_alignment(tuples):
     report = ConsistencyReport(np.zeros(0), np.zeros(0), 0.0, np.zeros((0, 0)), (), True)
     return Alignment([r.slots for r in tuples], 0.0, report, "test")
@@ -224,12 +335,14 @@ class TestWriteAlignmentMatchesScan:
         assert out.read_bytes() == b"idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\r\n"
 
     @pytest.mark.parametrize("rows", BLOCK_EDGES)
-    def test_rows_across_block_boundaries(self, tmp_path, fig_params, rows):
+    def test_rows_across_block_boundaries(self, tmp_path, fig_params, monkeypatch, rows):
         rng = np.random.default_rng(rows)
         table = gappy_table(rng, 3, 40)
         tuples = [AlignedTuple(tuple(rng.integers(0, 40, size=3))) for _ in range(rows)]
-        out = self.assert_same_file(tmp_path, make_alignment(tuples), table, fig_params)
-        assert out.read_bytes().count(b"\r\n") == rows + 1
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+            out = self.assert_same_file(tmp_path, make_alignment(tuples), table, fig_params)
+            assert out.read_bytes().count(b"\r\n") == rows + 1
 
 
 class TestWriteTableMatchesScan:
@@ -257,9 +370,12 @@ class TestWriteTableMatchesScan:
                                                     "2.5,1e+308,,0.1"]
 
     @pytest.mark.parametrize("rows", BLOCK_EDGES)
-    def test_rows_across_block_boundaries(self, tmp_path, rows):
-        out = self.assert_same_file(tmp_path, gappy_table(np.random.default_rng(rows), 3, rows))
-        assert out.read_bytes().count(b"\r\n") == rows + 1
+    def test_rows_across_block_boundaries(self, tmp_path, monkeypatch, rows):
+        table = gappy_table(np.random.default_rng(rows), 3, rows)
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+            out = self.assert_same_file(tmp_path, table)
+            assert out.read_bytes().count(b"\r\n") == rows + 1
 
 
 class TestAlign:
@@ -630,6 +746,141 @@ class TestScoreCommand:
         report = tmp_path / "score.json"
         assert main(["score", "--aligned", aligned, "--truth", str(truth),
                      "--report", str(report)]) == 3
+        assert not report.exists()
+
+
+ALIGNED_HEADER = "idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim\n"
+
+
+@pytest.mark.usefixtures("blocks_of_three")
+class TestReadAlignmentMatchesScan:
+    """The block reader of ``score`` against the row-by-row reader it replaced,
+    in blocks of 3 records: lines 2-4 of the file, then 5-7."""
+
+    @staticmethod
+    def both(path, m):
+        """Each reader's lines, slots, cells and weight sum, or its DataError message."""
+        out = []
+        for read in (cli._read_alignment_csv, read_alignment_scan):
+            try:
+                lines, slots, cells, total = read(str(path), m)
+            except DataError as exc:
+                out.append(str(exc))
+                continue
+            cells = np.asarray(cells, dtype=float).reshape(-1, 2 * m)
+            out.append((np.asarray(lines).tolist(), np.asarray(slots).reshape(-1, m).tolist(),
+                        cells.view(np.int64).tolist(), total))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_aligned_files_with_blank_records(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        table = gappy_table(rng, 3, 25)
+        params = WeightParams(3, 2, 1, 1)
+        path = tmp_path / "aligned.csv"
+        write_alignment_csv(random_alignment(rng, table, params), table, params, str(path))
+        lines = path.read_text().splitlines()
+        for at in sorted(rng.integers(1, len(lines) + 1, size=5).tolist(), reverse=True):
+            lines.insert(at, "")
+        path.write_text("\n".join(lines) + "\n")
+        fast, scan = self.both(path, 3)
+        assert fast == scan
+
+    @pytest.mark.parametrize("text, message", [
+        ("", None),
+        ("1,0,1,1,0,1,1.5,0,0\n\n\n\n2,,1,2,0,,2.5,,0\n", None),
+        # the last row of one block and the first row of the next
+        ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x,1,3,0,1,1,0,0\n4,0,1\n",
+         ":4: malformed alignment row"),
+        ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n4,0,1\n",
+         ":5: malformed alignment row"),
+        ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,inf,0,0\n4,0,1\n",
+         ":4: weight 'inf' makes the weight sum non-finite"),
+        ("1,0,1,1,0,1,1e308,0,0\n\n\n2,0,1,2,0,1,1e308,0,0\n",
+         ":5: weight '1e308' makes the weight sum non-finite"),
+        ("1,0,1,1,0,1,1,0,0\n\n2,0,1,2,0,1,1,0,0\n\n\n3,0,1,3,0,1,1,0,0\n4,x\n",
+         ":8: malformed alignment row"),
+        # a cell csv cannot read, after and before a malformed row
+        ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x,1,3,0,1,1,0,0\n4,{big},1\n",
+         ":4: malformed alignment row"),
+        ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n4,{big},1\n5,x\n",
+         ":5: field larger than field limit"),
+    ])
+    def test_defects_at_block_edges(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + text.format(big=OVERSIZED))
+        fast, scan = self.both(path, 2)
+        if message is None:
+            assert not isinstance(scan, str)
+        else:
+            assert isinstance(scan, str) and message in scan
+        assert fast == scan
+
+    def test_index_past_64_bits_is_malformed(self, tmp_path):
+        # the row-by-row reader returned it, and scoring it crashed
+        path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + "1,0,1,1,0,1,1,0,0\n"
+                         "99999999999999999999,0,1,2,0,1,1,0,0\n3,x\n")
+        with pytest.raises(DataError, match=r"aligned\.csv:3: malformed alignment row$"):
+            cli._read_alignment_csv(path, 2)
+
+
+class TestUnreadableFiles:
+    """Files that are not UTF-8 text, or that csv cannot read, exit 3 without a traceback."""
+
+    @pytest.fixture
+    def files(self, small_files, tmp_path):
+        data, truth = small_files
+        aligned = tmp_path / "aligned.csv"
+        assert main(["align", "--input", str(data), "--strategy", "greedy", "--theta", "2.5",
+                     "--beta", "1", "--out", str(aligned),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t_1,v_1,t_2,v_2\n0,1,0,1\n1,\xe9,1,1\n")
+        return {"data": str(data), "truth": str(truth), "aligned": str(aligned), "bad": str(bad)}
+
+    @pytest.mark.parametrize("argv", [
+        ["align", "--input", "{bad}", "--theta", "3", "--beta", "1"],
+        ["align", "--input", "{data}", "--truth", "{bad}", "--theta", "3", "--beta", "1"],
+        ["score", "--aligned", "{aligned}", "--truth", "{bad}"],
+        ["score", "--aligned", "{bad}", "--truth", "{truth}"],
+    ])
+    def test_non_utf8_file_is_data_error(self, files, tmp_path, capsys, argv):
+        capsys.readouterr()
+        out, report = tmp_path / "out.csv", tmp_path / "report.json"
+        argv = [a.format(**files) for a in argv] + ["--report", str(report)]
+        if argv[0] == "align":
+            argv += ["--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: {files['bad']}: not UTF-8 text "
+                       "(byte 0xe9: invalid continuation byte)\n")
+        assert not out.exists() and not report.exists()
+
+    def test_leading_byte_order_mark_is_dropped(self, files, tmp_path):
+        for key in ("data", "aligned"):
+            text = open(files[key], "rb").read()
+            with open(tmp_path / f"bom_{key}.csv", "wb") as fh:
+                fh.write(b"\xef\xbb\xbf" + text)
+        assert_same_table(ingest(str(tmp_path / "bom_data.csv")), ingest(files["data"]))
+        plain, bom = (tmp_path / "plain.json", tmp_path / "bom.json")
+        for aligned, report in ((files["aligned"], plain), (tmp_path / "bom_aligned.csv", bom)):
+            assert main(["score", "--aligned", str(aligned), "--truth", files["truth"],
+                         "--report", str(report)]) == 0
+        assert bom.read_text() == plain.read_text()
+
+    @pytest.mark.parametrize("command", ["align", "score"])
+    def test_oversized_cell_is_data_error_with_line(self, files, tmp_path, capsys, command):
+        capsys.readouterr()
+        lines = open(files["data" if command == "align" else "aligned"]).read().splitlines()
+        lines[2] = OVERSIZED + lines[2][lines[2].index(","):]
+        path = write_csv(tmp_path / "big.csv", "\n".join(lines) + "\n")
+        report = tmp_path / "report.json"
+        argv = (["align", "--input", path, "--theta", "3", "--beta", "1",
+                 "--out", str(tmp_path / "out.csv")] if command == "align"
+                else ["score", "--aligned", path, "--truth", files["truth"]])
+        assert main(argv + ["--report", str(report)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:3: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
         assert not report.exists()
 
 
