@@ -19,7 +19,6 @@ from .consistency import (
     consistency_delta,
     delta_report,
     fit_model,
-    satisfies_model_constraint,
     tuple_value_matrix,
 )
 from .core import (
@@ -31,7 +30,6 @@ from .core import (
     conflicts,
     phi_similarity,
     theta_similarity,
-    weight,
 )
 from .errors import AlignmentError, ConfigError, DataError, SizeError, StructuralError
 from .evaluation import (
@@ -56,6 +54,5 @@ __all__ = [
     "conflicts", "consistency_delta", "delta_report", "determine_beta",
     "determine_theta", "determine_weights_and_delta", "fit_model",
     "generate_candidates", "generate_synthetic", "inject_mcar", "pair_accuracy",
-    "phi_similarity", "satisfies_model_constraint", "score", "theta_similarity",
-    "tuple_value_matrix", "weight",
+    "phi_similarity", "score", "theta_similarity", "tuple_value_matrix",
 ]

@@ -70,8 +70,6 @@ class CandidateSet:
     greedy segment walks) are shared by every compose of the set, so the
     arrays are read-only; the state is computed on first use and kept, so a
     run that tunes delta on the set and then composes it builds it once.
-    ``tuples`` is the per-candidate ``AlignedTuple`` view, built on first
-    access.
 
     The group pass visits the non-isolated candidates (``visited``) in index
     order.  A conflict segment is a maximal run of them that no cell links
@@ -91,10 +89,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return self.slots.shape[0]
-
-    @cached_property
-    def tuples(self) -> tuple[AlignedTuple, ...]:
-        return tuple(map(AlignedTuple, self.slots.tolist()))
 
     @cached_property
     def weight_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,12 +203,6 @@ class CandidateSet:
         the segment, as int32 bytes); see ``composers._group_pass``.
         """
         return {}
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def __getitem__(self, i):
-        return self.tuples[i]
 
 
 def generate_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:

@@ -429,10 +429,8 @@ def _cmd_synth(args) -> int:
     table, truth = evaluation.generate_synthetic(
         args.n, args.m, args.jitter, value_model=args.value_model,
         seed=args.seed, tick=args.tick)
-    observed = table
-    if args.rate > 0:
-        observed = evaluation.inject_mcar(table, args.rate, seed=args.seed + 1,
-                                          target=args.target)
+    # a rate of 0 masks nothing; inject_mcar checks every rate, NaN included
+    observed = evaluation.inject_mcar(table, args.rate, seed=args.seed + 1, target=args.target)
     write_table(observed, args.out)
     if args.truth_out:
         write_table(truth.table, args.truth_out)

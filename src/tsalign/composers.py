@@ -98,8 +98,7 @@ class Alignment:
     """A pairwise non-conflicting tuple set with its score and consistency report.
 
     ``slots`` is the read-only (T, m) int32 array of the chosen slot vectors,
-    in ascending lexicographic order when a composer made it; ``tuples`` is
-    the per-tuple ``AlignedTuple`` view, built on first access.
+    in ascending lexicographic order when a composer made it.
     ``tie_breaks`` counts the seeded random tie-breaks drawn by the group pass
     that selected it; 0 means any seed would have selected the same.
     ``segment_walks`` counts the conflict segments that pass walked rather
@@ -132,6 +131,9 @@ class Alignment:
     def __len__(self) -> int:
         return len(self.slots)
 
+    # Kept only for the benchmark's tracer (perfbench/tracing.py), which counts
+    # the rows of ``cli.write_alignment_csv`` with ``len(alignment.tuples)``;
+    # the package and its tests read ``slots``.
     @cached_property
     def tuples(self) -> tuple[AlignedTuple, ...]:
         return tuple(map(AlignedTuple, self.slots.tolist()))

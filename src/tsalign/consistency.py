@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConstraintConfig, SeriesTable, slot_matrix
+from .core import SeriesTable
 from .errors import DataError
 
 RIDGE = 1e-6
@@ -171,18 +171,13 @@ def consistency_delta(aligned_values: np.ndarray, model: ConsistencyModel) -> Co
                              tuple(degenerate), not mask.any())
 
 
-def satisfies_model_constraint(report: ConsistencyReport, cfg: ConstraintConfig) -> bool:
-    """Delta <= delta; an infinite bound always passes."""
-    return report.delta <= cfg.delta
-
-
 def tuple_value_matrix(slots, t: SeriesTable) -> np.ndarray:
     """Value matrix of an aligned result: row per tuple, column per series.
 
-    ``slots`` is anything ``core.slot_matrix`` reads: a (T, m) slot array, or
-    a sequence of slot vectors or of ``AlignedTuple``.
+    ``slots`` is a (T, m) integer slot array, or anything ``np.asarray`` turns
+    into one, such as a list of slot vectors.
     """
-    return t.values[np.arange(t.m), slot_matrix(slots, t.m)]
+    return t.values[np.arange(t.m), np.asarray(slots, dtype=np.intp).reshape(-1, t.m)]
 
 
 def delta_report(slots, t: SeriesTable) -> ConsistencyReport:
@@ -192,7 +187,7 @@ def delta_report(slots, t: SeriesTable) -> ConsistencyReport:
     lexicographic order first, so the order they come in does not matter.
     The report carries the fitted model's fallback flags.
     """
-    slots = slot_matrix(slots, t.m)
+    slots = np.asarray(slots, dtype=np.intp).reshape(-1, t.m)
     matrix = tuple_value_matrix(slots[np.lexsort(slots.T[::-1])], t)
     # overflow is reported once, as the DataError of consistency_delta
     with np.errstate(over="ignore", invalid="ignore"):

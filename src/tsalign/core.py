@@ -99,14 +99,6 @@ class AlignedTuple:
         return len(self.slots)
 
 
-def slot_matrix(rows, m: int) -> np.ndarray:
-    """(T, m) integer array of slot vectors from an array, or from a sequence of
-    slot vectors or of ``AlignedTuple``."""
-    if not isinstance(rows, np.ndarray):
-        rows = [r.slots if isinstance(r, AlignedTuple) else r for r in rows]
-    return np.asarray(rows, dtype=np.intp).reshape(-1, m)
-
-
 @dataclass(frozen=True)
 class WeightParams:
     """Coefficients of the tuple weight: (k1*p + b) / (k2*d + c)."""
@@ -180,30 +172,6 @@ def phi_similarity(r: AlignedTuple) -> int:
     return max(r.slots) - min(r.slots)
 
 
-def pair_count(r: AlignedTuple, t: SeriesTable) -> int:
-    """Number of non-missing value pairs: lambda * (lambda - 1) / 2."""
-    check_tuple(r, t)
-    lam = sum(1 for k, row in enumerate(r.slots) if t.values[k, row] == t.values[k, row])
-    return lam * (lam - 1) // 2
-
-
-def index_spread(r: AlignedTuple) -> int:
-    """Sum of |slots[i] - slots[j]| over all slot pairs, masks ignored."""
-    slots = r.slots
-    total = 0
-    for i in range(len(slots)):
-        for j in range(i + 1, len(slots)):
-            total += abs(slots[i] - slots[j])
-    return total
-
-
-def weight(r: AlignedTuple, t: SeriesTable, w: WeightParams) -> float:
-    """Tuple weight (k1*p + b) / (k2*d + c); strictly positive for valid params."""
-    p = pair_count(r, t)
-    d = index_spread(r)
-    return (w.k1 * p + w.b) / (w.k2 * d + w.c)
-
-
 def weight_terms(t: SeriesTable, slot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts p and index spreads d of an (N, m) integer array of slot vectors.
 
@@ -240,7 +208,7 @@ def combine_weights(p: np.ndarray, d: np.ndarray, w: WeightParams) -> np.ndarray
 
 
 def batch_weights(t: SeriesTable, slot_rows: np.ndarray, w: WeightParams) -> np.ndarray:
-    """Vectorized ``weight`` over an (N, m) integer array of slot vectors."""
+    """Tuple weights (k1*p + b) / (k2*d + c) of an (N, m) integer array of slot vectors."""
     return combine_weights(*weight_terms(t, slot_rows), w)
 
 

@@ -9,7 +9,8 @@ import pytest
 from tsalign import SeriesTable, WeightParams, composers, tuning
 from tsalign.candidate import generate_candidates
 from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
-from tsalign.core import ConstraintConfig, phi_similarity, theta_similarity, weight
+from tsalign.core import (AlignedTuple, ConstraintConfig, check_tuple, phi_similarity,
+                          theta_similarity)
 from tsalign.errors import ConfigError, DataError, StructuralError
 from tsalign.evaluation import ScoreReport, generate_synthetic, inject_mcar, score
 
@@ -135,6 +136,36 @@ def read_alignment_scan(path: str, m: int):
     return lines, slots, cells, total
 
 
+def aligned_tuples(slots) -> list:
+    """The rows of an (N, m) slot array (``rc.slots``, ``alignment.slots``) as
+    ``AlignedTuple``s, for the per-tuple oracles."""
+    return [AlignedTuple(row) for row in np.asarray(slots).tolist()]
+
+
+def pair_count(r: AlignedTuple, t: SeriesTable) -> int:
+    """Number of non-missing value pairs: lambda * (lambda - 1) / 2."""
+    check_tuple(r, t)
+    lam = sum(1 for k, row in enumerate(r.slots) if t.values[k, row] == t.values[k, row])
+    return lam * (lam - 1) // 2
+
+
+def index_spread(r: AlignedTuple) -> int:
+    """Sum of |slots[i] - slots[j]| over all slot pairs, masks ignored."""
+    slots = r.slots
+    total = 0
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            total += abs(slots[i] - slots[j])
+    return total
+
+
+def weight(r: AlignedTuple, t: SeriesTable, w: WeightParams) -> float:
+    """Tuple weight (k1*p + b) / (k2*d + c); strictly positive for valid params."""
+    p = pair_count(r, t)
+    d = index_spread(r)
+    return (w.k1 * p + w.b) / (w.k2 * d + w.c)
+
+
 def _format_cell_scan(x) -> str:
     return "" if x != x else repr(float(x))
 
@@ -161,7 +192,7 @@ def write_alignment_scan(alignment, table, params, path) -> None:
         for k in range(table.m):
             header += [f"idx_{k + 1}", f"t_{k + 1}", f"v_{k + 1}"]
         writer.writerow(header + ["weight", "theta_sim", "phi_sim"])
-        for r in sorted(alignment.tuples):
+        for r in sorted(aligned_tuples(alignment.slots)):
             row = []
             for k, slot in enumerate(r.slots):
                 row += [str(slot + 1),
@@ -199,8 +230,9 @@ def truth_pair_set(truth) -> set:
 def score_scan(alignment, truth) -> ScoreReport:
     """Oracle for ``evaluation.score``: aligned and true cell pairs as frozenset sets."""
     m, n = truth.table.m, truth.table.n
+    tuples = aligned_tuples(alignment.slots)
     aligned_pairs = set()
-    for r in alignment.tuples:
+    for r in tuples:
         if len(r.slots) != m or any(not 0 <= row < n for row in r.slots):
             raise StructuralError("alignment does not fit the truth table")
         for a in range(m):
@@ -211,7 +243,7 @@ def score_scan(alignment, truth) -> ScoreReport:
     precision = hit / len(aligned_pairs) if aligned_pairs else 0.0
     recall = hit / len(truth_pairs) if truth_pairs else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ScoreReport(precision, recall, f1, len(alignment.tuples),
+    return ScoreReport(precision, recall, f1, len(tuples),
                        alignment.total_weight, alignment.report.delta)
 
 
@@ -356,7 +388,8 @@ def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:
     it shares a slot with every member (checked pairwise), and isolated
     candidates take no shortcut.  Returns the chosen indices in emit order.
     """
-    m = len(rc.tuples[0].slots) if len(rc) else 0
+    tuples = aligned_tuples(rc.slots)
+    m = len(tuples[0].slots) if len(rc) else 0
     used = [set() for _ in range(m)]
     chosen = []
     group = []
@@ -373,13 +406,13 @@ def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:
             tied = [g for g, s in zip(group, scores) if s == top]
             pick = tied[0] if len(tied) == 1 else rng.choice(tied)
         chosen.append(pick)
-        for series, row in enumerate(rc.tuples[pick].slots):
+        for series, row in enumerate(tuples[pick].slots):
             used[series].add(row)
 
-    for i, r in enumerate(rc.tuples):
+    for i, r in enumerate(tuples):
         if any(row in used[series] for series, row in enumerate(r.slots)):
             continue
-        if not group or all(_share_slot(r, rc.tuples[g]) for g in group):
+        if not group or all(_share_slot(r, tuples[g]) for g in group):
             group.append(i)
             continue
         emit()
@@ -401,7 +434,7 @@ def expectation_scan(rc, cfg, t, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pru
     candidate with a slot beyond it; the unpruned scan visits every later
     candidate.  Both must select exactly as the indexed composer does.
     """
-    tuples = rc.tuples
+    tuples = aligned_tuples(rc.slots)
     k = len(tuples)
 
     def scorer_factory(rc, weights):
@@ -488,7 +521,7 @@ def benchmark_scan(n: int, m: int, jitter: float, rate: float, strategy: str,
 
 def assert_same_alignment(a, b):
     """Equal selections, totals and retry outcomes (the consistency report aside)."""
-    assert a.tuples == b.tuples
+    assert a.slots.tolist() == b.slots.tolist()
     assert a.total_weight == b.total_weight
     assert a.retries_used == b.retries_used
     assert a.exhausted == b.exhausted

@@ -32,10 +32,16 @@ from tsalign import (
     inject_mcar,
     phi_similarity,
     theta_similarity,
-    weight,
 )
 from tsalign.cli import main, write_table
-from conftest import assert_same_alignment, expectation_scan, mwis_bruteforce, random_table
+from conftest import (
+    aligned_tuples,
+    assert_same_alignment,
+    expectation_scan,
+    mwis_bruteforce,
+    random_table,
+    weight,
+)
 
 BENCH_N = 2000
 BENCH_M = 4
@@ -106,8 +112,8 @@ def test_criterion_01_candidate_oracle_equivalence():
         theta = float(rng.uniform(0, 30 * n))
         beta = int(rng.integers(0, 4))
         cfg = ConstraintConfig(theta=theta, beta=beta)
-        fast = [r.slots for r in generate_candidates(table, cfg)]
-        slow = [r.slots for r in brute_force_candidates(table, cfg)]
+        fast = generate_candidates(table, cfg).slots.tolist()
+        slow = brute_force_candidates(table, cfg).slots.tolist()
         assert fast == slow, f"divergence on m={m} n={n} theta={theta} beta={beta}"
         checked += 1
     elapsed = time.perf_counter() - started
@@ -119,9 +125,10 @@ def test_criterion_01_candidate_oracle_equivalence():
 def test_criterion_02_exact_composer_optimality(instance_suite):
     started = time.perf_counter()
     for table, rc, cfg, params, exact in instance_suite:
-        weights = [weight(r, table, params) for r in rc]
+        tuples = aligned_tuples(rc.slots)
+        weights = [weight(r, table, params) for r in tuples]
         pairs = [(i, j) for i in range(len(rc)) for j in range(i + 1, len(rc))
-                 if conflicts(rc[i], rc[j])]
+                 if conflicts(tuples[i], tuples[j])]
         oracle = mwis_bruteforce(weights, pairs, len(rc))
         assert abs(exact.total_weight - oracle) <= 1e-9, \
             f"exact {exact.total_weight} != oracle {oracle}"
@@ -159,7 +166,7 @@ def test_criterion_04_greedy_ratio_bound(instance_suite):
         if exact.total_weight <= 0:
             continue
         greedy = compose_greedy(rc, cfg, table, params, seed=13)
-        n_opt = len(exact.tuples)
+        n_opt = len(exact)
         w_max, w_min, ceil_nm = _theory_bounds(table.m, n_opt, cfg, params)
         bound = ceil_nm * w_min / (n_opt * w_max)
         ratio = greedy.total_weight / exact.total_weight
@@ -175,7 +182,7 @@ def test_criterion_05_expectation_ratio_bound(instance_suite):
         if exact.total_weight <= 0:
             continue
         expect = compose_expectation(rc, cfg, table, params, seed=13)
-        n_opt = len(exact.tuples)
+        n_opt = len(exact)
         w_max, w_min, ceil_nm = _theory_bounds(table.m, n_opt, cfg, params)
         bound = min((ceil_nm + 1) * w_min / (n_opt * w_max),
                     ceil_nm * w_min / ((n_opt - 1) * w_max + w_min))
@@ -188,12 +195,12 @@ def test_criterion_05_expectation_ratio_bound(instance_suite):
 
 def test_criterion_06_cardinality_lower_bound(instance_suite):
     for table, rc, cfg, params, exact in instance_suite:
-        n_opt = len(exact.tuples)
+        n_opt = len(exact)
         need = math.ceil(n_opt / table.m)
         greedy = compose_greedy(rc, cfg, table, params, seed=29)
         expect = compose_expectation(rc, cfg, table, params, seed=29)
-        assert len(greedy.tuples) >= need
-        assert len(expect.tuples) >= need
+        assert len(greedy) >= need
+        assert len(expect) >= need
     announce(6, True, f"greedy and expectation both align >= ceil(N/m) tuples "
                       f"on all {len(instance_suite)} instances")
 
@@ -234,9 +241,10 @@ def test_criterion_08_constraint_validity_fuzz():
             alignment = compose_greedy(rc, cfg, table, params, seed=seed, max_retries=4)
         else:
             alignment = compose_expectation(rc, cfg, table, params, seed=seed, max_retries=4)
-        for r1, r2 in itertools.combinations(alignment.tuples, 2):
+        tuples = aligned_tuples(alignment.slots)
+        for r1, r2 in itertools.combinations(tuples, 2):
             assert not conflicts(r1, r2)
-        for r in alignment.tuples:
+        for r in tuples:
             assert phi_similarity(r) <= cfg.beta
             th = theta_similarity(r, table)
             assert th is None or th <= cfg.theta

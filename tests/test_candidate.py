@@ -20,11 +20,19 @@ from tsalign import (
     inject_mcar,
     phi_similarity,
     theta_similarity,
-    weight,
 )
 from tsalign import candidate
-from tsalign.core import combine_weights, index_spread, pair_count
-from conftest import gappy_table, random_table, segment_bounds_scan, walk_scan
+from tsalign.core import combine_weights
+from conftest import (
+    aligned_tuples,
+    gappy_table,
+    index_spread,
+    pair_count,
+    random_table,
+    segment_bounds_scan,
+    walk_scan,
+    weight,
+)
 
 # the walk oracle visits every candidate in Python; the fixed cases below
 # stay under this many, which keeps each comparison well under a second
@@ -48,7 +56,7 @@ class TestGenerateCandidates:
     def test_diagonal_only(self, staggered_table):
         cfg = ConstraintConfig(theta=2, beta=0)
         rc = generate_candidates(staggered_table, cfg)
-        assert [r.slots for r in rc] == [(0, 0), (1, 1), (2, 2)]
+        assert rc.slots.tolist() == [[0, 0], [1, 1], [2, 2]]
 
     def test_zero_theta_empty(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=0, beta=0))
@@ -65,14 +73,14 @@ class TestGenerateCandidates:
 
     def test_sorted_without_duplicates(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
-        slots = [r.slots for r in rc]
+        slots = [tuple(r) for r in rc.slots.tolist()]
         assert slots == sorted(set(slots))
 
     def test_emitted_tuples_pass_recheck(self):
         rng = np.random.default_rng(42)
         t = random_table(rng, 3, 6, 0.3)
         cfg = ConstraintConfig(theta=15.0, beta=2)
-        for r in generate_candidates(t, cfg):
+        for r in aligned_tuples(generate_candidates(t, cfg).slots):
             assert phi_similarity(r) <= cfg.beta
             th = theta_similarity(r, t)
             assert th is None or th <= cfg.theta
@@ -81,8 +89,8 @@ class TestGenerateCandidates:
     @given(small_tables(), st.floats(0, 40), st.integers(0, 3))
     def test_oracle_equivalence(self, table, theta, beta):
         cfg = ConstraintConfig(theta=theta, beta=beta)
-        fast = [r.slots for r in generate_candidates(table, cfg)]
-        slow = [r.slots for r in brute_force_candidates(table, cfg)]
+        fast = generate_candidates(table, cfg).slots.tolist()
+        slow = brute_force_candidates(table, cfg).slots.tolist()
         assert fast == slow
 
     @settings(max_examples=60, deadline=None)
@@ -90,8 +98,8 @@ class TestGenerateCandidates:
     def test_monotone_in_thresholds(self, table, theta1, theta2, beta1, beta2):
         lo = ConstraintConfig(theta=min(theta1, theta2), beta=min(beta1, beta2))
         hi = ConstraintConfig(theta=max(theta1, theta2), beta=max(beta1, beta2))
-        small = {r.slots for r in generate_candidates(table, lo)}
-        large = {r.slots for r in generate_candidates(table, hi)}
+        small = {tuple(r) for r in generate_candidates(table, lo).slots.tolist()}
+        large = {tuple(r) for r in generate_candidates(table, hi).slots.tolist()}
         assert small <= large
 
 
@@ -206,16 +214,16 @@ class TestCandidateState:
     def test_cached_state_matches_scalar_helpers(self, table, theta, beta):
         rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
         assert rc.slots.shape == (len(rc), table.m) and rc.slots.dtype == np.int32
-        assert [tuple(row) for row in rc.slots.tolist()] == [r.slots for r in rc]
+        tuples = aligned_tuples(rc.slots)
         p, d = rc.weight_terms
-        assert p.tolist() == [pair_count(r, table) for r in rc]
-        assert d.tolist() == [index_spread(r) for r in rc]
+        assert p.tolist() == [pair_count(r, table) for r in tuples]
+        assert d.tolist() == [index_spread(r) for r in tuples]
         params = WeightParams(k1=3, k2=2)
         assert combine_weights(p, d, params).tolist() == pytest.approx(
-            [weight(r, table, params) for r in rc], rel=1e-12)
+            [weight(r, table, params) for r in tuples], rel=1e-12)
         assert rc.isolated.tolist() == [
-            not any(conflicts(r, o) for j, o in enumerate(rc) if j != i)
-            for i, r in enumerate(rc)]
+            not any(conflicts(r, o) for j, o in enumerate(tuples) if j != i)
+            for i, r in enumerate(tuples)]
         # one representative per (p, d) class of the non-isolated candidates
         classes = list(zip(p.tolist(), d.tolist()))
         reps = rc.class_representatives.tolist()
@@ -223,10 +231,10 @@ class TestCandidateState:
         assert sorted(classes[i] for i in reps) == sorted(
             {c for c, alone in zip(classes, rc.isolated) if not alone})
         # the row window state of expect
-        assert rc.slot_spread == max((max(r.slots) - min(r.slots) for r in rc), default=0)
+        assert rc.slot_spread == max((max(r.slots) - min(r.slots) for r in tuples), default=0)
         assert rc.slot_columns.flags.c_contiguous
         assert np.array_equal(rc.slot_columns, rc.slots.T)
-        assert rc.row_starts.tolist() == [sum(r.slots[0] < row for r in rc)
+        assert rc.row_starts.tolist() == [sum(r.slots[0] < row for r in tuples)
                                           for row in range(table.n + 1)]
 
 
@@ -273,7 +281,7 @@ class TestBruteForce:
     def test_single_row(self):
         t = SeriesTable.from_columns([([1.0], [1.0]), ([1.0], [2.0]), ([1.0], [3.0])])
         rc = brute_force_candidates(t, ConstraintConfig(theta=0, beta=0))
-        assert [r.slots for r in rc] == [(0, 0, 0)]
+        assert rc.slots.tolist() == [[0, 0, 0]]
 
     def test_guard(self):
         t = SeriesTable(np.sort(np.random.default_rng(0).uniform(0, 1, (4, 100)), axis=1),

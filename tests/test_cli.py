@@ -646,6 +646,21 @@ class TestSynth:
         assert np.isnan(masked.values).sum() > 0
         assert not np.isnan(complete.values).any()
 
+    def test_zero_rate_writes_the_complete_table(self, tmp_path):
+        out, plain, truth = tmp_path / "zero.csv", tmp_path / "plain.csv", tmp_path / "truth.csv"
+        argv = ["synth", "--n", "60", "--m", "3", "--seed", "4", "--target", "both"]
+        assert main([*argv, "--rate", "0", "--out", str(out), "--truth-out", str(truth)]) == 0
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes() == truth.read_bytes()
+
+    @pytest.mark.parametrize("rate", ["-0.5", "nan", "1.5"])
+    def test_rate_outside_unit_interval_is_config_error_without_file(self, tmp_path, capsys,
+                                                                     rate):
+        out, truth = tmp_path / "out.csv", tmp_path / "truth.csv"
+        assert main(["synth", "--n", "20", "--m", "2", "--rate", rate,
+                     "--out", str(out), "--truth-out", str(truth)]) == 2
+        assert not out.exists() and not truth.exists()
+        assert capsys.readouterr().err == "config error: missing rate must lie in [0, 1]\n"
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--jitter", "nan"],

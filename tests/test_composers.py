@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tsalign import (
-    AlignedTuple,
     ConstraintConfig,
     SeriesTable,
     SizeError,
@@ -23,7 +22,6 @@ from tsalign import (
     generate_candidates,
     generate_synthetic,
     inject_mcar,
-    weight,
 )
 from tsalign import composers
 from tsalign.candidate import CandidateSet
@@ -31,12 +29,14 @@ from tsalign.composers import _expectation_scorer, _group_pass, _weights
 from tsalign.errors import ConfigError
 from conftest import (
     CountingRandom,
+    aligned_tuples,
     assert_same_alignment,
     expectation_scan,
     group_pass_scan,
     mwis_bruteforce,
     random_table,
     union_scorer,
+    weight,
 )
 
 
@@ -83,10 +83,10 @@ def collect_instances(count, start_seed=0, **kwargs):
 
 
 def assert_valid_alignment(alignment, rc, cfg, table, params):
-    tuples = alignment.tuples
+    tuples = aligned_tuples(alignment.slots)
     for r1, r2 in itertools.combinations(tuples, 2):
         assert not conflicts(r1, r2)
-    candidate_set = set(rc.tuples)
+    candidate_set = set(aligned_tuples(rc.slots))
     assert all(r in candidate_set for r in tuples)
     recomputed = sum(weight(r, table, params) for r in tuples)
     assert alignment.total_weight == pytest.approx(recomputed, abs=1e-9)
@@ -98,7 +98,7 @@ class TestComposeExact:
     def test_non_conflicting_takes_all(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
         alignment = compose_exact(rc, cfg, staggered_table, fig_params)
-        assert [r.slots for r in alignment.tuples] == [(0, 0), (1, 1), (2, 2)]
+        assert alignment.slots.tolist() == [[0, 0], [1, 1], [2, 2]]
         assert alignment.total_weight == pytest.approx(9.0)
 
     def test_conflict_prefers_heavier(self, fig_params):
@@ -108,16 +108,16 @@ class TestComposeExact:
             ([0.0, 5.0], [1.0, 2.0]),
         ])
         rc, cfg = candidates_for(t, theta=10, beta=1)
-        pool = {r.slots: r for r in rc}
-        assert (0, 0) in pool and (0, 1) in pool
+        pool = rc.slots.tolist()
+        assert [0, 0] in pool and [0, 1] in pool
         alignment = compose_exact(rc, cfg, t, fig_params)
-        assert AlignedTuple((0, 0)) in alignment.tuples
-        assert AlignedTuple((0, 1)) not in alignment.tuples
+        assert [0, 0] in alignment.slots.tolist()
+        assert [0, 1] not in alignment.slots.tolist()
 
     def test_empty_candidates(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=0, beta=0)
         alignment = compose_exact(rc, cfg, staggered_table, fig_params)
-        assert alignment.tuples == ()
+        assert alignment.slots.tolist() == []
         assert alignment.total_weight == 0.0
 
     def test_guard(self, fig_params):
@@ -137,14 +137,15 @@ class TestComposeExact:
         params = WeightParams(k1=3, k2=0, b=1, c=1)  # k2=0 ties every weight
         alignment = compose_exact(rc, cfg, t, params)
         # many subsets reach the optimum; the smallest sorted tuple list wins
-        assert [r.slots for r in alignment.tuples] == [(0, 0), (1, 1)]
+        assert alignment.slots.tolist() == [[0, 0], [1, 1]]
 
     def test_matches_mwis_oracle_on_random_instances(self):
         for table, rc, cfg, params in collect_instances(40, start_seed=100):
             alignment = compose_exact(rc, cfg, table, params)
-            weights = [weight(r, table, params) for r in rc]
+            tuples = aligned_tuples(rc.slots)
+            weights = [weight(r, table, params) for r in tuples]
             pairs = [(i, j) for i in range(len(rc)) for j in range(i + 1, len(rc))
-                     if conflicts(rc[i], rc[j])]
+                     if conflicts(tuples[i], tuples[j])]
             assert alignment.total_weight == pytest.approx(
                 mwis_bruteforce(weights, pairs, len(rc)), abs=1e-9)
 
@@ -160,7 +161,7 @@ class TestComposeGreedy:
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
         alignment = compose_greedy(rc, cfg, staggered_table, fig_params, seed=0)
         assert alignment.total_weight == pytest.approx(9.0)
-        assert len(alignment.tuples) == 3
+        assert len(alignment) == 3
 
     def test_tie_break_emits_exactly_one(self):
         t = SeriesTable.from_columns([
@@ -168,22 +169,22 @@ class TestComposeGreedy:
             ([0.0, 5.0], [1.0, 1.0]),
         ])
         rc, cfg = candidates_for(t, theta=10, beta=1)
-        conflicted = [r for r in rc if r.slots[0] == 0]
+        conflicted = [r for r in rc.slots.tolist() if r[0] == 0]
         assert len(conflicted) >= 2
         params = WeightParams(k1=3, k2=0, b=1, c=1)  # k2=0 ties every weight
         seen = set()
         for seed in range(6):
             alignment = compose_greedy(rc, cfg, t, params, seed=seed)
-            first = min(alignment.tuples)
-            seen.add(first.slots)
-            assert sum(1 for r in alignment.tuples if r.slots[0] == 0) == 1
+            first = min(alignment.slots.tolist())
+            seen.add(tuple(first))
+            assert sum(1 for r in alignment.slots.tolist() if r[0] == 0) == 1
         assert len(seen) >= 2  # the seeded RNG actually varies the pick
 
     def test_deterministic_per_seed(self):
         for table, rc, cfg, params in collect_instances(5, start_seed=300):
             a = compose_greedy(rc, cfg, table, params, seed=7)
             b = compose_greedy(rc, cfg, table, params, seed=7)
-            assert a.tuples == b.tuples
+            assert a.slots.tolist() == b.slots.tolist()
             assert a.total_weight == b.total_weight
 
     def test_exhausted_flag_on_impossible_delta(self):
@@ -319,7 +320,7 @@ class TestComposeExpectation:
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
         greedy = compose_greedy(rc, cfg, staggered_table, fig_params, seed=3)
         expect = compose_expectation(rc, cfg, staggered_table, fig_params, seed=3)
-        assert greedy.tuples == expect.tuples
+        assert greedy.slots.tolist() == expect.slots.tolist()
 
     def test_pruned_equals_unpruned(self, monkeypatch):
         # the indexed composer against both scan oracles, with and without
@@ -585,7 +586,7 @@ class TestComposeSetpacking:
         t = SeriesTable.from_columns([([0.0], [1.0]), ([0.0], [1.0])])
         rc, cfg = candidates_for(t, theta=1, beta=0)
         alignment = compose_setpacking(rc, cfg, t, fig_params)
-        assert len(alignment.tuples) == 1
+        assert len(alignment) == 1
 
     def test_never_below_half_of_exact_for_two_series(self):
         for table, rc, cfg, params in collect_instances(30, start_seed=700, m=2):
@@ -593,6 +594,32 @@ class TestComposeSetpacking:
             exact = compose_exact(rc, cfg, table, params)
             if exact.total_weight > 0:
                 assert packed.total_weight / exact.total_weight >= 0.5 - 1e-12
+
+
+class TestDeltaBound:
+    @pytest.mark.parametrize("strategy", ["exact", "setpack", "greedy", "expect"])
+    def test_bound_is_inclusive(self, strategy, fig_params):
+        # the model constraint is Delta <= delta: an alignment whose score equals
+        # the bound is accepted as it is, and one just above it is not
+        table, _ = generate_synthetic(8 if strategy == "exact" else 12, 3, 1.0, seed=6)
+        masked = inject_mcar(table, 0.2, seed=7, target="both")
+        free = ConstraintConfig(theta=8, beta=1)
+        rc = generate_candidates(masked, free)
+        first = composers.compose(strategy, rc, free, masked, fig_params)
+        assert not first.exhausted and first.retries_used == 0
+        delta = first.report.delta
+        assert delta > 0
+        at_bound = ConstraintConfig(theta=8, beta=1, delta=delta)
+        at = composers.compose(strategy, rc, at_bound, masked, fig_params)
+        assert at.retries_used == 0 and not at.exhausted
+        assert at.slots.tolist() == first.slots.tolist()
+        below = ConstraintConfig(theta=8, beta=1, delta=float(np.nextafter(delta, 0)))
+        tighter = composers.compose(strategy, rc, below, masked, fig_params)
+        if strategy == "exact":
+            # exact searches on and finds another subset within the bound
+            assert not tighter.exhausted and tighter.report.delta < delta
+        else:
+            assert tighter.exhausted
 
 
 class TestOutputValidity:
@@ -610,10 +637,10 @@ class TestOutputValidity:
         for table, rc, cfg, params in collect_instances(5, start_seed=1500):
             a = compose_setpacking(rc, cfg, table, params)
             b = compose_setpacking(rc, cfg, table, params)
-            assert a.tuples == b.tuples and a.total_weight == b.total_weight
+            assert a.slots.tolist() == b.slots.tolist() and a.total_weight == b.total_weight
             c = compose_exact(rc, cfg, table, params)
             d = compose_exact(rc, cfg, table, params)
-            assert c.tuples == d.tuples and c.total_weight == d.total_weight
+            assert c.slots.tolist() == d.slots.tolist() and c.total_weight == d.total_weight
 
     def test_exact_dominates_approximations(self):
         for table, rc, cfg, params in collect_instances(30, start_seed=1100):

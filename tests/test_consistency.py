@@ -1,18 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsalign import (
-    AlignedTuple,
-    ConstraintConfig,
-    SeriesTable,
     consistency_delta,
     delta_report,
     fit_model,
     generate_synthetic,
-    satisfies_model_constraint,
     tuple_value_matrix,
 )
 
@@ -127,22 +121,9 @@ class TestConsistencyDelta:
             consistency_delta(perm, fit_model(perm)).delta)
 
 
-class TestModelConstraint:
-    @pytest.mark.parametrize("delta,bound,expected", [
-        (0.05, 0.1, True),
-        (0.2, 0.1, False),
-        (123.0, math.inf, True),
-    ])
-    def test_decision(self, delta, bound, expected):
-        from tsalign.consistency import ConsistencyReport
-        report = ConsistencyReport(np.zeros(1), np.ones(1), delta, np.zeros((1, 1)))
-        cfg = ConstraintConfig(theta=1, beta=1, delta=bound)
-        assert satisfies_model_constraint(report, cfg) is expected
-
-
 class TestTupleValueMatrix:
     def test_extracts_values_by_slot(self, staggered_table):
-        m = tuple_value_matrix([AlignedTuple((0, 0)), AlignedTuple((1, 1))], staggered_table)
+        m = tuple_value_matrix([[0, 0], [1, 1]], staggered_table)
         assert m[0, 0] == 1.0 and m[0, 1] == 2.0
         assert np.isnan(m[1, 0]) and m[1, 1] == 2.5
 
@@ -170,8 +151,8 @@ class TestTupleValueMatrix:
         assert empty.full_fallback and empty.all_missing
 
     def test_delta_report_sorts_rows(self, staggered_table):
-        a = delta_report([AlignedTuple((1, 1)), AlignedTuple((0, 0))], staggered_table)
-        b = delta_report([AlignedTuple((0, 0)), AlignedTuple((1, 1))], staggered_table)
+        a = delta_report([[1, 1], [0, 0]], staggered_table)
+        b = delta_report([[0, 0], [1, 1]], staggered_table)
         assert a.delta == b.delta
 
     def test_delta_report_reads_arrays_in_lexicographic_order(self):
@@ -179,7 +160,7 @@ class TestTupleValueMatrix:
         table, _ = generate_synthetic(12, 2, 0.5, seed=6)
         slots = np.stack([np.arange(12), np.arange(12)], axis=1)
         shuffled = slots[np.random.default_rng(1).permutation(12)]
-        expected = delta_report([AlignedTuple(tuple(r)) for r in slots.tolist()], table)
+        expected = delta_report(slots.tolist(), table)
         assert delta_report(shuffled, table).delta == expected.delta
         assert delta_report(shuffled.astype(np.int32).tolist(), table).delta == expected.delta
         unsorted = tuple_value_matrix(shuffled, table)

@@ -16,10 +16,10 @@ from tsalign import (
     conflicts,
     phi_similarity,
     theta_similarity,
-    weight,
 )
-from tsalign.core import index_spread, pair_count, weight_terms
-from conftest import gappy_table, weight_terms_tensor
+from tsalign.core import weight_terms
+from conftest import (aligned_tuples, gappy_table, index_spread, pair_count, weight,
+                      weight_terms_tensor)
 
 
 def table_with_timestamps(*rows_per_series):
@@ -187,7 +187,7 @@ class TestWeightTerms:
                          weight_terms_tensor(t, rows)):
                 assert p.dtype == d.dtype == same[0].dtype == same[1].dtype == float
                 assert np.array_equal(p, same[0]) and np.array_equal(d, same[1])
-            tuples = [AlignedTuple(tuple(r)) for r in rows.tolist()]
+            tuples = aligned_tuples(rows)
             assert d.tolist() == [index_spread(r) for r in tuples]
             assert p.tolist() == [pair_count(r, t) for r in tuples]
 
