@@ -278,6 +278,8 @@ def run(args) -> int:
         raise ConfigError("pass exactly one of --beta or --tune-beta")
     if args.delta is not None and args.tune_delta:
         raise ConfigError("pass at most one of --delta or --tune-delta")
+    if args.max_retries < 0:
+        raise ConfigError("--max-retries must be at least 0")
     started = time.perf_counter()
     table = ingest(args.input)
     theta, beta = tuning.determine_windows(table, args.theta, args.beta,
@@ -304,6 +306,10 @@ def run(args) -> int:
     constraint = ConstraintConfig(theta=theta, beta=beta, delta=delta)
     alignment = composers.compose(args.strategy, rc, constraint, table, params,
                                   seed=args.seed, max_retries=args.max_retries)
+    # nothing after the compose reads the candidate set: free its slots and
+    # cached state before the truth is read and the alignment is written
+    candidate_count, segments = len(rc), len(rc.segment_bounds) - 1
+    del rc
     scores = {}
     truth_s = 0.0  # left out of wall_time_ms
     if args.truth:
@@ -320,7 +326,7 @@ def run(args) -> int:
         "delta": None if math.isinf(delta) else delta,
         "k1": k1, "k2": k2, "b": args.b, "c": args.c,
         "seed": args.seed,
-        "candidate_count": len(rc),
+        "candidate_count": candidate_count,
         "aligned_tuple_count": len(alignment),
         "total_weight": alignment.total_weight,
         "delta_score": alignment.report.delta,
@@ -330,7 +336,7 @@ def run(args) -> int:
         "diagnostics": {"tie_breaks": alignment.tie_breaks,
                         "truncated": alignment.truncated,
                         **_model_flags(alignment.report),
-                        "segments": len(rc.segment_bounds) - 1, **diagnostics,
+                        "segments": segments, **diagnostics,
                         **_group_counts(args.strategy, alignment),
                         "attempt_deltas": list(alignment.attempt_deltas)},
         "wall_time_ms": (time.perf_counter() - started - truth_s) * 1000.0,

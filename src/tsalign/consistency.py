@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SeriesTable
+from .core import SeriesTable, slot_array
 from .errors import DataError
 
 RIDGE = 1e-6
@@ -51,8 +51,10 @@ class ConsistencyModel:
         prev[1:] = values[:-1]
         gaps = np.isnan(prev)
         if gaps.any():
-            prev = np.where(gaps, np.broadcast_to(self.means, prev.shape), prev)
-        return prev @ self.coeff.T + self.intercept
+            np.copyto(prev, self.means, where=gaps)
+        preds = prev @ self.coeff.T
+        preds += self.intercept
+        return preds
 
 
 def fit_model(aligned_values: np.ndarray) -> ConsistencyModel:
@@ -148,13 +150,16 @@ def consistency_delta(aligned_values: np.ndarray, model: ConsistencyModel) -> Co
     if model.width != width:
         raise ValueError(f"model fitted for width {model.width}, matrix has {width}")
     mask = ~np.isnan(values)
-    abs_errors = np.zeros_like(values)
     if rows:
-        preds = model.predict(values)
-        abs_errors = np.where(mask, np.abs(preds - values), 0.0)
+        # |M - V| built in the one array the subtraction makes
+        abs_errors = np.subtract(model.predict(values), values)
+        np.abs(abs_errors, out=abs_errors)
+        abs_errors[~mask] = 0.0
+    else:
+        abs_errors = np.zeros_like(values)
     counts = mask.sum(axis=0)
-    vmax = np.where(counts > 0, np.nanmax(np.where(mask, values, -np.inf), axis=0, initial=-np.inf), 0.0)
-    vmin = np.where(counts > 0, np.nanmin(np.where(mask, values, np.inf), axis=0, initial=np.inf), 0.0)
+    vmax = np.where(counts > 0, np.max(values, axis=0, initial=-np.inf, where=mask), 0.0)
+    vmin = np.where(counts > 0, np.min(values, axis=0, initial=np.inf, where=mask), 0.0)
     normalizers = counts * (vmax - vmin)
     losses = np.zeros(width)
     degenerate = []
@@ -177,7 +182,7 @@ def tuple_value_matrix(slots, t: SeriesTable) -> np.ndarray:
     ``slots`` is a (T, m) integer slot array, or anything ``np.asarray`` turns
     into one, such as a list of slot vectors.
     """
-    return t.values[np.arange(t.m), np.asarray(slots, dtype=np.intp).reshape(-1, t.m)]
+    return t.values[np.arange(t.m), slot_array(slots).reshape(-1, t.m)]
 
 
 def delta_report(slots, t: SeriesTable) -> ConsistencyReport:
@@ -187,7 +192,7 @@ def delta_report(slots, t: SeriesTable) -> ConsistencyReport:
     lexicographic order first, so the order they come in does not matter.
     The report carries the fitted model's fallback flags.
     """
-    slots = np.asarray(slots, dtype=np.intp).reshape(-1, t.m)
+    slots = slot_array(slots).reshape(-1, t.m)
     matrix = tuple_value_matrix(slots[np.lexsort(slots.T[::-1])], t)
     # overflow is reported once, as the DataError of consistency_delta
     with np.errstate(over="ignore", invalid="ignore"):

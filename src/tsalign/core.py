@@ -172,17 +172,21 @@ def phi_similarity(r: AlignedTuple) -> int:
     return max(r.slots) - min(r.slots)
 
 
+def slot_array(slots) -> np.ndarray:
+    """``slots`` as an integer array: int32 slots, such as a candidate set's,
+    are read without a copy, and any other dtype is widened to intp."""
+    slots = np.asarray(slots)
+    return slots if slots.dtype == np.int32 else slots.astype(np.intp, copy=False)
+
+
 def weight_terms(t: SeriesTable, slot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts p and index spreads d of an (N, m) integer array of slot vectors.
 
     Both are summed one series (p) or one series pair (d) at a time, so every
     temporary holds N entries; the integer sums are exact.
     """
-    slot_rows = np.asarray(slot_rows)
-    if slot_rows.dtype != np.int32:
-        # differences of int32 row indices fit in int32, so a candidate set's
-        # slots are read without a copy; any other dtype is widened
-        slot_rows = slot_rows.astype(np.intp, copy=False)
+    # differences of int32 row indices fit in int32
+    slot_rows = slot_array(slot_rows)
     if slot_rows.size == 0:
         return np.zeros(0), np.zeros(0)
     lam = np.zeros(len(slot_rows), dtype=np.intp)

@@ -2,7 +2,8 @@
 
 Scoring is column-wise: every truth cell carries a group id in one
 (m * n) array, and an aligned pair of cells hits when both carry the same
-id.  Aligned pairs are integer keys, deduplicated by sorting.
+id.  Aligned pairs are integer keys, deduplicated by sorting one series
+pair at a time.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import composers, tuning
 from .candidate import generate_candidates
 from .composers import Alignment
-from .core import ConstraintConfig, SeriesTable, WeightParams
+from .core import ConstraintConfig, SeriesTable, WeightParams, slot_array
 from .errors import ConfigError, StructuralError
 
 
@@ -69,29 +71,56 @@ def pair_accuracy(slots, truth: GroundTruth) -> tuple[float, float, float]:
     per series pair; a pair asserted by several tuples counts once.  A pair
     hits when both cells carry the same truth group id, and the truth holds
     C(|g|, 2) pairs per group g.  Precision over no pairs is defined as 0.
+
+    The series pairs are counted one at a time (see ``_pair_counts``), so
+    the working set is a few arrays of T entries whatever m is.
     """
     m, n = truth.table.m, truth.table.n
     try:
-        slots = np.asarray(slots, dtype=np.intp)
+        slots = slot_array(slots)
     except ValueError:
         raise StructuralError("alignment does not fit the truth table") from None
     if slots.size == 0:
         slots = slots.reshape(0, m)
-    if slots.ndim != 2 or slots.shape[1] != m or ((slots < 0) | (slots >= n)).any():
+    if (slots.ndim != 2 or slots.shape[1] != m
+            or (slots.size and (slots.min() < 0 or slots.max() >= n))):
         raise StructuralError("alignment does not fit the truth table")
-    cells = slots + np.arange(m) * n
-    a, b = np.triu_indices(m, 1)
-    keys = np.sort((cells[:, a] * (m * n) + cells[:, b]).ravel())
-    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
-    ids = truth.cell_groups
-    first, second = ids[keys // (m * n)], ids[keys % (m * n)]
-    hit = int(np.count_nonzero((first == second) & (first >= 0)))
-    sizes = np.bincount(ids[ids >= 0])
+    ids = truth.cell_groups.reshape(m, n)
+    pairs = hit = 0
+    for a, b in combinations(range(m), 2):
+        pair_total, pair_hit = _pair_counts(ids[a], ids[b], slots[:, a], slots[:, b], n)
+        pairs += pair_total
+        hit += pair_hit
+    sizes = np.bincount(truth.cell_groups[truth.cell_groups >= 0])
     truth_pairs = int((sizes * (sizes - 1) // 2).sum())
-    precision = hit / keys.size if keys.size else 0.0
+    precision = hit / pairs if pairs else 0.0
     recall = hit / truth_pairs if truth_pairs else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+def _pair_counts(ids_a: np.ndarray, ids_b: np.ndarray, rows_a: np.ndarray,
+                 rows_b: np.ndarray, n: int) -> tuple[int, int]:
+    """The distinct cell pairs of one series pair, and how many of them hit.
+
+    A pair of cells is the key row_a * n + row_b, below n * n; a hit's key is
+    moved up by n * n, so after the sort the hits follow the misses, and the
+    distinct keys of each part are counted from the run starts.
+    """
+    first = ids_a[rows_a]
+    same = first == ids_b[rows_b]
+    same &= first >= 0
+    del first
+    keys = rows_a.astype(np.intp)
+    keys *= n
+    keys += rows_b
+    np.add(keys, n * n, out=keys, where=same)
+    del same
+    keys.sort()
+    starts = keys[1:] != keys[:-1]
+    misses = int(np.searchsorted(keys, n * n))
+    return (int(keys.size > 0) + int(np.count_nonzero(starts)),
+            int(misses < keys.size) + int(np.count_nonzero(starts[misses:])))
 
 
 def score(alignment: Alignment, truth: GroundTruth) -> ScoreReport:
@@ -144,18 +173,21 @@ def generate_synthetic(n: int, m: int, timestamp_jitter: float,
     base = tick * np.arange(n, dtype=float)
     ts = base[None, :] + rng.uniform(-timestamp_jitter, timestamp_jitter, size=(m, n))
     ts = np.sort(ts, axis=1)
-    for k in range(m):
+    # bump ties over Python floats, in the series that have one: the same
+    # IEEE doubles as a bump in numpy, without a numpy scalar per timestamp
+    for k in np.flatnonzero((ts[:, 1:] <= ts[:, :-1]).any(axis=1)).tolist():
+        row = ts[k].tolist()
         for i in range(1, n):
-            if ts[k, i] <= ts[k, i - 1]:
-                ts[k, i] = np.nextafter(ts[k, i - 1], np.inf)
+            if row[i] <= row[i - 1]:
+                row[i] = math.nextafter(row[i - 1], math.inf)
+        ts[k] = row
 
     noise = rng.normal(size=(m, n))
     if value_model == "ar1":
-        latent = np.empty(n)
-        latent[0] = rng.normal()
-        shocks = rng.normal(size=n)
-        for i in range(1, n):
-            latent[i] = 0.8 * latent[i - 1] + 0.6 * shocks[i]
+        latent = [rng.normal()]
+        for shock in rng.normal(size=n)[1:].tolist():
+            latent.append(0.8 * latent[-1] + 0.6 * shock)
+        latent = np.array(latent)
         loadings = rng.uniform(0.5, 1.5, size=m)
         offsets = rng.uniform(-1.0, 1.0, size=m)
         values = loadings[:, None] * latent[None, :] + offsets[:, None] + 0.05 * noise

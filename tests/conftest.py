@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import random
 import time
@@ -9,10 +10,12 @@ import pytest
 from tsalign import SeriesTable, WeightParams, composers, tuning
 from tsalign.candidate import generate_candidates
 from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
+from tsalign.consistency import ConsistencyReport, fit_model
 from tsalign.core import (AlignedTuple, ConstraintConfig, check_tuple, phi_similarity,
                           theta_similarity)
 from tsalign.errors import ConfigError, DataError, StructuralError
-from tsalign.evaluation import ScoreReport, generate_synthetic, inject_mcar, score
+from tsalign.evaluation import (GroundTruth, ScoreReport, generate_synthetic, inject_mcar,
+                                score)
 
 
 def random_table(rng: np.random.Generator, m: int, n: int,
@@ -245,6 +248,128 @@ def score_scan(alignment, truth) -> ScoreReport:
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return ScoreReport(precision, recall, f1, len(tuples),
                        alignment.total_weight, alignment.report.delta)
+
+
+def pair_accuracy_all_pairs(slots, truth) -> tuple[float, float, float]:
+    """Oracle for ``evaluation.pair_accuracy``: the keys of every series pair
+    built, sorted and deduplicated at once, as cell_a * (m * n) + cell_b."""
+    m, n = truth.table.m, truth.table.n
+    try:
+        slots = np.asarray(slots, dtype=np.intp)
+    except ValueError:
+        raise StructuralError("alignment does not fit the truth table") from None
+    if slots.size == 0:
+        slots = slots.reshape(0, m)
+    if slots.ndim != 2 or slots.shape[1] != m or ((slots < 0) | (slots >= n)).any():
+        raise StructuralError("alignment does not fit the truth table")
+    cells = slots + np.arange(m) * n
+    a, b = np.triu_indices(m, 1)
+    keys = np.sort((cells[:, a] * (m * n) + cells[:, b]).ravel())
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+    ids = truth.cell_groups
+    first, second = ids[keys // (m * n)], ids[keys % (m * n)]
+    hit = int(np.count_nonzero((first == second) & (first >= 0)))
+    sizes = np.bincount(ids[ids >= 0])
+    truth_pairs = int((sizes * (sizes - 1) // 2).sum())
+    precision = hit / keys.size if keys.size else 0.0
+    recall = hit / truth_pairs if truth_pairs else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
+
+
+def predict_scan(model, values: np.ndarray) -> np.ndarray:
+    """Oracle for ``ConsistencyModel.predict``: gaps filled by ``np.where``."""
+    values = np.asarray(values, dtype=float)
+    rows = values.shape[0]
+    if rows == 0:
+        return np.zeros_like(values)
+    prev = np.empty_like(values)
+    prev[0] = model.means
+    prev[1:] = values[:-1]
+    gaps = np.isnan(prev)
+    if gaps.any():
+        prev = np.where(gaps, np.broadcast_to(model.means, prev.shape), prev)
+    return prev @ model.coeff.T + model.intercept
+
+
+def consistency_delta_scan(aligned_values: np.ndarray, model) -> ConsistencyReport:
+    """Oracle for ``consistency.consistency_delta``: the prediction of
+    ``predict_scan``, and the errors and column extremes by ``np.where`` copies."""
+    values = np.asarray(aligned_values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    rows, width = values.shape
+    mask = ~np.isnan(values)
+    abs_errors = np.zeros_like(values)
+    if rows:
+        preds = predict_scan(model, values)
+        abs_errors = np.where(mask, np.abs(preds - values), 0.0)
+    counts = mask.sum(axis=0)
+    vmax = np.where(counts > 0, np.nanmax(np.where(mask, values, -np.inf), axis=0,
+                                          initial=-np.inf), 0.0)
+    vmin = np.where(counts > 0, np.nanmin(np.where(mask, values, np.inf), axis=0,
+                                          initial=np.inf), 0.0)
+    normalizers = counts * (vmax - vmin)
+    losses = np.zeros(width)
+    degenerate = []
+    for j in range(width):
+        if normalizers[j] > 0:
+            losses[j] = abs_errors[:, j].sum() / normalizers[j]
+        else:
+            degenerate.append(j)
+    delta = float(losses.mean()) if width else 0.0
+    if not math.isfinite(delta):
+        raise DataError("the consistency score overflowed: the aligned values are "
+                        "too large in magnitude for the AR(1) fit")
+    return ConsistencyReport(losses, normalizers, delta, abs_errors,
+                             tuple(degenerate), not mask.any())
+
+
+def delta_report_scan(slots, t: SeriesTable) -> ConsistencyReport:
+    """Oracle for ``consistency.delta_report``: the slots widened to intp,
+    scored by ``consistency_delta_scan``."""
+    slots = np.asarray(slots, dtype=np.intp).reshape(-1, t.m)
+    matrix = t.values[np.arange(t.m), slots[np.lexsort(slots.T[::-1])]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = fit_model(matrix)
+        report = consistency_delta_scan(matrix, model)
+    return dataclasses.replace(report, fallback_series=model.fallback_series,
+                               full_fallback=model.full_fallback)
+
+
+def generate_synthetic_scan(n: int, m: int, timestamp_jitter: float,
+                            value_model: str = "ar1", seed: int = 0, tick: float = 10.0):
+    """Oracle for ``evaluation.generate_synthetic`` (valid arguments only): the
+    tie bump over every timestamp and the AR(1) recurrence in numpy scalars."""
+    rng = np.random.default_rng(seed)
+    base = tick * np.arange(n, dtype=float)
+    ts = base[None, :] + rng.uniform(-timestamp_jitter, timestamp_jitter, size=(m, n))
+    ts = np.sort(ts, axis=1)
+    for k in range(m):
+        for i in range(1, n):
+            if ts[k, i] <= ts[k, i - 1]:
+                ts[k, i] = np.nextafter(ts[k, i - 1], np.inf)
+
+    noise = rng.normal(size=(m, n))
+    if value_model == "ar1":
+        latent = np.empty(n)
+        latent[0] = rng.normal()
+        shocks = rng.normal(size=n)
+        for i in range(1, n):
+            latent[i] = 0.8 * latent[i - 1] + 0.6 * shocks[i]
+        loadings = rng.uniform(0.5, 1.5, size=m)
+        offsets = rng.uniform(-1.0, 1.0, size=m)
+        values = loadings[:, None] * latent[None, :] + offsets[:, None] + 0.05 * noise
+    elif value_model == "sine":
+        phases = rng.uniform(0, 2 * np.pi, size=m)
+        angle = 2 * np.pi * np.arange(n) / 50.0
+        values = np.sin(angle[None, :] + phases[:, None]) + 0.02 * noise
+    else:
+        walk = np.cumsum(rng.normal(size=n))
+        loadings = rng.uniform(0.5, 1.5, size=m)
+        values = loadings[:, None] * walk[None, :] + 0.05 * noise
+    table = SeriesTable(ts, values)
+    return table, GroundTruth.same_row(table)
 
 
 def theta_scan(t: SeriesTable, percentile: float = 95.0) -> float:

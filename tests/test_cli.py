@@ -1,7 +1,9 @@
 import csv
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -486,6 +488,63 @@ class TestAlign:
             assert code == 5
             assert metrics["exhausted"] is True
         assert out.exists()
+
+    @pytest.mark.parametrize("retries", ["-1", "-3"])
+    def test_negative_max_retries_is_config_error_without_artifacts(self, small_files,
+                                                                    tmp_path, capsys, retries):
+        data, truth = small_files
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        code = main(["align", "--input", str(data), "--strategy", "greedy",
+                     "--theta", "3", "--beta", "1", "--max-retries", retries,
+                     "--truth", str(truth), "--out", str(out), "--report", str(report)])
+        assert code == 2
+        assert not out.exists() and not report.exists()
+        assert capsys.readouterr().err == "config error: --max-retries must be at least 0\n"
+
+    @pytest.mark.parametrize("strategy", ["greedy", "expect"])
+    def test_zero_max_retries_runs_one_attempt(self, small_files, tmp_path, strategy):
+        # an unreachable delta: 0 and 1 both run the one attempt and stop
+        data, _ = small_files
+        written = []
+        for retries in ("0", "1"):
+            out, report = tmp_path / f"a{retries}.csv", tmp_path / f"r{retries}.json"
+            code = main(["align", "--input", str(data), "--strategy", strategy,
+                         "--theta", "3", "--beta", "1", "--delta", "1e-15",
+                         "--max-retries", retries, "--out", str(out), "--report", str(report)])
+            metrics = json.loads(report.read_text())
+            assert code == 5 and metrics["retries_used"] == 0
+            assert len(metrics["diagnostics"]["attempt_deltas"]) == 1
+            del metrics["wall_time_ms"]
+            written.append((out.read_bytes(), metrics))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "expect", "--tune-theta", "--tune-beta"],
+        ["--strategy", "greedy", "--theta", "3", "--beta", "1", "--tune-delta"],
+        ["--strategy", "setpack", "--theta", "3", "--beta", "1", "--delta", "10"],
+    ])
+    def test_candidate_set_is_freed_before_scoring(self, small_files, tmp_path, monkeypatch,
+                                                   flags):
+        data, truth = small_files
+        sets, alive_at_score = [], []
+        generate, score = cli.generate_candidates, cli.evaluation.score
+
+        def generate_and_watch(*args, **kwargs):
+            rc = generate(*args, **kwargs)
+            sets.append(weakref.ref(rc))
+            return rc
+
+        def score_and_check(*args, **kwargs):
+            gc.collect()
+            alive_at_score.append([ref() is not None for ref in sets])
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_candidates", generate_and_watch)
+        monkeypatch.setattr(cli.evaluation, "score", score_and_check)
+        code = main(["align", "--input", str(data), *flags, "--truth", str(truth),
+                     "--out", str(tmp_path / "a.csv"), "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        assert alive_at_score == [[False]]
 
     def test_tune_delta_with_explicit_weights(self, small_files, tmp_path):
         data, _ = small_files

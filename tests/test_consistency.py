@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsalign import (
+    DataError,
+    SeriesTable,
     consistency_delta,
     delta_report,
     fit_model,
     generate_synthetic,
     tuple_value_matrix,
 )
+from conftest import consistency_delta_scan, delta_report_scan, gappy_table, predict_scan
 
 
 class TestFitModel:
@@ -165,3 +168,80 @@ class TestTupleValueMatrix:
         assert delta_report(shuffled.astype(np.int32).tolist(), table).delta == expected.delta
         unsorted = tuple_value_matrix(shuffled, table)
         assert consistency_delta(unsorted, fit_model(unsorted)).delta != expected.delta
+
+
+def assert_same_report(a, b):
+    """Every field equal: arrays by value and dtype (NaN matching NaN), delta and flags."""
+    for name in ("per_series_loss", "normalizers", "abs_errors"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+    assert a.delta == b.delta
+    assert (a.degenerate_series, a.all_missing, a.fallback_series, a.full_fallback) == \
+        (b.degenerate_series, b.all_missing, b.fallback_series, b.full_fallback)
+
+
+class TestInPlaceReportMatchesScan:
+    """The in-place prediction, errors and column extremes against the copying ones."""
+
+    @staticmethod
+    def gappy_matrix(rng, rows, width, rate):
+        values = rng.normal(size=(rows, width)) * rng.uniform(0.1, 100.0, size=width)
+        return np.where(rng.random((rows, width)) < rate, np.nan, values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.integers(1, 5),
+           st.floats(0.0, 1.0))
+    def test_random_matrices(self, seed, rows, width, rate):
+        values = self.gappy_matrix(np.random.default_rng(seed), rows, width, rate)
+        model = fit_model(values)
+        assert np.array_equal(model.predict(values), predict_scan(model, values),
+                              equal_nan=True)
+        assert_same_report(consistency_delta(values, model),
+                           consistency_delta_scan(values, model))
+
+    @pytest.mark.parametrize("case", ["degenerate", "all_missing", "few_rows", "one_value"])
+    def test_edge_matrices(self, case):
+        rng = np.random.default_rng(3)
+        values = self.gappy_matrix(rng, 12, 3, 0.2)
+        if case == "degenerate":
+            values[:, 1] = 4.0
+        elif case == "all_missing":
+            values[:] = np.nan
+        elif case == "few_rows":
+            values = values[:4]  # fewer than m + 2 rows: the mean predictor
+        else:
+            values[:, 2] = np.nan
+            values[5, 2] = 1.5
+        model = fit_model(values)
+        report = consistency_delta(values, model)
+        assert_same_report(report, consistency_delta_scan(values, model))
+        if case == "degenerate":
+            assert report.degenerate_series == (1,)
+        if case == "all_missing":
+            assert report.all_missing
+        if case == "few_rows":
+            assert model.full_fallback
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("m, n", [(2, 1), (2, 5), (3, 12), (4, 40)])
+    def test_delta_report_on_slot_arrays(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        t = gappy_table(rng, m, n)
+        slots = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), m))
+        for given in (slots, slots.astype(np.int32), slots.tolist()):
+            assert_same_report(delta_report(given, t), delta_report_scan(given, t))
+
+    def test_delta_report_on_no_tuples(self):
+        t = gappy_table(np.random.default_rng(0), 3, 6)
+        for given in ([], np.zeros((0, 3), dtype=np.int32)):
+            report = delta_report(given, t)
+            assert_same_report(report, delta_report_scan(given, t))
+            assert report.all_missing and report.full_fallback
+
+    def test_overflow_is_the_same_data_error(self):
+        vs = np.array([[1e308, -1e308, 1e308, -1e308], [-1e308, 1e308, -1e308, 1e308]])
+        t = SeriesTable(np.tile(np.arange(4.0), (2, 1)), vs)
+        slots = np.tile(np.arange(4, dtype=np.int32)[:, None], (1, 2))
+        for f in (delta_report, delta_report_scan):
+            with pytest.raises(DataError, match="the consistency score overflowed"):
+                f(slots, t)

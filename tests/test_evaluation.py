@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,9 @@ from tsalign import (
     score,
 )
 from tsalign.consistency import ConsistencyReport
-from conftest import gappy_table, same_row_groups_scan, score_scan, truth_pair_set
+from conftest import (assert_same_table, gappy_table, generate_synthetic_scan,
+                      pair_accuracy_all_pairs, same_row_groups_scan, score_scan,
+                      truth_pair_set)
 
 
 def make_alignment(tuples, total_weight=0.0, delta=0.0):
@@ -146,6 +150,62 @@ class TestScoreMatchesScan:
         assert not cell_groups.flags.writeable
 
 
+class TestPairAccuracyMatchesAllPairs:
+    """Scoring one series pair at a time against the keys of all pairs at once."""
+
+    @staticmethod
+    def random_slots(rng, m, n, count):
+        """Near-diagonal slot vectors, so some hit, with reused cells and repeated tuples."""
+        base = rng.integers(0, n, size=(count, 1))
+        slots = np.clip(base + rng.integers(-1, 2, size=(count, m)), 0, n - 1)
+        return np.concatenate([slots, slots[:count // 3]])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_random_slot_arrays(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        truth = GroundTruth.same_row(gappy_table(rng, m, n))
+        slots = self.random_slots(rng, m, n, int(rng.integers(1, 3 * n + 2)))
+        expected = pair_accuracy_all_pairs(slots, truth)
+        for given in (slots, slots.astype(np.int32), slots.tolist()):
+            assert pair_accuracy(given, truth) == expected
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_empty_input(self, m):
+        _, truth = generate_synthetic(5, m, 0.5, seed=m)
+        for given in ([], np.zeros((0, m), dtype=np.int32), np.zeros(0)):
+            assert pair_accuracy(given, truth) == pair_accuracy_all_pairs(given, truth)
+            assert pair_accuracy(given, truth) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("slots", [
+        [(0, -1, 0)], [(0, 5, 0)], [(0, 0)], [(0, 0), (1, 1, 1)],
+        np.full((2, 3), 5, dtype=np.int32), np.array([[0, 0, -1]], dtype=np.int8),
+    ])
+    def test_out_of_range_is_the_same_structural_error(self, slots):
+        _, truth = generate_synthetic(5, 3, 0.5, seed=3)
+        for f in (pair_accuracy, pair_accuracy_all_pairs):
+            with pytest.raises(StructuralError, match="^alignment does not fit the truth table$"):
+                f(slots, truth)
+
+    def test_holds_one_series_pair_at_a_time(self):
+        # all 15 series pairs' keys at once, their sort copy and two id gathers
+        # peaked at about 6.6 MB at this size; one pair's two id gathers take
+        # 320 kB, and 128 KiB covers its bool masks and numpy's cast buffer
+        T, m, n = 20000, 6, 2000
+        rng = np.random.default_rng(5)
+        truth = GroundTruth.same_row(gappy_table(rng, m, n))
+        slots = self.random_slots(rng, m, n, T)[:T].astype(np.int32)
+        tracemalloc.start()
+        try:
+            result = pair_accuracy(slots, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == pair_accuracy_all_pairs(slots, truth)
+        assert peak <= 2 * T * 8 + 128 * 1024
+
+
 class TestInjectMcar:
     def test_rate_zero_is_identity(self):
         table, _ = generate_synthetic(20, 3, 1.0, seed=6)
@@ -242,6 +302,47 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 2, 1.0, value_model="brown", seed=0)
         with pytest.raises(ConfigError):
             generate_synthetic(1, 2, 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    @pytest.mark.parametrize("n, m", [(2, 2), (50, 3), (300, 4), (1000, 5)])
+    @pytest.mark.parametrize("model", ["ar1", "sine", "walk"])
+    def test_matches_numpy_scalar_scan(self, seed, n, m, model):
+        table, truth = generate_synthetic(n, m, 4.0, value_model=model, seed=seed)
+        scan_table, scan_truth = generate_synthetic_scan(n, m, 4.0, value_model=model,
+                                                         seed=seed)
+        assert_same_table(table, scan_table)
+        assert np.array_equal(truth.cell_groups, scan_truth.cell_groups)
+
+    def test_tie_bump_matches_numpy_scalar_scan(self, monkeypatch):
+        # offsets that put rows on the same instant: series 0 in pairs, series
+        # 1 all at 0, series 2 never; the bump makes each tie the next double
+        offsets = np.array([[0.5, -0.5, 0.5, -0.5, 0.25, -0.75],
+                            [0.0, -1.0, -2.0, -3.0, -4.0, -5.0],
+                            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        make_rng = np.random.default_rng
+
+        class TiedRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def uniform(self, low, high, size=None):
+                if size == offsets.shape:
+                    return offsets.copy()
+                return self.rng.uniform(low, high, size=size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", TiedRng)
+        with pytest.warns(UserWarning):
+            table, truth = generate_synthetic(6, 3, 5.0, seed=2, tick=1.0)
+        scan_table, scan_truth = generate_synthetic_scan(6, 3, 5.0, seed=2, tick=1.0)
+        assert_same_table(table, scan_table)
+        assert np.array_equal(truth.cell_groups, scan_truth.cell_groups)
+        ts = table.timestamps
+        assert ts[0, 1] == np.nextafter(0.5, np.inf) and ts[0, 4] == 4.25
+        assert ts[1].tolist() == [0.0, 5e-324, 1e-323, 1.5e-323, 2e-323, 2.5e-323]
+        assert ts[2].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     @pytest.mark.parametrize("jitter, tick", [(float("nan"), 10.0), (float("inf"), 10.0),
                                               (1.0, float("nan")), (1.0, float("inf")),
