@@ -5,7 +5,7 @@ maximum-weight set of non-conflicting tuples under time, position, and
 model-consistency constraints, without imputing anything first.
 """
 
-from .candidate import CandidateSet, brute_force_candidates, generate_candidates
+from .candidate import CandidateSet, generate_candidates
 from .composers import (
     Alignment,
     compose_exact,
@@ -49,7 +49,7 @@ __all__ = [
     "AlignedTuple", "Alignment", "AlignmentError", "CandidateSet", "ConfigError",
     "ConsistencyModel", "ConsistencyReport", "ConstraintConfig", "DataError",
     "GroundTruth", "ScoreReport", "SeriesTable", "SizeError", "StructuralError",
-    "TuningReport", "batch_weights", "benchmark_alignment", "brute_force_candidates",
+    "TuningReport", "batch_weights", "benchmark_alignment",
     "compose_exact", "compose_expectation", "compose_greedy", "compose_setpacking",
     "conflicts", "consistency_delta", "delta_report", "determine_beta",
     "determine_theta", "determine_weights_and_delta", "fit_model",

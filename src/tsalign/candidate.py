@@ -28,29 +28,20 @@ parent indices back to the first series.
 
 The cost of a level is the sum of its prefixes' window widths (at most
 min(2 * beta + 1, n) each), in time and in memory, including the rows the
-time constraint then drops.  The brute-force enumerator below is the
-testing oracle: both must return identical sets.
+time constraint then drops.  The tests check it against a brute-force
+enumerator: both must return identical sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    AlignedTuple,
-    ConstraintConfig,
-    SeriesTable,
-    phi_similarity,
-    theta_similarity,
-    weight_terms,
-)
+from .core import ConstraintConfig, SeriesTable, weight_terms
 from .errors import SizeError
 
-BRUTE_FORCE_GUARD = 10_000_000
 INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -247,19 +238,3 @@ def generate_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
         index = parents.pop()[index]
     slots[:, 0] = index
     return CandidateSet(slots, cfg, t)
-
-
-def brute_force_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
-    """Oracle: enumerate all n^m slot vectors and filter by both constraints."""
-    if t.n ** t.m > BRUTE_FORCE_GUARD:
-        raise SizeError(f"n^m = {t.n ** t.m} exceeds the brute-force guard {BRUTE_FORCE_GUARD}")
-    out = []
-    for combo in itertools.product(range(t.n), repeat=t.m):
-        r = AlignedTuple(combo)
-        if phi_similarity(r) > cfg.beta:
-            continue
-        th = theta_similarity(r, t)
-        if th is not None and th > cfg.theta:
-            continue
-        out.append(combo)
-    return CandidateSet(np.array(out, dtype=np.int32).reshape(-1, t.m), cfg, t)

@@ -6,13 +6,15 @@ with header t_1,v_1,...,t_m,v_m where an empty cell means missing.
 The data path works on blocks of ``BLOCK_ROWS`` rows, so it holds the
 Python strings of one block at a time.  ``ingest`` reads the records with
 ``csv.reader`` block by block, parses each column of a block with Python
-``float`` per cell into an (m, rows) array and rejects a block's first
-defect at once, so several defects report the first in file order; the
-timestamp order is checked on whole columns at the end.  ``score`` reads the
-aligned CSV in the same blocks.  ``write_alignment_csv`` gathers the cells of
-all tuples with one index into numeric columns, and both writers format,
-join and write one block of rows at a time.  A file that is not UTF-8, or
-that ``csv`` cannot read, is a DataError.
+``float`` per cell into a (2, m, rows) array of its timestamps and values
+and rejects a block's first defect at once, so several defects report the
+first in file order; the timestamp order is checked on whole columns at the
+end, and the table holds the two halves of the joined blocks without a
+copy.  ``score`` reads the aligned CSV in the same blocks.
+``write_alignment_csv`` gathers the cells of all tuples with one index into
+numeric columns, and both writers format, join and write one block of rows
+at a time.  A file that is not UTF-8, or that ``csv`` cannot read, is a
+DataError.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from . import composers, evaluation, tuning
 from .candidate import generate_candidates
 from .composers import Alignment
-from .core import ConstraintConfig, SeriesTable, WeightParams, batch_weights
+from .core import ConstraintConfig, SeriesTable, WeightParams, adopt, batch_weights
 from .errors import AlignmentError, ConfigError, DataError, SizeError, StructuralError
 
 EXIT_OK = 0
@@ -107,7 +109,9 @@ def ingest(path: str) -> SeriesTable:
     so a file with several defects reports the first one in file order: a
     ragged row, or a cell that is not a number or not finite.  The
     strictly-increasing check runs on whole columns once every block has
-    parsed.
+    parsed, and the table is handed the contiguous timestamp and value
+    halves of the joined blocks without the copy and checks of
+    ``SeriesTable(...)``.
     """
     with _csv_reader(path) as reader:
         header = next(reader, None)
@@ -118,7 +122,7 @@ def ingest(path: str) -> SeriesTable:
                     for k in range(m) for i in range(2)]
         if rem or m < 2 or [h.strip() for h in header] != expected:
             raise DataError(f"{path}: header must be t_1,v_1,...,t_m,v_m with m >= 2")
-        parts = [np.empty((2 * m, 0))]  # the (2m, rows) cells of each block
+        parts = [np.empty((2, m, 0))]  # the (2, m, rows) cells of each block
         skips = []  # per blank record, the number of non-blank records before it
         n = 0
         for records in _blocks(reader):
@@ -136,9 +140,11 @@ def ingest(path: str) -> SeriesTable:
                 raise DataError(f"{path}:{_lines(n + row, skips)}: {message}")
             parts.append(cells)
             n += len(records)
-    cells = np.concatenate(parts, axis=1)
+    # the timestamps and values are the contiguous halves of one array
+    cells = np.concatenate(parts, axis=2)
     del parts
-    ts, vs = cells[0::2], cells[1::2]
+    cells.setflags(write=False)
+    ts, vs = cells
     bad = []
     for k in range(m):
         rows = np.flatnonzero(~np.isnan(ts[k]))
@@ -147,7 +153,7 @@ def ingest(path: str) -> SeriesTable:
                 for line in _lines(rows[1:][present[1:] <= present[:-1]], skips).tolist()]
     if bad:
         raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
-    return SeriesTable(ts, vs)
+    return adopt(SeriesTable, timestamps=ts, values=vs)
 
 
 def _lines(rows, skips: list[int]):
@@ -158,8 +164,8 @@ def _lines(rows, skips: list[int]):
 
 def _parse_block(records: list[list[str]], m: int
                  ) -> tuple[np.ndarray, Optional[tuple[int, str]]]:
-    """The (2m, rows) cells of a block of non-blank records, and its first
-    defect in file order as (row, message), or None.
+    """The (2, m, rows) timestamps and values of a block of non-blank
+    records, and its first defect in file order as (row, message), or None.
 
     Only the rows before the first ragged one are parsed.
     """
@@ -167,10 +173,10 @@ def _parse_block(records: list[list[str]], m: int
     ragged = np.flatnonzero(widths != 2 * m)
     n = int(ragged[0]) if ragged.size else len(records)
     columns = list(zip(*records[:n])) or [()] * (2 * m)
-    cells = np.empty((2 * m, n))
+    cells = np.empty((2, m, n))
     first = None
     for c, col in enumerate(columns):
-        defect = _parse_column(col, cells[c])
+        defect = _parse_column(col, cells[c % 2, c // 2])
         if defect is not None and (first is None or defect[0] < first[0]):
             first = defect
     if first is None and n < len(records):
@@ -271,7 +277,8 @@ def _format_column(x: np.ndarray) -> list[str]:
 
 
 def run(args) -> int:
-    """``align``: ingest, tune, generate, compose, score, write artifacts."""
+    """``align``: check the options, ingest, read the truth, tune, generate,
+    compose, score, write artifacts."""
     if (args.theta is None) == (not args.tune_theta):
         raise ConfigError("pass exactly one of --theta or --tune-theta")
     if (args.beta is None) == (not args.tune_beta):
@@ -280,15 +287,30 @@ def run(args) -> int:
         raise ConfigError("pass at most one of --delta or --tune-delta")
     if args.max_retries < 0:
         raise ConfigError("--max-retries must be at least 0")
+    if args.beta_lower < 0:
+        raise ConfigError("--beta-lower must be at least 0")
+    # the checks of the weights and windows given, before any file is read
+    k1 = 1.0 if args.k1 is None else args.k1
+    k2 = 1.0 if args.k2 is None else args.k2
+    params = WeightParams(k1=k1, k2=k2, b=args.b, c=args.c)
+    ConstraintConfig(theta=0.0 if args.theta is None else args.theta,
+                     beta=0 if args.beta is None else args.beta,
+                     delta=math.inf if args.delta is None else args.delta)
     started = time.perf_counter()
     table = ingest(args.input)
+    truth_present, truth_s = None, 0.0  # truth_s is left out of wall_time_ms
+    if args.truth:
+        # read and checked before any work, and kept only as the mask of its
+        # present cells: the group ids are built from it after the compose,
+        # in memory the beta scan and the candidate set have freed
+        truth_started = time.perf_counter()
+        truth_present = _truth_present(args.truth, table)
+        truth_s = time.perf_counter() - truth_started
     theta, beta = tuning.determine_windows(table, args.theta, args.beta,
                                            beta_lower=args.beta_lower)
     # the tuning grid and the final compose share this set; each reads delta
     # from the constraint it is given
     rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
-    k1 = 1.0 if args.k1 is None else args.k1
-    k2 = 1.0 if args.k2 is None else args.k2
     diagnostics = {}
     if args.tune_delta:
         # an explicit weight fixes its coordinate; the grid searches the other
@@ -298,25 +320,24 @@ def run(args) -> int:
         report = tuning.determine_weights_and_delta(
             rc, grid=grid, strategy=args.strategy, seed=args.seed)
         delta, k1, k2 = report.delta, report.k1, report.k2
+        params = WeightParams(k1=k1, k2=k2, b=args.b, c=args.c)
         diagnostics = {key: report.diagnostics[key]
                        for key in ("grid_composes", "grid_distinct_passes", "grid_segment_walks")}
     else:
         delta = args.delta if args.delta is not None else math.inf
-    params = WeightParams(k1=k1, k2=k2, b=args.b, c=args.c)
     constraint = ConstraintConfig(theta=theta, beta=beta, delta=delta)
     alignment = composers.compose(args.strategy, rc, constraint, table, params,
                                   seed=args.seed, max_retries=args.max_retries)
     # nothing after the compose reads the candidate set: free its slots and
-    # cached state before the truth is read and the alignment is written
+    # cached state before the alignment is scored and written
     candidate_count, segments = len(rc), len(rc.segment_bounds) - 1
     del rc
     scores = {}
-    truth_s = 0.0  # left out of wall_time_ms
-    if args.truth:
-        # scored before anything is written, so a bad truth leaves no artifact
+    if truth_present is not None:
         truth_started = time.perf_counter()
-        scores = _truth_scores(args.truth, table, alignment)
-        truth_s = time.perf_counter() - truth_started
+        sr = evaluation.score(alignment, evaluation.same_row_groups(truth_present))
+        scores = {"precision": sr.precision, "recall": sr.recall, "f1": sr.f1}
+        truth_s += time.perf_counter() - truth_started
     write_alignment_csv(alignment, table, params, args.out)
 
     metrics = {
@@ -346,19 +367,19 @@ def run(args) -> int:
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
 
 
-def _truth_scores(path: str, table: SeriesTable, alignment: Alignment) -> dict:
-    """Precision, recall and F1 of ``alignment`` against the truth CSV at ``path``.
+def _truth_present(path: str, table: SeriesTable) -> np.ndarray:
+    """The (m, n) mask of the cells with a timestamp or a value in the truth
+    CSV at ``path``, from which ``evaluation.same_row_groups`` builds its ids.
 
-    The truth must have the input's series and rows.  It is dropped on
-    return, so it does not add to the memory of the writing that follows.
+    The truth must have the input's series and rows.  Its cells are dropped
+    on return, so one byte per cell stays alive through the stages that follow.
     """
-    truth = evaluation.GroundTruth.same_row(ingest(path))
-    if (truth.table.m, truth.table.n) != (table.m, table.n):
+    truth = ingest(path)
+    if (truth.m, truth.n) != (table.m, table.n):
         raise StructuralError(
-            f"{path}: truth has {truth.table.m} series of {truth.table.n} rows, "
+            f"{path}: truth has {truth.m} series of {truth.n} rows, "
             f"input has {table.m} series of {table.n} rows")
-    sr = evaluation.score(alignment, truth)
-    return {"precision": sr.precision, "recall": sr.recall, "f1": sr.f1}
+    return truth.timestamp_mask | truth.value_mask
 
 
 def _group_counts(strategy: str, alignment: Alignment) -> dict:
@@ -413,6 +434,12 @@ def _add_align_parser(sub) -> None:
 
 
 def _cmd_tune(args) -> int:
+    if args.beta_lower < 0:
+        raise ConfigError("--beta-lower must be at least 0")
+    if args.k_max < 1:
+        raise ConfigError("--k-max must be at least 1")
+    if not 0 <= args.percentile <= 100:
+        raise ConfigError("--percentile must lie in [0, 100]")
     table = ingest(args.input)
     theta, beta = tuning.determine_windows(table, percentile=args.percentile,
                                            beta_lower=args.beta_lower)

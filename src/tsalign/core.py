@@ -86,6 +86,19 @@ class SeriesTable:
         return cls(ts, vs)
 
 
+def adopt(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` that holds ``fields`` as given.
+
+    Nothing is copied and ``__post_init__`` does not run, so its checks are
+    the caller's: this is for arrays the package has just built and checked,
+    and made read-only, such as those of ``cli.ingest``.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, order=True)
 class AlignedTuple:
     """One row reference per series, asserting the cells are simultaneous."""

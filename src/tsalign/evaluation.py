@@ -1,7 +1,7 @@
 """Ground-truth scoring, MCAR injection, and synthetic benchmark generation.
 
 Scoring is column-wise: every truth cell carries a group id in one
-(m * n) array, and an aligned pair of cells hits when both carry the same
+(m, n) array, and an aligned pair of cells hits when both carry the same
 id.  Aligned pairs are integer keys, deduplicated by sorting one series
 pair at a time.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from . import composers, tuning
 from .candidate import generate_candidates
 from .composers import Alignment
-from .core import ConstraintConfig, SeriesTable, WeightParams, slot_array
+from .core import ConstraintConfig, SeriesTable, WeightParams, adopt, slot_array
 from .errors import ConfigError, StructuralError
 
 
@@ -43,14 +43,25 @@ class GroundTruth:
 
     @classmethod
     def same_row(cls, table: SeriesTable) -> "GroundTruth":
-        """Truth where row i of every series is simultaneous (synthetic convention).
+        """Truth where row i of every series is simultaneous (synthetic convention),
+        holding the ids of ``same_row_groups`` without a copy."""
+        ids = same_row_groups(table.timestamp_mask | table.value_mask)
+        return adopt(cls, table=table, cell_groups=ids.ravel())
 
-        The rows with some present cell are numbered 0, 1, ... in row order,
-        by one cumsum over the presence mask; a missing cell gets -1.
-        """
-        present = table.timestamp_mask | table.value_mask
-        row_ids = np.cumsum(present.any(axis=0)) - 1
-        return cls(table, np.where(present, row_ids, -1).ravel())
+
+def same_row_groups(present: np.ndarray) -> np.ndarray:
+    """The read-only (m, n) group ids of the same-row truth whose cells with a
+    timestamp or a value are ``present``.
+
+    The rows with some present cell are numbered 0, 1, ... in row order, by
+    one cumsum over the mask; a missing cell gets -1.  The ids are int32, as
+    candidate slots are, when n fits.
+    """
+    dtype = np.int32 if present.shape[1] < 2**31 else np.intp
+    row_ids = np.cumsum(present.any(axis=0), dtype=dtype) - 1
+    ids = np.where(present, row_ids, -1)
+    ids.setflags(write=False)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -63,19 +74,24 @@ class ScoreReport:
     delta: float
 
 
-def pair_accuracy(slots, truth: GroundTruth) -> tuple[float, float, float]:
+def pair_accuracy(slots, truth) -> tuple[float, float, float]:
     """Pair-level precision, recall and F1 of aligned tuples against the truth pairing.
 
     ``slots`` holds one slot vector per tuple: an (T, m) integer array, or a
-    sequence of slot vectors.  A tuple asserts one pair of cells
-    per series pair; a pair asserted by several tuples counts once.  A pair
-    hits when both cells carry the same truth group id, and the truth holds
-    C(|g|, 2) pairs per group g.  Precision over no pairs is defined as 0.
+    sequence of slot vectors.  ``truth`` is a GroundTruth, or the (m, n)
+    group ids of one (see ``same_row_groups``).  A tuple asserts one pair of
+    cells per series pair; a pair asserted by several tuples counts once.  A
+    pair hits when both cells carry the same truth group id, and the truth
+    holds C(|g|, 2) pairs per group g.  Precision over no pairs is defined
+    as 0.
 
-    The series pairs are counted one at a time (see ``_pair_counts``), so
-    the working set is a few arrays of T entries whatever m is.
+    The series pairs are counted one at a time (see ``_pair_counts``), and
+    the truth's group sizes one series at a time, so the working set is a
+    few arrays of T entries and of n entries whatever m is.
     """
-    m, n = truth.table.m, truth.table.n
+    ids = (truth.cell_groups.reshape(truth.table.m, truth.table.n)
+           if isinstance(truth, GroundTruth) else truth)
+    m, n = ids.shape
     try:
         slots = slot_array(slots)
     except ValueError:
@@ -85,14 +101,21 @@ def pair_accuracy(slots, truth: GroundTruth) -> tuple[float, float, float]:
     if (slots.ndim != 2 or slots.shape[1] != m
             or (slots.size and (slots.min() < 0 or slots.max() >= n))):
         raise StructuralError("alignment does not fit the truth table")
-    ids = truth.cell_groups.reshape(m, n)
+    # a series whose rows are all distinct, as in any conflict-free
+    # alignment, makes every pair it takes part in distinct, so those pairs
+    # skip the sort (whose first call pages in about 128 KB of numpy code)
+    distinct = [np.bincount(slots[:, k], minlength=n).max(initial=0) <= 1 for k in range(m)]
     pairs = hit = 0
     for a, b in combinations(range(m), 2):
-        pair_total, pair_hit = _pair_counts(ids[a], ids[b], slots[:, a], slots[:, b], n)
+        pair_total, pair_hit = _pair_counts(ids[a], ids[b], slots[:, a], slots[:, b], n,
+                                            distinct[a] or distinct[b])
         pairs += pair_total
         hit += pair_hit
-    sizes = np.bincount(truth.cell_groups[truth.cell_groups >= 0])
-    truth_pairs = int((sizes * (sizes - 1) // 2).sum())
+    # the group sizes, counted one series at a time
+    sizes = np.zeros(int(ids.max(initial=-1)) + 1, dtype=np.intp)
+    for row in ids:
+        sizes += np.bincount(row[row >= 0], minlength=sizes.size)
+    truth_pairs = int(sizes @ (sizes - 1)) // 2
     precision = hit / pairs if pairs else 0.0
     recall = hit / truth_pairs if truth_pairs else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -100,17 +123,21 @@ def pair_accuracy(slots, truth: GroundTruth) -> tuple[float, float, float]:
 
 
 def _pair_counts(ids_a: np.ndarray, ids_b: np.ndarray, rows_a: np.ndarray,
-                 rows_b: np.ndarray, n: int) -> tuple[int, int]:
+                 rows_b: np.ndarray, n: int, distinct: bool) -> tuple[int, int]:
     """The distinct cell pairs of one series pair, and how many of them hit.
 
-    A pair of cells is the key row_a * n + row_b, below n * n; a hit's key is
-    moved up by n * n, so after the sort the hits follow the misses, and the
-    distinct keys of each part are counted from the run starts.
+    When the pairs are known to be ``distinct`` they are counted as they
+    are.  Otherwise a pair of cells is the key row_a * n + row_b, below
+    n * n; a hit's key is moved up by n * n, so after the sort the hits
+    follow the misses, and the distinct keys of each part are counted from
+    the run starts.
     """
     first = ids_a[rows_a]
     same = first == ids_b[rows_b]
     same &= first >= 0
     del first
+    if distinct:
+        return same.size, int(np.count_nonzero(same))
     keys = rows_a.astype(np.intp)
     keys *= n
     keys += rows_b
@@ -123,8 +150,9 @@ def _pair_counts(ids_a: np.ndarray, ids_b: np.ndarray, rows_a: np.ndarray,
             int(misses < keys.size) + int(np.count_nonzero(starts[misses:])))
 
 
-def score(alignment: Alignment, truth: GroundTruth) -> ScoreReport:
-    """Pair-level precision/recall/F1 of an alignment (see ``pair_accuracy``)."""
+def score(alignment: Alignment, truth) -> ScoreReport:
+    """Pair-level precision/recall/F1 of an alignment against a GroundTruth or
+    its (m, n) group ids (see ``pair_accuracy``)."""
     precision, recall, f1 = pair_accuracy(alignment.slots, truth)
     return ScoreReport(precision, recall, f1, len(alignment),
                        alignment.total_weight, alignment.report.delta)

@@ -80,6 +80,8 @@ def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
     gap exceeds the scan window, so they are counted per value with
     ``np.bincount``, one series pair at a time, instead of being collected.
     """
+    if beta_lower < 0:
+        raise ConfigError("beta_lower must be at least 0")
     scan_cfg = ConstraintConfig(theta=theta, beta=beta_lower + t.m)
     slots = generate_candidates(t, scan_cfg).slots
     counts = np.zeros(min(scan_cfg.beta, t.n) + 1, dtype=np.int64)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 from tsalign import SeriesTable, WeightParams, composers, tuning
-from tsalign.candidate import generate_candidates
+from tsalign.candidate import CandidateSet, generate_candidates
 from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
 from tsalign.consistency import ConsistencyReport, fit_model
 from tsalign.core import (AlignedTuple, ConstraintConfig, check_tuple, phi_similarity,
                           theta_similarity)
-from tsalign.errors import ConfigError, DataError, StructuralError
+from tsalign.errors import ConfigError, DataError, SizeError, StructuralError
 from tsalign.evaluation import (GroundTruth, ScoreReport, generate_synthetic, inject_mcar,
                                 score)
 
@@ -395,6 +396,26 @@ def beta_samples_scan(t: SeriesTable, theta: float, beta_lower: int = 0) -> list
             for b in range(a + 1, len(slots)):
                 samples.append(abs(slots[a] - slots[b]))
     return samples
+
+
+BRUTE_FORCE_GUARD = 10_000_000
+
+
+def brute_force_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
+    """Oracle for ``generate_candidates``: enumerate all n^m slot vectors and
+    filter by both constraints."""
+    if t.n ** t.m > BRUTE_FORCE_GUARD:
+        raise SizeError(f"n^m = {t.n ** t.m} exceeds the brute-force guard {BRUTE_FORCE_GUARD}")
+    out = []
+    for combo in itertools.product(range(t.n), repeat=t.m):
+        r = AlignedTuple(combo)
+        if phi_similarity(r) > cfg.beta:
+            continue
+        th = theta_similarity(r, t)
+        if th is not None and th > cfg.theta:
+            continue
+        out.append(combo)
+    return CandidateSet(np.array(out, dtype=np.int32).reshape(-1, t.m), cfg, t)
 
 
 def walk_scan(t: SeriesTable, cfg: ConstraintConfig) -> np.ndarray:

@@ -19,7 +19,6 @@ from tsalign import (
     ConstraintConfig,
     WeightParams,
     benchmark_alignment,
-    brute_force_candidates,
     compose_exact,
     compose_expectation,
     compose_greedy,
@@ -37,6 +36,7 @@ from tsalign.cli import main, write_table
 from conftest import (
     aligned_tuples,
     assert_same_alignment,
+    brute_force_candidates,
     expectation_scan,
     mwis_bruteforce,
     random_table,

@@ -10,7 +10,6 @@ from tsalign import (
     SeriesTable,
     SizeError,
     WeightParams,
-    brute_force_candidates,
     compose_greedy,
     conflicts,
     determine_beta,
@@ -25,6 +24,7 @@ from tsalign import candidate
 from tsalign.core import combine_weights
 from conftest import (
     aligned_tuples,
+    brute_force_candidates,
     gappy_table,
     index_spread,
     pair_count,

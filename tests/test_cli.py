@@ -23,7 +23,7 @@ from tsalign import (
 from tsalign import cli
 from tsalign.cli import BLOCK_ROWS, ingest, main, write_alignment_csv, write_table
 from tsalign.consistency import ConsistencyReport
-from tsalign.evaluation import generate_synthetic, inject_mcar
+from tsalign.evaluation import GroundTruth, generate_synthetic, inject_mcar
 from tsalign.tuning import determine_beta, determine_theta
 from conftest import (assert_same_table, benchmark_scan, gappy_table, ingest_scan,
                       random_table, read_alignment_scan, write_alignment_scan, write_table_scan)
@@ -37,6 +37,15 @@ BLOCK_EDGES = (0, 1) + tuple(r for b in BLOCK_SIZES for r in (b - 1, b, b + 1, 2
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# align runs through each kind of stage sequence: tuned windows, the delta
+# grid, and a compose with retries under a given delta
+STAGE_FLAGS = [
+    ["--strategy", "expect", "--tune-theta", "--tune-beta"],
+    ["--strategy", "greedy", "--theta", "3", "--beta", "1", "--tune-delta"],
+    ["--strategy", "setpack", "--theta", "3", "--beta", "1", "--delta", "10"],
+]
 
 
 @pytest.fixture
@@ -59,6 +68,15 @@ class TestIngest:
         assert again.m == 2 and again.n == 3
         assert np.array_equal(again.timestamps, staggered_table.timestamps, equal_nan=True)
         assert np.array_equal(again.values, staggered_table.values, equal_nan=True)
+
+    def test_table_holds_the_halves_of_one_array(self, tmp_path, staggered_table):
+        path = tmp_path / "t.csv"
+        write_table(staggered_table, str(path))
+        table = ingest(str(path))
+        assert table.timestamps.base is table.values.base
+        assert table.timestamps.base.shape == (2, table.m, table.n)
+        for half in (table.timestamps, table.values):
+            assert half.flags.c_contiguous and not half.flags.writeable
 
     def test_empty_cell_becomes_missing(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n0,1.0,0,2.0\n1,,1,\n")
@@ -281,6 +299,16 @@ class TestDataPathMemory:
         assert table.n == self.N
         assert peak < 4 * self.CELLS + 2_000_000
 
+    def test_truth_ingest_and_grouping_copy_nothing(self, tmp_path):
+        # the blocks and the joined cells, and one block of strings; the copy
+        # of the cells in SeriesTable and of the ids in GroundTruth took the
+        # peak to about 2.45 times the cells
+        path = str(tmp_path / "t.csv")
+        write_table(random_table(np.random.default_rng(0), self.M, self.N), path)
+        truth, peak = traced_peak(lambda: GroundTruth.same_row(ingest(path)))
+        assert truth.table.n == self.N
+        assert peak < 2 * self.CELLS + 300_000
+
     def test_write_table_holds_one_block_of_strings(self, tmp_path):
         # formatting whole columns held every cell's string, about 11 MB here
         table = random_table(np.random.default_rng(0), self.M, self.N)
@@ -454,6 +482,50 @@ class TestAlign:
         assert code == 3
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("defect", ["ragged", "truncated", "not UTF-8"])
+    def test_bad_truth_fails_before_tuning(self, small_files, tmp_path, monkeypatch, defect):
+        data, good = small_files
+        lines = good.read_bytes().splitlines(keepends=True)
+        truth = tmp_path / "bad_truth.csv"
+        truth.write_bytes(b"".join({
+            "ragged": lines[:5] + [lines[5].rsplit(b",", 1)[0] + b"\n"] + lines[6:],
+            "truncated": lines[:20],
+            "not UTF-8": lines[:5] + [b"1,\xe9,1,1\n"] + lines[6:],
+        }[defect]))
+        calls = []
+        monkeypatch.setattr(cli.tuning, "determine_theta", lambda *a, **k: calls.append("theta"))
+        monkeypatch.setattr(cli, "generate_candidates", lambda *a, **k: calls.append("generate"))
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        code = main(["align", "--input", str(data), "--tune-theta", "--tune-beta",
+                     "--truth", str(truth), "--out", str(out), "--report", str(report)])
+        assert code == 3 and calls == []
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("flags", STAGE_FLAGS)
+    def test_truth_cells_are_freed_before_generation(self, small_files, tmp_path, monkeypatch,
+                                                     flags):
+        # the input's table lives on; of the truth only its presence mask does
+        data, truth = small_files
+        tables, alive_at_generate = [], []
+        read, generate = cli.ingest, cli.generate_candidates
+
+        def read_and_watch(path):
+            table = read(path)
+            tables.append(weakref.ref(table))
+            return table
+
+        def generate_and_check(*args, **kwargs):
+            gc.collect()
+            alive_at_generate.append([ref() is not None for ref in tables])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest", read_and_watch)
+        monkeypatch.setattr(cli, "generate_candidates", generate_and_check)
+        code = main(["align", "--input", str(data), *flags, "--truth", str(truth),
+                     "--out", str(tmp_path / "a.csv"), "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        assert alive_at_generate == [[True, False]]
+
     def test_report_lists_the_delta_of_each_attempt(self, small_files, tmp_path):
         data, _ = small_files
         report = tmp_path / "report.json"
@@ -518,11 +590,7 @@ class TestAlign:
             written.append((out.read_bytes(), metrics))
         assert written[0] == written[1]
 
-    @pytest.mark.parametrize("flags", [
-        ["--strategy", "expect", "--tune-theta", "--tune-beta"],
-        ["--strategy", "greedy", "--theta", "3", "--beta", "1", "--tune-delta"],
-        ["--strategy", "setpack", "--theta", "3", "--beta", "1", "--delta", "10"],
-    ])
+    @pytest.mark.parametrize("flags", STAGE_FLAGS)
     def test_candidate_set_is_freed_before_scoring(self, small_files, tmp_path, monkeypatch,
                                                    flags):
         data, truth = small_files
@@ -685,6 +753,55 @@ class TestAlign:
             assert phi_sim <= 1
             if theta_sim:
                 assert float(theta_sim) <= 2.5
+
+
+class TestOptionsCheckedFirst:
+    """An option value that fails a check exits 2 before any file is read or written."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        def must_not_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "ingest", must_not_read)
+        out, report = tmp_path / "out.csv", tmp_path / "report.json"
+
+        def run(argv):
+            capsys.readouterr()
+            if argv[0] == "align":
+                argv = argv + ["--truth", str(tmp_path / "truth.csv"), "--out", str(out)]
+            code = main(argv + ["--input", str(tmp_path / "data.csv"), "--report", str(report)])
+            assert not out.exists() and not report.exists()
+            return code, capsys.readouterr().err
+
+        return run
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--strategy", "greedy", "--tune-theta", "--tune-beta", "--tune-delta", "--b", "-1"],
+         "bias terms b and c must be strictly positive"),
+        (["--tune-theta", "--tune-beta", "--k1", "nan"], "k1, k2, b and c must be finite"),
+        (["--tune-theta", "--tune-beta", "--k2", "-1"], "k1 and k2 must be non-negative"),
+        (["--tune-theta", "--tune-beta", "--c", "0"],
+         "bias terms b and c must be strictly positive"),
+        (["--tune-theta", "--tune-beta", "--delta", "nan"],
+         "delta must be non-negative (infinity disables the model check)"),
+        (["--theta", "-1", "--tune-beta"],
+         "theta must be non-negative (infinity disables the time check)"),
+        (["--tune-theta", "--beta", "-1"], "beta must be a non-negative integer"),
+        (["--tune-theta", "--tune-beta", "--beta-lower", "-1"], "--beta-lower must be at least 0"),
+        (["--tune-theta", "--tune-beta", "--beta-lower", "-4"], "--beta-lower must be at least 0"),
+    ])
+    def test_align(self, run, flags, message):
+        assert run(["align", *flags]) == (2, f"config error: {message}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-max", "0"], "--k-max must be at least 1"),
+        (["--beta-lower", "-2"], "--beta-lower must be at least 0"),
+        (["--percentile", "101"], "--percentile must lie in [0, 100]"),
+        (["--percentile", "nan"], "--percentile must lie in [0, 100]"),
+    ])
+    def test_tune(self, run, flags, message):
+        assert run(["tune", *flags]) == (2, f"config error: {message}\n")
 
 
 class TestSynth:

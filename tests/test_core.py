@@ -53,6 +53,13 @@ class TestSeriesTable:
         with pytest.raises(ValueError):
             t.values[0, 0] = 9.0
 
+    def test_construction_copies_the_given_arrays(self):
+        ts, vs = np.array([[0.0, 1.0], [0.0, 2.0]]), np.ones((2, 2))
+        t = SeriesTable(ts, vs)
+        ts[0, 0] = vs[0, 0] = 9.0
+        assert t.timestamps[0, 0] == 0.0 and t.values[0, 0] == 1.0
+        assert ts.flags.writeable
+
 
 class TestThetaSimilarity:
     def test_max_pairwise_gap(self):

@@ -17,6 +17,7 @@ from tsalign import (
     score,
 )
 from tsalign.consistency import ConsistencyReport
+from tsalign.evaluation import same_row_groups
 from conftest import (assert_same_table, gappy_table, generate_synthetic_scan,
                       pair_accuracy_all_pairs, same_row_groups_scan, score_scan,
                       truth_pair_set)
@@ -149,6 +150,23 @@ class TestScoreMatchesScan:
         assert cell_groups.tolist() == ids.tolist()
         assert not cell_groups.flags.writeable
 
+    def test_same_row_hands_over_its_ids(self):
+        table = gappy_table(np.random.default_rng(2), 3, 9)
+        truth = GroundTruth.same_row(table)
+        ids = same_row_groups(table.timestamp_mask | table.value_mask)
+        assert truth.table is table
+        assert ids.shape == (3, 9) and ids.dtype == np.int32 and not ids.flags.writeable
+        assert truth.cell_groups.base.shape == (3, 9)  # a view of the (m, n) ids
+        assert truth.cell_groups.tolist() == ids.ravel().tolist()
+
+    def test_construction_copies_the_given_ids(self):
+        table = gappy_table(np.random.default_rng(2), 2, 3)
+        ids = np.arange(6)
+        truth = GroundTruth(table, ids)
+        ids[0] = 7
+        assert truth.cell_groups.tolist() == list(range(6))
+        assert truth.cell_groups.dtype == np.intp and not truth.cell_groups.flags.writeable
+
 
 class TestPairAccuracyMatchesAllPairs:
     """Scoring one series pair at a time against the keys of all pairs at once."""
@@ -170,6 +188,30 @@ class TestPairAccuracyMatchesAllPairs:
         expected = pair_accuracy_all_pairs(slots, truth)
         for given in (slots, slots.astype(np.int32), slots.tolist()):
             assert pair_accuracy(given, truth) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_series_with_distinct_rows(self, seed, m):
+        # series 0 holds every row once, so each pair with it needs no sort;
+        # the other series repeat rows, so their pairs among themselves do
+        rng = np.random.default_rng(seed)
+        n = 30
+        truth = GroundTruth.same_row(gappy_table(rng, m, n))
+        slots = self.random_slots(rng, m, n, n)[:n]
+        slots[:, 0] = rng.permutation(n)
+        expected = pair_accuracy_all_pairs(slots, truth)
+        assert pair_accuracy(slots, truth) == expected
+        assert pair_accuracy(slots[::-1], truth) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_group_id_array_scores_as_its_truth(self, seed):
+        rng = np.random.default_rng(seed)
+        truth = GroundTruth.same_row(gappy_table(rng, 4, 30))
+        slots = self.random_slots(rng, 4, 30, 60)
+        ids = same_row_groups(truth.table.timestamp_mask | truth.table.value_mask)
+        assert pair_accuracy(slots, ids) == pair_accuracy_all_pairs(slots, truth)
+        alignment = make_alignment(AlignedTuple(tuple(r)) for r in slots.tolist())
+        assert score(alignment, ids) == score(alignment, truth)
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_empty_input(self, m):

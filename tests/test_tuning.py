@@ -127,6 +127,13 @@ class TestDetermineBeta:
         for lower in range(0, 3):
             assert determine_beta(table, theta=3.0, beta_lower=lower) > lower
 
+    @pytest.mark.parametrize("lower", [-1, -4])
+    def test_rejects_negative_lower_bound(self, lower):
+        # -1 to -3 once tuned beta 0, and -4 failed on the scan window's beta
+        table, _ = generate_synthetic(40, 3, 1.0, seed=5)
+        with pytest.raises(ConfigError, match="^beta_lower must be at least 0$"):
+            determine_beta(table, theta=3.0, beta_lower=lower)
+
 
 class TestThetaBetaMatchScans:
     """The column-wise theta and slot-array beta scans against the per-row/per-tuple loops."""
