@@ -35,7 +35,6 @@ from .errors import AlignmentError, ConfigError, DataError, SizeError, Structura
 from .evaluation import (
     GroundTruth,
     ScoreReport,
-    benchmark_alignment,
     generate_synthetic,
     inject_mcar,
     pair_accuracy,
@@ -49,7 +48,7 @@ __all__ = [
     "AlignedTuple", "Alignment", "AlignmentError", "CandidateSet", "ConfigError",
     "ConsistencyModel", "ConsistencyReport", "ConstraintConfig", "DataError",
     "GroundTruth", "ScoreReport", "SeriesTable", "SizeError", "StructuralError",
-    "TuningReport", "batch_weights", "benchmark_alignment",
+    "TuningReport", "batch_weights",
     "compose_exact", "compose_expectation", "compose_greedy", "compose_setpacking",
     "conflicts", "consistency_delta", "delta_report", "determine_beta",
     "determine_theta", "determine_weights_and_delta", "fit_model",

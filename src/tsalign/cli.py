@@ -52,6 +52,9 @@ STRATEGIES = tuple(composers.STRATEGIES)
 # 41.5 at 2048), and read and write times are flat from 128 to 8192.
 BLOCK_ROWS = 256
 
+# the weights every ``bench`` run composes under
+BENCH_WEIGHTS = WeightParams(3.0, 2.0, 1.0, 1.0)
+
 
 @contextlib.contextmanager
 def _csv_reader(path: str):
@@ -276,9 +279,58 @@ def _format_column(x: np.ndarray) -> list[str]:
     return out
 
 
+def run_pipeline(table: SeriesTable, strategy: str, params: WeightParams, *,
+                 theta: Optional[float] = None, beta: Optional[int] = None,
+                 delta: float = math.inf, grid=None, seed: int = 0,
+                 max_retries: int = composers.DEFAULT_MAX_RETRIES,
+                 percentile: float = 95.0, beta_lower: int = 0
+                 ) -> tuple[Alignment, WeightParams, dict]:
+    """The stages ``align`` and ``bench`` share: tune each window not given
+    (theta at ``percentile``), generate, tune delta and (k1, k2) over
+    ``grid`` if given, compose.  Returns the alignment, the weights it was
+    composed under and the report's deterministic fields; the candidate set
+    is freed on return, before the alignment is scored and written."""
+    theta, beta = tuning.determine_windows(table, theta, beta, percentile=percentile,
+                                           beta_lower=beta_lower)
+    # the tuning grid and the final compose share this set; each reads delta
+    # from the constraint it is given
+    rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
+    diagnostics = {}
+    if grid is not None:
+        report = tuning.determine_weights_and_delta(rc, grid=grid, strategy=strategy, seed=seed)
+        delta = report.delta
+        params = WeightParams(k1=report.k1, k2=report.k2, b=params.b, c=params.c)
+        diagnostics = {key: report.diagnostics[key]
+                       for key in ("grid_composes", "grid_distinct_passes", "grid_segment_walks")}
+    cfg = ConstraintConfig(theta=theta, beta=beta, delta=delta)
+    alignment = composers.compose(strategy, rc, cfg, params, seed=seed, max_retries=max_retries)
+    fields = {
+        "strategy": strategy,
+        "theta": None if math.isinf(theta) else theta,
+        "beta": beta,
+        "delta": None if math.isinf(delta) else delta,
+        "k1": params.k1, "k2": params.k2, "b": params.b, "c": params.c,
+        "seed": seed,
+        "candidate_count": len(rc),
+        "aligned_tuple_count": len(alignment),
+        "total_weight": alignment.total_weight,
+        "delta_score": alignment.report.delta,
+        "retries_used": alignment.retries_used,
+        "exhausted": alignment.exhausted,
+        # deterministic outcomes the fields above leave out
+        "diagnostics": {"tie_breaks": alignment.tie_breaks,
+                        "truncated": alignment.truncated,
+                        **_model_flags(alignment.report),
+                        "segments": len(rc.segment_bounds) - 1, **diagnostics,
+                        **_group_counts(strategy, alignment),
+                        "attempt_deltas": list(alignment.attempt_deltas)},
+    }
+    return alignment, params, fields
+
+
 def run(args) -> int:
-    """``align``: check the options, ingest, read the truth, tune, generate,
-    compose, score, write artifacts."""
+    """``align``: check the options, ingest, read the truth, run the stages of
+    ``run_pipeline``, score, write artifacts."""
     if (args.theta is None) == (not args.tune_theta):
         raise ConfigError("pass exactly one of --theta or --tune-theta")
     if (args.beta is None) == (not args.tune_beta):
@@ -290,12 +342,15 @@ def run(args) -> int:
     if args.beta_lower < 0:
         raise ConfigError("--beta-lower must be at least 0")
     # the checks of the weights and windows given, before any file is read
-    k1 = 1.0 if args.k1 is None else args.k1
-    k2 = 1.0 if args.k2 is None else args.k2
-    params = WeightParams(k1=k1, k2=k2, b=args.b, c=args.c)
+    params = WeightParams(k1=1.0 if args.k1 is None else args.k1,
+                          k2=1.0 if args.k2 is None else args.k2, b=args.b, c=args.c)
+    delta = math.inf if args.delta is None else args.delta
     ConstraintConfig(theta=0.0 if args.theta is None else args.theta,
-                     beta=0 if args.beta is None else args.beta,
-                     delta=math.inf if args.delta is None else args.delta)
+                     beta=0 if args.beta is None else args.beta, delta=delta)
+    # an explicit weight fixes its coordinate; the grid searches the other
+    grid = list(dict.fromkeys(
+        (g1 if args.k1 is None else args.k1, g2 if args.k2 is None else args.k2)
+        for g1, g2 in tuning.DEFAULT_GRID)) if args.tune_delta else None
     started = time.perf_counter()
     table = ingest(args.input)
     truth_present, truth_s = None, 0.0  # truth_s is left out of wall_time_ms
@@ -306,32 +361,9 @@ def run(args) -> int:
         truth_started = time.perf_counter()
         truth_present = _truth_present(args.truth, table)
         truth_s = time.perf_counter() - truth_started
-    theta, beta = tuning.determine_windows(table, args.theta, args.beta,
-                                           beta_lower=args.beta_lower)
-    # the tuning grid and the final compose share this set; each reads delta
-    # from the constraint it is given
-    rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
-    diagnostics = {}
-    if args.tune_delta:
-        # an explicit weight fixes its coordinate; the grid searches the other
-        grid = list(dict.fromkeys(
-            (g1 if args.k1 is None else args.k1, g2 if args.k2 is None else args.k2)
-            for g1, g2 in tuning.DEFAULT_GRID))
-        report = tuning.determine_weights_and_delta(
-            rc, grid=grid, strategy=args.strategy, seed=args.seed)
-        delta, k1, k2 = report.delta, report.k1, report.k2
-        params = WeightParams(k1=k1, k2=k2, b=args.b, c=args.c)
-        diagnostics = {key: report.diagnostics[key]
-                       for key in ("grid_composes", "grid_distinct_passes", "grid_segment_walks")}
-    else:
-        delta = args.delta if args.delta is not None else math.inf
-    constraint = ConstraintConfig(theta=theta, beta=beta, delta=delta)
-    alignment = composers.compose(args.strategy, rc, constraint, table, params,
-                                  seed=args.seed, max_retries=args.max_retries)
-    # nothing after the compose reads the candidate set: free its slots and
-    # cached state before the alignment is scored and written
-    candidate_count, segments = len(rc), len(rc.segment_bounds) - 1
-    del rc
+    alignment, params, fields = run_pipeline(
+        table, args.strategy, params, theta=args.theta, beta=args.beta, delta=delta,
+        grid=grid, seed=args.seed, max_retries=args.max_retries, beta_lower=args.beta_lower)
     scores = {}
     if truth_present is not None:
         truth_started = time.perf_counter()
@@ -339,30 +371,8 @@ def run(args) -> int:
         scores = {"precision": sr.precision, "recall": sr.recall, "f1": sr.f1}
         truth_s += time.perf_counter() - truth_started
     write_alignment_csv(alignment, table, params, args.out)
-
-    metrics = {
-        "strategy": args.strategy,
-        "theta": None if math.isinf(theta) else theta,
-        "beta": beta,
-        "delta": None if math.isinf(delta) else delta,
-        "k1": k1, "k2": k2, "b": args.b, "c": args.c,
-        "seed": args.seed,
-        "candidate_count": candidate_count,
-        "aligned_tuple_count": len(alignment),
-        "total_weight": alignment.total_weight,
-        "delta_score": alignment.report.delta,
-        "retries_used": alignment.retries_used,
-        "exhausted": alignment.exhausted,
-        # deterministic outcomes the fields above leave out
-        "diagnostics": {"tie_breaks": alignment.tie_breaks,
-                        "truncated": alignment.truncated,
-                        **_model_flags(alignment.report),
-                        "segments": segments, **diagnostics,
-                        **_group_counts(args.strategy, alignment),
-                        "attempt_deltas": list(alignment.attempt_deltas)},
-        "wall_time_ms": (time.perf_counter() - started - truth_s) * 1000.0,
-        **scores,
-    }
+    metrics = {**fields, "wall_time_ms": (time.perf_counter() - started - truth_s) * 1000.0,
+               **scores}
     _write_json(metrics, args.report)
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
 
@@ -558,23 +568,42 @@ def _check_cells(path: str, lines: np.ndarray, slots: np.ndarray,
 def _cmd_bench(args) -> int:
     """Run the strategy x size x missing-rate matrix; print each run, then a summary.
 
+    Each run masks the values of a synthetic table and runs ``run_pipeline``
+    on it under ``BENCH_WEIGHTS``, theta at the 100th percentile if not given.
+    Its row is n, m and the rate, then the fields of ``align``'s report, with
+    ``wall_time_ms`` over the pipeline.  Every option is checked first.
+
     The summary has one line per (strategy, n, rate): the mean F1, aligned
     tuples and candidates over the seeds, the median ``wall_time_ms``, and
     from the second size on its growth factor over the previous size.
     """
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
-    rows = []
-    summary = []
+    for n in args.n:
+        evaluation.check_synthetic(n, args.m, args.jitter, args.tick, args.seed)
+    for rate in args.rates:
+        evaluation.check_mcar(rate)
+    ConstraintConfig(theta=0.0 if args.theta is None else args.theta,
+                     beta=0 if args.beta is None else args.beta)
+    rows, summary = [], []
     for strategy in args.strategies:
         previous = {}  # rate -> median wall time at the previous size
         for n in args.n:
             for rate in args.rates:
                 runs = []
                 for seed in range(args.seed, args.seed + args.seeds):
-                    row = evaluation.benchmark_alignment(
-                        n, args.m, args.jitter, rate, strategy, seed, tick=args.tick,
-                        value_model=args.value_model, theta=args.theta, beta=args.beta)
+                    complete, truth = evaluation.generate_synthetic(
+                        n, args.m, args.jitter, value_model=args.value_model, seed=seed,
+                        tick=args.tick)
+                    masked = evaluation.inject_mcar(complete, rate, seed=seed + 1)
+                    started = time.perf_counter()
+                    alignment, _, fields = run_pipeline(
+                        masked, strategy, BENCH_WEIGHTS, theta=args.theta, beta=args.beta,
+                        seed=seed, percentile=100.0)
+                    elapsed_ms = (time.perf_counter() - started) * 1000.0
+                    sr = evaluation.score(alignment, truth)
+                    row = {"n": n, "m": args.m, "rate": rate, **fields, "wall_time_ms": elapsed_ms,
+                           "precision": sr.precision, "recall": sr.recall, "f1": sr.f1}
                     runs.append(row)
                     print(f"{strategy:7s} n={n} rate={rate:.2f} seed={seed} "
                           f"f1={row['f1']:.4f} tuples={row['aligned_tuple_count']} "

@@ -72,8 +72,9 @@ import numpy as np
 
 from .candidate import CandidateSet
 from .consistency import ConsistencyReport, delta_report
-from .core import (AlignedTuple, ConstraintConfig, SeriesTable, WeightParams, batch_weights,
-                   combine_weights)
+# ``batch_weights`` is kept only for the benchmark's tracer (perfbench/tracing.py),
+# which wraps ``composers.batch_weights``; the composers read the set's weight terms
+from .core import AlignedTuple, ConstraintConfig, WeightParams, batch_weights, combine_weights
 from .errors import ConfigError, SizeError
 
 EXACT_GUARD = 24
@@ -139,23 +140,20 @@ class Alignment:
         return tuple(map(AlignedTuple, self.slots.tolist()))
 
 
-def _weights(rc: CandidateSet, t: SeriesTable, w: WeightParams) -> list[float]:
-    if t is not rc.table:
-        return batch_weights(t, rc.slots, w).tolist()
+def _weights(rc: CandidateSet, w: WeightParams) -> list[float]:
     return combine_weights(*rc.weight_terms, w).tolist()
 
 
-def _report(rc: CandidateSet, t: SeriesTable, indices) -> ConsistencyReport:
+def _report(rc: CandidateSet, indices) -> ConsistencyReport:
     """``delta_report`` of a selection, fitted once per distinct selection of ``rc``.
 
     A set's table is fixed, so the report is a pure function of the chosen
     indices; repeated selections (tuning grid points, retries) reuse it.
     """
     key = tuple(sorted(indices))
-    cache = rc.reports if t is rc.table else {}
-    report = cache.get(key)
+    report = rc.reports.get(key)
     if report is None:
-        report = cache[key] = delta_report(rc.slots[list(key)], t)
+        report = rc.reports[key] = delta_report(rc.slots[list(key)], rc.table)
     return report
 
 
@@ -176,14 +174,14 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
     return masks
 
 
-def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
+def _finish(indices, rc, weights, strategy, retries_used=0, exhausted=False,
             truncated=False, report=None, tie_breaks=0, segment_walks=0,
             groups=(0, 0), attempt_deltas=()) -> Alignment:
     # rc.slots is in lexicographic order, so sorted indices give sorted rows
     indices = sorted(indices)
     chosen = rc.slots[indices]
     if report is None:
-        report = delta_report(chosen, t)
+        report = delta_report(chosen, rc.table)
     # adds left to right, as a generator over the indices would
     total = float(sum(map(weights.__getitem__, indices)))
     return Alignment(chosen, total, report, strategy, retries_used=retries_used,
@@ -192,8 +190,7 @@ def _finish(indices, rc, t, weights, strategy, retries_used=0, exhausted=False,
                      largest_group=groups[1], attempt_deltas=attempt_deltas)
 
 
-def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
-                  w: WeightParams) -> Alignment:
+def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> Alignment:
     """Maximum-weight conflict-free subset satisfying the model constraint.
 
     Ties are broken toward the lexicographically smallest sorted tuple list.
@@ -203,14 +200,13 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     if k > EXACT_GUARD:
         raise SizeError(f"|R_c| = {k} > {EXACT_GUARD}: exact enumeration refused, "
                         "use setpacking/greedy/expectation")
-    weights = _weights(rc, t, w)
+    weights = _weights(rc, w)
     conflict = _conflict_masks(rc)
     check_delta = math.isfinite(cfg.delta)
 
     best_w = 0.0
     best_sel: tuple[int, ...] = ()
-    empty_report = delta_report([], t)
-    best_report = empty_report
+    best_report = delta_report([], rc.table)
 
     suffix = [0.0] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -222,7 +218,7 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
             return
         report = None
         if check_delta:
-            report = delta_report(rc.slots[list(selection)], t)
+            report = delta_report(rc.slots[list(selection)], rc.table)
             if report.delta > cfg.delta:
                 return
         # a selection is ascending, and rc.slots is in lexicographic order, so
@@ -244,7 +240,7 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
             search(i + 1, avail & ~conflict[i], sub, total + weights[i])
 
     search(0, (1 << k) - 1, (), 0.0)
-    return _finish(best_sel, rc, t, weights, "exact", report=best_report)
+    return _finish(best_sel, rc, weights, "exact", report=best_report)
 
 
 def _segment_ranks(rc: CandidateSet, weights: list[float]) -> bytes:
@@ -399,13 +395,13 @@ def pass_key(strategy: str, rc: CandidateSet, w: WeightParams) -> Optional[bytes
     return np.searchsorted(_sorted_unique(weights), weights).tobytes()
 
 
-def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
+def _retry_compose(rc, cfg, w, seed, max_retries, strategy, scorer_factory):
     """Run ``_group_pass`` with seeds seed, seed + 1, ... until delta holds.
 
     ``scorer_factory(rc, weights)``, if given, returns the ``group_scores``
     hook; it is called once per compose, so its set-up serves every attempt.
     """
-    weights = _weights(rc, t, w)
+    weights = _weights(rc, w)
     group_scores = scorer_factory(rc, weights) if scorer_factory is not None else None
     attempts = max(1, max_retries)
     best = None
@@ -413,9 +409,9 @@ def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
         chosen, draws, walked, groups = _group_pass(rc, weights, rng, group_scores)
-        report = _report(rc, t, chosen)
+        report = _report(rc, chosen)
         deltas += (report.delta,)
-        alignment = _finish(chosen, rc, t, weights, strategy, retries_used=attempt,
+        alignment = _finish(chosen, rc, weights, strategy, retries_used=attempt,
                             report=report, tie_breaks=draws, segment_walks=walked,
                             groups=groups, attempt_deltas=deltas)
         if report.delta <= cfg.delta:
@@ -425,8 +421,7 @@ def _retry_compose(rc, cfg, t, w, seed, max_retries, strategy, scorer_factory):
     return replace(best, retries_used=attempts - 1, exhausted=True, attempt_deltas=deltas)
 
 
-def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
-                   w: WeightParams, seed: int = 0,
+def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams, seed: int = 0,
                    max_retries: int = DEFAULT_MAX_RETRIES) -> Alignment:
     """Group scan emitting each group's max-weight member; ties picked by seeded RNG.
 
@@ -434,7 +429,7 @@ def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     with seed + 1, seed + 2, ... up to ``max_retries`` attempts; the best
     attempt is returned with ``exhausted`` set when all fail.
     """
-    return _retry_compose(rc, cfg, t, w, seed, max_retries, "greedy", None)
+    return _retry_compose(rc, cfg, w, seed, max_retries, "greedy", None)
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -509,9 +504,8 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     return group_scores
 
 
-def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
-                        w: WeightParams, seed: int = 0,
-                        max_retries: int = DEFAULT_MAX_RETRIES) -> Alignment:
+def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams,
+                        seed: int = 0, max_retries: int = DEFAULT_MAX_RETRIES) -> Alignment:
     """Group scan scoring each member by its weight plus a forward-looking bonus.
 
     The bonus of group member g sums the weights of later candidates that do
@@ -525,12 +519,11 @@ def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     order, one addition at a time, so it is bit-identical to that scan and
     the seeded tie-breaks agree with it.
     """
-    return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation",
+    return _retry_compose(rc, cfg, w, seed, max_retries, "expectation",
                           _expectation_scorer)
 
 
-def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
-                       w: WeightParams) -> Alignment:
+def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> Alignment:
     """Local search in the weighted set-packing neighborhood.
 
     Starts from the greedy scan-order packing, then repeatedly swaps in the
@@ -540,8 +533,8 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
     capped); the best terminal branch satisfying the model constraint wins.
     """
     k = len(rc)
-    weights = _weights(rc, t, w)
-    m = t.m
+    weights = _weights(rc, w)
+    m = rc.table.m
     conflict = _conflict_masks(rc)
 
     def complete(state: int) -> int:
@@ -618,7 +611,7 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
 
     def evaluate(state: int):
         sel = list(bits(state))
-        report = delta_report(rc.slots[sel], t)
+        report = delta_report(rc.slots[sel], rc.table)
         total = sum(weights[i] for i in sel)
         return total, report, sel
 
@@ -634,13 +627,12 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
         if fallback is None or report.delta < fallback[1].delta:
             fallback = (total, report, sel)
     total, report, sel = fallback if best is None else best
-    return _finish(sel, rc, t, weights, "setpacking", exhausted=best is None,
+    return _finish(sel, rc, weights, "setpacking", exhausted=best is None,
                    truncated=truncated, report=report)
 
 
-def compose(strategy: str, rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTable,
-            w: WeightParams, seed: int = 0,
-            max_retries: int = DEFAULT_MAX_RETRIES) -> Alignment:
+def compose(strategy: str, rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams,
+            seed: int = 0, max_retries: int = DEFAULT_MAX_RETRIES) -> Alignment:
     """Run the composer registered as ``strategy`` in ``STRATEGIES``.
 
     The composer is looked up among this module's attributes at call time,
@@ -652,5 +644,5 @@ def compose(strategy: str, rc: CandidateSet, cfg: ConstraintConfig, t: SeriesTab
     name, seeded = STRATEGIES[strategy]
     composer = globals()[name]
     if seeded:
-        return composer(rc, cfg, t, w, seed=seed, max_retries=max_retries)
-    return composer(rc, cfg, t, w)
+        return composer(rc, cfg, w, seed=seed, max_retries=max_retries)
+    return composer(rc, cfg, w)

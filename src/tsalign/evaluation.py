@@ -1,4 +1,4 @@
-"""Ground-truth scoring, MCAR injection, and synthetic benchmark generation.
+"""Ground-truth scoring, MCAR injection, and synthetic table generation.
 
 Scoring is column-wise: every truth cell carries a group id in one
 (m, n) array, and an aligned pair of cells hits when both carry the same
@@ -9,17 +9,13 @@ pair at a time.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from . import composers, tuning
-from .candidate import generate_candidates
-from .composers import Alignment
-from .core import ConstraintConfig, SeriesTable, WeightParams, adopt, slot_array
+from .core import SeriesTable, adopt, slot_array
 from .errors import ConfigError, StructuralError
 
 
@@ -150,20 +146,27 @@ def _pair_counts(ids_a: np.ndarray, ids_b: np.ndarray, rows_a: np.ndarray,
             int(misses < keys.size) + int(np.count_nonzero(starts[misses:])))
 
 
-def score(alignment: Alignment, truth) -> ScoreReport:
-    """Pair-level precision/recall/F1 of an alignment against a GroundTruth or
-    its (m, n) group ids (see ``pair_accuracy``)."""
+def score(alignment, truth) -> ScoreReport:
+    """Pair-level precision/recall/F1 of a ``composers.Alignment`` against a
+    GroundTruth or its (m, n) group ids (see ``pair_accuracy``)."""
     precision, recall, f1 = pair_accuracy(alignment.slots, truth)
     return ScoreReport(precision, recall, f1, len(alignment),
                        alignment.total_weight, alignment.report.delta)
 
 
-def inject_mcar(t: SeriesTable, rate: float, seed: int, target: str = "values") -> SeriesTable:
-    """Mask each targeted present cell independently with probability ``rate``."""
+def check_mcar(rate: float, seed: int = 0, target: str = "values") -> None:
+    """Raise ConfigError unless ``inject_mcar`` takes these arguments."""
     if not 0 <= rate <= 1:
         raise ConfigError("missing rate must lie in [0, 1]")
     if target not in ("values", "timestamps", "both"):
         raise ConfigError(f"unknown target {target!r}")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+
+
+def inject_mcar(t: SeriesTable, rate: float, seed: int, target: str = "values") -> SeriesTable:
+    """Mask each targeted present cell independently with probability ``rate``."""
+    check_mcar(rate, seed, target)
     rng = np.random.default_rng(seed)
     values = np.array(t.values)
     timestamps = np.array(t.timestamps)
@@ -174,6 +177,20 @@ def inject_mcar(t: SeriesTable, rate: float, seed: int, target: str = "values") 
         drop = rng.random(timestamps.shape) < rate
         timestamps[drop] = np.nan
     return SeriesTable(timestamps, values)
+
+
+def check_synthetic(n: int, m: int, timestamp_jitter: float, tick: float, seed: int) -> None:
+    """Raise ConfigError unless ``generate_synthetic`` takes these arguments."""
+    if n < 2 or m < 2:
+        raise ConfigError("need n >= 2 and m >= 2")
+    if not (math.isfinite(timestamp_jitter) and math.isfinite(tick)):
+        raise ConfigError("jitter and tick must be finite")
+    if timestamp_jitter < 0:
+        raise ConfigError("jitter must be non-negative")
+    if tick <= 0:
+        raise ConfigError("tick must be positive")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
 
 
 def generate_synthetic(n: int, m: int, timestamp_jitter: float,
@@ -187,14 +204,7 @@ def generate_synthetic(n: int, m: int, timestamp_jitter: float,
     series and ties bumped to keep them strictly increasing).  Values follow
     a cross-coupled process so the consistency model has structure to learn.
     """
-    if n < 2 or m < 2:
-        raise ConfigError("need n >= 2 and m >= 2")
-    if not (math.isfinite(timestamp_jitter) and math.isfinite(tick)):
-        raise ConfigError("jitter and tick must be finite")
-    if timestamp_jitter < 0:
-        raise ConfigError("jitter must be non-negative")
-    if tick <= 0:
-        raise ConfigError("tick must be positive")
+    check_synthetic(n, m, timestamp_jitter, tick, seed)
     if timestamp_jitter >= tick / 2:
         warnings.warn("jitter >= tick/2: cross-row timestamps may interleave")
     rng = np.random.default_rng(seed)
@@ -233,36 +243,3 @@ def generate_synthetic(n: int, m: int, timestamp_jitter: float,
     table = SeriesTable(ts, values)
     return table, GroundTruth.same_row(table)
 
-
-BENCH_WEIGHTS = WeightParams(3, 2, 1, 1)
-
-
-def benchmark_alignment(n: int, m: int, jitter: float, rate: float, strategy: str,
-                        seed: int, *, tick: float = 10.0, value_model: str = "ar1",
-                        theta: float | None = None, beta: int | None = None) -> dict:
-    """One synthetic benchmark run: generate, mask values, compose, score.
-
-    A window not given is tuned on the masked table, theta at the 100th
-    percentile.  The run composes under ``BENCH_WEIGHTS`` with no model
-    constraint; ``wall_time_ms`` covers candidate generation and the compose.
-    """
-    complete, truth = generate_synthetic(n, m, jitter, value_model=value_model,
-                                         seed=seed, tick=tick)
-    masked = inject_mcar(complete, rate, seed=seed + 1)
-    theta, beta = tuning.determine_windows(masked, theta, beta, percentile=100.0)
-    cfg = ConstraintConfig(theta=theta, beta=beta)
-    start = time.perf_counter()
-    rc = generate_candidates(masked, cfg)
-    alignment = composers.compose(strategy, rc, cfg, masked, BENCH_WEIGHTS, seed=seed)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report = score(alignment, truth)
-    return {
-        "strategy": strategy, "n": n, "m": m, "rate": rate, "seed": seed,
-        "theta": None if math.isinf(theta) else theta, "beta": beta,
-        "candidate_count": len(rc),
-        "aligned_tuple_count": report.aligned_tuple_count,
-        "total_weight": report.total_weight,
-        "delta_score": alignment.report.delta,
-        "precision": report.precision, "recall": report.recall, "f1": report.f1,
-        "wall_time_ms": elapsed_ms,
-    }

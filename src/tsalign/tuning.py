@@ -154,7 +154,7 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
             passes += 1
             deltas = []
             for i in range(runs):
-                alignment = composers.compose(strategy, rc, cfg, rc.table, params, seed=seed + i)
+                alignment = composers.compose(strategy, rc, cfg, params, seed=seed + i)
                 composes += 1
                 walks += alignment.segment_walks
                 if i == 0 and alignment.tie_breaks == 0:

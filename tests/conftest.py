@@ -570,7 +570,7 @@ def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:
     return chosen
 
 
-def expectation_scan(rc, cfg, t, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pruned=True):
+def expectation_scan(rc, cfg, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pruned=True):
     """Oracle for ``compose_expectation``: each member's bonus from a forward scan.
 
     The bonus of group member g sums, in ascending candidate order, the
@@ -604,7 +604,7 @@ def expectation_scan(rc, cfg, t, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pru
 
         return lambda group: [score(g, group) for g in group]
 
-    return _retry_compose(rc, cfg, t, w, seed, max_retries, "expectation", scorer_factory)
+    return _retry_compose(rc, cfg, w, seed, max_retries, "expectation", scorer_factory)
 
 
 def union_scorer(rc, weights):
@@ -649,7 +649,7 @@ def benchmark_scan(n: int, m: int, jitter: float, rate: float, strategy: str,
     cfg = ConstraintConfig(theta=theta, beta=beta, delta=math.inf)
     start = time.perf_counter()
     rc = generate_candidates(masked, cfg)
-    alignment = composers.compose(strategy, rc, cfg, masked, WeightParams(3, 2, 1, 1),
+    alignment = composers.compose(strategy, rc, cfg, WeightParams(3, 2, 1, 1),
                                   seed=seed, max_retries=16)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = score(alignment, truth)

@@ -18,7 +18,6 @@ import pytest
 from tsalign import (
     ConstraintConfig,
     WeightParams,
-    benchmark_alignment,
     compose_exact,
     compose_expectation,
     compose_greedy,
@@ -84,20 +83,22 @@ def instance_suite():
     """Criterion-2 suite, shared by the ratio and cardinality bounds."""
     suite = []
     for table, rc, cfg, params in collect(220, start_seed=0):
-        exact = compose_exact(rc, cfg, table, params)
+        exact = compose_exact(rc, cfg, params)
         suite.append((table, rc, cfg, params, exact))
     return suite
 
 
 @pytest.fixture(scope="session")
-def bench_runs():
+def bench_runs(tmp_path_factory):
+    """The rows of one ``tsalign bench`` run, by (strategy, rate) in seed order."""
+    report = tmp_path_factory.mktemp("bench") / "bench.json"
+    assert main(["bench", "--n", str(BENCH_N), "--m", str(BENCH_M),
+                 "--jitter", str(BENCH_JITTER), "--rates", "0.1", "0.4",
+                 "--seeds", str(BENCH_SEEDS), "--seed", "0",
+                 "--strategies", "greedy", "expect", "--report", str(report)]) == 0
     runs = {}
-    for strategy in ("greedy", "expect"):
-        for rate in (0.1, 0.4):
-            runs[strategy, rate] = [
-                benchmark_alignment(BENCH_N, BENCH_M, BENCH_JITTER, rate, strategy, seed)
-                for seed in range(BENCH_SEEDS)
-            ]
+    for row in json.loads(report.read_text()):
+        runs.setdefault((row["strategy"], row["rate"]), []).append(row)
     return runs
 
 
@@ -151,7 +152,7 @@ def test_criterion_03_setpacking_ratio_bound(instance_suite):
     for table, rc, cfg, params, exact in instance_suite:
         if exact.total_weight <= 0:
             continue
-        packed = compose_setpacking(rc, cfg, table, params)
+        packed = compose_setpacking(rc, cfg, params)
         ratio = packed.total_weight / exact.total_weight
         bound = 3 / (2 * (table.m + 1))
         worst = min(worst, ratio - bound)
@@ -165,7 +166,7 @@ def test_criterion_04_greedy_ratio_bound(instance_suite):
     for table, rc, cfg, params, exact in instance_suite:
         if exact.total_weight <= 0:
             continue
-        greedy = compose_greedy(rc, cfg, table, params, seed=13)
+        greedy = compose_greedy(rc, cfg, params, seed=13)
         n_opt = len(exact)
         w_max, w_min, ceil_nm = _theory_bounds(table.m, n_opt, cfg, params)
         bound = ceil_nm * w_min / (n_opt * w_max)
@@ -181,7 +182,7 @@ def test_criterion_05_expectation_ratio_bound(instance_suite):
     for table, rc, cfg, params, exact in instance_suite:
         if exact.total_weight <= 0:
             continue
-        expect = compose_expectation(rc, cfg, table, params, seed=13)
+        expect = compose_expectation(rc, cfg, params, seed=13)
         n_opt = len(exact)
         w_max, w_min, ceil_nm = _theory_bounds(table.m, n_opt, cfg, params)
         bound = min((ceil_nm + 1) * w_min / (n_opt * w_max),
@@ -197,8 +198,8 @@ def test_criterion_06_cardinality_lower_bound(instance_suite):
     for table, rc, cfg, params, exact in instance_suite:
         n_opt = len(exact)
         need = math.ceil(n_opt / table.m)
-        greedy = compose_greedy(rc, cfg, table, params, seed=29)
-        expect = compose_expectation(rc, cfg, table, params, seed=29)
+        greedy = compose_greedy(rc, cfg, params, seed=29)
+        expect = compose_expectation(rc, cfg, params, seed=29)
         assert len(greedy) >= need
         assert len(expect) >= need
     announce(6, True, f"greedy and expectation both align >= ceil(N/m) tuples "
@@ -210,10 +211,10 @@ def test_criterion_07_pruning_equivalence():
     for table, rc, base, params in collect(500, start_seed=50_000, max_candidates=16):
         for delta, retries in ((math.inf, 16), (0.5, 4), (0.05, 4)):
             cfg = ConstraintConfig(theta=base.theta, beta=base.beta, delta=delta)
-            indexed = compose_expectation(rc, cfg, table, params, seed=7, max_retries=retries)
+            indexed = compose_expectation(rc, cfg, params, seed=7, max_retries=retries)
             for pruned in (True, False):
                 assert_same_alignment(indexed, expectation_scan(
-                    rc, cfg, table, params, seed=7, max_retries=retries, pruned=pruned))
+                    rc, cfg, params, seed=7, max_retries=retries, pruned=pruned))
         checked += 1
     announce(7, checked == 500,
              f"indexed expectation composer identical to the pruned and unpruned "
@@ -234,13 +235,13 @@ def test_criterion_08_constraint_validity_fuzz():
                                delta=deltas[runs % len(deltas)])
         strategy = runs % 4
         if strategy == 0:
-            alignment = compose_exact(rc, cfg, table, params)
+            alignment = compose_exact(rc, cfg, params)
         elif strategy == 1:
-            alignment = compose_setpacking(rc, cfg, table, params)
+            alignment = compose_setpacking(rc, cfg, params)
         elif strategy == 2:
-            alignment = compose_greedy(rc, cfg, table, params, seed=seed, max_retries=4)
+            alignment = compose_greedy(rc, cfg, params, seed=seed, max_retries=4)
         else:
-            alignment = compose_expectation(rc, cfg, table, params, seed=seed, max_retries=4)
+            alignment = compose_expectation(rc, cfg, params, seed=seed, max_retries=4)
         tuples = aligned_tuples(alignment.slots)
         for r1, r2 in itertools.combinations(tuples, 2):
             assert not conflicts(r1, r2)
@@ -297,9 +298,9 @@ def test_criterion_11_near_linear_scaling():
         for seed, masked in inputs:
             rc = generate_candidates(masked, cfg)
             if strategy == "greedy":
-                compose_greedy(rc, cfg, masked, params, seed=seed)
+                compose_greedy(rc, cfg, params, seed=seed)
             else:
-                compose_expectation(rc, cfg, masked, params, seed=seed)
+                compose_expectation(rc, cfg, params, seed=seed)
         return time.perf_counter() - start
 
     # Each pair times n=2000 and n=4000 back to back on the same inputs, so a

@@ -202,8 +202,7 @@ class TestReadOnly:
 
     def test_alignment_slots_reject_writes(self, staggered_table, fig_params):
         cfg = ConstraintConfig(theta=2, beta=0)
-        alignment = compose_greedy(generate_candidates(staggered_table, cfg), cfg,
-                                   staggered_table, fig_params)
+        alignment = compose_greedy(generate_candidates(staggered_table, cfg), cfg, fig_params)
         with pytest.raises(ValueError, match="read-only"):
             alignment.slots[0, 0] = 2
 

@@ -324,7 +324,7 @@ def make_alignment(tuples):
 def random_alignment(rng, table, params):
     """A greedy alignment of ``table`` under random windows."""
     cfg = ConstraintConfig(theta=float(rng.uniform(0, 30)), beta=int(rng.integers(0, 3)))
-    return compose_greedy(generate_candidates(table, cfg), cfg, table, params,
+    return compose_greedy(generate_candidates(table, cfg), cfg, params,
                           seed=int(rng.integers(100)))
 
 
@@ -537,7 +537,7 @@ class TestAlign:
         table = ingest(str(data))
         cfg = ConstraintConfig(theta=3, beta=1, delta=1e-15)
         rc = generate_candidates(table, cfg)
-        expected = [compose_greedy(rc, cfg, table, WeightParams(k1=1, k2=1),
+        expected = [compose_greedy(rc, cfg, WeightParams(k1=1, k2=1),
                                    seed=4 + i, max_retries=1).report.delta for i in range(3)]
         assert code == 5 and metrics["retries_used"] == 2
         assert metrics["diagnostics"]["attempt_deltas"] == expected
@@ -667,7 +667,7 @@ class TestAlign:
                   "--theta", "8", "--beta", "2", *(["--tune-delta"] if tune else []),
                   "--out", str(tmp_path / "a.csv"), "--report", str(report)])
             alignment = compose_greedy(rc, ConstraintConfig(theta=8, beta=2, delta=delta),
-                                       table, params, seed=2)
+                                       params, seed=2)
             fit = alignment.report
             assert json.loads(report.read_text())["diagnostics"] == {
                 "tie_breaks": alignment.tie_breaks, "truncated": False,
@@ -837,6 +837,21 @@ class TestSynth:
                      "--out", str(out), "--truth-out", str(truth)]) == 2
         assert not out.exists() and not truth.exists()
         assert capsys.readouterr().err == "config error: missing rate must lie in [0, 1]\n"
+
+    def test_negative_seed_is_config_error_without_file(self, tmp_path, capsys):
+        # bench's --seed is one of TestBench's up-front option checks
+        out, truth = tmp_path / "out.csv", tmp_path / "truth.csv"
+        assert main(["synth", "--n", "50", "--seed", "-3", "--out", str(out),
+                     "--truth-out", str(truth)]) == 2
+        assert not out.exists() and not truth.exists()
+        assert capsys.readouterr() == ("", "config error: seed must be non-negative\n")
+
+    def test_negative_seed_is_valid_for_align(self, small_files, tmp_path):
+        data, _ = small_files
+        assert main(["align", "--input", str(data), "--theta", "3", "--beta", "1",
+                     "--seed", "-1", "--out", str(tmp_path / "aligned.csv"),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["seed"] == -1
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--jitter", "nan"],
@@ -1096,10 +1111,32 @@ class TestBench:
         assert main(["bench", "--n", "40", "60", "--m", "3", "--seeds", "2",
                      "--rates", "0.1", "0.4", "--strategies", "greedy", "expect",
                      "--report", str(report)]) == 0
-        expected = [benchmark_scan(n, 3, 2.5, rate, strategy, seed)
-                    for strategy in ("greedy", "expect") for n in (40, 60)
-                    for rate in (0.1, 0.4) for seed in range(2)]
-        assert without_wall_time(json.loads(report.read_text())) == without_wall_time(expected)
+        expected = without_wall_time(
+            benchmark_scan(n, 3, 2.5, rate, strategy, seed)
+            for strategy in ("greedy", "expect") for n in (40, 60)
+            for rate in (0.1, 0.4) for seed in range(2))
+        rows = json.loads(report.read_text())
+        assert len(rows) == len(expected)
+        assert [{key: row[key] for key in want} for row, want in zip(rows, expected)] == expected
+
+    @pytest.mark.parametrize("strategy", ["greedy", "expect"])
+    @pytest.mark.parametrize("seed", [5, 61])
+    def test_row_is_the_align_report_of_its_table(self, tmp_path, capsys, strategy, seed):
+        data, truth = tmp_path / "data.csv", tmp_path / "truth.csv"
+        report, bench = tmp_path / "report.json", tmp_path / "bench.json"
+        assert main(["synth", "--n", "60", "--m", "3", "--rate", "0.2", "--seed", str(seed),
+                     "--out", str(data), "--truth-out", str(truth)]) == 0
+        assert main(["align", "--input", str(data), "--truth", str(truth),
+                     "--strategy", strategy, "--theta", "7", "--beta", "1",
+                     "--k1", "3", "--k2", "2", "--seed", str(seed),
+                     "--out", str(tmp_path / "aligned.csv"), "--report", str(report)]) == 0
+        assert main(["bench", "--n", "60", "--m", "3", "--rates", "0.2", "--seeds", "1",
+                     "--seed", str(seed), "--theta", "7", "--beta", "1",
+                     "--strategies", strategy, "--report", str(bench)]) == 0
+        [row] = json.loads(bench.read_text())
+        assert (row.pop("n"), row.pop("m"), row.pop("rate")) == (60, 3, 0.2)
+        [aligned] = without_wall_time([json.loads(report.read_text())])
+        assert json.dumps(without_wall_time([row])[0]) == json.dumps(aligned)
 
     def test_given_windows_are_used(self, tmp_path, capsys):
         report = tmp_path / "bench.json"
@@ -1125,6 +1162,30 @@ class TestBench:
 
     def test_zero_seeds_is_config_error(self):
         assert main(["bench", "--n", "40", "--seeds", "0"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rates", "0.1", "1.5"], "missing rate must lie in [0, 1]"),
+        (["--rates", "0.1", "nan"], "missing rate must lie in [0, 1]"),
+        (["--n", "40", "1"], "need n >= 2 and m >= 2"),
+        (["--m", "1"], "need n >= 2 and m >= 2"),
+        (["--jitter", "-1"], "jitter must be non-negative"),
+        (["--tick", "0"], "tick must be positive"),
+        (["--theta", "-1"], "theta must be non-negative (infinity disables the time check)"),
+        (["--beta", "-1"], "beta must be a non-negative integer"),
+        (["--seeds", "0"], "--seeds must be at least 1"),
+        (["--seed", "-3"], "seed must be non-negative"),
+    ])
+    def test_every_option_is_checked_before_the_first_run(self, tmp_path, capsys,
+                                                         monkeypatch, flags, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli.evaluation, "generate_synthetic", no_run)
+        report = tmp_path / "bench.json"
+        assert main(["bench", "--n", "40", "--m", "2", "--seeds", "1", "--rates", "0.1",
+                     *flags, "--report", str(report)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not report.exists()
 
 
 class TestTune:

@@ -97,7 +97,7 @@ def assert_valid_alignment(alignment, rc, cfg, table, params):
 class TestComposeExact:
     def test_non_conflicting_takes_all(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
-        alignment = compose_exact(rc, cfg, staggered_table, fig_params)
+        alignment = compose_exact(rc, cfg, fig_params)
         assert alignment.slots.tolist() == [[0, 0], [1, 1], [2, 2]]
         assert alignment.total_weight == pytest.approx(9.0)
 
@@ -110,13 +110,13 @@ class TestComposeExact:
         rc, cfg = candidates_for(t, theta=10, beta=1)
         pool = rc.slots.tolist()
         assert [0, 0] in pool and [0, 1] in pool
-        alignment = compose_exact(rc, cfg, t, fig_params)
+        alignment = compose_exact(rc, cfg, fig_params)
         assert [0, 0] in alignment.slots.tolist()
         assert [0, 1] not in alignment.slots.tolist()
 
     def test_empty_candidates(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=0, beta=0)
-        alignment = compose_exact(rc, cfg, staggered_table, fig_params)
+        alignment = compose_exact(rc, cfg, fig_params)
         assert alignment.slots.tolist() == []
         assert alignment.total_weight == 0.0
 
@@ -126,7 +126,7 @@ class TestComposeExact:
         rc, cfg = candidates_for(t, theta=1e9, beta=5)
         assert len(rc) > 24
         with pytest.raises(SizeError):
-            compose_exact(rc, cfg, t, fig_params)
+            compose_exact(rc, cfg, fig_params)
 
     def test_tie_breaks_to_lexicographically_smallest(self):
         t = SeriesTable.from_columns([
@@ -135,13 +135,13 @@ class TestComposeExact:
         ])
         rc, cfg = candidates_for(t, theta=10, beta=1)
         params = WeightParams(k1=3, k2=0, b=1, c=1)  # k2=0 ties every weight
-        alignment = compose_exact(rc, cfg, t, params)
+        alignment = compose_exact(rc, cfg, params)
         # many subsets reach the optimum; the smallest sorted tuple list wins
         assert alignment.slots.tolist() == [[0, 0], [1, 1]]
 
     def test_matches_mwis_oracle_on_random_instances(self):
         for table, rc, cfg, params in collect_instances(40, start_seed=100):
-            alignment = compose_exact(rc, cfg, table, params)
+            alignment = compose_exact(rc, cfg, params)
             tuples = aligned_tuples(rc.slots)
             weights = [weight(r, table, params) for r in tuples]
             pairs = [(i, j) for i in range(len(rc)) for j in range(i + 1, len(rc))
@@ -152,14 +152,14 @@ class TestComposeExact:
     def test_respects_finite_delta(self):
         for table, rc, cfg, params in collect_instances(10, start_seed=400):
             tight = ConstraintConfig(theta=cfg.theta, beta=cfg.beta, delta=1e-12)
-            alignment = compose_exact(rc, tight, table, params)
+            alignment = compose_exact(rc, tight, params)
             assert alignment.report.delta <= 1e-12
 
 
 class TestComposeGreedy:
     def test_singleton_groups_emit_everything(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
-        alignment = compose_greedy(rc, cfg, staggered_table, fig_params, seed=0)
+        alignment = compose_greedy(rc, cfg, fig_params, seed=0)
         assert alignment.total_weight == pytest.approx(9.0)
         assert len(alignment) == 3
 
@@ -174,7 +174,7 @@ class TestComposeGreedy:
         params = WeightParams(k1=3, k2=0, b=1, c=1)  # k2=0 ties every weight
         seen = set()
         for seed in range(6):
-            alignment = compose_greedy(rc, cfg, t, params, seed=seed)
+            alignment = compose_greedy(rc, cfg, params, seed=seed)
             first = min(alignment.slots.tolist())
             seen.add(tuple(first))
             assert sum(1 for r in alignment.slots.tolist() if r[0] == 0) == 1
@@ -182,8 +182,8 @@ class TestComposeGreedy:
 
     def test_deterministic_per_seed(self):
         for table, rc, cfg, params in collect_instances(5, start_seed=300):
-            a = compose_greedy(rc, cfg, table, params, seed=7)
-            b = compose_greedy(rc, cfg, table, params, seed=7)
+            a = compose_greedy(rc, cfg, params, seed=7)
+            b = compose_greedy(rc, cfg, params, seed=7)
             assert a.slots.tolist() == b.slots.tolist()
             assert a.total_weight == b.total_weight
 
@@ -192,7 +192,7 @@ class TestComposeGreedy:
         t = random_table(rng, 2, 5, 0.0)
         rc, _ = candidates_for(t, theta=1e9, beta=1)
         cfg = ConstraintConfig(theta=1e9, beta=1, delta=1e-15)
-        alignment = compose_greedy(rc, cfg, t, WeightParams(), seed=0, max_retries=3)
+        alignment = compose_greedy(rc, cfg, WeightParams(), seed=0, max_retries=3)
         if alignment.report.delta > 1e-15:
             assert alignment.exhausted
             assert alignment.retries_used == 2
@@ -204,7 +204,7 @@ def assert_pass_matches_scan(rc, table, params, seeds=(0, 1, 2, 3)):
 
     Returns the number of passes that drew a random tie-break.
     """
-    weights = _weights(rc, table, params)
+    weights = _weights(rc, params)
     segments = len(rc.segment_bounds) - 1
     drawn = 0
     for scorer in (None, _expectation_scorer(rc, weights)):
@@ -270,7 +270,7 @@ class TestGroupPass:
         assert rc.isolated.tolist() == [False, False, True, False]
         params = WeightParams(k1=1, k2=1)
         assert_pass_matches_scan(rc, t, params)
-        chosen, _, _, _ = _group_pass(rc, _weights(rc, t, params), random.Random(0))
+        chosen, _, _, _ = _group_pass(rc, _weights(rc, params), random.Random(0))
         assert sorted(chosen) in ([0, 2], [1, 2])
 
     def test_empty_and_all_isolated(self, staggered_table, fig_params):
@@ -292,34 +292,34 @@ class TestStrategyRegistry:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(composers, "compose_greedy", wrapped)
-        composers.compose("greedy", rc, cfg, staggered_table, fig_params, seed=4, max_retries=2)
+        composers.compose("greedy", rc, cfg, fig_params, seed=4, max_retries=2)
         assert calls == [{"seed": 4, "max_retries": 2}]
 
     def test_every_strategy_matches_its_composer(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=25, beta=1)
         direct = {
-            "exact": compose_exact(rc, cfg, staggered_table, fig_params),
-            "setpack": compose_setpacking(rc, cfg, staggered_table, fig_params),
-            "greedy": compose_greedy(rc, cfg, staggered_table, fig_params, seed=3),
-            "expect": compose_expectation(rc, cfg, staggered_table, fig_params, seed=3),
+            "exact": compose_exact(rc, cfg, fig_params),
+            "setpack": compose_setpacking(rc, cfg, fig_params),
+            "greedy": compose_greedy(rc, cfg, fig_params, seed=3),
+            "expect": compose_expectation(rc, cfg, fig_params, seed=3),
         }
         assert set(direct) == set(composers.STRATEGIES)
         for name, alignment in direct.items():
-            via = composers.compose(name, rc, cfg, staggered_table, fig_params, seed=3)
+            via = composers.compose(name, rc, cfg, fig_params, seed=3)
             assert via.strategy == alignment.strategy
             assert_same_alignment(via, alignment)
 
     def test_unknown_strategy(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
         with pytest.raises(ConfigError):
-            composers.compose("random", rc, cfg, staggered_table, fig_params)
+            composers.compose("random", rc, cfg, fig_params)
 
 
 class TestComposeExpectation:
     def test_reduces_to_greedy_without_group_conflicts(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
-        greedy = compose_greedy(rc, cfg, staggered_table, fig_params, seed=3)
-        expect = compose_expectation(rc, cfg, staggered_table, fig_params, seed=3)
+        greedy = compose_greedy(rc, cfg, fig_params, seed=3)
+        expect = compose_expectation(rc, cfg, fig_params, seed=3)
         assert greedy.slots.tolist() == expect.slots.tolist()
 
     def test_pruned_equals_unpruned(self, monkeypatch):
@@ -330,11 +330,11 @@ class TestComposeExpectation:
             for table, rc, base, params in instances:
                 for delta, retries in ((math.inf, 16), (0.5, 4), (0.05, 4)):
                     cfg = ConstraintConfig(theta=base.theta, beta=base.beta, delta=delta)
-                    indexed = compose_expectation(rc, cfg, table, params, seed=1,
+                    indexed = compose_expectation(rc, cfg, params, seed=1,
                                                   max_retries=retries)
                     for pruned in (True, False):
                         assert_same_alignment(indexed, expectation_scan(
-                            rc, cfg, table, params, seed=1, max_retries=retries,
+                            rc, cfg, params, seed=1, max_retries=retries,
                             pruned=pruned))
 
     def test_matches_scan_on_benchmark_sized_groups(self, monkeypatch):
@@ -347,9 +347,9 @@ class TestComposeExpectation:
             beta = determine_beta(masked, theta)
             rc, cfg = candidates_for(masked, theta=theta, beta=beta)
             params = WeightParams(k1=3, k2=2)
-            scan = expectation_scan(rc, cfg, masked, params, seed=seed)
+            scan = expectation_scan(rc, cfg, params, seed=seed)
             for _ in each_score_limit(monkeypatch):
-                assert_same_alignment(compose_expectation(rc, cfg, masked, params, seed=seed),
+                assert_same_alignment(compose_expectation(rc, cfg, params, seed=seed),
                                       scan)
 
     def test_bonus_steers_selection(self):
@@ -360,7 +360,7 @@ class TestComposeExpectation:
         ])
         rc, cfg = candidates_for(t, theta=5, beta=2)
         params = WeightParams(k1=1, k2=1, b=1, c=1)
-        expect = compose_expectation(rc, cfg, t, params, seed=0)
+        expect = compose_expectation(rc, cfg, params, seed=0)
         assert_valid_alignment(expect, rc, cfg, t, params)
 
 
@@ -391,7 +391,7 @@ class TestSegmentedPass:
             for k1, k2 in grid:
                 params = WeightParams(k1=k1, k2=k2)
                 drawn += assert_pass_matches_scan(rc, masked, params, seeds=(seed, seed + 1))
-                walked += _group_pass(rc, _weights(rc, masked, params), random.Random(seed))[2]
+                walked += _group_pass(rc, _weights(rc, params), random.Random(seed))[2]
             assert drawn
             assert walked < segments * len(grid) / 2
 
@@ -404,7 +404,7 @@ class TestSegmentedPass:
         theta = determine_theta(masked)
         rc, _ = candidates_for(masked, theta=theta, beta=determine_beta(masked, theta))
         for params in (WeightParams(k1=3, k2=2), WeightParams(k1=1, k2=6)):
-            weights = _weights(rc, masked, params)
+            weights = _weights(rc, params)
             for greedy, scorer in ((True, lambda group: [weights[g] for g in group]),
                                    (False, _expectation_scorer(rc, weights))):
                 sizes = []
@@ -429,7 +429,7 @@ class TestSegmentedPass:
         slots = [(1, 0), (1, 2), (5, 5), (5, 6), (8, 8)]
         rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
         assert rc.segment_bounds.tolist() == [0, 2, 4]
-        weights = _weights(rc, t, WeightParams(k1=3, k2=2))
+        weights = _weights(rc, WeightParams(k1=3, k2=2))
         picks = []
         for seed in (0, 1, 0):
             fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
@@ -460,7 +460,7 @@ class TestSegmentedPass:
         # (1, 1) walks both segments, (6, 1) only segment 1, (1, 1) again none
         for (k1, k2), picked, walks in (((1, 1), [0, 2, 4], 2), ((6, 1), [0, 3, 4], 1),
                                         ((1, 1), [0, 2, 4], 0)):
-            weights = _weights(rc, t, WeightParams(k1=k1, k2=k2))
+            weights = _weights(rc, WeightParams(k1=k1, k2=k2))
             chosen, draws, walked, _ = _group_pass(rc, weights, random.Random(0))
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, random.Random(0)))
             assert (sorted(chosen), draws, walked) == (picked, 0, walks)
@@ -475,7 +475,7 @@ class TestSegmentedPass:
 def assert_window_matches_union(rc, table, params, seeds=(0, 1, 2, 3)):
     """The window scorer's list equals the CSR-union oracle's, with float ``==``,
     for every group the pass scores.  Returns the number of groups scored."""
-    weights = _weights(rc, table, params)
+    weights = _weights(rc, params)
     window, union = _expectation_scorer(rc, weights), union_scorer(rc, weights)
     scored = 0
 
@@ -532,7 +532,7 @@ class TestWindowScorer:
             rc = CandidateSet(np.array(grid[:size], dtype=np.int32),
                               ConstraintConfig(theta=1e9, beta=6), t)
             assert rc.slot_spread == 6
-            w = _weights(rc, t, params)
+            w = _weights(rc, params)
             bisects.clear()
             scores = _expectation_scorer(rc, w)([0, 1])
             assert bool(bisects) == in_python
@@ -550,7 +550,7 @@ class TestWindowScorer:
                           ConstraintConfig(theta=1e9, beta=0), t)
         assert rc.slot_spread == 3
         params = WeightParams(k1=1, k2=1)
-        w = _weights(rc, t, params)
+        w = _weights(rc, params)
         for _ in each_score_limit(monkeypatch):
             assert assert_window_matches_union(rc, t, params, seeds=(0,)) == 1
             assert _expectation_scorer(rc, w)([0, 1]) == [w[0], w[1] + w[2]]
@@ -565,8 +565,8 @@ class TestComposeSetpacking:
         ])
         rc, cfg = candidates_for(t, theta=5, beta=1)
         params = WeightParams(k1=10, k2=0.001, b=0.1, c=1)
-        packed = compose_setpacking(rc, cfg, t, params)
-        exact = compose_exact(rc, cfg, t, params)
+        packed = compose_setpacking(rc, cfg, params)
+        exact = compose_exact(rc, cfg, params)
         assert packed.total_weight == pytest.approx(exact.total_weight)
 
     def test_equal_terminal_branches_break_to_lexicographically_smallest(self):
@@ -578,20 +578,20 @@ class TestComposeSetpacking:
         ])
         rc, cfg = candidates_for(t, theta=100, beta=2)
         params = WeightParams(k1=2, k2=0, b=1, c=1)
-        packed = compose_setpacking(rc, cfg, t, params)
+        packed = compose_setpacking(rc, cfg, params)
         assert packed.total_weight == 8.0
         assert packed.slots.tolist() == [[0, 0, 1], [1, 1, 0]]
 
     def test_single_candidate(self, fig_params):
         t = SeriesTable.from_columns([([0.0], [1.0]), ([0.0], [1.0])])
         rc, cfg = candidates_for(t, theta=1, beta=0)
-        alignment = compose_setpacking(rc, cfg, t, fig_params)
+        alignment = compose_setpacking(rc, cfg, fig_params)
         assert len(alignment) == 1
 
     def test_never_below_half_of_exact_for_two_series(self):
         for table, rc, cfg, params in collect_instances(30, start_seed=700, m=2):
-            packed = compose_setpacking(rc, cfg, table, params)
-            exact = compose_exact(rc, cfg, table, params)
+            packed = compose_setpacking(rc, cfg, params)
+            exact = compose_exact(rc, cfg, params)
             if exact.total_weight > 0:
                 assert packed.total_weight / exact.total_weight >= 0.5 - 1e-12
 
@@ -605,16 +605,16 @@ class TestDeltaBound:
         masked = inject_mcar(table, 0.2, seed=7, target="both")
         free = ConstraintConfig(theta=8, beta=1)
         rc = generate_candidates(masked, free)
-        first = composers.compose(strategy, rc, free, masked, fig_params)
+        first = composers.compose(strategy, rc, free, fig_params)
         assert not first.exhausted and first.retries_used == 0
         delta = first.report.delta
         assert delta > 0
         at_bound = ConstraintConfig(theta=8, beta=1, delta=delta)
-        at = composers.compose(strategy, rc, at_bound, masked, fig_params)
+        at = composers.compose(strategy, rc, at_bound, fig_params)
         assert at.retries_used == 0 and not at.exhausted
         assert at.slots.tolist() == first.slots.tolist()
         below = ConstraintConfig(theta=8, beta=1, delta=float(np.nextafter(delta, 0)))
-        tighter = composers.compose(strategy, rc, below, masked, fig_params)
+        tighter = composers.compose(strategy, rc, below, fig_params)
         if strategy == "exact":
             # exact searches on and finds another subset within the bound
             assert not tighter.exhausted and tighter.report.delta < delta
@@ -626,25 +626,25 @@ class TestOutputValidity:
     def test_all_strategies_produce_valid_alignments(self):
         for table, rc, cfg, params in collect_instances(20, start_seed=900):
             for make in (
-                lambda: compose_exact(rc, cfg, table, params),
-                lambda: compose_setpacking(rc, cfg, table, params),
-                lambda: compose_greedy(rc, cfg, table, params, seed=2),
-                lambda: compose_expectation(rc, cfg, table, params, seed=2),
+                lambda: compose_exact(rc, cfg, params),
+                lambda: compose_setpacking(rc, cfg, params),
+                lambda: compose_greedy(rc, cfg, params, seed=2),
+                lambda: compose_expectation(rc, cfg, params, seed=2),
             ):
                 assert_valid_alignment(make(), rc, cfg, table, params)
 
     def test_seed_free_strategies_are_deterministic(self):
         for table, rc, cfg, params in collect_instances(5, start_seed=1500):
-            a = compose_setpacking(rc, cfg, table, params)
-            b = compose_setpacking(rc, cfg, table, params)
+            a = compose_setpacking(rc, cfg, params)
+            b = compose_setpacking(rc, cfg, params)
             assert a.slots.tolist() == b.slots.tolist() and a.total_weight == b.total_weight
-            c = compose_exact(rc, cfg, table, params)
-            d = compose_exact(rc, cfg, table, params)
+            c = compose_exact(rc, cfg, params)
+            d = compose_exact(rc, cfg, params)
             assert c.slots.tolist() == d.slots.tolist() and c.total_weight == d.total_weight
 
     def test_exact_dominates_approximations(self):
         for table, rc, cfg, params in collect_instances(30, start_seed=1100):
-            best = compose_exact(rc, cfg, table, params).total_weight + 1e-9
-            assert compose_setpacking(rc, cfg, table, params).total_weight <= best
-            assert compose_greedy(rc, cfg, table, params, seed=0).total_weight <= best
-            assert compose_expectation(rc, cfg, table, params, seed=0).total_weight <= best
+            best = compose_exact(rc, cfg, params).total_weight + 1e-9
+            assert compose_setpacking(rc, cfg, params).total_weight <= best
+            assert compose_greedy(rc, cfg, params, seed=0).total_weight <= best
+            assert compose_expectation(rc, cfg, params, seed=0).total_weight <= best

@@ -287,6 +287,11 @@ class TestInjectMcar:
         with pytest.raises(ConfigError):
             inject_mcar(table, 0.5, seed=0, target="rows")
 
+    def test_rejects_negative_seed(self):
+        table, _ = generate_synthetic(5, 2, 1.0, seed=11)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            inject_mcar(table, 0.5, seed=-1)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.05, 0.95), st.integers(0, 10_000))
     def test_expected_present_fraction(self, rate, seed):
@@ -392,3 +397,7 @@ class TestGenerateSynthetic:
     def test_rejects_non_finite_jitter_and_tick(self, jitter, tick):
         with pytest.raises(ConfigError, match="finite"):
             generate_synthetic(10, 2, jitter, seed=0, tick=tick)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            generate_synthetic(10, 2, 1.0, seed=-3)

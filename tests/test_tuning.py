@@ -238,9 +238,9 @@ class TestDetermineWeightsAndDelta:
         composed = []
         compose_greedy = composers.compose_greedy
 
-        def recording(rc, cfg, t, w, seed=0, max_retries=0):
+        def recording(rc, cfg, w, seed=0, max_retries=0):
             composed.append((rank(rc, w), seed))
-            return compose_greedy(rc, cfg, t, w, seed=seed, max_retries=max_retries)
+            return compose_greedy(rc, cfg, w, seed=seed, max_retries=max_retries)
 
         monkeypatch.setattr(composers, "compose_greedy", recording)
         for seed in (3, 4):
