@@ -26,14 +26,30 @@ of the longer prefixes.  A level stores only each kept row's parent index
 and slot; the full rows are gathered once, at the end, by following the
 parent indices back to the first series.
 
-The cost of a level is the sum of its prefixes' window widths (at most
-min(2 * beta + 1, n) each), in time and in memory, including the rows the
-time constraint then drops.  The tests check it against a brute-force
-enumerator: both must return identical sets.
+A level of more than ``SPLIT_ROWS`` expanded rows is split into runs of
+consecutive prefixes, each extended to the last series on its own before
+the next run; the first level, over every row of the first series, is
+split like any other.  A run yields the candidates that
+extend its prefixes, in order, and the runs are taken in order, so the
+pieces come out in lexicographic order and their concatenation is the slot
+array of the unsplit levels, row for row.  The rows a level expands are
+counted over all its runs, and a level of more than ``INT32_MAX`` of them
+is a ``SizeError`` as if it were not split.
+
+The cost of a level (or of a run of it) is the sum of its prefixes' window
+widths (at most min(2 * beta + 1, n) each), in time and in memory,
+including the rows the time constraint then drops.  So the working set is
+the output, held twice while the pieces are joined, plus the temporaries of
+one level of at most about ``SPLIT_ROWS`` rows per series (a single
+prefix's window, at most n rows, is never split), not a multiple of the
+output.  The tests check the generator against a brute-force enumerator and
+a recursive walk, with runs down to one prefix: all must return identical
+arrays.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +59,8 @@ from .core import ConstraintConfig, SeriesTable, weight_terms
 from .errors import SizeError
 
 INT32_MAX = np.iinfo(np.int32).max
+# a level of more expanded rows is split into runs of consecutive prefixes
+SPLIT_ROWS = 1 << 15
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -126,15 +144,20 @@ class CandidateSet:
         return _read_only(np.concatenate(([0], ends)))
 
     @cached_property
-    def pass_lists(self) -> tuple[list[int], list[int], list[list[int]], list[int]]:
-        """The group pass's Python-list view of the set, built once for all passes.
+    def pass_lists(self) -> tuple[list[int], list[int], np.ndarray, list[int]]:
+        """The group pass's view of the set, built once for all passes.
 
-        The isolated indices, the ``visited`` indices, the cell keys
-        s * n + r of each visited candidate, and ``segment_bounds``.
+        The isolated indices, the ``visited`` indices, the read-only (V, m)
+        int32 array of the cell keys s * n + r of each visited candidate, and
+        ``segment_bounds``.  The indices and bounds are Python lists; the
+        cell keys stay one array, and a pass converts the rows it walks.
         """
         m, n = self.table.m, self.table.n
-        cells = self.slots[self.visited] + np.arange(m) * n
-        return (np.flatnonzero(self.isolated).tolist(), self.visited.tolist(), cells.tolist(),
+        if m * n > INT32_MAX:
+            raise SizeError(f"{m * n} cells overflow the int32 cell keys")
+        cells = self.slots[self.visited]
+        cells += np.arange(0, m * n, n, dtype=np.int32)
+        return (np.flatnonzero(self.isolated).tolist(), self.visited.tolist(), _read_only(cells),
                 self.segment_bounds.tolist())
 
     @cached_property
@@ -207,34 +230,78 @@ def generate_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
     present = ~np.isnan(ts[0])
     tmin = np.where(present, ts[0], np.inf)
     tmax = np.where(present, ts[0], -np.inf)
+    pieces = []
+    for index, slots in _extend(ts, theta, beta, 1, smin, smax, tmin, tmax, [0] * m):
+        slots[:, 0] = index
+        pieces.append(slots)
+    return CandidateSet(np.concatenate(pieces), cfg, t)
+
+
+def _extend(ts: np.ndarray, theta: float, beta: int, k: int, smin: np.ndarray,
+            smax: np.ndarray, tmin: np.ndarray, tmax: np.ndarray, expanded: list[int]
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The candidates extending the given prefixes of series 0..k-1, in order.
+
+    Yields pieces (index, slots): ``slots`` is an (N, m) int32 array with
+    the columns of series k..m-1 filled, and ``index[i]`` is the prefix that
+    row i extends.  A level of more than ``SPLIT_ROWS`` expanded rows is
+    split into runs of consecutive prefixes, each extended on its own.
+    ``expanded[j]`` counts the rows expanded so far at series j over all
+    runs, so a level overflows int32 exactly when it would unsplit too.
+    """
+    m, n = ts.shape
     parents: list[np.ndarray] = []
     rows: list[np.ndarray] = []
-    for k in range(1, m):
+
+    def filled(index: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # fill the columns expanded here by following the parents back to series k
+        for j in range(k + len(rows) - 1, k - 1, -1):
+            slots[:, j] = rows[j - k][index]
+            index = parents[j - k][index]
+        return index, slots
+
+    for j in range(k, m):
         lo = np.maximum(smax - beta, 0)
         widths = np.minimum(smin + beta, n - 1) - lo + 1
         total = int(widths.sum())
-        if total > INT32_MAX:
-            raise SizeError(f"{total} partial candidates at series {k + 1} overflow int32")
+        if expanded[j] + total > INT32_MAX:
+            raise SizeError(f"{expanded[j] + total} partial candidates at series {j + 1} "
+                            "overflow int32")
+        if total > SPLIT_ROWS and widths.size > 1:
+            for p, q in _runs(widths, SPLIT_ROWS):
+                for index, slots in _extend(ts, theta, beta, j, smin[p:q], smax[p:q],
+                                            tmin[p:q], tmax[p:q], expanded):
+                    index += p
+                    yield filled(index, slots)
+            return
+        expanded[j] += total
         parent = np.repeat(np.arange(widths.size, dtype=np.int32), widths)
         # row = lo[parent] + (position - first position of parent)
         row = np.arange(total, dtype=np.int32)
         row -= np.repeat(np.cumsum(widths, dtype=np.int32) - widths - lo, widths)
-        x = ts[k][row]
+        x = ts[j][row]
         # a missing x compares False: it never breaks theta
         keep = ~((x - np.repeat(tmin, widths) > theta) | (np.repeat(tmax, widths) - x > theta))
         parent, row = parent[keep], row[keep]
         parents.append(parent)
         rows.append(row)
-        if k < m - 1:
+        if j < m - 1:
             # fmin/fmax skip a missing timestamp, leaving the parent's range as it is
             x = x[keep]
             tmin, tmax = np.fmin(tmin[parent], x), np.fmax(tmax[parent], x)
             smin, smax = np.minimum(smin[parent], row), np.maximum(smax[parent], row)
-    # gather the full rows by following the parents back to the first series
-    slots = np.empty((rows[-1].size, m), dtype=np.int32)
-    index = np.arange(rows[-1].size, dtype=np.int32)
-    for k in range(m - 1, 0, -1):
-        slots[:, k] = rows.pop()[index]
-        index = parents.pop()[index]
-    slots[:, 0] = index
-    return CandidateSet(slots, cfg, t)
+    # every level was expanded here: one piece, indexed by the last level's rows
+    size = rows[-1].size
+    yield filled(np.arange(size, dtype=np.int32), np.empty((size, m), dtype=np.int32))
+
+
+def _runs(widths: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Runs [p, q) of consecutive prefixes whose widths sum to at most ``limit``,
+    or of one prefix wider than that."""
+    ends = np.cumsum(widths)
+    runs, p = [], 0
+    while p < widths.size:
+        q = max(int(np.searchsorted(ends, ends[p] - widths[p] + limit, "right")), p + 1)
+        runs.append((p, q))
+        p = q
+    return runs

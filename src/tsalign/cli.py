@@ -571,7 +571,9 @@ def _cmd_bench(args) -> int:
     Each run masks the values of a synthetic table and runs ``run_pipeline``
     on it under ``BENCH_WEIGHTS``, theta at the 100th percentile if not given.
     Its row is n, m and the rate, then the fields of ``align``'s report, with
-    ``wall_time_ms`` over the pipeline.  Every option is checked first.
+    ``wall_time_ms`` over the pipeline.  Every option is checked first.  A
+    run that hits a size guard ends the matrix, and the rows of the runs
+    before it are written to ``--report`` before the guard is reported.
 
     The summary has one line per (strategy, n, rate): the mean F1, aligned
     tuples and candidates over the seeds, the median ``wall_time_ms``, and
@@ -597,9 +599,14 @@ def _cmd_bench(args) -> int:
                         tick=args.tick)
                     masked = evaluation.inject_mcar(complete, rate, seed=seed + 1)
                     started = time.perf_counter()
-                    alignment, _, fields = run_pipeline(
-                        masked, strategy, BENCH_WEIGHTS, theta=args.theta, beta=args.beta,
-                        seed=seed, percentile=100.0)
+                    try:
+                        alignment, _, fields = run_pipeline(
+                            masked, strategy, BENCH_WEIGHTS, theta=args.theta, beta=args.beta,
+                            seed=seed, percentile=100.0)
+                    except SizeError:
+                        # keep the runs that finished; ``main`` reports the guard
+                        _write_json(rows + runs, args.report)
+                        raise
                     elapsed_ms = (time.perf_counter() - started) * 1000.0
                     sr = evaluation.score(alignment, truth)
                     row = {"n": n, "m": args.m, "rate": rate, **fields, "wall_time_ms": elapsed_ms,

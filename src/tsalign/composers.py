@@ -25,9 +25,11 @@ dispatches through it.
 
 Cost model of the group pass behind ``greedy`` and ``expect``.  The
 weight-independent state (slot array, weight terms p and d, isolated mask,
-conflict segments and the Python lists the loop reads) lives on the
-``CandidateSet`` and is built on its first compose, so a run whose tuning
-grid and final compose share one set builds it once.  Isolated candidates,
+conflict segments, and the index lists and (V, m) int32 cell keys the loop
+reads) lives on the ``CandidateSet`` and is built on its first compose, so a
+run whose tuning grid and final compose share one set builds it once.  A
+pass turns the cell keys of one segment at a time into Python lists, and
+only for the segments it walks.  Isolated candidates,
 which share no cell with any other, are always chosen and never draw from
 the RNG, so they are added in bulk; the Python loop visits only the rest,
 at O(m) per candidate: used cells are one byte each and a candidate joins
@@ -349,7 +351,7 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
                 continue
         start, drawn, grouped, segment_largest = len(chosen), draws, multi, 0
         walked += 1
-        for i, mine in zip(visit[lo:hi], visit_cells[lo:hi]):
+        for i, mine in zip(visit[lo:hi], visit_cells[lo:hi].tolist()):
             if group and i != prev + 1:
                 emit()
             prev = i
@@ -455,7 +457,8 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     A group with |G| * |W| at most ``PYTHON_SCORE_LIMIT`` is scored in plain
     Python: a dict from cell key to the bitmask of the members using it,
     then one walk over the visited candidates of W, found by bisecting
-    ``rc.visited``; isolated candidates share no cell and add nothing.  A
+    ``rc.visited``, with only their cell keys turned into lists; isolated
+    candidates share no cell and add nothing.  A
     larger group takes one (m, |G|, |W|) equality test on the column-major
     slots, reduced over the series axis, which tells which members share a
     cell with which window candidates, and its row-wise ``cumsum``.  Both
@@ -483,14 +486,17 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
             return (w[g] + bonus).tolist()
         owner: dict[int, int] = {}
         at = p = bisect_left(visit, group[0])
+        end = bisect_left(visit, hi, at)
+        # the cell keys of the members and of the window's visited candidates
+        cells = visit_cells[at:end].tolist()
         for j, g in enumerate(group):
             p = bisect_left(visit, g, p)
-            for key in visit_cells[p]:
+            for key in cells[p - at]:
                 owner[key] = owner.get(key, 0) | 1 << j
         bonus = [0.0] * len(group)
-        for p in range(at + 1, bisect_left(visit, hi, p)):
+        for p in range(at + 1, end):
             shared = 0
-            for key in visit_cells[p]:
+            for key in cells[p - at]:
                 shared |= owner.get(key, 0)
             if shared:
                 i = visit[p]

@@ -85,8 +85,11 @@ def determine_beta(t: SeriesTable, theta: float, beta_lower: int = 0) -> int:
     scan_cfg = ConstraintConfig(theta=theta, beta=beta_lower + t.m)
     slots = generate_candidates(t, scan_cfg).slots
     counts = np.zeros(min(scan_cfg.beta, t.n) + 1, dtype=np.int64)
+    # one intp buffer serves every pair: bincount reads intp without a copy
+    gaps = np.empty(len(slots), dtype=np.intp)
     for a, b in itertools.combinations(range(t.m), 2):
-        counts += np.bincount(np.abs(slots[:, a] - slots[:, b]), minlength=counts.size)
+        np.subtract(slots[:, a], slots[:, b], out=gaps)
+        counts += np.bincount(np.abs(gaps, out=gaps), minlength=counts.size)
     if not counts.any():
         warnings.warn("no candidate tuples under the widened scan; falling back to beta_lower + 1")
     return _beta_from_gap_counts(counts, beta_lower)

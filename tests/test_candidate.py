@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -170,12 +172,142 @@ class TestMatchesWalk:
         assert_matches_walk(gappy_table(np.random.default_rng(seed), m, n), theta, beta)
 
 
+@contextmanager
+def split_at(split: int):
+    """Levels of more than ``split`` expanded rows split into runs of prefixes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(candidate, "SPLIT_ROWS", split)
+        yield
+
+
+# split thresholds: 1 splits every level into single prefixes, 3 to 13 cut
+# the first level into runs of one to a few first-series rows under the
+# windows of beta <= 3, and the default splits none of these small inputs
+SPLITS = [1, 2, 3, 5, 7, 13, candidate.SPLIT_ROWS]
+# a level split into single prefixes costs a call per prefix, so the inputs
+# with small splits stay under this many candidates (n * (2 beta + 1)^(m - 1))
+EDGE_CAP = 2000
+# (m, n) where even theta = inf and beta >= n stay under EDGE_CAP (n^m candidates)
+EDGE_SIZES = [(2, 12), (3, 8), (4, 5), (5, 4), (6, 3)]
+
+
+class TestSplitEdges:
+    """Levels split into runs of a few prefixes each give the same slot array."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_tables(), st.floats(0, 40), st.integers(0, 3), st.sampled_from(SPLITS))
+    def test_oracle_equivalence(self, table, theta, beta, split):
+        cfg = ConstraintConfig(theta=theta, beta=beta)
+        with split_at(split):
+            fast = generate_candidates(table, cfg).slots
+        assert fast.tolist() == brute_force_candidates(table, cfg).slots.tolist()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(EDGE_SIZES), st.sampled_from(SPLITS),
+           st.data())
+    def test_random_small_tables(self, seed, size, split, data):
+        m, n_max = size
+        n = data.draw(st.integers(0, n_max))
+        theta = data.draw(st.sampled_from([0.0, math.inf]) | st.floats(0, 60))
+        beta = data.draw(st.integers(0, n + 2))
+        with split_at(split):
+            assert_matches_walk(gappy_table(np.random.default_rng(seed), m, n), theta, beta)
+
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_fixed_edges(self, split, m):
+        # n = 0, n below one run, beta >= n, and windows that straddle the
+        # edges of the runs
+        for n in (0, 1, 2, 4, 7, 40):
+            t = gappy_table(np.random.default_rng([m, n, split]), m, n)
+            for theta in (tuned_theta(t), math.inf):
+                for beta in (0, 1, 2, n, n + 3):
+                    if n * min(2 * beta + 1, n) ** (m - 1) > EDGE_CAP:
+                        continue
+                    with split_at(split):
+                        assert_matches_walk(t, theta, beta)
+
+    @pytest.mark.parametrize("split", [3, 13, 64])
+    @pytest.mark.parametrize("m, n", WALK_SIZES[:4])
+    def test_same_beta(self, split, m, n):
+        # at the scan's window (beta >= m) every level of these tables splits
+        t = gappy_table(np.random.default_rng([m, n, 9]), m, n)
+        theta = tuned_theta(t)
+        want = determine_beta(t, theta)
+        with split_at(split):
+            assert determine_beta(t, theta) == want
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("target", ["values", "both"])
+    def test_generation_holds_the_output_and_one_level(self, target):
+        table, _ = generate_synthetic(20000, 4, 4.0, seed=3, tick=10.0)
+        table = inject_mcar(table, 0.2, seed=1, target=target)
+        # the beta scan's window
+        cfg = ConstraintConfig(theta=determine_theta(table), beta=table.m)
+        rc, peak = traced_peak(lambda: generate_candidates(table, cfg))
+        # the pieces and their concatenation, plus the temporaries of a level
+        # of at most SPLIT_ROWS expanded rows: per row its int32 parent, row
+        # and offset, its float64 timestamp and the two repeated ranges, the
+        # masks, and the ranges of the next level
+        assert len(rc) > 20000
+        assert peak <= 2 * rc.slots.nbytes + 64 * candidate.SPLIT_ROWS
+
+    def test_pass_state_has_no_list_per_candidate(self):
+        table, _ = generate_synthetic(8000, 4, 4.0, seed=1, tick=10.0)
+        table = inject_mcar(table, 0.2, seed=1, target="values")
+        theta = determine_theta(table)
+        rc = generate_candidates(table, ConstraintConfig(
+            theta=theta, beta=determine_beta(table, theta)))
+        visited, bounds = rc.visited.size, rc.segment_bounds.size
+        assert visited > 1000
+        (_, _, cells, _), peak = traced_peak(lambda: rc.pass_lists)
+        assert cells.dtype == np.int32 and cells.shape == (visited, table.m)
+        with pytest.raises(ValueError, match="read-only"):
+            cells[0, 0] = 0
+        # the index and bound lists cost a pointer and an int object per entry
+        # (36 bytes); what is left per visited candidate is its int32 cell keys
+        # and the index arrays the lists are made from
+        lists = 40 * (len(rc) + bounds)
+        assert (peak - lists) / visited <= 8 * table.m
+
+
 def test_level_overflowing_int32_is_size_error(monkeypatch, staggered_table):
     # a level of more than INT32_MAX expanded rows would wrap the int32 arrays
     monkeypatch.setattr(candidate, "INT32_MAX", 8)
     assert len(generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=1))) == 7
     with pytest.raises(SizeError, match="overflow int32"):
         generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
+
+
+def test_split_level_overflowing_int32_is_size_error(monkeypatch):
+    # a split level's runs add up to one total: splitting below the limit
+    # must not hide a level that overflows it
+    t = gappy_table(np.random.default_rng(0), 3, 3)
+    cfg = ConstraintConfig(theta=math.inf, beta=2)
+    # each level splits into single prefixes; series 3 expands 9 * 3 rows
+    monkeypatch.setattr(candidate, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(candidate, "INT32_MAX", 27)
+    assert len(generate_candidates(t, cfg)) == 27
+    monkeypatch.setattr(candidate, "INT32_MAX", 26)
+    with pytest.raises(SizeError, match="at series 3 overflow int32"):
+        generate_candidates(t, cfg)
+
+
+def test_cell_keys_overflowing_int32_is_size_error(monkeypatch, staggered_table):
+    rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=1))
+    monkeypatch.setattr(candidate, "INT32_MAX", 5)  # m * n = 6 cells
+    with pytest.raises(SizeError, match="cell keys"):
+        rc.pass_lists
 
 
 class TestReadOnly:

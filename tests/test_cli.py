@@ -1163,6 +1163,19 @@ class TestBench:
     def test_zero_seeds_is_config_error(self):
         assert main(["bench", "--n", "40", "--seeds", "0"]) == 2
 
+    def test_guard_keeps_the_finished_runs(self, tmp_path, capsys):
+        # exact refuses the 40 candidates of the second run
+        args = ["bench", "--n", "40", "--m", "2", "--seeds", "1", "--rates", "0.1"]
+        report, alone = tmp_path / "bx.json", tmp_path / "greedy.json"
+        assert main([*args, "--strategies", "greedy", "exact", "--report", str(report)]) == 4
+        assert capsys.readouterr().err == (
+            "size guard: |R_c| = 40 > 24: exact enumeration refused, "
+            "use setpacking/greedy/expectation\n")
+        assert main([*args, "--strategies", "greedy", "--report", str(alone)]) == 0
+        rows = json.loads(report.read_text())
+        assert [row["strategy"] for row in rows] == ["greedy"]
+        assert without_wall_time(rows) == without_wall_time(json.loads(alone.read_text()))
+
     @pytest.mark.parametrize("flags, message", [
         (["--rates", "0.1", "1.5"], "missing rate must lie in [0, 1]"),
         (["--rates", "0.1", "nan"], "missing rate must lie in [0, 1]"),
