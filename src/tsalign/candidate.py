@@ -74,11 +74,12 @@ class CandidateSet:
 
     ``slots`` is the (N, m) int32 array of slot vectors, one row per
     candidate.  It and the weight-independent state every compose of the set
-    needs (weight terms, isolated mask, conflict segments, weight-class
-    representatives, the row window state of ``expect``, fitted reports and
-    greedy segment walks) are shared by every compose of the set, so the
-    arrays are read-only; the state is computed on first use and kept, so a
-    run that tunes delta on the set and then composes it builds it once.
+    needs (weight terms, isolated mask, cell keys and conflict segments of
+    the visited candidates, weight-class representatives, the row window
+    state of ``expect``, fitted reports and greedy segment walks) are shared
+    by every compose of the set, so the arrays are read-only; the state is
+    built on first use and kept, so a run that tunes delta on the set and
+    then composes it builds it once.  It holds no Python list.
 
     The group pass visits the non-isolated candidates (``visited``) in index
     order.  A conflict segment is a maximal run of them that no cell links
@@ -105,17 +106,33 @@ class CandidateSet:
         p, d = weight_terms(self.table, self.slots)
         return _read_only(p), _read_only(d)
 
+    def cell_keys(self, rows=slice(None)) -> np.ndarray:
+        """The int32 key s * n + r of each cell (series s, row r) of candidates ``rows``;
+        two candidates conflict exactly when they share a key."""
+        m, n = self.table.m, self.table.n
+        if m * n > INT32_MAX:
+            raise SizeError(f"{m * n} cells overflow the int32 cell keys")
+        # a slice is a view of the read-only slots: copy it; a gather is a copy already
+        keys = np.require(self.slots[rows], requirements="W")
+        keys += np.arange(m, dtype=np.int32) * n
+        return keys
+
     @cached_property
     def isolated(self) -> np.ndarray:
         """Mask of the candidates that share no cell with any other candidate."""
-        m, n = self.table.m, self.table.n
-        keys = self.slots + np.arange(m) * n
-        return _read_only((np.bincount(keys.ravel(), minlength=m * n)[keys] == 1).all(axis=1))
+        keys = self.cell_keys()
+        counts = np.bincount(keys.ravel(), minlength=self.table.m * self.table.n)
+        return _read_only((counts == 1)[keys].all(axis=1))
 
     @cached_property
     def visited(self) -> np.ndarray:
         """Indices of the candidates that are not isolated, ascending."""
         return _read_only(np.flatnonzero(~self.isolated))
+
+    @cached_property
+    def visited_cells(self) -> np.ndarray:
+        """The (V, m) ``cell_keys`` of the ``visited`` candidates, in that order."""
+        return _read_only(self.cell_keys(self.visited))
 
     @cached_property
     def segment_bounds(self) -> np.ndarray:
@@ -126,14 +143,9 @@ class CandidateSet:
         ``reach[q]``, the running maximum over positions up to q of the last
         position using any of their cells, equals q.
         """
-        m, n = self.table.m, self.table.n
-        count = self.visited.size
-        if not count:
-            return _read_only(np.zeros(1, dtype=np.intp))
-        position = np.arange(count)
-        # cell keys s * n + r, one series at a time
-        columns = [self.slots[self.visited, s] + s * n for s in range(m)]
-        last = np.zeros(m * n, dtype=np.intp)
+        position = np.arange(self.visited.size)
+        columns = self.visited_cells.T
+        last = np.zeros(self.table.m * self.table.n, dtype=np.intp)
         for keys in columns:
             np.maximum.at(last, keys, position)
         reach = last[columns[0]]
@@ -142,23 +154,6 @@ class CandidateSet:
         np.maximum.accumulate(reach, out=reach)
         ends = np.flatnonzero(reach == position) + 1
         return _read_only(np.concatenate(([0], ends)))
-
-    @cached_property
-    def pass_lists(self) -> tuple[list[int], list[int], np.ndarray, list[int]]:
-        """The group pass's view of the set, built once for all passes.
-
-        The isolated indices, the ``visited`` indices, the read-only (V, m)
-        int32 array of the cell keys s * n + r of each visited candidate, and
-        ``segment_bounds``.  The indices and bounds are Python lists; the
-        cell keys stay one array, and a pass converts the rows it walks.
-        """
-        m, n = self.table.m, self.table.n
-        if m * n > INT32_MAX:
-            raise SizeError(f"{m * n} cells overflow the int32 cell keys")
-        cells = self.slots[self.visited]
-        cells += np.arange(0, m * n, n, dtype=np.int32)
-        return (np.flatnonzero(self.isolated).tolist(), self.visited.tolist(), _read_only(cells),
-                self.segment_bounds.tolist())
 
     @cached_property
     def slot_spread(self) -> int:

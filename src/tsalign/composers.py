@@ -25,17 +25,18 @@ dispatches through it.
 
 Cost model of the group pass behind ``greedy`` and ``expect``.  The
 weight-independent state (slot array, weight terms p and d, isolated mask,
-conflict segments, and the index lists and (V, m) int32 cell keys the loop
-reads) lives on the ``CandidateSet`` and is built on its first compose, so a
-run whose tuning grid and final compose share one set builds it once.  A
-pass turns the cell keys of one segment at a time into Python lists, and
-only for the segments it walks.  Isolated candidates,
-which share no cell with any other, are always chosen and never draw from
-the RNG, so they are added in bulk; the Python loop visits only the rest,
-at O(m) per candidate: used cells are one byte each and a candidate joins
-the open group when the OR of its cells' bitmasks of group positions covers
-every member.  The consistency report is fitted once per distinct selection
-of a set and reused by every compose that selects the same candidates.
+the (V, m) int32 cell keys of the V visited candidates and their conflict
+segments) lives on the ``CandidateSet`` as arrays and is built on its first
+compose, so a run whose tuning grid and final compose share one set builds
+it once.  A pass turns the cell keys of the segments it walks, one at a
+time, into lists, and reads the indices through a ``memoryview``, which
+yields Python ints without a list.  Isolated candidates, which share no
+cell with any other, are always chosen and never draw from the RNG, so
+they are added in bulk; the Python loop visits only the rest, at O(m) per
+candidate: used cells are one byte each and a candidate joins the open
+group when the OR of its cells' bitmasks of group positions covers every
+member.  The consistency report is fitted once per distinct selection of a
+set and reused by every compose that selects the same candidates.
 
 The visited candidates fall into conflict segments: no cell is used on both
 sides of the boundary between two segments.  So the first candidate after
@@ -162,10 +163,10 @@ def _report(rc: CandidateSet, indices) -> ConsistencyReport:
 def _conflict_masks(rc: CandidateSet) -> list[int]:
     """Bitmask per candidate of the candidates it conflicts with (self included)."""
     k = len(rc)
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    for i, slots in enumerate(rc.slots.tolist()):
-        for series, row in enumerate(slots):
-            by_cell.setdefault((series, row), []).append(i)
+    by_cell: dict[int, list[int]] = {}
+    for i, keys in enumerate(rc.cell_keys().tolist()):
+        for key in keys:
+            by_cell.setdefault(key, []).append(i)
     masks = [0] * k
     for indices in by_cell.values():
         cell_mask = 0
@@ -248,10 +249,9 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> A
 def _segment_ranks(rc: CandidateSet, weights: list[float]) -> bytes:
     """Dense rank (tied weights share a rank) of each visited candidate's weight
     within its conflict segment, as int32 bytes in ``rc.visited`` order."""
-    _, visit, _, _ = rc.pass_lists
     bounds = rc.segment_bounds
     sizes = np.diff(bounds)
-    w = np.fromiter(map(weights.__getitem__, visit), float, len(visit))
+    w = np.asarray(weights)[rc.visited]
     # sorted by segment, then weight, so segment j keeps positions bounds[j]:bounds[j + 1]
     order = np.lexsort((w, np.repeat(np.arange(sizes.size), sizes)))
     ws = w[order]
@@ -301,11 +301,12 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     and leaves the RNG as the unsegmented scan would.  ``group_scores`` adds
     weights into its scores, so with it every segment is walked.
     """
-    isolated, visit, visit_cells, bounds = rc.pass_lists
-    chosen = isolated[:]
+    chosen = np.flatnonzero(rc.isolated).tolist()
     multi, largest = 0, min(len(chosen), 1)
+    visit = memoryview(rc.visited)
     if not visit:
         return chosen, 0, 0, (multi, largest)
+    cells, bounds = rc.visited_cells, rc.segment_bounds.tolist()
     m, n = rc.table.m, rc.table.n
     used = bytearray(m * n)
     member_bits = [0] * (m * n)
@@ -351,7 +352,7 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
                 continue
         start, drawn, grouped, segment_largest = len(chosen), draws, multi, 0
         walked += 1
-        for i, mine in zip(visit[lo:hi], visit_cells[lo:hi].tolist()):
+        for i, mine in zip(visit[lo:hi], cells[lo:hi].tolist()):
             if group and i != prev + 1:
                 emit()
             prev = i
@@ -456,10 +457,10 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
 
     A group with |G| * |W| at most ``PYTHON_SCORE_LIMIT`` is scored in plain
     Python: a dict from cell key to the bitmask of the members using it,
-    then one walk over the visited candidates of W, found by bisecting
-    ``rc.visited``, with only their cell keys turned into lists; isolated
-    candidates share no cell and add nothing.  A
-    larger group takes one (m, |G|, |W|) equality test on the column-major
+    then one walk over the visited candidates of W, found by bisecting a
+    list of ``rc.visited``, with only their ``rc.visited_cells`` rows turned
+    into lists; isolated candidates share no cell and add nothing.  A larger
+    group takes one (m, |G|, |W|) equality test on the column-major
     slots, reduced over the series axis, which tells which members share a
     cell with which window candidates, and its row-wise ``cumsum``.  Both
     add the kept weights one at a time in ascending i, the cumsum's other
@@ -470,10 +471,11 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     w = np.asarray(weights, dtype=float)
     columns = rc.slot_columns
     first = columns[0]
-    starts = rc.row_starts.tolist()
+    # starts is read once per group; the indices are bisected often, so they are a list
+    starts = memoryview(rc.row_starts)
     reach = 2 * rc.slot_spread
     n = rc.table.n
-    _, visit, visit_cells, _ = rc.pass_lists
+    visit, visit_cells = rc.visited.tolist(), rc.visited_cells
 
     def group_scores(group: list[int]) -> list[float]:
         lo = group[0] + 1

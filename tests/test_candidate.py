@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tsalign import (
     theta_similarity,
 )
 from tsalign import candidate
+from tsalign.composers import compose
 from tsalign.core import combine_weights
 from conftest import (
     aligned_tuples,
@@ -262,23 +264,41 @@ class TestWorkingSet:
         assert len(rc) > 20000
         assert peak <= 2 * rc.slots.nbytes + 64 * candidate.SPLIT_ROWS
 
-    def test_pass_state_has_no_list_per_candidate(self):
+    @pytest.fixture(scope="class")
+    def long_values_set(self):
+        """The candidate set of the ``long_values`` benchmark input (n=8000, m=4)."""
         table, _ = generate_synthetic(8000, 4, 4.0, seed=1, tick=10.0)
         table = inject_mcar(table, 0.2, seed=1, target="values")
         theta = determine_theta(table)
-        rc = generate_candidates(table, ConstraintConfig(
+        return generate_candidates(table, ConstraintConfig(
             theta=theta, beta=determine_beta(table, theta)))
-        visited, bounds = rc.visited.size, rc.segment_bounds.size
+
+    def test_isolated_holds_int32_keys_and_one_count_per_cell(self, long_values_set):
+        rc = replace(long_values_set)  # the same candidates, nothing cached yet
+        (k, m), cells = rc.slots.shape, rc.table.m * rc.table.n
+        mask, peak = traced_peak(lambda: rc.isolated)
+        assert mask.shape == (k,) and k > 8000
+        # per key: its int32 value, bincount's intp copy of it and its bool
+        # gather; per cell: its intp count.  int64 keys with an int64 gather
+        # of the counts would hold 16 bytes a key and break the bound.
+        assert peak <= 13 * k * m + 8 * cells
+
+    def test_pass_state_has_no_list_per_candidate(self, long_values_set):
+        rc = replace(long_values_set)  # the same candidates, nothing cached yet
+        visited = rc.visited.size
         assert visited > 1000
-        (_, _, cells, _), peak = traced_peak(lambda: rc.pass_lists)
-        assert cells.dtype == np.int32 and cells.shape == (visited, table.m)
+        cells, peak = traced_peak(lambda: rc.visited_cells)
+        assert cells.dtype == np.int32 and cells.shape == (visited, rc.table.m)
         with pytest.raises(ValueError, match="read-only"):
             cells[0, 0] = 0
-        # the index and bound lists cost a pointer and an int object per entry
-        # (36 bytes); what is left per visited candidate is its int32 cell keys
-        # and the index arrays the lists are made from
-        lists = 40 * (len(rc) + bounds)
-        assert (peak - lists) / visited <= 8 * table.m
+        # per visited candidate: its int32 cell keys and the gather's buffers
+        assert peak / visited <= 8 * rc.table.m
+        # the group pass and expect's scorer read the arrays; no compose
+        # leaves a Python list on the set
+        for strategy in ("greedy", "expect"):
+            compose(strategy, rc, rc.config, WeightParams(k1=3, k2=2))
+        assert rc.reports and rc.walks
+        assert not [name for name, value in vars(rc).items() if isinstance(value, list)]
 
 
 def test_level_overflowing_int32_is_size_error(monkeypatch, staggered_table):
@@ -304,10 +324,16 @@ def test_split_level_overflowing_int32_is_size_error(monkeypatch):
 
 
 def test_cell_keys_overflowing_int32_is_size_error(monkeypatch, staggered_table):
-    rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=1))
+    cfg = ConstraintConfig(theta=25, beta=1)
+    rc, visited, exact = (generate_candidates(staggered_table, cfg) for _ in range(3))
+    assert visited.visited.size  # its isolated mask is built before the patch
     monkeypatch.setattr(candidate, "INT32_MAX", 5)  # m * n = 6 cells
     with pytest.raises(SizeError, match="cell keys"):
-        rc.pass_lists
+        rc.isolated
+    with pytest.raises(SizeError, match="cell keys"):
+        visited.visited_cells
+    with pytest.raises(SizeError, match="cell keys"):
+        compose("exact", exact, cfg, WeightParams())
 
 
 class TestReadOnly:
@@ -316,7 +342,8 @@ class TestReadOnly:
     def test_candidate_arrays_reject_writes(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
         for array in (rc.slots, *rc.weight_terms, rc.isolated, rc.class_representatives,
-                      rc.slot_columns, rc.row_starts, rc.visited, rc.segment_bounds):
+                      rc.slot_columns, rc.row_starts, rc.visited, rc.visited_cells,
+                      rc.segment_bounds):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
         with pytest.raises(ValueError, match="read-only"):
@@ -406,6 +433,14 @@ class TestSegments:
         for theta in (0, 2):
             rc = generate_candidates(staggered_table, ConstraintConfig(theta=theta, beta=0))
             assert rc.segment_bounds.tolist() == [0] == segment_bounds_scan(rc)
+
+    def test_table_without_rows(self):
+        rc = generate_candidates(SeriesTable(np.zeros((2, 0)), np.zeros((2, 0))),
+                                 ConstraintConfig(theta=5, beta=1))
+        assert len(rc) == 0
+        assert rc.isolated.shape == (0,) and rc.isolated.dtype == bool
+        assert rc.visited_cells.shape == (0, 2) and rc.visited_cells.dtype == np.int32
+        assert rc.segment_bounds.tolist() == [0] == segment_bounds_scan(rc)
 
 
 class TestBruteForce:

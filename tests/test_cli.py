@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -431,6 +432,24 @@ class TestAlign:
                      "--theta", "1e9", "--beta", "3",
                      "--out", str(tmp_path / "a.csv"), "--report", str(tmp_path / "r.json")])
         assert code == 4
+
+    @pytest.mark.parametrize("flags", [
+        *(["--beta", "1", "--strategy", s] for s in ("exact", "setpack", "greedy", "expect")),
+        ["--tune-beta"],
+    ])
+    def test_input_without_rows_aligns_nothing(self, tmp_path, flags):
+        data = write_csv(tmp_path / "data.csv", "t_1,v_1,t_2,v_2\n")
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        # the beta scan finds no candidate and falls back to beta_lower + 1
+        scan = "--tune-beta" in flags
+        with pytest.warns(UserWarning, match="widened scan") if scan else nullcontext():
+            code = main(["align", "--input", data, "--theta", "5", *flags,
+                         "--out", str(out), "--report", str(report)])
+        assert code == 0
+        assert out.read_text().splitlines() == [
+            "idx_1,t_1,v_1,idx_2,t_2,v_2,weight,theta_sim,phi_sim"]
+        metrics = json.loads(report.read_text())
+        assert metrics["candidate_count"] == metrics["aligned_tuple_count"] == 0
 
     def test_conflicting_theta_flags(self, small_files, tmp_path):
         data, _ = small_files
