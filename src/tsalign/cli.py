@@ -4,13 +4,16 @@ Subcommands: align, tune, synth, score, bench.  Data files are wide CSVs
 with header t_1,v_1,...,t_m,v_m where an empty cell means missing.
 
 The data path works on blocks of ``BLOCK_ROWS`` rows, so it holds the
-Python strings of one block at a time.  ``ingest`` reads the records with
-``csv.reader`` block by block, parses each column of a block with Python
-``float`` per cell into a (2, m, rows) array of its timestamps and values
-and rejects a block's first defect at once, so several defects report the
-first in file order; the timestamp order is checked on whole columns at the
-end, and the table holds the two halves of the joined blocks without a
-copy.  ``score`` reads the aligned CSV in the same blocks.
+Python strings of one block at a time.  ``_blocks`` reads every CSV the
+program reads, the input, the truth and the aligned CSV of ``score``, a
+block of lines at a time, and splits each line on commas; from the first
+block with a quote, a NUL or a line over csv's field size limit on,
+``csv.reader`` reads the rest of the file.  ``ingest`` parses a block's
+cells in one pass of Python ``float`` into a (2, m, rows) array of its
+timestamps and values, and parses column by column only a block with a
+defect, which it rejects at once, so several defects report the first in
+file order; the timestamp order is checked on whole columns at the end,
+and the table holds the two halves of the joined blocks without a copy.
 ``write_alignment_csv`` gathers the cells of all tuples with one index into
 numeric columns, and both writers format, join and write one block of rows
 at a time.  A file that is not UTF-8, or that ``csv`` cannot read, is a
@@ -27,7 +30,7 @@ import math
 import statistics
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -57,67 +60,85 @@ BENCH_WEIGHTS = WeightParams(3.0, 2.0, 1.0, 1.0)
 
 
 @contextlib.contextmanager
-def _csv_reader(path: str):
-    """A ``csv.reader`` over the file at ``path``.
+def _csv_blocks(path: str):
+    """The records of the CSV file at ``path``, as ``_blocks`` yields them.
 
-    A leading byte-order mark is dropped.  A file that cannot be opened, is
-    not UTF-8 text or holds a record ``csv`` cannot read (such as a cell
-    over its field size limit) raises a DataError naming the file, and the
-    line for the record.
+    A leading byte-order mark is dropped.  A file that cannot be opened or is
+    not UTF-8 text raises a DataError naming the file.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            yield reader
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            yield _blocks(fh, path)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
                             f"{exc.reason})") from None
 
 
-def _blocks(reader) -> Iterator[list[list[str]]]:
-    """The records of ``reader`` in lists of at most ``BLOCK_ROWS``.
+def _blocks(fh, path: str) -> Iterator[list[list[str]]]:
+    """The records ``csv.reader`` reads from ``fh``, opened with ``newline=""``:
+    the first record in a list of its own, then lists of at most ``BLOCK_ROWS``.
 
-    A ``csv.Error`` is raised only after the records before it have been
-    yielded, so a defect in them is still the first one reported.
+    With ``newline=""`` the file's lines end where csv's records do, at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``, so a block of lines is split by
+    stripping each line's terminator and splitting it on commas; an empty
+    line is the blank record ``[]``.  A block with a quote (a quoted field
+    may span lines), a NUL (which csv reads by rules of its own) or a line
+    longer than ``csv.field_size_limit()`` is read by ``csv.reader`` instead,
+    and so is the rest of the file.  A record csv cannot read raises a
+    DataError naming its file line, but only after the records before it
+    have been yielded, so a defect in them is still the first one reported.
     """
+    limit = csv.field_size_limit()
+    size, read = 1, 0  # the records of the next block, and the lines before it
+    while True:
+        lines = list(islice(fh, size))
+        if not lines:
+            return
+        text = "".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+            break
+        yield [line.split(",") if line else []
+               for line in map(str.rstrip, lines, repeat("\r\n"))]
+        size, read = BLOCK_ROWS, read + len(lines)
+    reader = csv.reader(chain(lines, fh))
     while True:
         block, error = [], None
         try:
-            for row in islice(reader, BLOCK_ROWS):
+            for row in islice(reader, size):
                 block.append(row)
         except csv.Error as exc:
-            error = exc
+            error = DataError(f"{path}:{read + reader.line_num}: {exc}")
         if block:
             yield block
         if error is not None:
             raise error
         if not block:
             return
+        size = BLOCK_ROWS
 
 
 def ingest(path: str) -> SeriesTable:
     """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics.
 
-    The records are read with ``csv.reader`` in blocks of ``BLOCK_ROWS``, and
-    each block is handled column by column: every cell is parsed with Python
+    The records come from ``_blocks`` in blocks of ``BLOCK_ROWS``, as
+    ``csv.reader`` would read them.  Every cell is parsed with Python
     ``float`` (so surrounding blanks, ``1_000``, ``.5`` and ``-0.0`` read as
-    ``float`` reads them), a blank cell is missing (NaN), and non-finite
-    cells are found on whole columns.  A block with a defect raises at once,
-    so a file with several defects reports the first one in file order: a
-    ragged row, or a cell that is not a number or not finite.  The
+    ``float`` reads them), and a blank cell is missing (NaN): a block's cells
+    in one pass, and column by column (``_parse_block``) only if that pass
+    meets a ragged row, a cell that is not a number or a present cell that
+    is not finite.  A block with a defect raises at once, so a file with
+    several defects reports the first one in file order.  The
     strictly-increasing check runs on whole columns once every block has
     parsed, and the table is handed the contiguous timestamp and value
     halves of the joined blocks without the copy and checks of
     ``SeriesTable(...)``.
     """
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
+    with _csv_blocks(path) as blocks:
+        header = next(blocks, [[]])[0]
         if not header:
             raise DataError(f"{path}: empty file")
         m, rem = divmod(len(header), 2)
@@ -128,7 +149,7 @@ def ingest(path: str) -> SeriesTable:
         parts = [np.empty((2, m, 0))]  # the (2, m, rows) cells of each block
         skips = []  # per blank record, the number of non-blank records before it
         n = 0
-        for records in _blocks(reader):
+        for records in blocks:
             if not all(records):
                 kept = []
                 for row in records:
@@ -137,10 +158,12 @@ def ingest(path: str) -> SeriesTable:
                     else:
                         skips.append(n + len(kept))
                 records = kept
-            cells, defect = _parse_block(records, m)
-            if defect is not None:
-                row, message = defect
-                raise DataError(f"{path}:{_lines(n + row, skips)}: {message}")
+            cells = _parse_cells(records, m)
+            if cells is None:
+                cells, defect = _parse_block(records, m)
+                if defect is not None:
+                    row, message = defect
+                    raise DataError(f"{path}:{_lines(n + row, skips)}: {message}")
             parts.append(cells)
             n += len(records)
     # the timestamps and values are the contiguous halves of one array
@@ -163,6 +186,24 @@ def _lines(rows, skips: list[int]):
     """The file lines of non-blank records ``rows`` (0-based), given the
     blank records' ``skips`` of ``ingest``: the header is line 1."""
     return np.asarray(rows) + 2 + np.searchsorted(skips, rows, side="right")
+
+
+def _parse_cells(records: list[list[str]], m: int) -> Optional[np.ndarray]:
+    """The (2, m, rows) timestamps and values of a block of non-blank
+    records, in one pass of Python ``float`` over its cells (NaN for a blank
+    cell), or None if a row is ragged or a cell is not a number or not finite.
+    """
+    if not set(map(len, records)) <= {2 * m}:
+        return None
+    cells = list(chain.from_iterable(records))
+    try:
+        x = np.fromiter(map(float, [cell or "nan" for cell in cells]), float, len(cells))
+    except ValueError:
+        return None
+    # a blank cell parses to NaN; any other cell that is not finite is a defect
+    if len(cells) - np.count_nonzero(np.isfinite(x)) != cells.count(""):
+        return None
+    return x.reshape(-1, m, 2).transpose(2, 1, 0)
 
 
 def _parse_block(records: list[list[str]], m: int
@@ -231,7 +272,8 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     Rows follow the tuples' slot order.  The cells of all tuples are gathered
     with one index into the table into numeric columns, which ``_write_rows``
     formats: a missing cell (or a theta_sim over fewer than two timestamps)
-    as an empty cell.
+    as an empty cell.  A weight is fixed by the tuple's (p, d), so the weight
+    column holds few distinct values, and each is formatted once.
     """
     m = table.m
     slots = alignment.slots.reshape(-1, m)
@@ -248,7 +290,7 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     for k in range(m):
         header += [f"idx_{k + 1}", f"t_{k + 1}", f"v_{k + 1}"]
         columns += [slots[:, k] + 1, ts[:, k], vs[:, k]]
-    columns += [batch_weights(table, slots, params), theta,
+    columns += [_format_distinct(batch_weights(table, slots, params)), theta,
                 slots.max(axis=1) - slots.min(axis=1)]
     _write_rows(header + ["weight", "theta_sim", "phi_sim"], columns, path)
 
@@ -271,8 +313,22 @@ def _write_rows(header: list[str], columns: list[np.ndarray], path: str) -> None
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
+def _format_distinct(x: np.ndarray) -> np.ndarray:
+    """The cells ``_format_column`` makes of the floats ``x``, as an object
+    array that shares one string per distinct value.
+
+    The values are told apart by their bits, as ``repr`` tells them apart.
+    """
+    bits = x.view(np.int64)
+    keys = composers._sorted_unique(bits)
+    return np.array(_format_column(keys.view(float)), dtype=object)[np.searchsorted(keys, bits)]
+
+
 def _format_column(x: np.ndarray) -> list[str]:
-    """``repr`` of every number of ``x``, and an empty string for NaN."""
+    """``repr`` of every number of ``x``, and an empty string for NaN; the
+    cells of an array of strings as they are."""
+    if x.dtype == object:
+        return x.tolist()
     out = list(map(repr, x.tolist()))
     for i in np.flatnonzero(np.isnan(x)).tolist():
         out[i] = ""
@@ -511,11 +567,11 @@ def _read_alignment_csv(path: str, m: int
     cells = [np.empty((0, 2 * m))]
     total = 0.0
     lineno = 1
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
+    with _csv_blocks(path) as blocks:
+        header = next(blocks, [[]])[0]
         if not header or len(header) != 3 * m + 3:
             raise DataError(f"{path}: expected an alignment CSV for {m} series")
-        for records in _blocks(reader):
+        for records in blocks:
             block_lines, block_slots, block_cells = [], [], []
             for row in records:
                 lineno += 1

@@ -4,7 +4,7 @@ import json
 import math
 import tracemalloc
 import weakref
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -277,6 +277,134 @@ class TestIngestMatchesScanInSmallBlocks(TestIngestMatchesScan):
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="t.csv: empty file$"):
             ingest(write_csv(tmp_path / "t.csv", ""))
+
+
+def block_records(path):
+    """The records of ``cli._csv_blocks`` at ``path``, and the message of the
+    DataError it ended with, or None.  The first block holds one record."""
+    records, sizes = [], []
+    try:
+        with cli._csv_blocks(path) as blocks:
+            for block in blocks:
+                records += block
+                sizes.append(len(block))
+    except DataError as exc:
+        return records, str(exc)
+    finally:
+        assert sizes[:1] in ([], [1]) and max(sizes[1:], default=0) <= cli.BLOCK_ROWS
+    return records, None
+
+
+def csv_records(path):
+    """Oracle for ``block_records``: the records ``csv.reader`` reads, and the
+    message of the DataError its ``csv.Error`` becomes, or None."""
+    records = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                records.append(row)
+        except csv.Error as exc:
+            return records, f"{path}:{reader.line_num}: {exc}"
+    return records, None
+
+
+@contextmanager
+def field_limit(limit):
+    """csv's field size limit set to ``limit`` (kept if None), then restored."""
+    before = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(before)
+
+
+class TestBlocksMatchCsvReader:
+    """The split-line block reader against ``csv.reader`` on the same file.
+
+    Texts mix cells, quotes, NULs and every line ending; a field size limit
+    of a few characters sends lines to csv for their length.
+    """
+
+    ALPHABET = '0123456789.,-_ x"\0\r\n'
+
+    @staticmethod
+    def check(path):
+        fast, oracle = block_records(str(path)), csv_records(str(path))
+        assert fast == oracle
+        return fast
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet=ALPHABET, max_size=80), st.sampled_from([None, 3, 8]))
+    def test_random_texts(self, tmp_path_factory, text, limit):
+        self.check_random_text(tmp_path_factory, text, limit)
+
+    def check_random_text(self, tmp_path_factory, text, limit):
+        path = tmp_path_factory.mktemp("blocks") / "t.csv"
+        path.write_bytes(text.encode())
+        with field_limit(limit):
+            self.check(path)
+
+
+@pytest.mark.usefixtures("blocks_of_three")
+class TestBlocksMatchCsvReaderInSmallBlocks(TestBlocksMatchCsvReader):
+    """The same comparisons in blocks of 3 records, plus the fallback to csv
+    at a block edge.  The header is line 1, the first block lines 2-4, the
+    second lines 5-7."""
+
+    # hypothesis runs a test method from one class only
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet=TestBlocksMatchCsvReader.ALPHABET, max_size=80),
+           st.sampled_from([None, 3, 8]))
+    def test_random_texts(self, tmp_path_factory, text, limit):
+        self.check_random_text(tmp_path_factory, text, limit)
+
+    @pytest.mark.parametrize("text, records, message", [
+        # a quoted header: the whole file is read by csv
+        ('"t_1",v_1,"t_2",v_2\n0,1,0,1\n', 2, None),
+        # a first quote in the second block
+        ('h\n0,1\n1,1\n2,1\n3,"1"\n4,1\n', 6, None),
+        # a quoted field that spans the edge of the first and second block
+        ('h\n0,1\n1,1\n2,"1\n3",1\n4,1\n5,1\n', 6, None),
+        # a NUL in the second block
+        ("h\n0,1\n1,1\n2,1\n3,\0\n4,1\n", 6, None),
+        # an oversized cell after a fallback at line 5; the quoted field of
+        # lines 6-7 is one record on two lines
+        ('h\n0,1\n1,1\n2,1\n"3",1\n4,"1\n"\n{big}\n', 6, ":8: field larger than field limit"),
+        ('h\n0,1\n1,1\n2,1\n3,1\n4,1\n5,1\n"6",1\n7,1\n{big},1\n', 9,
+         ":10: field larger than field limit"),
+        # \r-only and mixed line endings, blank records among them
+        ("h\r0,1\r1,1\r\r2,1\r3,1\r", 6, None),
+        ("h\r\n0,1\r1,1\n\r\n2,1\r\r3,1\n4,1\r\n", 8, None),
+        # a trailing line with no newline, and one of a single empty cell
+        ("h\n0,1\n1,1\n2,1\n3,1", 5, None),
+        ("h\n0,1\n1,1\n2,1\n,", 5, None),
+    ])
+    def test_fallback_at_block_edges(self, tmp_path, text, records, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.format(big=OVERSIZED).encode())
+        got, error = self.check(path)
+        assert len(got) == records
+        assert error == (None if message is None else f"{path}{message} "
+                         f"({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("header", ['"t_1","v_1","t_2","v_2"', 't_1,v_1,t_2,"v_2"'])
+    def test_quoted_header_ingests_as_plain(self, tmp_path, header):
+        body = "0,1,0,1\n1,,1,2\n2,1,,\n3,1,3,1\n"
+        plain = ingest(write_csv(tmp_path / "plain.csv", "t_1,v_1,t_2,v_2\n" + body))
+        quoted = write_csv(tmp_path / "quoted.csv", header + "\n" + body)
+        assert_same_table(ingest(quoted), plain)
+        assert_same_table(ingest_scan(quoted), plain)
+
+    def test_quoted_cells_ingest_as_plain(self, tmp_path):
+        body = "0,1,0,1\n1,,1,2\n2,1,,\n3,1,3,1\n4,5,4,5\n"
+        plain = ingest(write_csv(tmp_path / "plain.csv", "t_1,v_1,t_2,v_2\n" + body))
+        lines = body.splitlines()
+        lines[3] = ",".join(f'"{cell}"' for cell in lines[3].split(","))
+        quoted = write_csv(tmp_path / "quoted.csv", "t_1,v_1,t_2,v_2\n" + "\n".join(lines) + "\n")
+        assert_same_table(ingest(quoted), plain)
 
 
 def traced_peak(call, *args):
