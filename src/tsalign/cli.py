@@ -8,12 +8,13 @@ Python strings of one block at a time.  ``_blocks`` reads every CSV the
 program reads, the input, the truth and the aligned CSV of ``score``, a
 block of lines at a time, and splits each line on commas; from the first
 block with a quote, a NUL or a line over csv's field size limit on,
-``csv.reader`` reads the rest of the file.  ``ingest`` parses a block's
-cells in one pass of Python ``float`` into a (2, m, rows) array of its
-timestamps and values, and parses column by column only a block with a
-defect, which it rejects at once, so several defects report the first in
-file order; the timestamp order is checked on whole columns at the end,
-and the table holds the two halves of the joined blocks without a copy.
+``csv.reader`` reads the rest of the file; each block comes with the file
+line each of its records starts on.  ``ingest`` parses a block's cells in
+one pass of Python ``float`` into a (2, m, rows) array of its timestamps
+and values, and scans row by row only a block with a defect, which it
+rejects at once, so several defects report the first in file order; the
+timestamp order is checked on whole columns at the end, and the table
+holds the two halves of the joined blocks without a copy.
 ``write_alignment_csv`` gathers the cells of all tuples with one index into
 numeric columns, and both writers format, join and write one block of rows
 at a time.  A file that is not UTF-8, or that ``csv`` cannot read, is a
@@ -27,7 +28,6 @@ import contextlib
 import csv
 import json
 import math
-import statistics
 import sys
 import time
 from itertools import chain, islice, repeat
@@ -78,19 +78,21 @@ def _csv_blocks(path: str):
                             f"{exc.reason})") from None
 
 
-def _blocks(fh, path: str) -> Iterator[list[list[str]]]:
-    """The records ``csv.reader`` reads from ``fh``, opened with ``newline=""``:
-    the first record in a list of its own, then lists of at most ``BLOCK_ROWS``.
+def _blocks(fh, path: str) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
+    """The records ``csv.reader`` reads from ``fh``, opened with ``newline=""``,
+    each block with the file line each of its records starts on: the first
+    record in a block of its own, then blocks of at most ``BLOCK_ROWS``.
 
     With ``newline=""`` the file's lines end where csv's records do, at
     ``\\n``, ``\\r\\n`` or a lone ``\\r``, so a block of lines is split by
     stripping each line's terminator and splitting it on commas; an empty
-    line is the blank record ``[]``.  A block with a quote (a quoted field
-    may span lines), a NUL (which csv reads by rules of its own) or a line
-    longer than ``csv.field_size_limit()`` is read by ``csv.reader`` instead,
-    and so is the rest of the file.  A record csv cannot read raises a
-    DataError naming its file line, but only after the records before it
-    have been yielded, so a defect in them is still the first one reported.
+    line is the blank record ``[]``, and the block's lines are a ``range``.
+    A block with a quote (a quoted field may span lines), a NUL (which csv
+    reads by rules of its own) or a line longer than
+    ``csv.field_size_limit()`` is read by ``csv.reader`` instead, and so is
+    the rest of the file.  A record csv cannot read raises a DataError naming
+    its file line, but only after the records before it have been yielded,
+    so a defect in them is still the first one reported.
     """
     limit = csv.field_size_limit()
     size, read = 1, 0  # the records of the next block, and the lines before it
@@ -101,19 +103,23 @@ def _blocks(fh, path: str) -> Iterator[list[list[str]]]:
         text = "".join(lines)
         if '"' in text or "\0" in text or max(map(len, lines)) > limit:
             break
-        yield [line.split(",") if line else []
-               for line in map(str.rstrip, lines, repeat("\r\n"))]
+        yield ([line.split(",") if line else []
+                for line in map(str.rstrip, lines, repeat("\r\n"))],
+               range(read + 1, read + 1 + len(lines)))
         size, read = BLOCK_ROWS, read + len(lines)
     reader = csv.reader(chain(lines, fh))
     while True:
-        block, error = [], None
+        block, starts, error = [], [], None
+        start = read + reader.line_num + 1  # the line the next record starts on
         try:
             for row in islice(reader, size):
                 block.append(row)
+                starts.append(start)
+                start = read + reader.line_num + 1
         except csv.Error as exc:
             error = DataError(f"{path}:{read + reader.line_num}: {exc}")
         if block:
-            yield block
+            yield block, starts
         if error is not None:
             raise error
         if not block:
@@ -125,20 +131,19 @@ def ingest(path: str) -> SeriesTable:
     """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics.
 
     The records come from ``_blocks`` in blocks of ``BLOCK_ROWS``, as
-    ``csv.reader`` would read them.  Every cell is parsed with Python
-    ``float`` (so surrounding blanks, ``1_000``, ``.5`` and ``-0.0`` read as
-    ``float`` reads them), and a blank cell is missing (NaN): a block's cells
-    in one pass, and column by column (``_parse_block``) only if that pass
-    meets a ragged row, a cell that is not a number or a present cell that
-    is not finite.  A block with a defect raises at once, so a file with
-    several defects reports the first one in file order.  The
+    ``csv.reader`` would read them, with the file line each starts on.
+    Every cell is parsed with Python ``float`` (so surrounding blanks,
+    ``1_000``, ``.5`` and ``-0.0`` read as ``float`` reads them), and a blank
+    cell is missing (NaN).  A block ``_parse_cells`` rejects has a defect:
+    ``_first_defect`` finds its first in file order, and it is raised at
+    once, so a file with several defects reports the first one.  The
     strictly-increasing check runs on whole columns once every block has
     parsed, and the table is handed the contiguous timestamp and value
     halves of the joined blocks without the copy and checks of
     ``SeriesTable(...)``.
     """
     with _csv_blocks(path) as blocks:
-        header = next(blocks, [[]])[0]
+        header = next(blocks, ([[]],))[0][0]
         if not header:
             raise DataError(f"{path}: empty file")
         m, rem = divmod(len(header), 2)
@@ -147,112 +152,76 @@ def ingest(path: str) -> SeriesTable:
         if rem or m < 2 or [h.strip() for h in header] != expected:
             raise DataError(f"{path}: header must be t_1,v_1,...,t_m,v_m with m >= 2")
         parts = [np.empty((2, m, 0))]  # the (2, m, rows) cells of each block
-        skips = []  # per blank record, the number of non-blank records before it
-        n = 0
-        for records in blocks:
+        spans = []  # the file lines of each block's rows, as ``_blocks`` yields them
+        for records, lines in blocks:
             if not all(records):
-                kept = []
-                for row in records:
-                    if row:
-                        kept.append(row)
-                    else:
-                        skips.append(n + len(kept))
-                records = kept
+                lines = [line for row, line in zip(records, lines) if row]
+                records = list(filter(None, records))
             cells = _parse_cells(records, m)
             if cells is None:
-                cells, defect = _parse_block(records, m)
-                if defect is not None:
-                    row, message = defect
-                    raise DataError(f"{path}:{_lines(n + row, skips)}: {message}")
+                row, message = _first_defect(records, m)
+                raise DataError(f"{path}:{lines[row]}: {message}")
             parts.append(cells)
-            n += len(records)
+            spans.append(lines)
     # the timestamps and values are the contiguous halves of one array
     cells = np.concatenate(parts, axis=2)
     del parts
     cells.setflags(write=False)
     ts, vs = cells
-    bad = []
+    bad = []  # (series, row) of each timestamp not above the series' last
     for k in range(m):
         rows = np.flatnonzero(~np.isnan(ts[k]))
         present = ts[k, rows]
-        bad += [f"series {k + 1} line {line}"
-                for line in _lines(rows[1:][present[1:] <= present[:-1]], skips).tolist()]
+        bad += [(k, row) for row in rows[1:][present[1:] <= present[:-1]].tolist()]
     if bad:
-        raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
+        lines = list(chain.from_iterable(spans))
+        raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(
+            f"series {k + 1} line {lines[row]}" for k, row in bad))
     return adopt(SeriesTable, timestamps=ts, values=vs)
-
-
-def _lines(rows, skips: list[int]):
-    """The file lines of non-blank records ``rows`` (0-based), given the
-    blank records' ``skips`` of ``ingest``: the header is line 1."""
-    return np.asarray(rows) + 2 + np.searchsorted(skips, rows, side="right")
 
 
 def _parse_cells(records: list[list[str]], m: int) -> Optional[np.ndarray]:
     """The (2, m, rows) timestamps and values of a block of non-blank
     records, in one pass of Python ``float`` over its cells (NaN for a blank
     cell), or None if a row is ragged or a cell is not a number or not finite.
+
+    A block ``float`` rejects is parsed once more with every cell stripped,
+    as a cell of blanks is missing too.
     """
     if not set(map(len, records)) <= {2 * m}:
         return None
     cells = list(chain.from_iterable(records))
-    try:
-        x = np.fromiter(map(float, [cell or "nan" for cell in cells]), float, len(cells))
-    except ValueError:
-        return None
-    # a blank cell parses to NaN; any other cell that is not finite is a defect
-    if len(cells) - np.count_nonzero(np.isfinite(x)) != cells.count(""):
-        return None
-    return x.reshape(-1, m, 2).transpose(2, 1, 0)
+    for attempt in range(2):
+        if attempt:
+            cells = [cell.strip() for cell in cells]
+        try:
+            x = np.fromiter(map(float, [cell or "nan" for cell in cells]), float, len(cells))
+        except ValueError:
+            continue
+        # a blank cell parses to NaN; any other cell that is not finite is a defect
+        if len(cells) - np.count_nonzero(np.isfinite(x)) != cells.count(""):
+            return None
+        return x.reshape(-1, m, 2).transpose(2, 1, 0)
+    return None
 
 
-def _parse_block(records: list[list[str]], m: int
-                 ) -> tuple[np.ndarray, Optional[tuple[int, str]]]:
-    """The (2, m, rows) timestamps and values of a block of non-blank
-    records, and its first defect in file order as (row, message), or None.
-
-    Only the rows before the first ragged one are parsed.
-    """
-    widths = np.fromiter(map(len, records), np.intp, len(records))
-    ragged = np.flatnonzero(widths != 2 * m)
-    n = int(ragged[0]) if ragged.size else len(records)
-    columns = list(zip(*records[:n])) or [()] * (2 * m)
-    cells = np.empty((2, m, n))
-    first = None
-    for c, col in enumerate(columns):
-        defect = _parse_column(col, cells[c % 2, c // 2])
-        if defect is not None and (first is None or defect[0] < first[0]):
-            first = defect
-    if first is None and n < len(records):
-        first = n, f"expected {2 * m} cells, got {widths[n]}"
-    return cells, first
-
-
-def _parse_column(col: Sequence[str], out: np.ndarray) -> Optional[tuple[int, str]]:
-    """Parse one column into ``out``: Python ``float`` per cell, NaN for a blank cell.
-
-    Returns the column's first defect as (row, message), or None.
-    """
-    stop = len(col)  # cells from here on are left unparsed
-    try:
-        out[:] = np.fromiter(map(float, [cell or "nan" for cell in col]), float, len(col))
-    except ValueError:
-        # a cell of blanks, or one that is not a number: find it cell by cell
-        out[:] = np.nan
-        for i, cell in enumerate(col):
-            if cell.strip():
-                try:
-                    out[i] = float(cell)
-                except ValueError:
-                    stop = i
-                    break
-    # a blank cell parses to NaN; any other cell that is not finite is a defect
-    odd = [i for i in np.flatnonzero(~np.isfinite(out[:stop])).tolist() if col[i].strip()]
-    if odd:
-        return odd[0], (f"not a finite number: {col[odd[0]].strip()!r} "
-                        "(leave the cell empty to mark it missing)")
-    if stop < len(col):
-        return stop, f"not a number: {col[stop].strip()!r}"
+def _first_defect(records: list[list[str]], m: int) -> Optional[tuple[int, str]]:
+    """The first defect of a block of non-blank records in file order, as
+    (row, message): a ragged row, a cell that is not a number, or a present
+    cell that is not finite.  None if the block has none."""
+    for row, record in enumerate(records):
+        if len(record) != 2 * m:
+            return row, f"expected {2 * m} cells, got {len(record)}"
+        for cell in map(str.strip, record):
+            if not cell:
+                continue
+            try:
+                x = float(cell)
+            except ValueError:
+                return row, f"not a number: {cell!r}"
+            if not math.isfinite(x):
+                return row, (f"not a finite number: {cell!r} "
+                             "(leave the cell empty to mark it missing)")
     return None
 
 
@@ -566,15 +535,13 @@ def _read_alignment_csv(path: str, m: int
     lines, slots = [np.empty(0, np.intp)], [np.empty((0, m), np.intp)]
     cells = [np.empty((0, 2 * m))]
     total = 0.0
-    lineno = 1
     with _csv_blocks(path) as blocks:
-        header = next(blocks, [[]])[0]
+        header = next(blocks, ([[]],))[0][0]
         if not header or len(header) != 3 * m + 3:
             raise DataError(f"{path}: expected an alignment CSV for {m} series")
-        for records in blocks:
+        for records, starts in blocks:
             block_lines, block_slots, block_cells = [], [], []
-            for row in records:
-                lineno += 1
+            for row, lineno in zip(records, starts):
                 if not row:
                     continue
                 try:
@@ -635,6 +602,8 @@ def _cmd_bench(args) -> int:
     tuples and candidates over the seeds, the median ``wall_time_ms``, and
     from the second size on its growth factor over the previous size.
     """
+    import statistics  # here, so the other commands do not load it
+
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
     for n in args.n:

@@ -68,7 +68,8 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -147,6 +148,13 @@ def _weights(rc: CandidateSet, w: WeightParams) -> list[float]:
     return combine_weights(*rc.weight_terms, w).tolist()
 
 
+def _sum_in_order(xs) -> float:
+    """The floats ``xs`` added left to right from 0.0.  The builtin ``sum``
+    compensates float rounding from Python 3.12 on, so a sum that reaches a
+    report would depend on the interpreter."""
+    return reduce(add, xs, 0.0)
+
+
 def _report(rc: CandidateSet, indices) -> ConsistencyReport:
     """``delta_report`` of a selection, fitted once per distinct selection of ``rc``.
 
@@ -185,8 +193,7 @@ def _finish(indices, rc, weights, strategy, retries_used=0, exhausted=False,
     chosen = rc.slots[indices]
     if report is None:
         report = delta_report(chosen, rc.table)
-    # adds left to right, as a generator over the indices would
-    total = float(sum(map(weights.__getitem__, indices)))
+    total = _sum_in_order(map(weights.__getitem__, indices))
     return Alignment(chosen, total, report, strategy, retries_used=retries_used,
                      exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks,
                      segment_walks=segment_walks, multi_member_groups=groups[0],
@@ -581,8 +588,8 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams)
                     hit = 0
                     for q in combo:
                         hit |= conflict[q] & state
-                    gain = sum(weights[q] for q in combo)
-                    loss = sum(weights[i] for i in bits(hit))
+                    gain = _sum_in_order(weights[q] for q in combo)
+                    loss = _sum_in_order(weights[i] for i in bits(hit))
                     if gain <= loss:
                         continue
                     ratio = gain / loss
@@ -620,7 +627,7 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams)
     def evaluate(state: int):
         sel = list(bits(state))
         report = delta_report(rc.slots[sel], rc.table)
-        total = sum(weights[i] for i in sel)
+        total = _sum_in_order(weights[i] for i in sel)
         return total, report, sel
 
     best = None

@@ -167,7 +167,7 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
                 deltas.append(alignment.report.delta)
             if memo_key is not None:
                 memo[memo_key] = deltas
-        mean_delta = sum(deltas) / len(deltas)
+        mean_delta = composers._sum_in_order(deltas) / len(deltas)
         rows.append({"k1": k1, "k2": k2, "delta_bar": mean_delta})
         key = (mean_delta, k1, k2)
         if best is None or key < best:

@@ -55,6 +55,17 @@ def sorted_rank(samples, percentile: float):
     return ordered[max(1, math.ceil(percentile / 100 * len(ordered))) - 1]
 
 
+def csv_lines(reader):
+    """(line, record) for each record ``reader`` reads from here on, ``line``
+    the file line the record starts on: one past the lines read before it."""
+    while True:
+        line = reader.line_num + 1
+        row = next(reader, None)
+        if row is None:
+            return
+        yield line, row
+
+
 def ingest_scan(path: str) -> SeriesTable:
     """Oracle for ``cli.ingest``: the row-major scan that parses cell by cell.
 
@@ -70,7 +81,7 @@ def ingest_scan(path: str) -> SeriesTable:
         v_cols = [[] for _ in range(m)]
         linenos = []
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in csv_lines(reader):
                 if not row:
                     continue
                 linenos.append(lineno)
@@ -120,7 +131,7 @@ def read_alignment_scan(path: str, m: int):
         if not header or len(header) != 3 * m + 3:
             raise DataError(f"{path}: expected an alignment CSV for {m} series")
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in csv_lines(reader):
                 if not row:
                     continue
                 try:

@@ -2,9 +2,13 @@ import csv
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from tsalign.cli import BLOCK_ROWS, ingest, main, write_alignment_csv, write_tab
 from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import GroundTruth, generate_synthetic, inject_mcar
 from tsalign.tuning import determine_beta, determine_theta
-from conftest import (assert_same_table, benchmark_scan, gappy_table, ingest_scan,
+from conftest import (assert_same_table, benchmark_scan, csv_lines, gappy_table, ingest_scan,
                       random_table, read_alignment_scan, write_alignment_scan, write_table_scan)
 
 # row counts around the block boundaries of BLOCK_ROWS and of a quarter of it;
@@ -137,6 +141,18 @@ class TestIngestMatchesScan:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 30))
     def test_random_tables(self, tmp_path_factory, seed, m, n):
         self.check_random_table(tmp_path_factory, seed, m, n)
+
+    @pytest.mark.parametrize("text, message", [
+        # the quoted cell of line 2 closes on line 3, so the next record is line 4
+        ('"1\n",1,1,1\n2,x,2,2\n', ":4: not a number: 'x'"),
+        ('"1\n",1,1,1\n\n2,1,2\n', ":5: expected 4 cells, got 3"),
+        ('"1\n",1,1,1\n0,1,2,2\n', ": timestamps not strictly increasing at series 1 line 4"),
+    ])
+    def test_defect_after_a_quoted_multi_line_cell_names_its_file_line(
+            self, tmp_path, text, message):
+        path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n" + text)
+        fast, scan = self.both(path)
+        assert fast == scan == path + message
 
     def check_random_table(self, tmp_path_factory, seed, m, n):
         path = tmp_path_factory.mktemp("ingest") / "t.csv"
@@ -280,13 +296,15 @@ class TestIngestMatchesScanInSmallBlocks(TestIngestMatchesScan):
 
 
 def block_records(path):
-    """The records of ``cli._csv_blocks`` at ``path``, and the message of the
-    DataError it ended with, or None.  The first block holds one record."""
+    """The (line, record) pairs of ``cli._csv_blocks`` at ``path``, and the
+    message of the DataError it ended with, or None.  The first block holds
+    one record."""
     records, sizes = [], []
     try:
         with cli._csv_blocks(path) as blocks:
-            for block in blocks:
-                records += block
+            for block, lines in blocks:
+                assert len(lines) == len(block)
+                records += zip(lines, block)
                 sizes.append(len(block))
     except DataError as exc:
         return records, str(exc)
@@ -296,14 +314,15 @@ def block_records(path):
 
 
 def csv_records(path):
-    """Oracle for ``block_records``: the records ``csv.reader`` reads, and the
-    message of the DataError its ``csv.Error`` becomes, or None."""
+    """Oracle for ``block_records``: the records ``csv.reader`` reads, each
+    with the file line it starts on, and the message of the DataError its
+    ``csv.Error`` becomes, or None."""
     records = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            for row in reader:
-                records.append(row)
+            for record in csv_lines(reader):
+                records.append(record)
         except csv.Error as exc:
             return records, f"{path}:{reader.line_num}: {exc}"
     return records, None
@@ -1042,6 +1061,16 @@ class TestScoreCommand:
         assert 0 <= payload["f1"] <= 1
         assert payload["aligned_tuple_count"] > 0
 
+    def test_defect_after_a_quoted_multi_line_cell_names_its_file_line(
+            self, small_files, tmp_path, capsys):
+        # the quoted index of line 2 closes on line 3, so the malformed row is line 5
+        _, truth = small_files
+        aligned = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER
+                            + '"1\n",0.0,1.0,1,0.0,1.0,1.0,0.0,0\n2,0,1,2,0,1,1,0,0\n3,x\n')
+        capsys.readouterr()
+        assert main(["score", "--aligned", aligned, "--truth", str(truth)]) == 3
+        assert capsys.readouterr().err == f"data error: {aligned}:5: malformed alignment row\n"
+
     def test_score_matches_align_with_truth(self, small_files, tmp_path, capsys):
         data, truth = small_files
         aligned, report = tmp_path / "aligned.csv", tmp_path / "report.json"
@@ -1158,6 +1187,9 @@ class TestReadAlignmentMatchesScan:
          ":4: malformed alignment row"),
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n4,{big},1\n5,x\n",
          ":5: field larger than field limit"),
+        # a quoted index that spans lines 2-3: the rows after it start on lines 4 and 5
+        ('"1\n",0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n', None),
+        ('"1\n",0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x\n', ":5: malformed alignment row"),
     ])
     def test_defects_at_block_edges(self, tmp_path, text, message):
         path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + text.format(big=OVERSIZED))
@@ -1240,6 +1272,18 @@ class TestUnreadableFiles:
 def without_wall_time(rows):
     return [{key: value for key, value in row.items() if key != "wall_time_ms"}
             for row in rows]
+
+
+def test_import_loads_no_statistics():
+    # ``bench`` alone imports ``statistics``, which loads ``decimal`` and ``fractions``
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, tsalign.cli; "
+            "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestBench:

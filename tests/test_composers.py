@@ -94,6 +94,21 @@ def assert_valid_alignment(alignment, rc, cfg, table, params):
         assert alignment.report.delta <= cfg.delta
 
 
+@pytest.mark.parametrize("strategy", composers.STRATEGIES)
+def test_total_weight_adds_left_to_right(strategy):
+    # ten same-row candidates of weight 1 / 10 that share no cell; the builtin
+    # sum gives 1.0 from Python 3.12 on, the left-to-right sum 0.9999999999999999
+    ts = np.arange(10.0) * 10
+    t = SeriesTable(np.stack([ts, ts]), np.ones((2, 10)))
+    rc, cfg = candidates_for(t, theta=0, beta=0)
+    alignment = composers.compose(strategy, rc, cfg, WeightParams(k1=0, k2=1, b=1, c=10))
+    assert alignment.slots.tolist() == [[i, i] for i in range(10)]
+    total = 0.0
+    for _ in range(10):
+        total += 0.1
+    assert alignment.total_weight == total == 0.9999999999999999
+
+
 class TestComposeExact:
     def test_non_conflicting_takes_all(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
