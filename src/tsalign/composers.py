@@ -62,7 +62,6 @@ once.  ``expect`` adds weights into its scores, so it has no such key.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from bisect import bisect_left
@@ -564,31 +563,27 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams)
             yield low.bit_length() - 1
             mask ^= low
 
+    def packings(avail: int, size: int, q_mask=0, hit=0, gain=0.0):
+        """Pairwise compatible sets of ``size`` candidates of ``avail`` in
+        ``itertools.combinations`` order, as (mask, OR of their conflict
+        masks, weights added left to right); only compatible sets are built."""
+        for q in bits(avail):
+            packing = q_mask | 1 << q, hit | conflict[q], gain + weights[q]
+            if size == 1:
+                yield packing
+            else:
+                # later members come after q and conflict with no member so far
+                yield from packings(avail & ~conflict[q] & -(2 << q), size - 1, *packing)
+
     def improving_swaps(state: int) -> list[int]:
         """Successor states of the best-ratio improving swaps, lexicographic order."""
         best_ratio = None
         results: list[int] = []
         for x in bits(state):
-            pool = list(bits(conflict[x] & ~state))
+            pool = conflict[x] & ~state
             for size in range(1, m + 1):
-                for combo in itertools.combinations(pool, size):
-                    ok = True
-                    for a in range(size):
-                        for b in range(a + 1, size):
-                            if conflict[combo[a]] >> combo[b] & 1:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    q_mask = 0
-                    for q in combo:
-                        q_mask |= 1 << q
-                    hit = 0
-                    for q in combo:
-                        hit |= conflict[q] & state
-                    gain = _sum_in_order(weights[q] for q in combo)
+                for q_mask, hit, gain in packings(pool, size):
+                    hit &= state
                     loss = _sum_in_order(weights[i] for i in bits(hit))
                     if gain <= loss:
                         continue

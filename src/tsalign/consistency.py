@@ -28,7 +28,6 @@ class ConsistencyModel:
     coeff: np.ndarray
     intercept: np.ndarray
     means: np.ndarray
-    fitted: bool = True
     fallback_series: tuple[int, ...] = ()
     full_fallback: bool = False
 
@@ -84,8 +83,7 @@ def fit_model(aligned_values: np.ndarray) -> ConsistencyModel:
     coeff = np.zeros((width, width))
     intercept = means.copy()
     if rows < width + 2:
-        return ConsistencyModel(coeff, intercept, means, True,
-                                tuple(range(width)), True)
+        return ConsistencyModel(coeff, intercept, means, tuple(range(width)), True)
 
     prev_full = observed[:-1].all(axis=1)
     fallback = []
@@ -110,7 +108,7 @@ def fit_model(aligned_values: np.ndarray) -> ConsistencyModel:
             continue
         coeff[j] = sol[:width]
         intercept[j] = sol[width]
-    return ConsistencyModel(coeff, intercept, means, True, tuple(fallback), False)
+    return ConsistencyModel(coeff, intercept, means, tuple(fallback), False)
 
 
 @dataclass(frozen=True)

@@ -215,12 +215,14 @@ def combine_weights(p: np.ndarray, d: np.ndarray, w: WeightParams) -> np.ndarray
     """Tuple weights (k1*p + b) / (k2*d + c) from the terms of ``weight_terms``.
 
     Raises ConfigError when a weight overflows, as k1 = 1e308 or c = 1e-320
-    can make it, so no run goes on to write a non-finite weight.
+    can make it, or underflows to 0, as k2 = 1e300 with b = 1e-310 can, so no
+    run goes on to write a non-finite weight or compose over a zero one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         weights = (w.k1 * p + w.b) / (w.k2 * d + w.c)
-    if not np.isfinite(weights).all():
-        raise ConfigError("a tuple weight overflows under these k1, k2, b and c")
+    if not ((weights > 0) & (weights < np.inf)).all():
+        raise ConfigError("a tuple weight overflows or underflows to 0 under these "
+                          "k1, k2, b and c")
     return weights
 
 

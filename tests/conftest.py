@@ -4,14 +4,16 @@ import itertools
 import math
 import random
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 
 from tsalign import SeriesTable, WeightParams, composers, tuning
 from tsalign.candidate import CandidateSet, generate_candidates
-from tsalign.composers import DEFAULT_MAX_RETRIES, _retry_compose
-from tsalign.consistency import ConsistencyReport, fit_model
+from tsalign.composers import (BRANCH_CAP, DEFAULT_MAX_RETRIES, _conflict_masks, _finish,
+                               _retry_compose, _sum_in_order, _weights)
+from tsalign.consistency import ConsistencyReport, delta_report, fit_model
 from tsalign.core import (AlignedTuple, ConstraintConfig, check_tuple, phi_similarity,
                           theta_similarity)
 from tsalign.errors import ConfigError, DataError, SizeError, StructuralError
@@ -646,6 +648,103 @@ def union_scorer(rc, weights):
         return (w[g] + bonus).tolist()
 
     return group_scores
+
+
+def setpack_scan(rc, cfg, w):
+    """Oracle for ``compose_setpacking``: every combination of at most m members
+    of a pivot's conflict pool is listed, and those whose members conflict are
+    dropped; the rest, the BFS over equal-ratio swaps and its cap are the same.
+    """
+    k = len(rc)
+    weights = _weights(rc, w)
+    m = rc.table.m
+    conflict = _conflict_masks(rc)
+
+    def complete(state: int) -> int:
+        for i in range(k):
+            if not (state >> i) & 1 and not conflict[i] & state:
+                state |= 1 << i
+        return state
+
+    def bits(mask: int):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def improving_swaps(state: int) -> list[int]:
+        best_ratio = None
+        results: list[int] = []
+        for x in bits(state):
+            pool = list(bits(conflict[x] & ~state))
+            for size in range(1, m + 1):
+                for combo in itertools.combinations(pool, size):
+                    ok = True
+                    for a in range(size):
+                        for b in range(a + 1, size):
+                            if conflict[combo[a]] >> combo[b] & 1:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                    if not ok:
+                        continue
+                    q_mask = 0
+                    for q in combo:
+                        q_mask |= 1 << q
+                    hit = 0
+                    for q in combo:
+                        hit |= conflict[q] & state
+                    gain = _sum_in_order(weights[q] for q in combo)
+                    loss = _sum_in_order(weights[i] for i in bits(hit))
+                    if gain <= loss:
+                        continue
+                    ratio = gain / loss
+                    if best_ratio is None or ratio > best_ratio:
+                        best_ratio = ratio
+                        results = [complete((state & ~hit) | q_mask)]
+                    elif ratio == best_ratio:
+                        results.append(complete((state & ~hit) | q_mask))
+        return results
+
+    init = complete(0)
+    visited = {init}
+    queue = deque([init])
+    finished: list[int] = []
+    truncated = False
+    while queue:
+        state = queue.popleft()
+        successors = improving_swaps(state)
+        if not successors:
+            finished.append(state)
+            continue
+        expanded = False
+        for child in successors:
+            if child in visited:
+                continue
+            if len(visited) >= BRANCH_CAP:
+                truncated = True
+                break
+            visited.add(child)
+            queue.append(child)
+            expanded = True
+        if not expanded:
+            finished.append(state)
+
+    best = None
+    fallback = None
+    for state in finished:
+        sel = list(bits(state))
+        report = delta_report(rc.slots[sel], rc.table)
+        total = _sum_in_order(weights[i] for i in sel)
+        if report.delta <= cfg.delta:
+            if best is None or total > best[0] or (total == best[0] and sel < best[2]):
+                best = (total, report, sel)
+        if fallback is None or report.delta < fallback[1].delta:
+            fallback = (total, report, sel)
+    total, report, sel = fallback if best is None else best
+    return _finish(sel, rc, weights, "setpacking", exhausted=best is None,
+                   truncated=truncated, report=report)
 
 
 def benchmark_scan(n: int, m: int, jitter: float, rate: float, strategy: str,

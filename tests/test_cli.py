@@ -881,12 +881,29 @@ class TestAlign:
         # finite, but the weights overflow to inf
         ["--theta", "3", "--beta", "1", "--k1", "1e308", "--k2", "1e308"],
         ["--theta", "3", "--beta", "1", "--c", "1e-320"],
+        # finite and positive, but the weights underflow to 0
+        ["--tune-theta", "--tune-beta", "--k1", "0", "--b", "1e-310", "--c", "1e300"],
+        ["--tune-theta", "--tune-beta", "--strategy", "setpack",
+         "--k1", "0", "--b", "1e-310", "--c", "1e300"],
     ])
     def test_non_finite_option_is_config_error_without_artifacts(self, tmp_path, flags):
         data = tmp_path / "data.csv"
         assert main(["synth", "--n", "50", "--m", "3", "--out", str(data)]) == 0
         out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
         code = main(["align", "--input", str(data), "--strategy", "greedy", *flags,
+                     "--out", str(out), "--report", str(report)])
+        assert code == 2
+        assert not out.exists() and not report.exists()
+
+    def test_underflowing_weight_is_config_error_without_artifacts(self, tmp_path):
+        # the weights of the off-diagonal candidates underflow to 0, and setpack
+        # divided by a swap's loss of 0
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--n", "12", "--m", "3", "--rate", "0.2", "--target", "both",
+                     "--seed", "7", "--jitter", "4", "--out", str(data)]) == 0
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        code = main(["align", "--input", str(data), "--tune-theta", "--tune-beta",
+                     "--strategy", "setpack", "--k1", "0", "--k2", "1e300", "--b", "1e-310",
                      "--out", str(out), "--report", str(report)])
         assert code == 2
         assert not out.exists() and not report.exists()

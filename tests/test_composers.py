@@ -35,6 +35,7 @@ from conftest import (
     group_pass_scan,
     mwis_bruteforce,
     random_table,
+    setpack_scan,
     union_scorer,
     weight,
 )
@@ -609,6 +610,60 @@ class TestComposeSetpacking:
             exact = compose_exact(rc, cfg, params)
             if exact.total_weight > 0:
                 assert packed.total_weight / exact.total_weight >= 0.5 - 1e-12
+
+
+def assert_same_packing(a, b):
+    assert a.slots.tolist() == b.slots.tolist()
+    assert (a.total_weight, a.truncated, a.exhausted) == (b.total_weight, b.truncated, b.exhausted)
+    assert a.report.delta == b.report.delta
+
+
+def path_set(k):
+    """k disjoint three-edge conflict paths over m = 2 series: (2i, 2i) conflicts
+    with (2i, 2i + 1) and with (2i + 1, 2i), which do not conflict."""
+    t = SeriesTable(np.tile(np.arange(2.0 * k), (2, 1)), np.ones((2, 2 * k)))
+    slots = [s for r in range(0, 2 * k, 2) for s in ((r, r), (r, r + 1), (r + 1, r))]
+    return CandidateSet(np.array(slots, dtype=np.int32), ConstraintConfig(theta=1e9, beta=1), t)
+
+
+class TestSetpackingMatchesScan:
+    def test_collected_instances(self):
+        for _, rc, cfg, params in collect_instances(40, start_seed=700):
+            assert_same_packing(compose_setpacking(rc, cfg, params), setpack_scan(rc, cfg, params))
+
+    def test_random_instances(self):
+        # equal weights (k1 = k2 = 0) tie every ratio, and a finite delta
+        # makes the terminal states compete on the bound
+        checked = exhausted = 0
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(2, 5)), int(rng.integers(4, 11))
+            table, _ = generate_synthetic(n, m, 4.0, seed=seed)
+            table = inject_mcar(table, float(rng.uniform(0, 0.5)), seed=seed, target="both")
+            delta = (math.inf, 0.5, 0.2)[seed % 3]
+            rc, cfg = candidates_for(table, theta=float(rng.uniform(4, 16)),
+                                     beta=int(rng.integers(0, 3)), delta=delta)
+            if len(rc) > 100:
+                continue
+            params = WeightParams(k1=0, k2=0) if seed % 2 else WeightParams(k1=3, k2=2)
+            packed = compose_setpacking(rc, cfg, params)
+            assert_same_packing(packed, setpack_scan(rc, cfg, params))
+            checked += 1
+            exhausted += packed.exhausted
+        assert checked >= 60 and exhausted
+
+    def test_branch_cap_truncates(self):
+        # each path swaps its head for its two tails at ratio 2, so the search
+        # reaches 2^k states; at k = 7 the cap of 64 stops it three swaps in
+        equal = WeightParams(k1=0, k2=0)
+        for k, total, truncated in ((7, 10.0, True), (6, 12.0, False)):
+            rc = path_set(k)
+            cfg = rc.config
+            assert len(rc) == 3 * k
+            packed = compose_setpacking(rc, cfg, equal)
+            assert (packed.total_weight, packed.truncated) == (total, truncated)
+            assert compose_exact(rc, cfg, equal).total_weight == 2.0 * k
+            assert_same_packing(packed, setpack_scan(rc, cfg, equal))
 
 
 class TestDeltaBound:
