@@ -22,9 +22,11 @@ The output is in ascending lexicographic slot order with no duplicates: the
 prefixes of a level are in lexicographic order, ``np.repeat`` keeps the
 parents in that order, and each parent's window rows are ascending, so the
 expansion is already sorted by (parent, row), which is lexicographic order
-of the longer prefixes.  A level stores only each kept row's parent index
-and slot; the full rows are gathered once, at the end, by following the
-parent indices back to the first series.
+of the longer prefixes.  The levels are one recursion over the series: a
+level keeps only each kept row's parent index and slot, hands its kept rows
+to the next series as that level's prefixes, and fills its own column of
+each piece of candidates that comes back, reading the slots through the
+piece's prefix indices and passing their parents on to the level before.
 
 A level of more than ``SPLIT_ROWS`` expanded rows is split into runs of
 consecutive prefixes, each extended to the last series on its own before
@@ -240,54 +242,50 @@ def _extend(ts: np.ndarray, theta: float, beta: int, k: int, smin: np.ndarray,
     Yields pieces (index, slots): ``slots`` is an (N, m) int32 array with
     the columns of series k..m-1 filled, and ``index[i]`` is the prefix that
     row i extends.  A level of more than ``SPLIT_ROWS`` expanded rows is
-    split into runs of consecutive prefixes, each extended on its own.
-    ``expanded[j]`` counts the rows expanded so far at series j over all
+    split into runs of consecutive prefixes, each extended on its own;
+    otherwise the kept rows of series k are the prefixes of the call for
+    series k + 1, and each piece that comes back gets its column k here.
+    ``expanded[k]`` counts the rows expanded so far at series k over all
     runs, so a level overflows int32 exactly when it would unsplit too.
     """
     m, n = ts.shape
-    parents: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-
-    def filled(index: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # fill the columns expanded here by following the parents back to series k
-        for j in range(k + len(rows) - 1, k - 1, -1):
-            slots[:, j] = rows[j - k][index]
-            index = parents[j - k][index]
-        return index, slots
-
-    for j in range(k, m):
-        lo = np.maximum(smax - beta, 0)
-        widths = np.minimum(smin + beta, n - 1) - lo + 1
-        total = int(widths.sum())
-        if expanded[j] + total > INT32_MAX:
-            raise SizeError(f"{expanded[j] + total} partial candidates at series {j + 1} "
-                            "overflow int32")
-        if total > SPLIT_ROWS and widths.size > 1:
-            for p, q in _runs(widths, SPLIT_ROWS):
-                for index, slots in _extend(ts, theta, beta, j, smin[p:q], smax[p:q],
-                                            tmin[p:q], tmax[p:q], expanded):
-                    index += p
-                    yield filled(index, slots)
-            return
-        expanded[j] += total
-        parent = np.repeat(np.arange(widths.size, dtype=np.int32), widths)
-        # row = lo[parent] + (position - first position of parent)
-        row = np.arange(total, dtype=np.int32)
-        row -= np.repeat(np.cumsum(widths, dtype=np.int32) - widths - lo, widths)
-        x = ts[j][row]
-        # a missing x compares False: it never breaks theta
-        keep = ~((x - np.repeat(tmin, widths) > theta) | (np.repeat(tmax, widths) - x > theta))
-        parent, row = parent[keep], row[keep]
-        parents.append(parent)
-        rows.append(row)
-        if j < m - 1:
-            # fmin/fmax skip a missing timestamp, leaving the parent's range as it is
-            x = x[keep]
-            tmin, tmax = np.fmin(tmin[parent], x), np.fmax(tmax[parent], x)
-            smin, smax = np.minimum(smin[parent], row), np.maximum(smax[parent], row)
-    # every level was expanded here: one piece, indexed by the last level's rows
-    size = rows[-1].size
-    yield filled(np.arange(size, dtype=np.int32), np.empty((size, m), dtype=np.int32))
+    lo = np.maximum(smax - beta, 0)
+    widths = np.minimum(smin + beta, n - 1) - lo + 1
+    total = int(widths.sum())
+    if expanded[k] + total > INT32_MAX:
+        raise SizeError(f"{expanded[k] + total} partial candidates at series {k + 1} "
+                        "overflow int32")
+    if total > SPLIT_ROWS and widths.size > 1:
+        for p, q in _runs(widths, SPLIT_ROWS):
+            for index, slots in _extend(ts, theta, beta, k, smin[p:q], smax[p:q],
+                                        tmin[p:q], tmax[p:q], expanded):
+                index += p
+                yield index, slots
+        return
+    expanded[k] += total
+    parent = np.repeat(np.arange(widths.size, dtype=np.int32), widths)
+    # row = lo[parent] + (position - first position of parent)
+    row = np.arange(total, dtype=np.int32)
+    row -= np.repeat(np.cumsum(widths, dtype=np.int32) - widths - lo, widths)
+    x = ts[k][row]
+    # a missing x compares False: it never breaks theta
+    keep = ~((x - np.repeat(tmin, widths) > theta) | (np.repeat(tmax, widths) - x > theta))
+    parent, row = parent[keep], row[keep]
+    if k == m - 1:
+        slots = np.empty((row.size, m), dtype=np.int32)
+        slots[:, k] = row
+        yield parent, slots
+        return
+    x = x[keep]
+    # fmin/fmax skip a missing timestamp, leaving the parent's range as it is
+    pieces = _extend(ts, theta, beta, k + 1, np.minimum(smin[parent], row),
+                     np.maximum(smax[parent], row), np.fmin(tmin[parent], x),
+                     np.fmax(tmax[parent], x), expanded)
+    # the ranges live on in that call only, while it runs
+    del keep, widths, lo, x, smin, smax, tmin, tmax
+    for index, slots in pieces:
+        slots[:, k] = row[index]
+        yield parent[index], slots
 
 
 def _runs(widths: np.ndarray, limit: int) -> list[tuple[int, int]]:

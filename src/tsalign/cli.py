@@ -461,7 +461,7 @@ def _add_align_parser(sub) -> None:
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=int, default=16)
+    p.add_argument("--max-retries", type=int, default=composers.DEFAULT_MAX_RETRIES)
     p.add_argument("--beta-lower", type=int, default=0)
     p.add_argument("--truth")
     p.add_argument("--out", default="aligned.csv")
@@ -526,8 +526,9 @@ def _read_alignment_csv(path: str, m: int
 
     The records are read in blocks of ``BLOCK_ROWS``; each block's rows
     become arrays before the next block is read.  A row's cells are t_1,
-    v_1, ..., t_m, v_m, NaN where the cell is empty.  A row whose index does
-    not fit a 64-bit integer is malformed.  A weight that is not finite, or
+    v_1, ..., t_m, v_m, NaN where the cell is empty.  A row whose cell count
+    is not the header's 3m + 3, or whose index does not fit a 64-bit integer,
+    is malformed.  A weight that is not finite, or
     one that takes the sum past the largest float, is a DataError naming its
     line.
     """
@@ -545,6 +546,8 @@ def _read_alignment_csv(path: str, m: int
                 if not row:
                     continue
                 try:
+                    if len(row) != 3 * m + 3:
+                        raise ValueError
                     slot = [int(row[3 * k]) - 1 for k in range(m)]
                     if max(map(abs, slot)) >= 2 ** 63:
                         raise ValueError
@@ -553,7 +556,7 @@ def _read_alignment_csv(path: str, m: int
                                         for k in range(m) for j in (1, 2)])
                     if row[3 * m]:
                         total += float(row[3 * m])
-                except (ValueError, IndexError):
+                except ValueError:
                     raise DataError(f"{path}:{lineno}: malformed alignment row") from None
                 block_lines.append(lineno)
                 if not math.isfinite(total):

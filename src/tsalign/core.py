@@ -141,7 +141,8 @@ class ConstraintConfig:
     def __post_init__(self):
         if math.isnan(self.theta) or self.theta < 0:
             raise ConfigError("theta must be non-negative (infinity disables the time check)")
-        if self.beta != int(self.beta) or self.beta < 0:
+        # nan and the infinities fail the range test before int() can see them
+        if not 0 <= self.beta < math.inf or self.beta != int(self.beta):
             raise ConfigError("beta must be a non-negative integer")
         object.__setattr__(self, "beta", int(self.beta))
         if math.isnan(self.delta) or self.delta < 0:

@@ -137,12 +137,14 @@ def read_alignment_scan(path: str, m: int):
                 if not row:
                     continue
                 try:
+                    if len(row) != 3 * m + 3:
+                        raise ValueError
                     slots.append([int(row[3 * k]) - 1 for k in range(m)])
                     cells.append([float(row[3 * k + j]) if row[3 * k + j] else math.nan
                                   for k in range(m) for j in (1, 2)])
                     if row[3 * m]:
                         total += float(row[3 * m])
-                except (ValueError, IndexError):
+                except ValueError:
                     raise DataError(f"{path}:{lineno}: malformed alignment row") from None
                 lines.append(lineno)
                 if not math.isfinite(total):

@@ -24,6 +24,7 @@ from tsalign import (
     theta_similarity,
 )
 from tsalign import candidate
+from tsalign.candidate import _runs
 from tsalign.composers import compose
 from tsalign.core import combine_weights
 from conftest import (
@@ -238,6 +239,27 @@ class TestSplitEdges:
         want = determine_beta(t, theta)
         with split_at(split):
             assert determine_beta(t, theta) == want
+
+    @pytest.mark.parametrize("n, m, rate, target", [(8000, 4, 0.2, "values"),
+                                                    (300, 6, 0.3, "both")])
+    def test_default_split_at_real_size(self, monkeypatch, n, m, rate, target):
+        # the beta scan's window, where the default SPLIT_ROWS splits the
+        # first level (and at m = 6 deeper ones, five calls deep)
+        table, _ = generate_synthetic(n, m, 4.0, seed=3, tick=10.0)
+        table = inject_mcar(table, rate, seed=1, target=target)
+        cfg = ConstraintConfig(theta=determine_theta(table), beta=m)
+        splits = []
+
+        def runs(widths, limit):
+            splits.append(widths.size)
+            return _runs(widths, limit)
+
+        monkeypatch.setattr(candidate, "_runs", runs)
+        rc, peak = traced_peak(lambda: generate_candidates(table, cfg))
+        assert splits and len(rc) > n
+        with split_at(candidate.INT32_MAX):
+            assert np.array_equal(rc.slots, generate_candidates(table, cfg).slots)
+        assert peak <= 2 * rc.slots.nbytes + 64 * candidate.SPLIT_ROWS
 
 
 def traced_peak(call):

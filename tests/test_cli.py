@@ -1207,6 +1207,11 @@ class TestReadAlignmentMatchesScan:
         # a quoted index that spans lines 2-3: the rows after it start on lines 4 and 5
         ('"1\n",0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n', None),
         ('"1\n",0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x\n', ":5: malformed alignment row"),
+        # rows of 7 cells (no theta_sim and phi_sim) and of 11, against the header's 9
+        ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1\n4,0,1,4,0,1,1,0,0\n",
+         ":4: malformed alignment row"),
+        ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n4,0,1,4,0,1,1,0,0,0,0\n",
+         ":5: malformed alignment row"),
     ])
     def test_defects_at_block_edges(self, tmp_path, text, message):
         path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + text.format(big=OVERSIZED))

@@ -234,6 +234,8 @@ class TestConstraintConfig:
         {"theta": -1, "beta": 0},
         {"theta": 0, "beta": -1},
         {"theta": 0, "beta": 1.5},
+        {"theta": 1.0, "beta": math.inf},
+        {"theta": 1.0, "beta": math.nan},
         {"theta": 0, "beta": 0, "delta": -0.1},
     ])
     def test_rejects_bad_thresholds(self, kwargs):
