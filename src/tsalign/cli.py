@@ -9,12 +9,12 @@ program reads, the input, the truth and the aligned CSV of ``score``, a
 block of lines at a time, and splits each line on commas; from the first
 block with a quote, a NUL or a line over csv's field size limit on,
 ``csv.reader`` reads the rest of the file; each block comes with the file
-line each of its records starts on.  ``ingest`` parses a block's cells in
-one pass of Python ``float`` into a (2, m, rows) array of its timestamps
-and values, and scans row by row only a block with a defect, which it
-rejects at once, so several defects report the first in file order; the
-timestamp order is checked on whole columns at the end, and the table
-holds the two halves of the joined blocks without a copy.
+line each of its records starts on.  ``_cell_blocks``, the one cell parser
+of every file, parses a block's cells in one pass of Python ``float`` and
+scans row by row only a block with a defect, so several defects report the
+first in file order.  ``ingest`` views each block as a (2, m, rows) array
+of timestamps and values, checks their order on whole columns at the end
+and keeps the two halves of the joined blocks without a copy.
 ``write_alignment_csv`` gathers the cells of all tuples with one index into
 numeric columns, and both writers format, join and write one block of rows
 at a time.  A file that is not UTF-8, or that ``csv`` cannot read, is a
@@ -127,41 +127,55 @@ def _blocks(fh, path: str) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
         size = BLOCK_ROWS
 
 
+def _cell_blocks(blocks, path: str, width: int) -> Iterator[tuple[Sequence[int], np.ndarray]]:
+    """The file lines and (rows, width) cells of the non-blank records of
+    ``_blocks``, a block at a time, under the one cell rule of every CSV read:
+    a blank cell, or a cell of blanks, is missing (NaN), and any other cell
+    must be a finite Python ``float``.  In a block ``_parse_cells`` rejects,
+    the rows before its first defect are yielded, then the defect is raised
+    at its line, so a reader that checks each block finds the first in file
+    order."""
+    for records, lines in blocks:
+        if not all(records):
+            lines = [line for row, line in zip(records, lines) if row]
+            records = list(filter(None, records))
+        cells = _parse_cells(records, width)
+        if cells is None:
+            row, message = _first_defect(records, width)
+            if row:
+                yield lines[:row], _parse_cells(records[:row], width)
+            raise DataError(f"{path}:{lines[row]}: {message}")
+        yield lines, cells
+
+
+def _header(m: int, aligned: bool = False) -> list[str]:
+    """The header of a table CSV of ``m`` series, t_1,v_1,...,t_m,v_m, or of
+    an aligned CSV: idx_k,t_k,v_k per series, then weight,theta_sim,phi_sim."""
+    names = ("idx", "t", "v") if aligned else ("t", "v")
+    header = [f"{name}_{k + 1}" for k in range(m) for name in names]
+    return header + ["weight", "theta_sim", "phi_sim"] if aligned else header
+
+
 def ingest(path: str) -> SeriesTable:
     """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics.
 
-    The records come from ``_blocks`` in blocks of ``BLOCK_ROWS``, as
-    ``csv.reader`` would read them, with the file line each starts on.
-    Every cell is parsed with Python ``float`` (so surrounding blanks,
-    ``1_000``, ``.5`` and ``-0.0`` read as ``float`` reads them), and a blank
-    cell is missing (NaN).  A block ``_parse_cells`` rejects has a defect:
-    ``_first_defect`` finds its first in file order, and it is raised at
-    once, so a file with several defects reports the first one.  The
-    strictly-increasing check runs on whole columns once every block has
-    parsed, and the table is handed the contiguous timestamp and value
-    halves of the joined blocks without the copy and checks of
-    ``SeriesTable(...)``.
+    The cells come from ``_cell_blocks`` in blocks of ``BLOCK_ROWS``, each
+    viewed as its (2, m, rows) timestamps and values.  The strictly-increasing
+    check runs on whole columns once every block has parsed, and the table is
+    handed the contiguous timestamp and value halves of the joined blocks
+    without the copy and checks of ``SeriesTable(...)``.
     """
     with _csv_blocks(path) as blocks:
         header = next(blocks, ([[]],))[0][0]
         if not header:
             raise DataError(f"{path}: empty file")
         m, rem = divmod(len(header), 2)
-        expected = [f"t_{k + 1}" if i % 2 == 0 else f"v_{k + 1}"
-                    for k in range(m) for i in range(2)]
-        if rem or m < 2 or [h.strip() for h in header] != expected:
+        if rem or m < 2 or [h.strip() for h in header] != _header(m):
             raise DataError(f"{path}: header must be t_1,v_1,...,t_m,v_m with m >= 2")
         parts = [np.empty((2, m, 0))]  # the (2, m, rows) cells of each block
         spans = []  # the file lines of each block's rows, as ``_blocks`` yields them
-        for records, lines in blocks:
-            if not all(records):
-                lines = [line for row, line in zip(records, lines) if row]
-                records = list(filter(None, records))
-            cells = _parse_cells(records, m)
-            if cells is None:
-                row, message = _first_defect(records, m)
-                raise DataError(f"{path}:{lines[row]}: {message}")
-            parts.append(cells)
+        for lines, cells in _cell_blocks(blocks, path, 2 * m):
+            parts.append(cells.reshape(-1, m, 2).transpose(2, 1, 0))
             spans.append(lines)
     # the timestamps and values are the contiguous halves of one array
     cells = np.concatenate(parts, axis=2)
@@ -180,15 +194,15 @@ def ingest(path: str) -> SeriesTable:
     return adopt(SeriesTable, timestamps=ts, values=vs)
 
 
-def _parse_cells(records: list[list[str]], m: int) -> Optional[np.ndarray]:
-    """The (2, m, rows) timestamps and values of a block of non-blank
-    records, in one pass of Python ``float`` over its cells (NaN for a blank
-    cell), or None if a row is ragged or a cell is not a number or not finite.
+def _parse_cells(records: list[list[str]], width: int) -> Optional[np.ndarray]:
+    """The (rows, width) cells of a block of non-blank records, in one pass
+    of Python ``float`` over its cells (NaN for a blank cell), or None if a
+    row does not have ``width`` cells or a cell is not a number or not finite.
 
     A block ``float`` rejects is parsed once more with every cell stripped,
     as a cell of blanks is missing too.
     """
-    if not set(map(len, records)) <= {2 * m}:
+    if not set(map(len, records)) <= {width}:
         return None
     cells = list(chain.from_iterable(records))
     for attempt in range(2):
@@ -201,17 +215,17 @@ def _parse_cells(records: list[list[str]], m: int) -> Optional[np.ndarray]:
         # a blank cell parses to NaN; any other cell that is not finite is a defect
         if len(cells) - np.count_nonzero(np.isfinite(x)) != cells.count(""):
             return None
-        return x.reshape(-1, m, 2).transpose(2, 1, 0)
+        return x.reshape(-1, width)
     return None
 
 
-def _first_defect(records: list[list[str]], m: int) -> Optional[tuple[int, str]]:
+def _first_defect(records: list[list[str]], width: int) -> Optional[tuple[int, str]]:
     """The first defect of a block of non-blank records in file order, as
-    (row, message): a ragged row, a cell that is not a number, or a present
-    cell that is not finite.  None if the block has none."""
+    (row, message): a row without ``width`` cells, a cell that is not a
+    number, or a present cell that is not finite.  None if the block has none."""
     for row, record in enumerate(records):
-        if len(record) != 2 * m:
-            return row, f"expected {2 * m} cells, got {len(record)}"
+        if len(record) != width:
+            return row, f"expected {width} cells, got {len(record)}"
         for cell in map(str.strip, record):
             if not cell:
                 continue
@@ -227,11 +241,8 @@ def _first_defect(records: list[list[str]], m: int) -> Optional[tuple[int, str]]
 
 def write_table(table: SeriesTable, path: str) -> None:
     """Inverse of ingest: write a SeriesTable as a wide CSV."""
-    header, columns = [], []
-    for k in range(table.m):
-        header += [f"t_{k + 1}", f"v_{k + 1}"]
-        columns += [table.timestamps[k], table.values[k]]
-    _write_rows(header, columns, path)
+    columns = list(chain.from_iterable(zip(table.timestamps, table.values)))
+    _write_rows(_header(table.m), columns, path)
 
 
 def write_alignment_csv(alignment: Alignment, table: SeriesTable,
@@ -254,14 +265,10 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     hi = np.where(present, ts, -np.inf).max(axis=1)
     lo = np.where(present, ts, np.inf).min(axis=1)
     theta = np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
-    columns = []
-    header = []
-    for k in range(m):
-        header += [f"idx_{k + 1}", f"t_{k + 1}", f"v_{k + 1}"]
-        columns += [slots[:, k] + 1, ts[:, k], vs[:, k]]
+    columns = [x for k in range(m) for x in (slots[:, k] + 1, ts[:, k], vs[:, k])]
     columns += [_format_distinct(batch_weights(table, slots, params)), theta,
                 slots.max(axis=1) - slots.min(axis=1)]
-    _write_rows(header + ["weight", "theta_sim", "phi_sim"], columns, path)
+    _write_rows(_header(m, aligned=True), columns, path)
 
 
 def _write_rows(header: list[str], columns: list[np.ndarray], path: str) -> None:
@@ -524,48 +531,38 @@ def _read_alignment_csv(path: str, m: int
     """The line numbers, (T, m) 0-based slots and (T, 2m) t/v cells of an
     aligned CSV's rows, and its weight sum.
 
-    The records are read in blocks of ``BLOCK_ROWS``; each block's rows
-    become arrays before the next block is read.  A row's cells are t_1,
-    v_1, ..., t_m, v_m, NaN where the cell is empty.  A row whose cell count
-    is not the header's 3m + 3, or whose index does not fit a 64-bit integer,
-    is malformed.  A weight that is not finite, or
-    one that takes the sum past the largest float, is a DataError naming its
-    line.
+    The header must be the one ``write_alignment_csv`` writes for ``m``
+    series, and the cells come from ``_cell_blocks``; a row's t/v cells are
+    t_1, v_1, ..., t_m, v_m, NaN where missing.  On each block's floats, in
+    file order: an index that is not a present whole number below 2^63 in
+    magnitude makes its row malformed, and a weight (a missing one adds 0.0)
+    that takes the sum past the largest float is a DataError at its line.
     """
+    tv = [3 * k + j for k in range(m) for j in (1, 2)]
     # one array per block, after an empty one for a file without rows
     lines, slots = [np.empty(0, np.intp)], [np.empty((0, m), np.intp)]
     cells = [np.empty((0, 2 * m))]
     total = 0.0
     with _csv_blocks(path) as blocks:
         header = next(blocks, ([[]],))[0][0]
-        if not header or len(header) != 3 * m + 3:
+        if [h.strip() for h in header] != _header(m, aligned=True):
             raise DataError(f"{path}: expected an alignment CSV for {m} series")
-        for records, starts in blocks:
-            block_lines, block_slots, block_cells = [], [], []
-            for row, lineno in zip(records, starts):
-                if not row:
-                    continue
-                try:
-                    if len(row) != 3 * m + 3:
-                        raise ValueError
-                    slot = [int(row[3 * k]) - 1 for k in range(m)]
-                    if max(map(abs, slot)) >= 2 ** 63:
-                        raise ValueError
-                    block_slots.append(slot)
-                    block_cells.append([float(row[3 * k + j]) if row[3 * k + j] else math.nan
-                                        for k in range(m) for j in (1, 2)])
-                    if row[3 * m]:
-                        total += float(row[3 * m])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: malformed alignment row") from None
-                block_lines.append(lineno)
-                if not math.isfinite(total):
-                    # a nan or inf weight, or a sum past the largest float
-                    raise DataError(f"{path}:{lineno}: weight {row[3 * m]!r} makes the "
-                                    "weight sum non-finite")
+        for block_lines, x in _cell_blocks(blocks, path, 3 * m + 3):
+            idx = x[:, :3 * m:3]
+            # one sequential sum from the running total, as a row-by-row loop adds
+            with np.errstate(over="ignore"):
+                sums = np.cumsum(np.append(total, np.nan_to_num(x[:, 3 * m])))
+            total = float(sums[-1])
+            malformed = ~((idx == np.floor(idx)) & (np.abs(idx) < 2.0 ** 63)).all(axis=1)
+            defects = np.flatnonzero(malformed | ~np.isfinite(sums[1:]))
+            if defects.size:
+                r = defects[0]
+                raise DataError(f"{path}:{block_lines[r]}: " + (
+                    "malformed alignment row" if malformed[r] else
+                    f"weight {float(x[r, 3 * m])!r} makes the weight sum non-finite"))
             lines.append(np.array(block_lines, dtype=np.intp))
-            slots.append(np.array(block_slots, dtype=np.intp).reshape(-1, m))
-            cells.append(np.array(block_cells, dtype=float).reshape(-1, 2 * m))
+            slots.append(idx.astype(np.intp) - 1)
+            cells.append(x[:, tv])
     return np.concatenate(lines), np.concatenate(slots), np.concatenate(cells), total
 
 

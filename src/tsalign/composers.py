@@ -208,7 +208,7 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> A
     k = len(rc)
     if k > EXACT_GUARD:
         raise SizeError(f"|R_c| = {k} > {EXACT_GUARD}: exact enumeration refused, "
-                        "use setpacking/greedy/expectation")
+                        "use setpack/greedy/expect")
     weights = _weights(rc, w)
     conflict = _conflict_masks(rc)
     check_delta = math.isfinite(cfg.delta)

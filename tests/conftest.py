@@ -124,31 +124,36 @@ def _parse_cell_scan(cell, path, lineno):
 
 def read_alignment_scan(path: str, m: int):
     """Oracle for ``cli._read_alignment_csv``: the row-by-row reader that keeps
-    every row's line, slots and cells as Python lists until the end."""
+    every row's line, slots and cells as Python lists until the end, and reads
+    each cell as ``ingest_scan`` does."""
     lines, slots, cells = [], [], []
     total = 0.0
+    names = [f"{name}_{k + 1}" for k in range(m) for name in ("idx", "t", "v")]
+    names += ["weight", "theta_sim", "phi_sim"]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or len(header) != 3 * m + 3:
+        if header is None or [h.strip() for h in header] != names:
             raise DataError(f"{path}: expected an alignment CSV for {m} series")
         try:
             for lineno, row in csv_lines(reader):
                 if not row:
                     continue
-                try:
-                    if len(row) != 3 * m + 3:
-                        raise ValueError
-                    slots.append([int(row[3 * k]) - 1 for k in range(m)])
-                    cells.append([float(row[3 * k + j]) if row[3 * k + j] else math.nan
-                                  for k in range(m) for j in (1, 2)])
-                    if row[3 * m]:
-                        total += float(row[3 * m])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: malformed alignment row") from None
+                if len(row) != 3 * m + 3:
+                    raise DataError(f"{path}:{lineno}: expected {3 * m + 3} cells, "
+                                    f"got {len(row)}")
+                x = [_parse_cell_scan(cell, path, lineno) for cell in row]
+                index = x[:3 * m:3]
+                if any(i is None or i != int(i) or abs(i) >= 2 ** 63 for i in index):
+                    raise DataError(f"{path}:{lineno}: malformed alignment row")
+                slots.append([int(i) - 1 for i in index])
+                cells.append([math.nan if x[3 * k + j] is None else x[3 * k + j]
+                              for k in range(m) for j in (1, 2)])
+                if x[3 * m] is not None:
+                    total += x[3 * m]
                 lines.append(lineno)
                 if not math.isfinite(total):
-                    raise DataError(f"{path}:{lineno}: weight {row[3 * m]!r} makes the "
+                    raise DataError(f"{path}:{lineno}: weight {x[3 * m]!r} makes the "
                                     "weight sum non-finite")
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None

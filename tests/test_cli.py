@@ -1086,7 +1086,7 @@ class TestScoreCommand:
                             + '"1\n",0.0,1.0,1,0.0,1.0,1.0,0.0,0\n2,0,1,2,0,1,1,0,0\n3,x\n')
         capsys.readouterr()
         assert main(["score", "--aligned", aligned, "--truth", str(truth)]) == 3
-        assert capsys.readouterr().err == f"data error: {aligned}:5: malformed alignment row\n"
+        assert capsys.readouterr().err == f"data error: {aligned}:5: expected 9 cells, got 2\n"
 
     def test_score_matches_align_with_truth(self, small_files, tmp_path, capsys):
         data, truth = small_files
@@ -1102,6 +1102,19 @@ class TestScoreCommand:
         for key in ("precision", "recall", "f1", "aligned_tuple_count"):
             assert payload[key] == metrics[key]
         assert payload["total_weight"] == pytest.approx(metrics["total_weight"])
+
+    def test_other_csv_of_the_aligned_width_is_data_error(self, small_files, tmp_path, capsys):
+        # nine columns, as an aligned CSV of two series has, under other names
+        _, truth = small_files
+        aligned = write_csv(tmp_path / "other.csv",
+                            "a,b,c,d,e,f,g,h,i\n1,0.0,1.0,1,0.0,1.0,1.0,0.0,0\n")
+        report = tmp_path / "score.json"
+        capsys.readouterr()
+        assert main(["score", "--aligned", aligned, "--truth", str(truth),
+                     "--report", str(report)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {aligned}: expected an alignment CSV for 2 series\n")
+        assert not report.exists()
 
     def test_rows_outside_the_truth_are_data_error(self, small_files, tmp_path, capsys):
         _, truth = small_files
@@ -1190,28 +1203,28 @@ class TestReadAlignmentMatchesScan:
         ("1,0,1,1,0,1,1.5,0,0\n\n\n\n2,,1,2,0,,2.5,,0\n", None),
         # the last row of one block and the first row of the next
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x,1,3,0,1,1,0,0\n4,0,1\n",
-         ":4: malformed alignment row"),
+         ":4: not a number: 'x'"),
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n4,0,1\n",
-         ":5: malformed alignment row"),
+         ":5: expected 9 cells, got 3"),
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,inf,0,0\n4,0,1\n",
-         ":4: weight 'inf' makes the weight sum non-finite"),
+         ":4: not a finite number: 'inf' (leave the cell empty to mark it missing)"),
         ("1,0,1,1,0,1,1e308,0,0\n\n\n2,0,1,2,0,1,1e308,0,0\n",
-         ":5: weight '1e308' makes the weight sum non-finite"),
+         ":5: weight 1e+308 makes the weight sum non-finite"),
         ("1,0,1,1,0,1,1,0,0\n\n2,0,1,2,0,1,1,0,0\n\n\n3,0,1,3,0,1,1,0,0\n4,x\n",
-         ":8: malformed alignment row"),
+         ":8: expected 9 cells, got 2"),
         # a cell csv cannot read, after and before a malformed row
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x,1,3,0,1,1,0,0\n4,{big},1\n",
-         ":4: malformed alignment row"),
+         ":4: not a number: 'x'"),
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n4,{big},1\n5,x\n",
          ":5: field larger than field limit"),
         # a quoted index that spans lines 2-3: the rows after it start on lines 4 and 5
         ('"1\n",0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n', None),
-        ('"1\n",0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x\n', ":5: malformed alignment row"),
+        ('"1\n",0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,x\n', ":5: expected 9 cells, got 2"),
         # rows of 7 cells (no theta_sim and phi_sim) and of 11, against the header's 9
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1\n4,0,1,4,0,1,1,0,0\n",
-         ":4: malformed alignment row"),
+         ":4: expected 9 cells, got 7"),
         ("1,0,1,1,0,1,1,0,0\n2,0,1,2,0,1,1,0,0\n3,0,1,3,0,1,1,0,0\n4,0,1,4,0,1,1,0,0,0,0\n",
-         ":5: malformed alignment row"),
+         ":5: expected 9 cells, got 11"),
     ])
     def test_defects_at_block_edges(self, tmp_path, text, message):
         path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + text.format(big=OVERSIZED))
@@ -1228,6 +1241,54 @@ class TestReadAlignmentMatchesScan:
                          "99999999999999999999,0,1,2,0,1,1,0,0\n3,x\n")
         with pytest.raises(DataError, match=r"aligned\.csv:3: malformed alignment row$"):
             cli._read_alignment_csv(path, 2)
+
+    @pytest.mark.parametrize("cell", [" 1.5 ", "1_000", "+3", ".5", "-0.0", "", "   ",
+                                      "nan", "inf", "1e400", "x"])
+    def test_one_cell_rule_for_input_and_aligned_csv(self, tmp_path, cell):
+        # the same spelling as a t_1 cell: both readers accept or reject it
+        # alike, at line 3, and read it as the same float
+        table = write_csv(tmp_path / "t.csv", f"t_1,v_1,t_2,v_2\n-1,1,-1,1\n{cell},1,0,1\n")
+        aligned = write_csv(tmp_path / "a.csv", ALIGNED_HEADER
+                            + f"1,-1,1,1,-1,1,1,0,0\n2,{cell},1,2,0,1,1,0,0\n")
+        fast, scan = self.both(aligned, 2)
+        assert fast == scan
+        try:
+            want = ingest(table).timestamps[0, 1]
+        except DataError as exc:
+            assert fast == aligned + str(exc)[len(table):]
+            assert fast.startswith(aligned + ":3: ")
+        else:
+            assert fast[2][1][0] == np.float64(want).view(np.int64)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_defects_report_the_first_in_file_order(self, tmp_path, seed):
+        # rows of 9 cells, a few of them odd: cell, index and sum defects mix
+        # across blocks of three, and both readers must name the same first one
+        rng = np.random.default_rng(seed)
+        odd = ["", " ", "x", "inf", "nan", "2.5", "1e20", "3.0", "-1e308", " 7 "]
+        rows = []
+        for i in range(1, 13):
+            row = [str(i), "0", "1", str(i), "0", "1", "1e308" if rng.random() < 0.2 else "1",
+                   "0", "0"]
+            if rng.random() < 0.15:
+                row[rng.integers(9)] = odd[rng.integers(len(odd))]
+            rows.append(",".join(row[:8 if rng.random() < 0.03 else 9]))
+        path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + "\n".join(rows) + "\n")
+        fast, scan = self.both(path, 2)
+        assert fast == scan
+
+    @pytest.mark.parametrize("index", ["2.5", "", "inf", "1e20"])
+    def test_index_that_is_no_row_is_rejected_at_its_line(self, tmp_path, index):
+        path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + "1,0,1,1,0,1,1,0,0\n"
+                         f"2,0,1,{index},0,1,1,0,0\n")
+        fast, scan = self.both(path, 2)
+        assert fast == scan and fast.startswith(f"{path}:3: ")
+
+    def test_whole_float_index_names_its_row(self, tmp_path):
+        path = write_csv(tmp_path / "aligned.csv", ALIGNED_HEADER + "3.0,0,1, 2 ,0,1,1,0,0\n")
+        fast, scan = self.both(path, 2)
+        assert fast == scan
+        assert fast[1] == [[2, 1]]
 
 
 class TestUnreadableFiles:
@@ -1383,7 +1444,7 @@ class TestBench:
         assert main([*args, "--strategies", "greedy", "exact", "--report", str(report)]) == 4
         assert capsys.readouterr().err == (
             "size guard: |R_c| = 40 > 24: exact enumeration refused, "
-            "use setpacking/greedy/expectation\n")
+            "use setpack/greedy/expect\n")
         assert main([*args, "--strategies", "greedy", "--report", str(alone)]) == 0
         rows = json.loads(report.read_text())
         assert [row["strategy"] for row in rows] == ["greedy"]
