@@ -78,10 +78,11 @@ class CandidateSet:
     candidate.  It and the weight-independent state every compose of the set
     needs (weight terms, isolated mask, cell keys and conflict segments of
     the visited candidates, weight-class representatives, the row window
-    state of ``expect``, fitted reports and greedy segment walks) are shared
-    by every compose of the set, so the arrays are read-only; the state is
-    built on first use and kept, so a run that tunes delta on the set and
-    then composes it builds it once.  It holds no Python list.
+    state of ``expect``, fitted reports, and the greedy segment walks, ranks
+    and whole passes) are shared by every compose of the set, so the arrays
+    are read-only; the state is built on first use and kept, so a run that
+    tunes delta on the set and then composes it builds it once.  It holds
+    no Python list.
 
     The group pass visits the non-isolated candidates (``visited``) in index
     order.  A conflict segment is a maximal run of them that no cell links
@@ -202,7 +203,8 @@ class CandidateSet:
 
     @cached_property
     def reports(self) -> dict:
-        """Consistency reports already fitted, by sorted tuple of candidate indices."""
+        """Consistency reports already fitted, by the bytes of the sorted intp
+        array of the chosen candidate indices."""
         return {}
 
     @cached_property
@@ -212,6 +214,23 @@ class CandidateSet:
 
         Keyed by (segment index, dense ranks of the segment's weights within
         the segment, as int32 bytes); see ``composers._group_pass``.
+        """
+        return {}
+
+    @cached_property
+    def _ranks(self) -> dict:
+        """The within-segment ranks of the visited candidates' weights (the
+        greedy ``composers.pass_key``), by the int64 bytes of the dense ranks
+        of the class representatives' weights; see ``composers._segment_ranks``.
+        """
+        return {}
+
+    @cached_property
+    def _passes(self) -> dict:
+        """Per greedy ``composers.pass_key``: the sorted read-only intp array
+        of the first pass's selection without the segments that drew a
+        tie-break, the indices of those segments, and its multi-member group
+        count and largest group without them; see ``composers._group_pass``.
         """
         return {}
 

@@ -50,10 +50,11 @@ EXIT_EXHAUSTED = 5
 STRATEGIES = tuple(composers.STRATEGIES)
 
 # records read, and rows formatted and written, per block, so the data path
-# holds the Python strings of one block, never of the whole file.  On an
-# n=8000, m=4 align, 256 gives the lowest peak RSS (38.3 MB; 39.4 at 1024,
-# 41.5 at 2048), and read and write times are flat from 128 to 8192.
-BLOCK_ROWS = 256
+# holds the Python strings of one block, never of the whole file.  The write
+# runs at the peak of an align, after the compose, whose arrays leave no
+# freed Python objects for the block's strings to reuse; 128 rows hold half
+# the strings of 256, and read and write times are flat from 128 to 8192.
+BLOCK_ROWS = 128
 
 # the weights every ``bench`` run composes under
 BENCH_WEIGHTS = WeightParams(3.0, 2.0, 1.0, 1.0)
@@ -514,7 +515,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_score(args) -> int:
     truth = evaluation.GroundTruth.same_row(ingest(args.truth))
-    lines, slots, cells, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
+    lines, slots, cells, sims, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
+    _check_rows(args.aligned, lines, slots, cells, sims)
     precision, recall, f1 = evaluation.pair_accuracy(slots, truth)
     _check_cells(args.aligned, lines, slots, cells, truth.table)
     payload = {
@@ -527,21 +529,22 @@ def _cmd_score(args) -> int:
 
 
 def _read_alignment_csv(path: str, m: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The line numbers, (T, m) 0-based slots and (T, 2m) t/v cells of an
-    aligned CSV's rows, and its weight sum.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The line numbers, (T, m) 0-based slots, (T, 2m) t/v cells and (T, 2)
+    theta_sim/phi_sim cells of an aligned CSV's rows, and its weight sum.
 
     The header must be the one ``write_alignment_csv`` writes for ``m``
     series, and the cells come from ``_cell_blocks``; a row's t/v cells are
-    t_1, v_1, ..., t_m, v_m, NaN where missing.  On each block's floats, in
-    file order: an index that is not a present whole number below 2^63 in
-    magnitude makes its row malformed, and a weight (a missing one adds 0.0)
-    that takes the sum past the largest float is a DataError at its line.
+    t_1, v_1, ..., t_m, v_m, NaN where missing, as are blank theta_sim and
+    phi_sim cells.  On each block's floats, in file order: an index that is
+    not a present whole number below 2^63 in magnitude makes its row
+    malformed, and a weight (a missing one adds 0.0) that takes the sum past
+    the largest float is a DataError at its line.
     """
     tv = [3 * k + j for k in range(m) for j in (1, 2)]
     # one array per block, after an empty one for a file without rows
     lines, slots = [np.empty(0, np.intp)], [np.empty((0, m), np.intp)]
-    cells = [np.empty((0, 2 * m))]
+    cells, sims = [np.empty((0, 2 * m))], [np.empty((0, 2))]
     total = 0.0
     with _csv_blocks(path) as blocks:
         header = next(blocks, ([[]],))[0][0]
@@ -563,7 +566,58 @@ def _read_alignment_csv(path: str, m: int
             lines.append(np.array(block_lines, dtype=np.intp))
             slots.append(idx.astype(np.intp) - 1)
             cells.append(x[:, tv])
-    return np.concatenate(lines), np.concatenate(slots), np.concatenate(cells), total
+            sims.append(x[:, 3 * m + 1:])
+    return (np.concatenate(lines), np.concatenate(slots), np.concatenate(cells),
+            np.concatenate(sims), total)
+
+
+def _check_rows(path: str, lines: np.ndarray, slots: np.ndarray, cells: np.ndarray,
+                sims: np.ndarray) -> None:
+    """DataError naming the first line, in file order, whose row is not one of
+    an alignment as ``write_alignment_csv`` writes it.
+
+    Its index in some series repeats an earlier row's (the two rows share a
+    cell), its phi_sim is not its largest index minus its smallest, or its
+    theta_sim is not the spread of its present t cells, computed as the
+    writer computes it, or is not blank with fewer than two present.  The
+    weight is not checked: it needs the run's k1 and k2.
+    """
+    m = slots.shape[1]
+    repeats = np.zeros(len(slots), dtype=bool)
+    for k in range(m):
+        order = np.argsort(slots[:, k], kind="stable")
+        ordered = slots[order, k]
+        # the stable order keeps equal indices in file order: all but the first repeat
+        repeats[order[1:][ordered[1:] == ordered[:-1]]] = True
+    spread = slots.max(axis=1) - slots.min(axis=1)
+    ts = cells[:, ::2]
+    present = ~np.isnan(ts)
+    hi = np.where(present, ts, -np.inf).max(axis=1)
+    lo = np.where(present, ts, np.inf).min(axis=1)
+    theta = np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
+    theta_ok = (sims[:, 0] == theta) | (np.isnan(sims[:, 0]) & np.isnan(theta))
+    bad = np.flatnonzero(repeats | (sims[:, 1] != spread) | ~theta_ok)
+    if not bad.size:
+        return
+    r = int(bad[0])
+    where = f"{path}:{lines[r]}: "
+    if repeats[r]:
+        k = next(k for k in range(m) if (slots[:r, k] == slots[r, k]).any())
+        first = int(np.flatnonzero(slots[:r, k] == slots[r, k])[0])
+        raise DataError(where + f"idx_{k + 1} {slots[r, k] + 1} is also on line {lines[first]}: "
+                        "two rows share a cell")
+    got, want = float(sims[r, 1]), int(spread[r])
+    if got != want:
+        raise DataError(where + (f"phi_sim {got!r} is not {want}" if got == got else
+                                 f"phi_sim is blank, not {want}")
+                        + ", the row's largest index minus its smallest")
+    got, want = float(sims[r, 0]), float(theta[r])
+    if want != want:
+        raise DataError(where + f"theta_sim {got!r} must be blank: the row has fewer "
+                        "than two present t cells")
+    raise DataError(where + (f"theta_sim {got!r} is not {want!r}" if got == got else
+                             f"theta_sim is blank, not {want!r}")
+                    + ", the spread of the row's present t cells")
 
 
 def _check_cells(path: str, lines: np.ndarray, slots: np.ndarray,

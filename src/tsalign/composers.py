@@ -28,36 +28,30 @@ weight-independent state (slot array, weight terms p and d, isolated mask,
 the (V, m) int32 cell keys of the V visited candidates and their conflict
 segments) lives on the ``CandidateSet`` as arrays and is built on its first
 compose, so a run whose tuning grid and final compose share one set builds
-it once.  A pass turns the cell keys of the segments it walks, one at a
-time, into lists, and reads the indices through a ``memoryview``, which
-yields Python ints without a list.  Isolated candidates, which share no
-cell with any other, are always chosen and never draw from the RNG, so
-they are added in bulk; the Python loop visits only the rest, at O(m) per
-candidate: used cells are one byte each and a candidate joins the open
-group when the OR of its cells' bitmasks of group positions covers every
-member.  The consistency report is fitted once per distinct selection of a
-set and reused by every compose that selects the same candidates.
+it once.  A pass reads indices, weights and each candidate's cell keys
+through ``memoryview``s, so it holds no list of the candidates it walks.
+Isolated candidates, which share no cell with any other, are always chosen
+and never draw from the RNG, so they are added in bulk; the Python loop
+visits only the rest, at O(m) per candidate: used cells are one byte each
+and a candidate joins the open group when the OR of its cells' bitmasks of
+group positions covers every member.  A selection is a sorted intp array,
+whose report is fitted once per distinct selection of a set.
 
 The visited candidates fall into conflict segments: no cell is used on both
-sides of the boundary between two segments.  So the first candidate after
-a boundary conflicts with no member of the open group and closes it, and no
-cell chosen before a boundary can make a candidate after it skip.  Each
-segment's choices therefore depend only on its own weights and on the RNG
-draws it makes, and the segments draw in order.  ``greedy`` compares weights
-only within a group, so the dense rank of a segment's weights within the
-segment decides its walk.  A walk that drew no tie-break is stored on the
-set under (segment index, those ranks), and every later pass with the same
-key reads it instead of walking.  A greedy pass then costs one O(N log N)
-ranking of its weights and one dict lookup per segment, plus O(m) per
-candidate of the segments it walks.  A walk that drew is walked again every
-time, so the RNG stream and the draw count are those of a full scan.
-``expect`` adds weights into its scores and walks every segment.
-
-``pass_key`` tells a caller composing one set under many weightings which of
-them run the same passes.  ``greedy`` compares weights only by order, so
-weightings that rank the (p, d) classes of the set alike, ties included,
-select alike under each seed; the tuning grid composes each such ranking
-once.  ``expect`` adds weights into its scores, so it has no such key.
+sides of the boundary between two segments.  So each segment's choices
+depend only on its own weights and on the RNG draws it makes, and the
+segments draw in order.  ``greedy`` compares weights only within a group,
+so the dense rank of a segment's weights within the segment decides its
+walk, and these ranks of all segments (``pass_key``, sorted once per
+ranking of the (p, d) classes) decide the pass.  A walk that drew no
+tie-break is stored on the set under (segment index, its ranks), and a
+later pass under a new key reads it instead of walking.  Whether a segment
+draws does not depend on the seed, so the first pass under a key also
+stores its selection without the segments that drew, and a later pass
+under the key walks only those: O(N) plus O(m) per candidate walked.  A
+walk that drew is walked again every time, so the RNG stream and the draw
+count are those of a full scan.  ``expect`` adds weights into its scores,
+walks every segment and has no ``pass_key``.
 """
 
 from __future__ import annotations
@@ -73,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .candidate import CandidateSet
+from .candidate import CandidateSet, _read_only
 from .consistency import ConsistencyReport, delta_report
 # ``batch_weights`` is kept only for the benchmark's tracer (perfbench/tracing.py),
 # which wraps ``composers.batch_weights``; the composers read the set's weight terms
@@ -106,10 +100,10 @@ class Alignment:
     ``tie_breaks`` counts the seeded random tie-breaks drawn by the group pass
     that selected it; 0 means any seed would have selected the same.
     ``segment_walks`` counts the conflict segments that pass walked rather
-    than read from the set's memo of greedy walks.  ``multi_member_groups``
-    counts the groups of two or more members that pass emitted and
-    ``largest_group`` is the size of its largest group: 1 when every group
-    was a singleton, 0 when it chose nothing.  ``attempt_deltas`` holds
+    than read from the set's memos of greedy walks and passes.
+    ``multi_member_groups`` counts the groups of two or more members that
+    pass emitted and ``largest_group`` is the size of its largest group: 1
+    when every group was a singleton, 0 when it chose nothing.  ``attempt_deltas`` holds
     the delta score of each attempt of a retrying composer, in attempt
     order; the unseeded composers make no attempts and leave it empty.
     """
@@ -154,16 +148,17 @@ def _sum_in_order(xs) -> float:
     return reduce(add, xs, 0.0)
 
 
-def _report(rc: CandidateSet, indices) -> ConsistencyReport:
+def _report(rc: CandidateSet, indices: np.ndarray) -> ConsistencyReport:
     """``delta_report`` of a selection, fitted once per distinct selection of ``rc``.
 
-    A set's table is fixed, so the report is a pure function of the chosen
-    indices; repeated selections (tuning grid points, retries) reuse it.
+    ``indices`` is the sorted intp array of the chosen candidates.  A set's
+    table is fixed, so the report is a pure function of them; repeated
+    selections (tuning grid points, retries) reuse it.
     """
-    key = tuple(sorted(indices))
+    key = indices.tobytes()
     report = rc.reports.get(key)
     if report is None:
-        report = rc.reports[key] = delta_report(rc.slots[list(key)], rc.table)
+        report = rc.reports[key] = delta_report(rc.slots[indices], rc.table)
     return report
 
 
@@ -188,11 +183,14 @@ def _finish(indices, rc, weights, strategy, retries_used=0, exhausted=False,
             truncated=False, report=None, tie_breaks=0, segment_walks=0,
             groups=(0, 0), attempt_deltas=()) -> Alignment:
     # rc.slots is in lexicographic order, so sorted indices give sorted rows
-    indices = sorted(indices)
+    indices = np.sort(np.asarray(indices, dtype=np.intp))
     chosen = rc.slots[indices]
     if report is None:
         report = delta_report(chosen, rc.table)
-    total = _sum_in_order(map(weights.__getitem__, indices))
+    picked = np.asarray(weights, dtype=float)[indices]
+    # add.accumulate adds left to right; adding 0.0 last turns a -0.0 total
+    # into the 0.0 that ``_sum_in_order``, starting from 0.0, returns
+    total = float(np.add.accumulate(picked, out=picked)[-1]) + 0.0 if picked.size else 0.0
     return Alignment(chosen, total, report, strategy, retries_used=retries_used,
                      exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks,
                      segment_walks=segment_walks, multi_member_groups=groups[0],
@@ -252,12 +250,23 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> A
     return _finish(best_sel, rc, weights, "exact", report=best_report)
 
 
-def _segment_ranks(rc: CandidateSet, weights: list[float]) -> bytes:
+def _segment_ranks(rc: CandidateSet, weights: np.ndarray) -> bytes:
     """Dense rank (tied weights share a rank) of each visited candidate's weight
-    within its conflict segment, as int32 bytes in ``rc.visited`` order."""
+    within its conflict segment, as int32 bytes in ``rc.visited`` order.
+
+    Every candidate weighs as the representative of its (p, d) class, so
+    weightings that rank the representatives alike, ties included, rank every
+    segment alike.  The ranks are computed once per such class ranking and
+    kept in ``rc._ranks`` under the representatives' dense ranks.
+    """
+    reps = weights[rc.class_representatives]
+    ranking = np.searchsorted(_sorted_unique(reps), reps).tobytes()
+    ranks = rc._ranks.get(ranking)
+    if ranks is not None:
+        return ranks
     bounds = rc.segment_bounds
     sizes = np.diff(bounds)
-    w = np.asarray(weights)[rc.visited]
+    w = weights[rc.visited]
     # sorted by segment, then weight, so segment j keeps positions bounds[j]:bounds[j + 1]
     order = np.lexsort((w, np.repeat(np.arange(sizes.size), sizes)))
     ws = w[order]
@@ -265,16 +274,18 @@ def _segment_ranks(rc: CandidateSet, weights: list[float]) -> bytes:
     new[1:] = ws[1:] != ws[:-1]
     new[bounds[:-1]] = True
     rank = np.cumsum(new)
-    ranks = np.empty(ws.size, dtype=np.int32)
-    ranks[order] = rank - np.repeat(rank[bounds[:-1]], sizes)
-    return ranks.tobytes()
+    dense = np.empty(ws.size, dtype=np.int32)
+    dense[order] = rank - np.repeat(rank[bounds[:-1]], sizes)
+    ranks = rc._ranks[ranking] = dense.tobytes()
+    return ranks
 
 
-def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
-                group_scores=None) -> tuple[list[int], int, int, tuple[int, int]]:
-    """One grouped selection scan; returns the chosen indices, the RNG draws,
-    the segments walked, and the number of groups of two or more members with
-    the size of the largest group (1 if all were singletons, 0 if none).
+def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
+                ) -> tuple[np.ndarray, int, int, tuple[int, int]]:
+    """One grouped selection scan; returns the chosen indices as a sorted intp
+    array, the RNG draws, the segments walked, and the number of groups of two
+    or more members with the size of the largest group (1 if all were
+    singletons, 0 if none).
 
     A group grows while every new candidate conflicts with all current
     members; when that breaks, the argmax (by ``group_scores(group)``, one
@@ -292,43 +303,50 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
     candidate.
 
     The visited candidates are walked one conflict segment
-    (``rc.segment_bounds``) at a time.  The first candidate of a segment
-    shares no cell with any earlier one, so it closes the open group, and
-    no cell chosen in an earlier segment can make a later one skip a
-    candidate: a segment's choices depend only on its own weights and on the
-    RNG draws it makes.  Without ``group_scores`` (``greedy``) the weights
-    are read only through ``max`` and ``==`` among one group's members, all
-    inside one segment, so the dense rank of the segment's weights within
-    the segment decides its walk.  A walk that drew no tie-break is stored
-    in ``rc.walks`` under (segment index, those ranks), with its count of
-    multi-member groups and its largest group, and a later pass with the same
-    key takes its choices and counts without walking; a walk that drew
-    is never stored, so every pass makes the same draws in the same order
-    and leaves the RNG as the unsegmented scan would.  ``group_scores`` adds
-    weights into its scores, so with it every segment is walked.
+    (``rc.segment_bounds``) at a time: a segment's choices depend only on
+    its own weights and on the RNG draws it makes.  Without
+    ``group_scores`` (``greedy``) the weights are read only through ``max``
+    and ``==`` within a group, so the segments' ranks (``_segment_ranks``)
+    decide the pass.  A walk that drew no tie-break is stored in
+    ``rc.walks`` under (segment index, its ranks) with its group counts,
+    and the first pass under a key stores in ``rc._passes`` its selection
+    and counts without the segments that drew, and their indices.  A walk
+    is deterministic up to its first draw, so a later pass under the key
+    walks just those segments.  A walk that drew is never stored, so every
+    pass makes the same draws in the same order and leaves the RNG as the
+    unsegmented scan would.  ``group_scores`` adds weights into its scores,
+    so with it every segment is walked and nothing is stored.
     """
-    chosen = np.flatnonzero(rc.isolated).tolist()
-    multi, largest = 0, min(len(chosen), 1)
-    visit = memoryview(rc.visited)
-    if not visit:
-        return chosen, 0, 0, (multi, largest)
-    cells, bounds = rc.visited_cells, rc.segment_bounds.tolist()
-    m, n = rc.table.m, rc.table.n
-    used = bytearray(m * n)
-    member_bits = [0] * (m * n)
+    weights = np.ascontiguousarray(weights, dtype=float)
+    ranks = _segment_ranks(rc, weights) if group_scores is None else None
+    whole = None if ranks is None else rc._passes.get(ranks)
+    bounds = rc.segment_bounds.tolist()
+    if whole is None:
+        segments, kept = range(len(bounds) - 1), []
+        kept_multi, kept_largest = 0, int(rc.isolated.any())
+    else:
+        base, segments, (kept_multi, kept_largest) = whole
+    visit, m = memoryview(rc.visited), rc.table.m
+    # memoryviews read the weights as Python floats and a candidate's cell
+    # keys as a slice of one flat view, so a walk holds no list of its rows
+    score, cells = memoryview(weights), memoryview(rc.visited_cells.ravel())
+    used = bytearray(m * rc.table.n)
+    # the bitmask of group positions of each cell of the open group's members
+    member_bits: dict[int, int] = {}
     group: list[int] = []
-    group_cells: list[list[int]] = []
-    draws = walked = 0
-    memo = rc.walks if group_scores is None else None
-    ranks = _segment_ranks(rc, weights) if memo is not None else b""
+    group_cells: list[memoryview] = []
+    picks: list[int] = []
+    drawn: list[int] = []
+    drawing: list[int] = []
+    draws = walked = multi = largest = drawn_multi = drawn_largest = 0
 
     def emit() -> None:
-        nonlocal draws, multi, segment_largest
+        nonlocal draws, multi, largest
         at = 0
-        segment_largest = max(segment_largest, len(group))
+        largest = max(largest, len(group))
         if len(group) > 1:
             multi += 1
-            scores = [weights[g] for g in group] if group_scores is None else group_scores(group)
+            scores = [score[g] for g in group] if group_scores is None else group_scores(group)
             top = max(scores)
             tied = [j for j, s in enumerate(scores) if s == top]
             if len(tied) == 1:
@@ -336,29 +354,30 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
             else:
                 at = rng.choice(tied)
                 draws += 1
-        chosen.append(group[at])
+        picks.append(group[at])
         for key in group_cells[at]:
             used[key] = 1
-        for cells in group_cells:
-            for key in cells:
-                member_bits[key] = 0
+        member_bits.clear()
         group.clear()
         group_cells.clear()
 
     prev = -2
-    for segment, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if memo is not None:
+    for segment in segments:
+        lo, hi = bounds[segment], bounds[segment + 1]
+        if whole is None and ranks is not None:
             walk_key = (segment, ranks[4 * lo:4 * hi])
-            hit = memo.get(walk_key)
+            hit = rc.walks.get(walk_key)
             if hit is not None:
-                picks, groups, most = hit
-                chosen += picks
-                multi += groups
-                largest = max(largest, most)
+                chosen, groups, most = hit
+                kept += chosen
+                kept_multi += groups
+                kept_largest = max(kept_largest, most)
                 continue
-        start, drawn, grouped, segment_largest = len(chosen), draws, multi, 0
+        before, multi, largest = draws, 0, 0
+        picks.clear()
         walked += 1
-        for i, mine in zip(visit[lo:hi], cells[lo:hi].tolist()):
+        for i, at in zip(visit[lo:hi], range(lo * m, hi * m, m)):
+            mine = cells[at:at + m]
             if group and i != prev + 1:
                 emit()
             prev = i
@@ -367,41 +386,54 @@ def _group_pass(rc: CandidateSet, weights: list[float], rng: random.Random,
             if group:
                 shared = 0
                 for key in mine:
-                    shared |= member_bits[key]
+                    shared |= member_bits.get(key, 0)
                 if shared != (1 << len(group)) - 1:
                     emit()
                     if any(map(used.__getitem__, mine)):
                         continue
             bit = 1 << len(group)
             for key in mine:
-                member_bits[key] |= bit
+                member_bits[key] = member_bits.get(key, 0) | bit
             group.append(i)
             group_cells.append(mine)
         if group:
             emit()
-        largest = max(largest, segment_largest)
-        if memo is not None and draws == drawn:
-            memo[walk_key] = (tuple(chosen[start:]), multi - grouped, segment_largest)
-    return chosen, draws, walked, (multi, largest)
+        if whole is None and draws == before:
+            kept += picks
+            kept_multi += multi
+            kept_largest = max(kept_largest, largest)
+            if ranks is not None:
+                rc.walks[walk_key] = (tuple(picks), multi, largest)
+        else:
+            drawn += picks
+            drawn_multi += multi
+            drawn_largest = max(drawn_largest, largest)
+            drawing.append(segment)
+    if whole is None:
+        mask = rc.isolated.copy()
+        mask[kept] = True
+        base = _read_only(np.flatnonzero(mask))
+        if ranks is not None:
+            rc._passes[ranks] = (base, tuple(drawing), (kept_multi, kept_largest))
+    # the picks of the segments that drew come in ascending order, as the base does
+    chosen = np.insert(base, np.searchsorted(base, drawn), drawn) if drawn else base
+    return chosen, draws, walked, (kept_multi + drawn_multi, max(kept_largest, drawn_largest))
 
 
 def pass_key(strategy: str, rc: CandidateSet, w: WeightParams) -> Optional[bytes]:
     """Memo key of the group passes ``strategy`` runs on ``rc`` under ``w``, or None.
 
-    ``greedy`` reads weights only through ``max`` and ``==`` among the
-    non-isolated candidates, and every candidate weighs as the representative
-    of its (p, d) class, so the dense rank (tied weights share a rank) of the
-    representatives' weights decides each pass.  Two weightings with equal
-    keys select the same candidates and draw the same tie-breaks under any
-    seed.  ``expect`` scores members by sums of weights, which no ranking
-    decides, and so do the unseeded strategies: they get None.
+    ``greedy`` reads weights only through ``max`` and ``==`` within a group,
+    and a group lies in one conflict segment, so the dense rank (tied
+    weights share a rank) of each visited candidate's weight within its
+    segment (``_segment_ranks``) decides each pass: two weightings with
+    equal keys select the same candidates and draw the same tie-breaks
+    under any seed.  ``expect`` scores members by sums of weights, which no
+    ranking decides, and so do the unseeded strategies: they get None.
     """
     if strategy != "greedy":
         return None
-    reps = rc.class_representatives
-    p, d = rc.weight_terms
-    weights = combine_weights(p[reps], d[reps], w)
-    return np.searchsorted(_sorted_unique(weights), weights).tobytes()
+    return _segment_ranks(rc, combine_weights(*rc.weight_terms, w))
 
 
 def _retry_compose(rc, cfg, w, seed, max_retries, strategy, scorer_factory):
@@ -410,7 +442,7 @@ def _retry_compose(rc, cfg, w, seed, max_retries, strategy, scorer_factory):
     ``scorer_factory(rc, weights)``, if given, returns the ``group_scores``
     hook; it is called once per compose, so its set-up serves every attempt.
     """
-    weights = _weights(rc, w)
+    weights = combine_weights(*rc.weight_terms, w)
     group_scores = scorer_factory(rc, weights) if scorer_factory is not None else None
     attempts = max(1, max_retries)
     best = None
@@ -474,7 +506,9 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     bit for bit.  ``np.sum`` adds pairwise, and from Python 3.12 the builtin
     ``sum`` of floats is compensated; either could move a tie.
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.ascontiguousarray(weights, dtype=float)
+    # the Python path reads single weights as Python floats, without a list
+    weights = memoryview(w)
     columns = rc.slot_columns
     first = columns[0]
     # starts is read once per group; the indices are bisected often, so they are a list

@@ -116,8 +116,8 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
 
     ``rc`` is the candidate set of the run, generated under the tuned theta
     and beta; the final compose uses the same set, so the weight terms,
-    isolated mask, conflict segments, fitted reports and stored greedy
-    segment walks are built once for both.  The bias
+    isolated mask, conflict segments, fitted reports and the stored greedy
+    ranks, segment walks and passes are built once for both.  The bias
     terms are fixed at b = c = 1.  Each grid point composes ``runs``
     alignments with an unbounded model constraint and derived seeds; the
     point with the smallest mean score wins (ties toward the smaller pair)
@@ -126,13 +126,16 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     Seeds only break weight ties, so when the first run of a grid point
     draws no tie-break every seed selects the same, and its delta stands for
     all ``runs`` without composing the rest.  Grid points whose weightings
-    share a ``composers.pass_key`` (for ``greedy``: the dense rank of the
-    weights of the set's (p, d) classes) run the same passes, so the deltas
-    of the first such point stand for the others.  ``diagnostics`` counts
-    the composes run (``grid_composes``) and the grid points whose passes
-    were composed rather than read from that memo (``grid_distinct_passes``),
-    the conflict segments of the set (``segments``) and the segment walks
-    the composes made rather than read from the set's memo of greedy walks
+    share a ``composers.pass_key`` run the same passes, so the deltas of the
+    first such point stand for the others.  For ``greedy`` the key is the
+    dense rank of each non-isolated candidate's weight within its conflict
+    segment, computed once per ranking of the set's (p, d) classes; a
+    later run under a key walks only the segments its first run saw draw.
+    ``diagnostics`` counts the composes run (``grid_composes``) and the
+    grid points whose passes were composed rather than read from that memo
+    (``grid_distinct_passes``), the conflict segments of the set
+    (``segments``) and the segment walks the composes made rather than read
+    from the set's memos of greedy walks and passes
     (``grid_segment_walks``; at most ``segments`` per compose, exactly that
     for ``expect``).
     """

@@ -124,9 +124,9 @@ def _parse_cell_scan(cell, path, lineno):
 
 def read_alignment_scan(path: str, m: int):
     """Oracle for ``cli._read_alignment_csv``: the row-by-row reader that keeps
-    every row's line, slots and cells as Python lists until the end, and reads
-    each cell as ``ingest_scan`` does."""
-    lines, slots, cells = [], [], []
+    every row's line, slots, t/v cells and theta_sim/phi_sim cells as Python
+    lists until the end, and reads each cell as ``ingest_scan`` does."""
+    lines, slots, cells, sims = [], [], [], []
     total = 0.0
     names = [f"{name}_{k + 1}" for k in range(m) for name in ("idx", "t", "v")]
     names += ["weight", "theta_sim", "phi_sim"]
@@ -149,6 +149,7 @@ def read_alignment_scan(path: str, m: int):
                 slots.append([int(i) - 1 for i in index])
                 cells.append([math.nan if x[3 * k + j] is None else x[3 * k + j]
                               for k in range(m) for j in (1, 2)])
+                sims.append([math.nan if c is None else c for c in x[3 * m + 1:]])
                 if x[3 * m] is not None:
                     total += x[3 * m]
                 lines.append(lineno)
@@ -157,7 +158,35 @@ def read_alignment_scan(path: str, m: int):
                                     "weight sum non-finite")
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    return lines, slots, cells, total
+    return lines, slots, cells, sims, total
+
+
+def check_rows_scan(path: str, lines, slots, cells, sims) -> None:
+    """Oracle for ``cli._check_rows``: the rows one at a time in file order,
+    with a dict per series from each index to the line it was first seen on."""
+    seen = [{} for _ in range(len(slots[0]) if len(slots) else 0)]
+    for line, row, tv, (theta, phi) in zip(*(np.asarray(a).tolist()
+                                             for a in (lines, slots, cells, sims))):
+        where = f"{path}:{line}: "
+        for k, i in enumerate(row):
+            if i in seen[k]:
+                raise DataError(where + f"idx_{k + 1} {i + 1} is also on line {seen[k][i]}: "
+                                "two rows share a cell")
+            seen[k][i] = line
+        spread = phi_similarity(AlignedTuple(row))
+        if phi != spread:
+            shown = "is blank," if math.isnan(phi) else f"{phi!r} is"
+            raise DataError(where + f"phi_sim {shown} not {spread}, the row's largest index "
+                            "minus its smallest")
+        present = [t for t in tv[::2] if not math.isnan(t)]
+        if len(present) < 2:
+            if not math.isnan(theta):
+                raise DataError(where + f"theta_sim {theta!r} must be blank: the row has "
+                                "fewer than two present t cells")
+        elif theta != max(present) - min(present):
+            shown = "is blank," if math.isnan(theta) else f"{theta!r} is"
+            raise DataError(where + f"theta_sim {shown} not {max(present) - min(present)!r}, "
+                            "the spread of the row's present t cells")
 
 
 def aligned_tuples(slots) -> list:
@@ -588,6 +617,35 @@ def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:
     if group:
         emit()
     return chosen
+
+
+def segment_ranks_scan(rc, weights) -> tuple:
+    """Oracle for the greedy ``composers.pass_key``: the dense rank (tied weights
+    share a rank, numbered from 0) of each non-isolated candidate's weight
+    among the weights of its ``segment_bounds_scan`` segment, in index order."""
+    rest = [x for x, alone in zip(weights, rc.isolated.tolist()) if not alone]
+    bounds = segment_bounds_scan(rc)
+    ranks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        distinct = sorted(set(rest[lo:hi]))
+        ranks += [distinct.index(x) for x in rest[lo:hi]]
+    return tuple(ranks)
+
+
+def drawing_segments_scan(rc, weights, seed) -> set:
+    """The ``segment_bounds_scan`` segments in which ``group_pass_scan`` draws a
+    tie-break under ``seed``, by their index."""
+    visited = [i for i, alone in enumerate(rc.isolated.tolist()) if not alone]
+    bounds = segment_bounds_scan(rc)
+    tied = []
+
+    class Recording(random.Random):
+        def choice(self, seq):
+            tied.append(seq[0])
+            return super().choice(seq)
+
+    group_pass_scan(rc, weights, Recording(seed))
+    return {next(j for j, hi in enumerate(bounds[1:]) if visited.index(i) < hi) for i in tied}
 
 
 def expectation_scan(rc, cfg, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pruned=True):

@@ -30,8 +30,9 @@ from tsalign.cli import BLOCK_ROWS, ingest, main, write_alignment_csv, write_tab
 from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import GroundTruth, generate_synthetic, inject_mcar
 from tsalign.tuning import determine_beta, determine_theta
-from conftest import (assert_same_table, benchmark_scan, csv_lines, gappy_table, ingest_scan,
-                      random_table, read_alignment_scan, write_alignment_scan, write_table_scan)
+from conftest import (assert_same_table, benchmark_scan, check_rows_scan, csv_lines, gappy_table,
+                      ingest_scan, random_table, read_alignment_scan, write_alignment_scan,
+                      write_table_scan)
 
 # row counts around the block boundaries of BLOCK_ROWS and of a quarter of it;
 # the writer tests run each count at both block sizes
@@ -474,6 +475,47 @@ def random_alignment(rng, table, params):
     cfg = ConstraintConfig(theta=float(rng.uniform(0, 30)), beta=int(rng.integers(0, 3)))
     return compose_greedy(generate_candidates(table, cfg), cfg, params,
                           seed=int(rng.integers(100)))
+
+
+class TestCheckRowsMatchesScan:
+    """``score``'s row rules against the row-by-row checker."""
+
+    def test_random_edits_report_the_first_defect_in_file_order(self, tmp_path):
+        # up to three edits per file: a row copied elsewhere, phi_sim or
+        # theta_sim moved, or a t cell, theta_sim or phi_sim blanked
+        found = []
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            table = gappy_table(rng, 3, 25)
+            params = WeightParams(3, 2, 1, 1)
+            path = tmp_path / "aligned.csv"
+            write_alignment_csv(random_alignment(rng, table, params), table, params, str(path))
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            for _ in range(int(rng.integers(0, 4))):
+                r = int(rng.integers(len(rows)))
+                edit = int(rng.integers(4))
+                if edit == 0:
+                    rows.insert(int(rng.integers(len(rows) + 1)), list(rows[r]))
+                elif edit == 1:
+                    rows[r][11] = str(int(rows[r][11] or 0) + int(rng.choice([-1, 1])))
+                elif edit == 2:
+                    rows[r][10] = repr(float(rows[r][10] or 0) + 0.5)
+                else:
+                    rows[r][int(rng.choice([1, 4, 7, 10, 11]))] = ""
+            path.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
+            lines, slots, cells, sims, _ = cli._read_alignment_csv(str(path), 3)
+            messages = []
+            for check in (cli._check_rows, check_rows_scan):
+                try:
+                    check(str(path), lines, slots, cells, sims)
+                except DataError as exc:
+                    messages.append(str(exc))
+                else:
+                    messages.append(None)
+            assert messages[0] == messages[1]
+            found.append(messages[0] and messages[0].split(": ", 1)[1].split(" ")[0])
+        # clean files and every rule
+        assert {None, "idx_1", "phi_sim", "theta_sim"} <= set(found)
 
 
 class TestWriteAlignmentMatchesScan:
@@ -1147,6 +1189,73 @@ class TestScoreCommand:
         assert not other.exists()
         assert f"{aligned}:2: v_1 " in capsys.readouterr().err
 
+    @pytest.fixture
+    def aligned_rows(self, tmp_path):
+        """The rows of a 29-tuple alignment of two series (header first), and its truth."""
+        truth = tmp_path / "truth.csv"
+        assert main(["synth", "--n", "30", "--m", "2", "--rate", "0.2", "--seed", "3",
+                     "--out", str(tmp_path / "data.csv"), "--truth-out", str(truth)]) == 0
+        aligned = tmp_path / "aligned.csv"
+        assert main(["align", "--input", str(tmp_path / "data.csv"), "--truth", str(truth),
+                     "--tune-theta", "--tune-beta", "--out", str(aligned),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        rows = [line.split(",") for line in aligned.read_text().splitlines()]
+        assert len(rows) == 30 and rows[1][6:] == ["2.0", "1.4429733316742321", "0"]
+        return rows, str(truth)
+
+    @staticmethod
+    def score_rows(tmp_path, rows, truth, capsys):
+        """``score``'s exit code, report and standard error on the CSV of ``rows``."""
+        aligned = write_csv(tmp_path / "edited.csv", "".join(",".join(r) + "\n" for r in rows))
+        report = tmp_path / "score.json"
+        capsys.readouterr()
+        code = main(["score", "--aligned", aligned, "--truth", truth, "--report", str(report)])
+        err = capsys.readouterr().err.replace(aligned, "edited.csv")
+        return code, report.read_text() if report.exists() else None, err
+
+    def test_repeated_row_is_data_error(self, aligned_rows, tmp_path, capsys):
+        # the parent scored this file with exit 0: 30 tuples, total weight 54.0
+        rows, truth = aligned_rows
+        assert self.score_rows(tmp_path, rows + [rows[1]], truth, capsys) == (
+            3, None, "data error: edited.csv:31: idx_1 1 is also on line 2: "
+                     "two rows share a cell\n")
+        # one index shared with an earlier row is enough, in any series
+        shared = [rows[9][0]] + rows[10][1:]
+        assert self.score_rows(tmp_path, rows[:10] + [shared] + rows[11:], truth, capsys)[2] == (
+            "data error: edited.csv:11: idx_1 9 is also on line 10: two rows share a cell\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        # the parent scored these with exit 0 and the unedited file's report
+        ({7: "-5", 8: "12345"}, "phi_sim 12345.0 is not 0, the row's largest index minus "
+                                "its smallest"),
+        ({8: ""}, "phi_sim is blank, not 0, the row's largest index minus its smallest"),
+        ({7: "-5"}, "theta_sim -5.0 is not 1.4429733316742321, the spread of the row's "
+                    "present t cells"),
+        ({7: ""}, "theta_sim is blank, not 1.4429733316742321, the spread of the row's "
+                  "present t cells"),
+        ({4: ""}, "theta_sim 1.4429733316742321 must be blank: the row has fewer than two "
+                  "present t cells"),
+    ])
+    def test_similarity_that_is_not_the_rows_is_data_error(self, aligned_rows, tmp_path,
+                                                           capsys, edit, message):
+        rows, truth = aligned_rows
+        row = list(rows[1])
+        for column, cell in edit.items():
+            row[column] = cell
+        assert self.score_rows(tmp_path, [rows[0], row] + rows[2:], truth, capsys) == (
+            3, None, f"data error: edited.csv:2: {message}\n")
+
+    def test_row_rules_report_the_first_defect_in_file_order(self, aligned_rows, tmp_path,
+                                                               capsys):
+        # a repeated row at line 31, and a phi_sim off by one at line 5
+        rows, truth = aligned_rows
+        row = rows[4][:8] + [str(int(rows[4][8]) + 1)]
+        edited = rows[:4] + [row] + rows[5:] + [rows[1]]
+        assert self.score_rows(tmp_path, edited, truth, capsys)[2].startswith(
+            "data error: edited.csv:5: phi_sim ")
+        code, report, _ = self.score_rows(tmp_path, rows, truth, capsys)
+        assert code == 0 and '"aligned_tuple_count": 29' in report
+
     @pytest.mark.parametrize("weights", [["nan"], ["inf"], ["1e308", "1e308"]])
     def test_non_finite_weight_sum_is_data_error_without_report(self, small_files, tmp_path,
                                                                  weights):
@@ -1171,17 +1280,19 @@ class TestReadAlignmentMatchesScan:
 
     @staticmethod
     def both(path, m):
-        """Each reader's lines, slots, cells and weight sum, or its DataError message."""
+        """Each reader's lines, slots, t/v and theta_sim/phi_sim cells and weight
+        sum, or its DataError message."""
         out = []
         for read in (cli._read_alignment_csv, read_alignment_scan):
             try:
-                lines, slots, cells, total = read(str(path), m)
+                lines, slots, cells, sims, total = read(str(path), m)
             except DataError as exc:
                 out.append(str(exc))
                 continue
             cells = np.asarray(cells, dtype=float).reshape(-1, 2 * m)
+            sims = np.asarray(sims, dtype=float).reshape(-1, 2)
             out.append((np.asarray(lines).tolist(), np.asarray(slots).reshape(-1, m).tolist(),
-                        cells.view(np.int64).tolist(), total))
+                        cells.view(np.int64).tolist(), sims.view(np.int64).tolist(), total))
         return out
 
     @pytest.mark.parametrize("seed", range(4))

@@ -25,7 +25,9 @@ from tsalign import (
 )
 from tsalign import composers
 from tsalign.candidate import CandidateSet
-from tsalign.composers import _expectation_scorer, _group_pass, _weights
+from tsalign.composers import _expectation_scorer, _group_pass, _sum_in_order, _weights
+from tsalign.core import combine_weights
+from tsalign.tuning import DEFAULT_GRID
 from tsalign.errors import ConfigError
 from conftest import (
     CountingRandom,
@@ -486,6 +488,125 @@ class TestSegmentedPass:
         assert {key: report.diagnostics[key] for key in (
             "grid_composes", "grid_distinct_passes", "segments", "grid_segment_walks")} == {
             "grid_composes": 2, "grid_distinct_passes": 2, "segments": 2, "grid_segment_walks": 3}
+
+
+    @staticmethod
+    def three_segment_set():
+        """m = 2; the weight is (k1 p + 1) / (k2 d + 1), p = 1 when both values
+        are present, d the index spread.  Segment 0: a = (1, 1) (p 1, d 0)
+        beats b = (1, 2) (p 1, d 1).  Segment 1: c = (5, 5) (p 0, d 0) beats
+        e = (5, 6) (p 0, d 1), v(0, 5) missing.  Segment 2: f = (8, 7) and
+        g = (8, 9) are both (p 1, d 1), so they tie and draw under any
+        weighting.  i = (11, 11) is isolated."""
+        vs = np.ones((2, 12))
+        vs[0, 5] = np.nan
+        t = SeriesTable(np.tile(np.arange(12.0), (2, 1)), vs)
+        slots = [(1, 1), (1, 2), (5, 5), (5, 6), (8, 7), (8, 9), (11, 11)]
+        rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
+        assert rc.segment_bounds.tolist() == [0, 2, 4, 6]
+        return rc
+
+    def test_equal_keys_select_alike(self):
+        # random sets, an empty set and an all-isolated set under the whole grid
+        ts = np.tile(np.arange(6.0), (2, 1))
+        t = SeriesTable(ts, np.ones((2, 6)))
+        sets = [rc for _, rc, _, _ in collect_instances(30, start_seed=900, max_candidates=16)]
+        sets += [CandidateSet(np.empty((0, 2), dtype=np.int32), ConstraintConfig(1e9, 9), t),
+                 CandidateSet(np.array([(i, i) for i in range(6)]), ConstraintConfig(1e9, 9), t)]
+        shared = 0
+        for rc in sets:
+            by_key = {}
+            for k1, k2 in DEFAULT_GRID:
+                params = WeightParams(k1=k1, k2=k2)
+                by_key.setdefault(composers.pass_key("greedy", rc, params), []).append(params)
+            for grid_points in by_key.values():
+                shared += len(grid_points) > 1
+                for seed in range(4):
+                    passes = set()
+                    for params in grid_points:
+                        weights = _weights(rc, params)
+                        fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
+                        chosen, draws, _, _ = _group_pass(rc, weights, fast_rng)
+                        scanned = sorted(group_pass_scan(rc, weights, slow_rng))
+                        assert chosen.tolist() == scanned and draws == slow_rng.draws
+                        assert fast_rng.getstate() == slow_rng.getstate()
+                        passes.add((tuple(scanned), draws, slow_rng.getstate()))
+                    assert len(passes) == 1
+        assert shared
+
+    def test_rankings_of_classes_differ_where_no_segment_does(self, monkeypatch):
+        # b = (1, 2) outweighs c = (5, 5) at (2, 1) (3 / 2 against 1) and not at
+        # (1, 2) (2 / 3 against 1); each segment ranks its members alike
+        rc = self.three_segment_set()
+        reps = rc.class_representatives
+        p, d = rc.weight_terms
+        rankings = set()
+        for k1, k2 in ((2, 1), (1, 2)):
+            w = combine_weights(p[reps], d[reps], WeightParams(k1=k1, k2=k2)).tolist()
+            rankings.add(tuple(sorted(set(w)).index(x) for x in w))
+        assert len(rankings) == 2
+        keys = {composers.pass_key("greedy", rc, WeightParams(k1=k1, k2=k2))
+                for k1, k2 in ((2, 1), (1, 2))}
+        # dense ranks ascend with the weight: a and c rank 1 in their segments
+        assert keys == {np.array([1, 0, 1, 0, 0, 0], dtype=np.int32).tobytes()}
+        seeds = []
+        compose_greedy = composers.compose_greedy
+
+        def recording(rc, cfg, w, seed=0, max_retries=0):
+            seeds.append(seed)
+            return compose_greedy(rc, cfg, w, seed=seed, max_retries=max_retries)
+
+        monkeypatch.setattr(composers, "compose_greedy", recording)
+        report = determine_weights_and_delta(CandidateSet(rc.slots, rc.config, rc.table),
+                                             grid=[(2, 1), (1, 2)], strategy="greedy", seed=5)
+        assert seeds == [5, 6, 7, 8]
+        assert report.diagnostics["grid_distinct_passes"] == 1
+        rows = report.diagnostics["delta_grid"]
+        assert rows[0]["delta_bar"] == rows[1]["delta_bar"]
+
+    def test_repeat_pass_walks_only_the_drawing_segment(self):
+        rc = self.three_segment_set()
+        cfg = ConstraintConfig(theta=1e9, beta=9)
+        for k1, k2 in DEFAULT_GRID:
+            params = WeightParams(k1=k1, k2=k2)
+            weights = _weights(rc, params)
+            first = (composers.pass_key("greedy", rc, params)) not in rc._passes
+            for seed in range(4):
+                alignment = compose_greedy(rc, cfg, params, seed=seed, max_retries=1)
+                slow_rng = CountingRandom(seed)
+                scanned = sorted(group_pass_scan(rc, weights, slow_rng))
+                assert alignment.slots.tolist() == rc.slots[scanned].tolist()
+                assert alignment.tie_breaks == slow_rng.draws == 1
+                if not first or seed:
+                    assert alignment.segment_walks == 1
+                # the multi-member groups of all three segments, every pass
+                assert (alignment.multi_member_groups, alignment.largest_group) == (3, 2)
+            fast_rng = random.Random(seed)
+            assert _group_pass(rc, weights, fast_rng)[2] == 1
+            assert fast_rng.getstate() == slow_rng.getstate()
+
+    def test_repeat_pass_counts_the_groups_it_walks(self):
+        # m = 3; (1, 1, 1) beats (1, 1, 2) in segment 0.  The four candidates of
+        # segment 1 all use cell (0, 8) and weigh alike (p = 3, d = 2), so the
+        # largest group is the one that draws, in the segment a repeat walks
+        t = SeriesTable(np.tile(np.arange(12.0), (3, 1)), np.ones((3, 12)))
+        slots = [(1, 1, 1), (1, 1, 2), (8, 7, 8), (8, 8, 7), (8, 8, 9), (8, 9, 8)]
+        rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
+        assert rc.segment_bounds.tolist() == [0, 2, 6]
+        for seed in range(4):
+            alignment = compose_greedy(rc, rc.config, WeightParams(k1=3, k2=2), seed=seed)
+            assert (alignment.segment_walks, alignment.tie_breaks) == (1 + (seed == 0), 1)
+            assert (alignment.multi_member_groups, alignment.largest_group) == (2, 4)
+
+    def test_total_is_the_left_to_right_sum(self):
+        rc = self.three_segment_set()
+        rng = np.random.default_rng(5)
+        for weights in ([-0.0] * 7, [0.0, -0.0] * 3 + [-0.0],
+                        [1e16, 1.0, -1e16, 1.0, 0.5, 3.0, -0.0], rng.normal(size=7).tolist()):
+            for chosen in ([], [0], [1, 2, 3], [0, 2, 4, 6], list(range(7))):
+                total = composers._finish(chosen, rc, weights, "greedy").total_weight
+                want = _sum_in_order(weights[i] for i in chosen)
+                assert (total, math.copysign(1, total)) == (want, math.copysign(1, want))
 
 
 def assert_window_matches_union(rc, table, params, seeds=(0, 1, 2, 3)):

@@ -24,7 +24,8 @@ from tsalign import composers
 from tsalign.candidate import CandidateSet
 from tsalign.composers import _expectation_scorer
 from tsalign.tuning import DEFAULT_GRID, _beta_from_gap_counts, nearest_rank
-from conftest import beta_samples_scan, gappy_table, group_pass_scan, sorted_rank, theta_scan
+from conftest import (beta_samples_scan, drawing_segments_scan, gappy_table, group_pass_scan,
+                      segment_bounds_scan, segment_ranks_scan, sorted_rank, theta_scan)
 
 
 def candidates(t, theta, beta):
@@ -229,11 +230,10 @@ class TestDetermineWeightsAndDelta:
         assert 0 < drew < 2 * len(DEFAULT_GRID)
 
     def test_memo_composes_each_distinct_pass_once(self, monkeypatch):
-        # the seeds-3/4 inputs above; the key here is the dense rank of every
-        # non-isolated candidate's weight, not of the class representatives
+        # the seeds-3/4 inputs above; the key here is the dense rank of each
+        # non-isolated candidate's weight within its conflict segment
         def rank(rc, w):
-            weights = batch_weights(rc.table, rc.slots, w)[~rc.isolated]
-            return tuple(np.unique(weights, return_inverse=True)[1].ravel())
+            return segment_ranks_scan(rc, batch_weights(rc.table, rc.slots, w).tolist())
 
         composed = []
         compose_greedy = composers.compose_greedy
@@ -253,30 +253,64 @@ class TestDetermineWeightsAndDelta:
             keys = {key for key, _ in composed}
             assert len(composed) == len(set(composed)) < len(DEFAULT_GRID) * 4
             assert {key for key, s in composed if s == seed} == keys
-            # every grid point's ranking was composed
+            # every grid point's ranking was composed, and its key is that ranking
             for k1, k2 in DEFAULT_GRID:
-                assert rank(rc, WeightParams(k1=k1, k2=k2)) in keys
+                params = WeightParams(k1=k1, k2=k2)
+                assert rank(rc, params) in keys
+                key = composers.pass_key("greedy", rc, params)
+                assert key == np.array(rank(rc, params), dtype=np.int32).tobytes()
             assert report.diagnostics["grid_composes"] == len(composed)
             assert report.diagnostics["grid_distinct_passes"] == len(keys) < len(DEFAULT_GRID)
             assert composers.pass_key("expect", rc, WeightParams()) is None
 
     @pytest.mark.parametrize("strategy", ["greedy", "expect"])
-    def test_counts_segment_walks(self, strategy):
-        # the seeds-3/4 inputs above: greedy reads most segments from the walks
-        # stored on the set, expect walks every segment of every compose
+    def test_counts_segment_walks(self, strategy, monkeypatch):
+        # the seeds-3/4 inputs above: expect walks every segment of every
+        # compose.  greedy's first compose under a key walks the segments that
+        # draw and those whose within-segment ranks no earlier first compose
+        # stored; every later compose under the key walks exactly the
+        # segments that draw, which are the same under every seed.
+        composed = []
+        compose = composers.compose
+
+        def recording(strategy, rc, cfg, w, seed=0, max_retries=0):
+            alignment = compose(strategy, rc, cfg, w, seed=seed, max_retries=max_retries)
+            composed.append((w, seed, alignment.segment_walks))
+            return alignment
+
+        monkeypatch.setattr(composers, "compose", recording)
+        repeats = 0
         for seed in (3, 4):
             table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
             masked = inject_mcar(table, 0.2, seed=1, target="values")
             theta = determine_theta(masked)
             rc = candidates(masked, theta, determine_beta(masked, theta))
+            composed.clear()
             diagnostics = determine_weights_and_delta(rc, strategy=strategy,
                                                       seed=seed).diagnostics
-            assert diagnostics["segments"] == len(rc.segment_bounds) - 1 > 10
-            every = diagnostics["segments"] * diagnostics["grid_composes"]
+            segments = diagnostics["segments"]
+            assert segments == len(rc.segment_bounds) - 1 > 10
+            assert diagnostics["grid_composes"] == len(composed)
+            assert diagnostics["grid_segment_walks"] == sum(walked for _, _, walked in composed)
             if strategy == "expect":
-                assert diagnostics["grid_segment_walks"] == every
-            else:
-                assert 0 < diagnostics["grid_segment_walks"] < every / 4
+                assert all(walked == segments for _, _, walked in composed)
+                continue
+            bounds = segment_bounds_scan(rc)
+            drawing, stored = {}, set()
+            for w, s, walked in composed:
+                weights = batch_weights(rc.table, rc.slots, w).tolist()
+                ranks = segment_ranks_scan(rc, weights)
+                drew = drawing_segments_scan(rc, weights, s)
+                if ranks in drawing:
+                    assert drew == drawing[ranks]
+                    assert walked == len(drew)
+                    repeats += 1
+                    continue
+                drawing[ranks] = drew
+                local = list(enumerate(ranks[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+                assert walked == sum(j in drew or (j, key) not in stored for j, key in local)
+                stored |= {(j, key) for j, key in local if j not in drew}
+        assert strategy == "expect" or repeats
 
     def test_tied_classes_get_their_own_key(self):
         # A = (0, 1, 0) has p = 1, d = 2 and B = (0, 3, 2) has p = 3, d = 6; they
