@@ -38,7 +38,8 @@ import numpy as np
 from . import composers, evaluation, tuning
 from .candidate import generate_candidates
 from .composers import Alignment
-from .core import ConstraintConfig, SeriesTable, WeightParams, adopt, batch_weights
+from .core import (ConstraintConfig, SeriesTable, WeightParams, _check_timestamp_span, adopt,
+                   batch_weights)
 from .errors import AlignmentError, ConfigError, DataError, SizeError, StructuralError
 
 EXIT_OK = 0
@@ -192,6 +193,7 @@ def ingest(path: str) -> SeriesTable:
         lines = list(chain.from_iterable(spans))
         raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(
             f"series {k + 1} line {lines[row]}" for k, row in bad))
+    _check_timestamp_span(ts, f"{path}: ")
     return adopt(SeriesTable, timestamps=ts, values=vs)
 
 
@@ -262,14 +264,19 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
     series = np.arange(m)
     ts = table.timestamps[series, slots]
     vs = table.values[series, slots]
+    columns = [x for k in range(m) for x in (slots[:, k] + 1, ts[:, k], vs[:, k])]
+    columns += [_format_distinct(batch_weights(table, slots, params)), _theta_sims(ts),
+                slots.max(axis=1) - slots.min(axis=1)]
+    _write_rows(_header(m, aligned=True), columns, path)
+
+
+def _theta_sims(ts: np.ndarray) -> np.ndarray:
+    """The theta_sim of each row of the (rows, m) timestamps ``ts``: its
+    largest present timestamp minus its smallest, NaN with fewer than two."""
     present = ~np.isnan(ts)
     hi = np.where(present, ts, -np.inf).max(axis=1)
     lo = np.where(present, ts, np.inf).min(axis=1)
-    theta = np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
-    columns = [x for k in range(m) for x in (slots[:, k] + 1, ts[:, k], vs[:, k])]
-    columns += [_format_distinct(batch_weights(table, slots, params)), theta,
-                slots.max(axis=1) - slots.min(axis=1)]
-    _write_rows(_header(m, aligned=True), columns, path)
+    return np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
 
 
 def _write_rows(header: list[str], columns: list[np.ndarray], path: str) -> None:
@@ -590,11 +597,7 @@ def _check_rows(path: str, lines: np.ndarray, slots: np.ndarray, cells: np.ndarr
         # the stable order keeps equal indices in file order: all but the first repeat
         repeats[order[1:][ordered[1:] == ordered[:-1]]] = True
     spread = slots.max(axis=1) - slots.min(axis=1)
-    ts = cells[:, ::2]
-    present = ~np.isnan(ts)
-    hi = np.where(present, ts, -np.inf).max(axis=1)
-    lo = np.where(present, ts, np.inf).min(axis=1)
-    theta = np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
+    theta = _theta_sims(cells[:, ::2])
     theta_ok = (sims[:, 0] == theta) | (np.isnan(sims[:, 0]) & np.isnan(theta))
     bad = np.flatnonzero(repeats | (sims[:, 1] != spread) | ~theta_ok)
     if not bad.size:

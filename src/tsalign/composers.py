@@ -15,10 +15,11 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
   index range, the window W from ``group[0] + 1`` to the last candidate whose
   first-series row is at most twice the set's largest slot spread past the
   last member's.  A group with |G| * |W| up to ``PYTHON_SCORE_LIMIT`` is
-  scored in plain Python, O(|W| * (m + |G|)) over the window's visited
-  candidates; a larger one costs O(|G| * |W| * m) in numpy, one equality
-  test of the members against the window.  The window state is cached on
-  the ``CandidateSet``.
+  scored in plain Python, O(|W| * (m + |G|)), by looking up the window's
+  visited candidates' cells in the group pass's own cell-to-member map; a
+  larger one costs O(|G| * |W| * m) in numpy, one equality test of the
+  members against the window.  The window state is cached on the
+  ``CandidateSet``.
 
 ``STRATEGIES`` maps the strategy names to these functions and ``compose``
 dispatches through it.
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
@@ -288,9 +288,11 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
     singletons, 0 if none).
 
     A group grows while every new candidate conflicts with all current
-    members; when that breaks, the argmax (by ``group_scores(group)``, one
-    score per member, or plain weight) is emitted and the breaking candidate
-    starts the next group unless it now conflicts with the partial result.
+    members; when that breaks, the argmax (by plain weight, or by
+    ``group_scores(group, member_bits, start)``, one score per member, for
+    ``start`` the position of ``group[0]`` in ``rc.visited``) is emitted and
+    the breaking candidate starts the next group unless it now conflicts
+    with the partial result.
     A singleton group is emitted without scoring.  The trailing group is
     flushed, otherwise its members would be dropped silently.
 
@@ -346,7 +348,8 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
         largest = max(largest, len(group))
         if len(group) > 1:
             multi += 1
-            scores = [score[g] for g in group] if group_scores is None else group_scores(group)
+            scores = ([score[g] for g in group] if group_scores is None
+                      else group_scores(group, member_bits, group_at // m))
             top = max(scores)
             tied = [j for j, s in enumerate(scores) if s == top]
             if len(tied) == 1:
@@ -391,6 +394,8 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
                     emit()
                     if any(map(used.__getitem__, mine)):
                         continue
+            if not group:
+                group_at = at
             bit = 1 << len(group)
             for key in mine:
                 member_bits[key] = member_bits.get(key, 0) | bit
@@ -481,7 +486,7 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[first]
 
 
-def _expectation_scorer(rc: CandidateSet, weights: list[float]):
+def _expectation_scorer(rc: CandidateSet, weights: np.ndarray):
     """Group hook scoring each member by its weight plus its expectation bonus.
 
     Member g's bonus is the sum of w[i] over the later candidates i that
@@ -494,11 +499,11 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     of group[-1] plus 2s, one contiguous index range.
 
     A group with |G| * |W| at most ``PYTHON_SCORE_LIMIT`` is scored in plain
-    Python: a dict from cell key to the bitmask of the members using it,
-    then one walk over the visited candidates of W, found by bisecting a
-    list of ``rc.visited``, with only their ``rc.visited_cells`` rows turned
-    into lists; isolated candidates share no cell and add nothing.  A larger
-    group takes one (m, |G|, |W|) equality test on the column-major
+    Python from the pass's state of the open group: a group holds consecutive
+    indices, so the visited candidates of W follow ``group[0]``, at ``start``
+    in ``rc.visited``, and each one's cell keys are looked up in the pass's
+    ``member_bits``; isolated candidates share no cell and add nothing.  A
+    larger group takes one (m, |G|, |W|) equality test on the column-major
     slots, reduced over the series axis, which tells which members share a
     cell with which window candidates, and its row-wise ``cumsum``.  Both
     add the kept weights one at a time in ascending i, the cumsum's other
@@ -507,17 +512,16 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
     ``sum`` of floats is compensated; either could move a tie.
     """
     w = np.ascontiguousarray(weights, dtype=float)
-    # the Python path reads single weights as Python floats, without a list
+    # the Python path reads weights, visited indices and cell keys through memoryviews
     weights = memoryview(w)
     columns = rc.slot_columns
     first = columns[0]
-    # starts is read once per group; the indices are bisected often, so they are a list
     starts = memoryview(rc.row_starts)
     reach = 2 * rc.slot_spread
-    n = rc.table.n
-    visit, visit_cells = rc.visited.tolist(), rc.visited_cells
+    n, m = rc.table.n, rc.table.m
+    visit, cells = memoryview(rc.visited), memoryview(rc.visited_cells.ravel())
 
-    def group_scores(group: list[int]) -> list[float]:
+    def group_scores(group: list[int], member_bits: dict[int, int], start: int) -> list[float]:
         lo = group[0] + 1
         hi = starts[min(int(first[group[-1]]) + reach + 1, n)]
         if len(group) * (hi - lo) > PYTHON_SCORE_LIMIT:
@@ -526,22 +530,16 @@ def _expectation_scorer(rc: CandidateSet, weights: list[float]):
             keep = shares.any(axis=0) & ~shares & (np.arange(lo, hi) > g[:, None])
             bonus = np.where(keep, w[lo:hi], 0.0).cumsum(axis=1)[:, -1]
             return (w[g] + bonus).tolist()
-        owner: dict[int, int] = {}
-        at = p = bisect_left(visit, group[0])
-        end = bisect_left(visit, hi, at)
-        # the cell keys of the members and of the window's visited candidates
-        cells = visit_cells[at:end].tolist()
-        for j, g in enumerate(group):
-            p = bisect_left(visit, g, p)
-            for key in cells[p - at]:
-                owner[key] = owner.get(key, 0) | 1 << j
         bonus = [0.0] * len(group)
-        for p in range(at + 1, end):
+        at = start * m
+        for i in visit[start + 1:]:
+            if i >= hi:
+                break
+            at += m
             shared = 0
-            for key in cells[p - at]:
-                shared |= owner.get(key, 0)
+            for key in cells[at:at + m]:
+                shared |= member_bits.get(key, 0)
             if shared:
-                i = visit[p]
                 for j, g in enumerate(group):
                     if g >= i:
                         break

@@ -40,6 +40,7 @@ class SeriesTable:
             col = ts[k][~np.isnan(ts[k])]
             if col.size > 1 and not np.all(np.diff(col) > 0):
                 raise DataError(f"series {k + 1}: non-missing timestamps must be strictly increasing")
+        _check_timestamp_span(ts)
         ts.setflags(write=False)
         vs.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -84,6 +85,23 @@ class SeriesTable:
                 if x is not None:
                     vs[k, i] = float(x)
         return cls(ts, vs)
+
+
+def _check_timestamp_span(ts: np.ndarray, where: str = "") -> None:
+    """DataError, prefixed by ``where``, unless the largest present timestamp
+    minus the smallest is a finite float.
+
+    Every timestamp difference the package takes, a same-row gap of theta's
+    tuning, a candidate's spread or an aligned row's theta_sim, is at most
+    this span, so none overflows to inf.
+    """
+    if not ts.size:
+        return
+    hi, lo = float(np.fmax.reduce(ts, axis=None)), float(np.fmin.reduce(ts, axis=None))
+    # NaN when no timestamp is present; a Python float difference overflows to inf quietly
+    if hi == hi and not math.isfinite(hi - lo):
+        raise DataError(f"{where}timestamps span {lo!r} to {hi!r}, "
+                        "a difference that overflows a float")
 
 
 def adopt(cls, **fields):

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -576,14 +576,41 @@ def segment_bounds_scan(rc) -> list[int]:
     return bounds
 
 
+def group_state_scan(rc):
+    """Oracle for the state of the open group that ``composers._group_pass``
+    hands its ``group_scores`` hook.
+
+    Returns ``state(group)``: the map from each cell key s * n + r of the
+    members to the bitmask of the positions in ``group`` of the members
+    using it, and the number of candidates before ``group[0]`` that share a
+    slot with some other candidate, its position among the visited ones.
+    """
+    tuples = aligned_tuples(rc.slots)
+    n = rc.table.n
+    uses = Counter(cell for r in tuples for cell in enumerate(r.slots))
+    shares = [any(uses[cell] > 1 for cell in enumerate(r.slots)) for r in tuples]
+
+    def state(group):
+        member_bits = {}
+        for j, g in enumerate(group):
+            for series, row in enumerate(tuples[g].slots):
+                key = series * n + row
+                member_bits[key] = member_bits.get(key, 0) | 1 << j
+        return member_bits, sum(shares[:group[0]])
+
+    return state
+
+
 def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:
     """Oracle for ``composers._group_pass``: the plain scan over every candidate.
 
     Used rows are kept in per-series sets, a candidate joins the group only if
     it shares a slot with every member (checked pairwise), and isolated
-    candidates take no shortcut.  Returns the chosen indices in emit order.
+    candidates take no shortcut.  ``group_scores`` gets the group's state from
+    ``group_state_scan``.  Returns the chosen indices in emit order.
     """
     tuples = aligned_tuples(rc.slots)
+    state = group_state_scan(rc) if group_scores is not None else None
     m = len(tuples[0].slots) if len(rc) else 0
     used = [set() for _ in range(m)]
     chosen = []
@@ -596,7 +623,7 @@ def group_pass_scan(rc, weights, rng, group_scores=None) -> list[int]:
             if group_scores is None:
                 scores = [weights[g] for g in group]
             else:
-                scores = group_scores(group)
+                scores = group_scores(group, *state(group))
             top = max(scores)
             tied = [g for g, s in zip(group, scores) if s == top]
             pick = tied[0] if len(tied) == 1 else rng.choice(tied)
@@ -680,7 +707,7 @@ def expectation_scan(rc, cfg, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pruned
                     bonus += weights[i]
             return weights[g_idx] + bonus
 
-        return lambda group: [score(g, group) for g in group]
+        return lambda group, member_bits, start: [score(g, group) for g in group]
 
     return _retry_compose(rc, cfg, w, seed, max_retries, "expectation", scorer_factory)
 

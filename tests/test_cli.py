@@ -54,6 +54,10 @@ STAGE_FLAGS = [
 ]
 
 
+# finite timestamps whose span, 1.2e308 - -1e308, overflows a float
+BIG_SPAN = "t_1,v_1,t_2,v_2\n-1e308,1,1e308,2\n-1e307,2,1.1e308,3\n0,3,1.2e308,4\n"
+
+
 @pytest.fixture
 def small_files(tmp_path):
     """Synthetic masked table plus its complete truth, round-tripped to disk."""
@@ -673,6 +677,50 @@ class TestAlign:
                     + (["--out", str(tmp_path / "aligned.csv")] if argv[0] == "align" else []))
         assert code == 3
         assert not report.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["align", "--tune-theta", "--tune-beta"],
+        ["align", "--theta", "inf", "--beta", "0", "--strategy", "greedy"],
+        ["tune"],
+    ])
+    def test_timestamp_span_past_the_largest_float_is_data_error_without_artifacts(
+            self, tmp_path, capsys, argv):
+        # every difference is finite but 1.2e308 - -1e308, which would reach
+        # the first row's theta_sim, a tuned theta and the candidates' spreads
+        data = write_csv(tmp_path / "big.csv", BIG_SPAN)
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        code = main([*argv, "--input", data, "--report", str(report)]
+                    + (["--out", str(out)] if argv[0] == "align" else []))
+        assert code == 3
+        assert not out.exists() and not report.exists()
+        assert (f"{data}: timestamps span -1e+308 to 1.2e+308, a difference that "
+                "overflows a float") in capsys.readouterr().err
+
+    def test_truth_with_a_span_past_the_largest_float_is_data_error_without_artifacts(
+            self, tmp_path):
+        # align's truth, then score's, on an input of the truth's shape
+        data = write_csv(tmp_path / "data.csv", "t_1,v_1,t_2,v_2\n0,1,0,2\n1,2,1,3\n2,3,2,4\n")
+        truth = write_csv(tmp_path / "truth.csv", BIG_SPAN)
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        flags = ["--input", data, "--tune-theta", "--tune-beta", "--out", str(out),
+                 "--report", str(report)]
+        assert main(["align", *flags, "--truth", truth]) == 3
+        assert not out.exists() and not report.exists()
+        assert main(["align", *flags]) == 0
+        scored = tmp_path / "score.json"
+        assert main(["score", "--aligned", str(out), "--truth", truth,
+                     "--report", str(scored)]) == 3
+        assert not scored.exists()
+
+    def test_timestamp_span_up_to_the_largest_float_aligns_and_scores(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "data.csv", "t_1,v_1,t_2,v_2\n0,1,1e308,2\n")
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        assert main(["align", "--input", data, "--tune-theta", "--tune-beta",
+                     "--out", str(out), "--report", str(report)]) == 0
+        assert out.read_text().splitlines()[1] == "1,0.0,1.0,1,1e+308,2.0,2.0,1e+308,0"
+        assert json.loads(report.read_text())["theta"] == 1e308
+        assert main(["score", "--aligned", str(out), "--truth", data]) == 0
+        assert json.loads(capsys.readouterr().out)["f1"] == 1.0
 
     @pytest.mark.parametrize("truth_shape", [None, (2, 20), (2, 60), (3, 30)])
     def test_bad_truth_is_data_error_without_artifacts(self, tmp_path, truth_shape):

@@ -1,7 +1,7 @@
-import bisect
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from conftest import (
     assert_same_alignment,
     expectation_scan,
     group_pass_scan,
+    group_state_scan,
     mwis_bruteforce,
     random_table,
     setpack_scan,
@@ -423,13 +424,13 @@ class TestSegmentedPass:
         rc, _ = candidates_for(masked, theta=theta, beta=determine_beta(masked, theta))
         for params in (WeightParams(k1=3, k2=2), WeightParams(k1=1, k2=6)):
             weights = _weights(rc, params)
-            for greedy, scorer in ((True, lambda group: [weights[g] for g in group]),
+            for greedy, scorer in ((True, lambda group, *_: [weights[g] for g in group]),
                                    (False, _expectation_scorer(rc, weights))):
                 sizes = []
 
-                def counting(group):
+                def counting(group, member_bits, start):
                     sizes.append(len(group))
-                    return scorer(group)
+                    return scorer(group, member_bits, start)
 
                 chosen, _, _, counts = _group_pass(rc, weights, random.Random(0), counting)
                 assert counts == (len(sizes), max(sizes, default=min(len(chosen), 1)))
@@ -611,14 +612,17 @@ class TestSegmentedPass:
 
 def assert_window_matches_union(rc, table, params, seeds=(0, 1, 2, 3)):
     """The window scorer's list equals the CSR-union oracle's, with float ``==``,
-    for every group the pass scores.  Returns the number of groups scored."""
+    for every group the pass scores, and the pass hands the hook the group's
+    state as ``group_state_scan`` builds it.  Returns the number of groups scored."""
     weights = _weights(rc, params)
     window, union = _expectation_scorer(rc, weights), union_scorer(rc, weights)
+    state = group_state_scan(rc)
     scored = 0
 
-    def both(group):
+    def both(group, member_bits, start):
         nonlocal scored
-        scores = window(group)
+        assert (member_bits, start) == state(group), group
+        scores = window(group, member_bits, start)
         assert scores == union(group), group
         scored += 1
         return scores
@@ -647,7 +651,7 @@ class TestWindowScorer:
                 for params in (WeightParams(k1=3, k2=2), WeightParams(k1=1, k2=6)):
                     assert assert_window_matches_union(rc, masked, params, seeds=(seed,)) > 50
 
-    def test_groups_at_and_above_the_limit(self, monkeypatch):
+    def test_groups_at_and_above_the_limit(self):
         # a = (0, 0) and b = (0, 1) share cell (0, 0); the set is every (r, r')
         # with |r - r'| <= 6 in lexicographic order, cut after `size` candidates,
         # all with first slot <= 12 = 2 * spread, so group [a, b] has the window
@@ -657,22 +661,25 @@ class TestWindowScorer:
         t = SeriesTable(np.tile(np.arange(30.0), (2, 1)), np.ones((2, 30)))
         grid = [(r, q) for r in range(13) for q in range(30) if abs(r - q) <= 6]
         params = WeightParams(k1=1, k2=1)
-        bisects = []
 
-        def counting_bisect(*args):
-            bisects.append(args)
-            return bisect.bisect_left(*args)
+        class Lookups(dict):
+            """A ``member_bits`` map that counts its lookups: only the Python path makes any."""
+            count = 0
 
-        monkeypatch.setattr(composers, "bisect_left", counting_bisect)
+            def get(self, *args):
+                self.count += 1
+                return super().get(*args)
+
         for size, in_python in ((limit // 2 + 1, True), (limit // 2 + 2, False)):
             assert size <= len(grid)
             rc = CandidateSet(np.array(grid[:size], dtype=np.int32),
                               ConstraintConfig(theta=1e9, beta=6), t)
             assert rc.slot_spread == 6
             w = _weights(rc, params)
-            bisects.clear()
-            scores = _expectation_scorer(rc, w)([0, 1])
-            assert bool(bisects) == in_python
+            member_bits, start = group_state_scan(rc)([0, 1])
+            member_bits = Lookups(member_bits)
+            scores = _expectation_scorer(rc, w)([0, 1], member_bits, start)
+            assert bool(member_bits.count) == in_python
             assert scores == union_scorer(rc, w)([0, 1])
             assert scores[1] > w[1]
             assert assert_window_matches_union(rc, t, params) > 0
@@ -690,7 +697,30 @@ class TestWindowScorer:
         w = _weights(rc, params)
         for _ in each_score_limit(monkeypatch):
             assert assert_window_matches_union(rc, t, params, seeds=(0,)) == 1
-            assert _expectation_scorer(rc, w)([0, 1]) == [w[0], w[1] + w[2]]
+            scores = _expectation_scorer(rc, w)([0, 1], *group_state_scan(rc)([0, 1]))
+            assert scores == [w[0], w[1] + w[2]]
+
+    def test_set_up_lists_no_visited_candidate(self):
+        # every (r, q) with |r - q| <= 3 over 1000 rows: 6994 candidates, none
+        # isolated.  With the set's cached state built, the scorer's set-up
+        # allocates about 3 KiB, under the 8 bytes per visited index (and 32
+        # per int object) that a list of ``rc.visited`` would take
+        n = 1000
+        t = SeriesTable(np.tile(np.arange(float(n)), (2, 1)), np.ones((2, n)))
+        slots = [(r, q) for r in range(n) for q in range(max(r - 3, 0), min(r + 4, n))]
+        rc = CandidateSet(np.array(slots, dtype=np.int32), ConstraintConfig(theta=1e9, beta=3), t)
+        weights = combine_weights(*rc.weight_terms, WeightParams(k1=1, k2=1))
+        assert rc.visited.size == len(slots) > 5000
+        for name in ("slot_columns", "row_starts", "slot_spread", "visited_cells"):
+            getattr(rc, name)
+        tracemalloc.start()
+        try:
+            scorer = _expectation_scorer(rc, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+        assert scorer([0, 1], *group_state_scan(rc)([0, 1])) == union_scorer(rc, weights)([0, 1])
 
 
 class TestComposeSetpacking:

@@ -44,6 +44,25 @@ class TestSeriesTable:
         t = SeriesTable.from_columns([([1, None, 5], [1, 2, 3]), ([0, 1, 2], [0, 0, 0])])
         assert t.n == 3
 
+    @pytest.mark.parametrize("ts", [
+        [[-1e308, 0.0], [1e308, math.nan]],
+        [[0.0, math.inf], [1.0, 2.0]],
+        [[-math.inf, math.nan], [math.nan, math.nan]],
+    ])
+    def test_rejects_a_timestamp_span_past_the_largest_float(self, ts):
+        with pytest.raises(DataError, match="overflows a float"):
+            SeriesTable(np.array(ts), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("ts", [
+        [[0.0, math.nan], [1e308, math.nan]],
+        [[-1e308, math.nan], [-1.0, 0.0]],
+        [[math.nan, math.nan], [math.nan, math.nan]],
+        np.zeros((2, 0)),
+    ])
+    def test_keeps_a_finite_timestamp_span(self, ts):
+        ts = np.array(ts)
+        assert SeriesTable(ts, np.ones(ts.shape)).timestamps.shape == ts.shape
+
     def test_needs_two_series(self):
         with pytest.raises(DataError):
             SeriesTable(np.zeros((1, 3)), np.zeros((1, 3)))
