@@ -77,7 +77,7 @@ class CandidateSet:
     ``slots`` is the (N, m) int32 array of slot vectors, one row per
     candidate.  It and the weight-independent state every compose of the set
     needs (weight terms, isolated mask, cell keys and conflict segments of
-    the visited candidates, weight-class representatives, the row window
+    the visited candidates, their weight classes per segment, the row window
     state of ``expect``, fitted reports, and the greedy segment walks, ranks
     and whole passes) are shared by every compose of the set, so the arrays
     are read-only; the state is built on first use and kept, so a run that
@@ -186,20 +186,35 @@ class CandidateSet:
         return _read_only(np.searchsorted(self.slot_columns[0], rows))
 
     @cached_property
-    def class_representatives(self) -> np.ndarray:
-        """One non-isolated candidate per distinct weight-term class (p, d).
+    def class_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The weight-term classes (p, d) of the visited candidates, per conflict segment.
 
         A weight reads only p and d, so every candidate weighs as its class's
-        representative under any ``WeightParams``.  The classes are found by
-        sorting on (p, d) and keeping the first candidate of each run.
+        representative under any ``WeightParams``.  Returns one visited
+        candidate per class, in (p, d) order; the class of each (segment,
+        class) pair present, in (segment, class) order; and the positions of
+        each segment's first pair, then the pair count, so segment j's pairs
+        are ``pair_bounds[j]:pair_bounds[j + 1]``.  The classes are the runs
+        of the visited candidates sorted on (p, d), and the pairs the distinct
+        keys segment * classes + class, found by one sort.
         """
         p, d = self.weight_terms
         rest = self.visited
-        order = rest[np.lexsort((d[rest], p[rest]))]
-        po, do = p[order], d[order]
+        order = np.lexsort((d[rest], p[rest]))
+        ranked = rest[order]
+        po, do = p[ranked], d[ranked]
         first = np.ones(order.size, dtype=bool)
         first[1:] = (po[1:] != po[:-1]) | (do[1:] != do[:-1])
-        return _read_only(order[first])
+        count = max(int(np.count_nonzero(first)), 1)
+        sizes = np.diff(self.segment_bounds)
+        keys = np.repeat(np.arange(sizes.size) * count, sizes)
+        keys[order] += np.cumsum(first) - 1
+        keys.sort()
+        new = np.ones(keys.size, dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        keys = keys[new]
+        pair_bounds = np.searchsorted(keys, np.arange(sizes.size + 1) * count)
+        return _read_only(ranked[first]), _read_only(keys % count), _read_only(pair_bounds)
 
     @cached_property
     def reports(self) -> dict:
@@ -212,14 +227,15 @@ class CandidateSet:
         """Chosen indices, multi-member group count and largest group of the
         greedy segment walks that drew no tie-break.
 
-        Keyed by (segment index, dense ranks of the segment's weights within
-        the segment, as int32 bytes); see ``composers._group_pass``.
+        Keyed by (segment index, dense ranks of the weights of the segment's
+        ``class_table`` pairs within the segment, as int32 bytes); see
+        ``composers._group_pass``.
         """
         return {}
 
     @cached_property
     def _ranks(self) -> dict:
-        """The within-segment ranks of the visited candidates' weights (the
+        """The within-segment ranks of the ``class_table`` pairs' weights (the
         greedy ``composers.pass_key``), by the int64 bytes of the dense ranks
         of the class representatives' weights; see ``composers._segment_ranks``.
         """

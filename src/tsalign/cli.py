@@ -272,11 +272,13 @@ def write_alignment_csv(alignment: Alignment, table: SeriesTable,
 
 def _theta_sims(ts: np.ndarray) -> np.ndarray:
     """The theta_sim of each row of the (rows, m) timestamps ``ts``: its
-    largest present timestamp minus its smallest, NaN with fewer than two."""
+    largest present timestamp minus its smallest, NaN with fewer than two,
+    inf where the difference overflows."""
     present = ~np.isnan(ts)
     hi = np.where(present, ts, -np.inf).max(axis=1)
     lo = np.where(present, ts, np.inf).min(axis=1)
-    return np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
+    with np.errstate(over="ignore"):
+        return np.where(present.sum(axis=1) >= 2, hi - lo, np.nan)
 
 
 def _write_rows(header: list[str], columns: list[np.ndarray], path: str) -> None:
@@ -584,10 +586,11 @@ def _check_rows(path: str, lines: np.ndarray, slots: np.ndarray, cells: np.ndarr
     an alignment as ``write_alignment_csv`` writes it.
 
     Its index in some series repeats an earlier row's (the two rows share a
-    cell), its phi_sim is not its largest index minus its smallest, or its
-    theta_sim is not the spread of its present t cells, computed as the
-    writer computes it, or is not blank with fewer than two present.  The
-    weight is not checked: it needs the run's k1 and k2.
+    cell), its phi_sim is not its largest index minus its smallest, the
+    spread of its present t cells overflows a float, or its theta_sim is not
+    that spread, computed as the writer computes it, or is not blank with
+    fewer than two present.  The weight is not checked: it needs the run's
+    k1 and k2.
     """
     m = slots.shape[1]
     repeats = np.zeros(len(slots), dtype=bool)
@@ -615,6 +618,11 @@ def _check_rows(path: str, lines: np.ndarray, slots: np.ndarray, cells: np.ndarr
                                  f"phi_sim is blank, not {want}")
                         + ", the row's largest index minus its smallest")
     got, want = float(sims[r, 0]), float(theta[r])
+    if math.isinf(want):
+        t = cells[r, ::2]
+        lo, hi = int(np.nanargmin(t)), int(np.nanargmax(t))
+        raise DataError(where + f"t_{lo + 1} {float(t[lo])!r} and t_{hi + 1} {float(t[hi])!r} "
+                        "span more than a float can hold")
     if want != want:
         raise DataError(where + f"theta_sim {got!r} must be blank: the row has fewer "
                         "than two present t cells")

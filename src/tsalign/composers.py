@@ -43,15 +43,16 @@ sides of the boundary between two segments.  So each segment's choices
 depend only on its own weights and on the RNG draws it makes, and the
 segments draw in order.  ``greedy`` compares weights only within a group,
 so the dense rank of a segment's weights within the segment decides its
-walk, and these ranks of all segments (``pass_key``, sorted once per
-ranking of the (p, d) classes) decide the pass.  A walk that drew no
-tie-break is stored on the set under (segment index, its ranks), and a
-later pass under a new key reads it instead of walking.  Whether a segment
-draws does not depend on the seed, so the first pass under a key also
-stores its selection without the segments that drew, and a later pass
-under the key walks only those: O(N) plus O(m) per candidate walked.  A
-walk that drew is walked again every time, so the RNG stream and the draw
-count are those of a full scan.  ``expect`` adds weights into its scores,
+walk.  Candidates of one (p, d) class weigh alike, so the ranks of the
+classes present in each segment (``pass_key``, 4 bytes per (segment, class)
+pair, sorted once per ranking of the classes) decide the pass.  A walk that
+drew no tie-break is stored on the set under (segment index, its ranks),
+and a later pass under a new key reads it instead of walking.  Whether a
+segment draws does not depend on the seed, so the first pass under a key
+also stores its selection without the segments that drew, and a later
+pass under the key walks only those: O(N) plus O(m) per candidate walked.
+A walk that drew is walked again every time, so the RNG stream and the
+draw count are those of a full scan.  ``expect`` adds weights into its scores,
 walks every segment and has no ``pass_key``.
 """
 
@@ -111,7 +112,6 @@ class Alignment:
     slots: np.ndarray
     total_weight: float
     report: ConsistencyReport
-    strategy: str
     retries_used: int = 0
     exhausted: bool = False
     truncated: bool = False
@@ -179,9 +179,9 @@ def _conflict_masks(rc: CandidateSet) -> list[int]:
     return masks
 
 
-def _finish(indices, rc, weights, strategy, retries_used=0, exhausted=False,
-            truncated=False, report=None, tie_breaks=0, segment_walks=0,
-            groups=(0, 0), attempt_deltas=()) -> Alignment:
+def _finish(indices, rc, weights, retries_used=0, exhausted=False, truncated=False,
+            report=None, tie_breaks=0, segment_walks=0, groups=(0, 0),
+            attempt_deltas=()) -> Alignment:
     # rc.slots is in lexicographic order, so sorted indices give sorted rows
     indices = np.sort(np.asarray(indices, dtype=np.intp))
     chosen = rc.slots[indices]
@@ -191,7 +191,7 @@ def _finish(indices, rc, weights, strategy, retries_used=0, exhausted=False,
     # add.accumulate adds left to right; adding 0.0 last turns a -0.0 total
     # into the 0.0 that ``_sum_in_order``, starting from 0.0, returns
     total = float(np.add.accumulate(picked, out=picked)[-1]) + 0.0 if picked.size else 0.0
-    return Alignment(chosen, total, report, strategy, retries_used=retries_used,
+    return Alignment(chosen, total, report, retries_used=retries_used,
                      exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks,
                      segment_walks=segment_walks, multi_member_groups=groups[0],
                      largest_group=groups[1], attempt_deltas=attempt_deltas)
@@ -247,36 +247,39 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> A
             search(i + 1, avail & ~conflict[i], sub, total + weights[i])
 
     search(0, (1 << k) - 1, (), 0.0)
-    return _finish(best_sel, rc, weights, "exact", report=best_report)
+    return _finish(best_sel, rc, weights, report=best_report)
 
 
 def _segment_ranks(rc: CandidateSet, weights: np.ndarray) -> bytes:
-    """Dense rank (tied weights share a rank) of each visited candidate's weight
-    within its conflict segment, as int32 bytes in ``rc.visited`` order.
+    """Dense rank (tied weights share a rank) of the weight of each (segment,
+    class) pair of ``rc.class_table`` within its conflict segment, as int32
+    bytes in that table's order.
 
-    Every candidate weighs as the representative of its (p, d) class, so
+    Every candidate weighs as the representative of its (p, d) class, so a
+    visited candidate's rank within its segment is its pair's, and
     weightings that rank the representatives alike, ties included, rank every
     segment alike.  The ranks are computed once per such class ranking and
     kept in ``rc._ranks`` under the representatives' dense ranks.
     """
-    reps = weights[rc.class_representatives]
-    ranking = np.searchsorted(_sorted_unique(reps), reps).tobytes()
-    ranks = rc._ranks.get(ranking)
+    reps, classes, bounds = rc.class_table
+    w = weights[reps]
+    ranking = np.searchsorted(_sorted_unique(w), w)
+    key = ranking.tobytes()
+    ranks = rc._ranks.get(key)
     if ranks is not None:
         return ranks
-    bounds = rc.segment_bounds
     sizes = np.diff(bounds)
-    w = weights[rc.visited]
-    # sorted by segment, then weight, so segment j keeps positions bounds[j]:bounds[j + 1]
-    order = np.lexsort((w, np.repeat(np.arange(sizes.size), sizes)))
-    ws = w[order]
-    new = np.ones(ws.size, dtype=bool)
-    new[1:] = ws[1:] != ws[:-1]
+    r = ranking[classes]
+    # sorted by segment, then rank, so segment j keeps positions bounds[j]:bounds[j + 1]
+    order = np.lexsort((r, np.repeat(np.arange(sizes.size), sizes)))
+    rs = r[order]
+    new = np.ones(rs.size, dtype=bool)
+    new[1:] = rs[1:] != rs[:-1]
     new[bounds[:-1]] = True
     rank = np.cumsum(new)
-    dense = np.empty(ws.size, dtype=np.int32)
+    dense = np.empty(rs.size, dtype=np.int32)
     dense[order] = rank - np.repeat(rank[bounds[:-1]], sizes)
-    ranks = rc._ranks[ranking] = dense.tobytes()
+    ranks = rc._ranks[key] = dense.tobytes()
     return ranks
 
 
@@ -328,6 +331,8 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
         kept_multi, kept_largest = 0, int(rc.isolated.any())
     else:
         base, segments, (kept_multi, kept_largest) = whole
+    # a segment's walk is stored under its pairs' slice of the ranks
+    pairs = rc.class_table[2].tolist() if whole is None and ranks is not None else None
     visit, m = memoryview(rc.visited), rc.table.m
     # memoryviews read the weights as Python floats and a candidate's cell
     # keys as a slice of one flat view, so a walk holds no list of its rows
@@ -367,8 +372,8 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
     prev = -2
     for segment in segments:
         lo, hi = bounds[segment], bounds[segment + 1]
-        if whole is None and ranks is not None:
-            walk_key = (segment, ranks[4 * lo:4 * hi])
+        if pairs is not None:
+            walk_key = (segment, ranks[4 * pairs[segment]:4 * pairs[segment + 1]])
             hit = rc.walks.get(walk_key)
             if hit is not None:
                 chosen, groups, most = hit
@@ -407,7 +412,7 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
             kept += picks
             kept_multi += multi
             kept_largest = max(kept_largest, largest)
-            if ranks is not None:
+            if pairs is not None:
                 rc.walks[walk_key] = (tuple(picks), multi, largest)
         else:
             drawn += picks
@@ -431,17 +436,19 @@ def pass_key(strategy: str, rc: CandidateSet, w: WeightParams) -> Optional[bytes
     ``greedy`` reads weights only through ``max`` and ``==`` within a group,
     and a group lies in one conflict segment, so the dense rank (tied
     weights share a rank) of each visited candidate's weight within its
-    segment (``_segment_ranks``) decides each pass: two weightings with
-    equal keys select the same candidates and draw the same tie-breaks
-    under any seed.  ``expect`` scores members by sums of weights, which no
-    ranking decides, and so do the unseeded strategies: they get None.
+    segment decides each pass.  A candidate weighs as its (p, d) class, so
+    the key holds that rank once per class present in a segment
+    (``_segment_ranks``): two weightings with equal keys select the same
+    candidates and draw the same tie-breaks under any seed.  ``expect``
+    scores members by sums of weights, which no ranking decides, and so do
+    the unseeded strategies: they get None.
     """
     if strategy != "greedy":
         return None
     return _segment_ranks(rc, combine_weights(*rc.weight_terms, w))
 
 
-def _retry_compose(rc, cfg, w, seed, max_retries, strategy, scorer_factory):
+def _retry_compose(rc, cfg, w, seed, max_retries, scorer_factory):
     """Run ``_group_pass`` with seeds seed, seed + 1, ... until delta holds.
 
     ``scorer_factory(rc, weights)``, if given, returns the ``group_scores``
@@ -457,7 +464,7 @@ def _retry_compose(rc, cfg, w, seed, max_retries, strategy, scorer_factory):
         chosen, draws, walked, groups = _group_pass(rc, weights, rng, group_scores)
         report = _report(rc, chosen)
         deltas += (report.delta,)
-        alignment = _finish(chosen, rc, weights, strategy, retries_used=attempt,
+        alignment = _finish(chosen, rc, weights, retries_used=attempt,
                             report=report, tie_breaks=draws, segment_walks=walked,
                             groups=groups, attempt_deltas=deltas)
         if report.delta <= cfg.delta:
@@ -475,7 +482,7 @@ def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams, see
     with seed + 1, seed + 2, ... up to ``max_retries`` attempts; the best
     attempt is returned with ``exhausted`` set when all fail.
     """
-    return _retry_compose(rc, cfg, w, seed, max_retries, "greedy", None)
+    return _retry_compose(rc, cfg, w, seed, max_retries, None)
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -565,8 +572,7 @@ def compose_expectation(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams
     order, one addition at a time, so it is bit-identical to that scan and
     the seeded tie-breaks agree with it.
     """
-    return _retry_compose(rc, cfg, w, seed, max_retries, "expectation",
-                          _expectation_scorer)
+    return _retry_compose(rc, cfg, w, seed, max_retries, _expectation_scorer)
 
 
 def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> Alignment:
@@ -669,8 +675,7 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams)
         if fallback is None or report.delta < fallback[1].delta:
             fallback = (total, report, sel)
     total, report, sel = fallback if best is None else best
-    return _finish(sel, rc, weights, "setpacking", exhausted=best is None,
-                   truncated=truncated, report=report)
+    return _finish(sel, rc, weights, exhausted=best is None, truncated=truncated, report=report)
 
 
 def compose(strategy: str, rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams,

@@ -125,7 +125,6 @@ class ConsistencyReport:
     per_series_loss: np.ndarray
     normalizers: np.ndarray
     delta: float
-    abs_errors: np.ndarray
     degenerate_series: tuple[int, ...] = ()
     all_missing: bool = False
     fallback_series: tuple[int, ...] = ()
@@ -144,17 +143,14 @@ def consistency_delta(aligned_values: np.ndarray, model: ConsistencyModel) -> Co
     values = np.asarray(aligned_values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    rows, width = values.shape
+    width = values.shape[1]
     if model.width != width:
         raise ValueError(f"model fitted for width {model.width}, matrix has {width}")
     mask = ~np.isnan(values)
-    if rows:
-        # |M - V| built in the one array the subtraction makes
-        abs_errors = np.subtract(model.predict(values), values)
-        np.abs(abs_errors, out=abs_errors)
-        abs_errors[~mask] = 0.0
-    else:
-        abs_errors = np.zeros_like(values)
+    # |M - V| built in the one array the subtraction makes; only its column sums are kept
+    errors = np.subtract(model.predict(values), values)
+    np.abs(errors, out=errors)
+    errors[~mask] = 0.0
     counts = mask.sum(axis=0)
     vmax = np.where(counts > 0, np.max(values, axis=0, initial=-np.inf, where=mask), 0.0)
     vmin = np.where(counts > 0, np.min(values, axis=0, initial=np.inf, where=mask), 0.0)
@@ -163,15 +159,14 @@ def consistency_delta(aligned_values: np.ndarray, model: ConsistencyModel) -> Co
     degenerate = []
     for j in range(width):
         if normalizers[j] > 0:
-            losses[j] = abs_errors[:, j].sum() / normalizers[j]
+            losses[j] = errors[:, j].sum() / normalizers[j]
         else:
             degenerate.append(j)
     delta = float(losses.mean()) if width else 0.0
     if not math.isfinite(delta):
         raise DataError("the consistency score overflowed: the aligned values are "
                         "too large in magnitude for the AR(1) fit")
-    return ConsistencyReport(losses, normalizers, delta, abs_errors,
-                             tuple(degenerate), not mask.any())
+    return ConsistencyReport(losses, normalizers, delta, tuple(degenerate), not mask.any())
 
 
 def tuple_value_matrix(slots, t: SeriesTable) -> np.ndarray:

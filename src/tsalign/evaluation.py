@@ -65,9 +65,6 @@ class ScoreReport:
     precision: float
     recall: float
     f1: float
-    aligned_tuple_count: int
-    total_weight: float
-    delta: float
 
 
 def pair_accuracy(slots, truth) -> tuple[float, float, float]:
@@ -149,9 +146,7 @@ def _pair_counts(ids_a: np.ndarray, ids_b: np.ndarray, rows_a: np.ndarray,
 def score(alignment, truth) -> ScoreReport:
     """Pair-level precision/recall/F1 of a ``composers.Alignment`` against a
     GroundTruth or its (m, n) group ids (see ``pair_accuracy``)."""
-    precision, recall, f1 = pair_accuracy(alignment.slots, truth)
-    return ScoreReport(precision, recall, f1, len(alignment),
-                       alignment.total_weight, alignment.report.delta)
+    return ScoreReport(*pair_accuracy(alignment.slots, truth))
 
 
 def check_mcar(rate: float, seed: int = 0, target: str = "values") -> None:

@@ -128,9 +128,10 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     all ``runs`` without composing the rest.  Grid points whose weightings
     share a ``composers.pass_key`` run the same passes, so the deltas of the
     first such point stand for the others.  For ``greedy`` the key is the
-    dense rank of each non-isolated candidate's weight within its conflict
-    segment, computed once per ranking of the set's (p, d) classes; a
-    later run under a key walks only the segments its first run saw draw.
+    dense rank of the weight of each (p, d) class present in a conflict
+    segment within that segment, computed once per ranking of the set's
+    classes; a later run under a key walks only the segments its first run
+    saw draw.
     ``diagnostics`` counts the composes run (``grid_composes``) and the
     grid points whose passes were composed rather than read from that memo
     (``grid_distinct_passes``), the conflict segments of the set

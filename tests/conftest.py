@@ -179,6 +179,10 @@ def check_rows_scan(path: str, lines, slots, cells, sims) -> None:
             raise DataError(where + f"phi_sim {shown} not {spread}, the row's largest index "
                             "minus its smallest")
         present = [t for t in tv[::2] if not math.isnan(t)]
+        if len(present) >= 2 and math.isinf(max(present) - min(present)):
+            lo, hi = tv[::2].index(min(present)), tv[::2].index(max(present))
+            raise DataError(where + f"t_{lo + 1} {tv[2 * lo]!r} and t_{hi + 1} {tv[2 * hi]!r} "
+                            "span more than a float can hold")
         if len(present) < 2:
             if not math.isnan(theta):
                 raise DataError(where + f"theta_sim {theta!r} must be blank: the row has "
@@ -296,8 +300,7 @@ def score_scan(alignment, truth) -> ScoreReport:
     precision = hit / len(aligned_pairs) if aligned_pairs else 0.0
     recall = hit / len(truth_pairs) if truth_pairs else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ScoreReport(precision, recall, f1, len(tuples),
-                       alignment.total_weight, alignment.report.delta)
+    return ScoreReport(precision, recall, f1)
 
 
 def pair_accuracy_all_pairs(slots, truth) -> tuple[float, float, float]:
@@ -371,8 +374,7 @@ def consistency_delta_scan(aligned_values: np.ndarray, model) -> ConsistencyRepo
     if not math.isfinite(delta):
         raise DataError("the consistency score overflowed: the aligned values are "
                         "too large in magnitude for the AR(1) fit")
-    return ConsistencyReport(losses, normalizers, delta, abs_errors,
-                             tuple(degenerate), not mask.any())
+    return ConsistencyReport(losses, normalizers, delta, tuple(degenerate), not mask.any())
 
 
 def delta_report_scan(slots, t: SeriesTable) -> ConsistencyReport:
@@ -659,6 +661,22 @@ def segment_ranks_scan(rc, weights) -> tuple:
     return tuple(ranks)
 
 
+def class_ranks_scan(rc, weights) -> tuple:
+    """Oracle for the bytes of the greedy ``composers.pass_key``: per
+    ``segment_bounds_scan`` segment, the (p, d) classes of its candidates in
+    ascending order, each with the dense rank (numbered from 0) of its weight
+    among the segment's distinct weights."""
+    p, d = (x.tolist() for x in rc.weight_terms)
+    visited = [i for i, alone in enumerate(rc.isolated.tolist()) if not alone]
+    bounds = segment_bounds_scan(rc)
+    ranks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        weight_of = {(p[i], d[i]): weights[i] for i in visited[lo:hi]}
+        distinct = sorted(set(weight_of.values()))
+        ranks += [distinct.index(weight_of[c]) for c in sorted(weight_of)]
+    return tuple(ranks)
+
+
 def drawing_segments_scan(rc, weights, seed) -> set:
     """The ``segment_bounds_scan`` segments in which ``group_pass_scan`` draws a
     tie-break under ``seed``, by their index."""
@@ -709,7 +727,7 @@ def expectation_scan(rc, cfg, w, seed=0, max_retries=DEFAULT_MAX_RETRIES, pruned
 
         return lambda group, member_bits, start: [score(g, group) for g in group]
 
-    return _retry_compose(rc, cfg, w, seed, max_retries, "expectation", scorer_factory)
+    return _retry_compose(rc, cfg, w, seed, max_retries, scorer_factory)
 
 
 def union_scorer(rc, weights):
@@ -835,8 +853,7 @@ def setpack_scan(rc, cfg, w):
         if fallback is None or report.delta < fallback[1].delta:
             fallback = (total, report, sel)
     total, report, sel = fallback if best is None else best
-    return _finish(sel, rc, weights, "setpacking", exhausted=best is None,
-                   truncated=truncated, report=report)
+    return _finish(sel, rc, weights, exhausted=best is None, truncated=truncated, report=report)
 
 
 def benchmark_scan(n: int, m: int, jitter: float, rate: float, strategy: str,
@@ -859,8 +876,8 @@ def benchmark_scan(n: int, m: int, jitter: float, rate: float, strategy: str,
         "strategy": strategy, "n": n, "m": m, "rate": rate, "seed": seed,
         "theta": theta, "beta": beta,
         "candidate_count": len(rc),
-        "aligned_tuple_count": report.aligned_tuple_count,
-        "total_weight": report.total_weight,
+        "aligned_tuple_count": len(alignment),
+        "total_weight": alignment.total_weight,
         "delta_score": alignment.report.delta,
         "precision": report.precision, "recall": report.recall, "f1": report.f1,
         "wall_time_ms": elapsed_ms,

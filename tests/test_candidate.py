@@ -320,6 +320,10 @@ class TestWorkingSet:
         for strategy in ("greedy", "expect"):
             compose(strategy, rc, rc.config, WeightParams(k1=3, k2=2))
         assert rc.reports and rc.walks
+        # the greedy keys hold 4 bytes per (segment, class) pair, not per candidate
+        pairs = rc.class_table[2]
+        assert all(len(ranks) == 4 * (pairs[j + 1] - pairs[j]) for j, ranks in rc.walks)
+        assert [len(ranks) for ranks in rc._ranks.values()] == [4 * pairs[-1]]
         assert not [name for name, value in vars(rc).items() if isinstance(value, list)]
 
 
@@ -363,7 +367,7 @@ class TestReadOnly:
 
     def test_candidate_arrays_reject_writes(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
-        for array in (rc.slots, *rc.weight_terms, rc.isolated, rc.class_representatives,
+        for array in (rc.slots, *rc.weight_terms, rc.isolated, *rc.class_table,
                       rc.slot_columns, rc.row_starts, rc.visited, rc.visited_cells,
                       rc.segment_bounds):
             with pytest.raises(ValueError, match="read-only"):
@@ -404,12 +408,20 @@ class TestCandidateState:
         assert rc.isolated.tolist() == [
             not any(conflicts(r, o) for j, o in enumerate(tuples) if j != i)
             for i, r in enumerate(tuples)]
-        # one representative per (p, d) class of the non-isolated candidates
+        # one representative per (p, d) class of the non-isolated candidates,
+        # in (p, d) order, and the classes present in each conflict segment
         classes = list(zip(p.tolist(), d.tolist()))
-        reps = rc.class_representatives.tolist()
+        reps, pair_classes, pair_bounds = (a.tolist() for a in rc.class_table)
         assert not rc.isolated[reps].any()
-        assert sorted(classes[i] for i in reps) == sorted(
+        assert [classes[i] for i in reps] == sorted(
             {c for c, alone in zip(classes, rc.isolated) if not alone})
+        visited = [i for i, alone in enumerate(rc.isolated.tolist()) if not alone]
+        bounds = segment_bounds_scan(rc)
+        assert len(pair_bounds) == len(bounds) and pair_bounds[0] == 0
+        assert pair_bounds[-1] == len(pair_classes)
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            present = [classes[reps[c]] for c in pair_classes[pair_bounds[j]:pair_bounds[j + 1]]]
+            assert present == sorted({classes[i] for i in visited[lo:hi]})
         # the row window state of expect
         assert rc.slot_spread == max((max(r.slots) - min(r.slots) for r in tuples), default=0)
         assert rc.slot_columns.flags.c_contiguous

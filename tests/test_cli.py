@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -470,8 +471,8 @@ class TestDataPathMemory:
 
 
 def make_alignment(tuples):
-    report = ConsistencyReport(np.zeros(0), np.zeros(0), 0.0, np.zeros((0, 0)), (), True)
-    return Alignment([r.slots for r in tuples], 0.0, report, "test")
+    report = ConsistencyReport(np.zeros(0), np.zeros(0), 0.0, (), True)
+    return Alignment([r.slots for r in tuples], 0.0, report)
 
 
 def random_alignment(rng, table, params):
@@ -1303,6 +1304,22 @@ class TestScoreCommand:
             "data error: edited.csv:5: phi_sim ")
         code, report, _ = self.score_rows(tmp_path, rows, truth, capsys)
         assert code == 0 and '"aligned_tuple_count": 29' in report
+
+    def test_t_cells_whose_spread_overflows_are_data_error(self, tmp_path, capsys):
+        # the parent warned of an overflow in the subtraction and then said
+        # "theta_sim 0.0 is not inf"; align cannot write such a row
+        truth = write_csv(tmp_path / "truth.csv", "t_1,v_1,t_2,v_2\n0,1,1,2\n10,2,11,3\n")
+        rows = ALIGNED_HEADER + "1,-1e308,1,1,1e308,2,1.0,0.0,0\n"
+        aligned = write_csv(tmp_path / "aligned.csv", rows)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["score", "--aligned", aligned, "--truth", truth,
+                         "--report", str(tmp_path / "score.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {aligned}:2: t_1 -1e+308 and t_2 1e+308 span more than a float "
+            "can hold\n")
+        assert not (tmp_path / "score.json").exists()
 
     @pytest.mark.parametrize("weights", [["nan"], ["inf"], ["1e308", "1e308"]])
     def test_non_finite_weight_sum_is_data_error_without_report(self, small_files, tmp_path,

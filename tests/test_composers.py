@@ -38,6 +38,8 @@ from conftest import (
     group_state_scan,
     mwis_bruteforce,
     random_table,
+    segment_bounds_scan,
+    segment_ranks_scan,
     setpack_scan,
     union_scorer,
     weight,
@@ -325,8 +327,8 @@ class TestStrategyRegistry:
         assert set(direct) == set(composers.STRATEGIES)
         for name, alignment in direct.items():
             via = composers.compose(name, rc, cfg, fig_params, seed=3)
-            assert via.strategy == alignment.strategy
             assert_same_alignment(via, alignment)
+            assert via.tie_breaks == alignment.tie_breaks
 
     def test_unknown_strategy(self, staggered_table, fig_params):
         rc, cfg = candidates_for(staggered_table, theta=2, beta=0)
@@ -539,7 +541,7 @@ class TestSegmentedPass:
         # b = (1, 2) outweighs c = (5, 5) at (2, 1) (3 / 2 against 1) and not at
         # (1, 2) (2 / 3 against 1); each segment ranks its members alike
         rc = self.three_segment_set()
-        reps = rc.class_representatives
+        reps = rc.class_table[0]
         p, d = rc.weight_terms
         rankings = set()
         for k1, k2 in ((2, 1), (1, 2)):
@@ -548,8 +550,10 @@ class TestSegmentedPass:
         assert len(rankings) == 2
         keys = {composers.pass_key("greedy", rc, WeightParams(k1=k1, k2=k2))
                 for k1, k2 in ((2, 1), (1, 2))}
-        # dense ranks ascend with the weight: a and c rank 1 in their segments
-        assert keys == {np.array([1, 0, 1, 0, 0, 0], dtype=np.int32).tobytes()}
+        # one rank per (segment, class) pair, the classes of a segment in (p, d)
+        # order: (a, b), (c, e) and f and g's one class.  Dense ranks ascend
+        # with the weight: a and c rank 1 in their segments
+        assert keys == {np.array([1, 0, 1, 0, 0], dtype=np.int32).tobytes()}
         seeds = []
         compose_greedy = composers.compose_greedy
 
@@ -564,6 +568,52 @@ class TestSegmentedPass:
         assert report.diagnostics["grid_distinct_passes"] == 1
         rows = report.diagnostics["delta_grid"]
         assert rows[0]["delta_bar"] == rows[1]["delta_bar"]
+
+    def test_one_segment_key_holds_a_rank_per_class(self):
+        # m = 2, the chain (0, 0), (0, 1), (1, 1), (1, 2), ... of 39 candidates,
+        # each sharing a cell with the next: one conflict segment, whose two
+        # classes are d = 0 and d = 1 (every value present, p = 1); d = 0 is
+        # the heavier under every grid point
+        n = 20
+        t = SeriesTable(np.tile(np.arange(float(n)), (2, 1)), np.ones((2, n)))
+        slots = sorted([(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)])
+        rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=1), t)
+        assert rc.segment_bounds.tolist() == [0, 39]
+        for k1, k2 in DEFAULT_GRID:
+            key = composers.pass_key("greedy", rc, WeightParams(k1=k1, k2=k2))
+            assert len(key) == 4 * 2
+            assert key == np.array([1, 0], dtype=np.int32).tobytes()
+
+    def test_keys_are_equal_exactly_when_the_segments_rank_alike(self):
+        # the grid's keys, and each segment's slice of them that keys its
+        # stored walk, against the per-candidate ranks of the scan
+        sets = [rc for _, rc, _, _ in collect_instances(30, start_seed=900, max_candidates=16)]
+        for seed in (3, 4):
+            table, _ = generate_synthetic(60, 3, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.3, seed=seed, target="both")
+            theta = determine_theta(masked)
+            sets.append(generate_candidates(masked, ConstraintConfig(
+                theta=theta, beta=determine_beta(masked, theta))))
+        shared = split = 0
+        for rc in sets:
+            _, classes, pairs = rc.class_table
+            bounds = segment_bounds_scan(rc)
+            points, walks = set(), set()
+            for k1, k2 in DEFAULT_GRID:
+                params = WeightParams(k1=k1, k2=k2)
+                key = composers.pass_key("greedy", rc, params)
+                assert len(key) == 4 * classes.size
+                ranks = segment_ranks_scan(rc, _weights(rc, params))
+                points.add((key, ranks))
+                for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                    walks.add((j, key[4 * pairs[j]:4 * pairs[j + 1]], ranks[lo:hi]))
+            # each relation pairs the distinct keys one to one with the distinct ranks
+            assert len({key for key, _ in points}) == len({r for _, r in points}) == len(points)
+            assert (len({(j, key) for j, key, _ in walks}) == len({(j, r) for j, _, r in walks})
+                    == len(walks))
+            shared += len(points) < len(DEFAULT_GRID)
+            split += len(points) > 1
+        assert shared and split
 
     def test_repeat_pass_walks_only_the_drawing_segment(self):
         rc = self.three_segment_set()
@@ -605,7 +655,7 @@ class TestSegmentedPass:
         for weights in ([-0.0] * 7, [0.0, -0.0] * 3 + [-0.0],
                         [1e16, 1.0, -1e16, 1.0, 0.5, 3.0, -0.0], rng.normal(size=7).tolist()):
             for chosen in ([], [0], [1, 2, 3], [0, 2, 4, 6], list(range(7))):
-                total = composers._finish(chosen, rc, weights, "greedy").total_weight
+                total = composers._finish(chosen, rc, weights).total_weight
                 want = _sum_in_order(weights[i] for i in chosen)
                 assert (total, math.copysign(1, total)) == (want, math.copysign(1, want))
 

@@ -92,9 +92,21 @@ class TestConsistencyDelta:
         assert report.per_series_loss[0] == 0.0
 
     def test_missing_cells_contribute_nothing(self):
-        values = np.array([[1.0, np.nan], [2.0, np.nan], [3.0, np.nan], [4.0, np.nan]])
-        report = consistency_delta(values, fit_model(values))
-        assert np.all(report.abs_errors[:, 1] == 0.0)
+        # series 0 misses row 1 and series 1 row 2, where the stub predicts far
+        # off: |1 - 2| + |3 - 1| + |5 - 5| = 3 over mu_0 = 3 * (5 - 1), and
+        # |2 - 2| + |4 - 3| + |8 - 6| = 3 over mu_1 = 3 * (8 - 2)
+        values = np.array([[1.0, 2.0], [np.nan, 4.0], [3.0, np.nan], [5.0, 8.0]])
+
+        class Stub:
+            width = 2
+
+            def predict(self, v):
+                return np.array([[2.0, 2.0], [1e6, 3.0], [1.0, -1e6], [5.0, 6.0]])
+
+        report = consistency_delta(values, Stub())
+        assert report.per_series_loss.tolist() == [3 / 12, 3 / 18]
+        assert report.normalizers.tolist() == [12.0, 18.0]
+        assert report.delta == (3 / 12 + 3 / 18) / 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.integers(1, 3))
@@ -172,7 +184,7 @@ class TestTupleValueMatrix:
 
 def assert_same_report(a, b):
     """Every field equal: arrays by value and dtype (NaN matching NaN), delta and flags."""
-    for name in ("per_series_loss", "normalizers", "abs_errors"):
+    for name in ("per_series_loss", "normalizers"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
     assert a.delta == b.delta

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,8 +25,8 @@ from conftest import (assert_same_table, gappy_table, generate_synthetic_scan,
 
 
 def make_alignment(tuples, total_weight=0.0, delta=0.0):
-    report = ConsistencyReport(np.zeros(0), np.zeros(0), delta, np.zeros((0, 0)), (), True)
-    return Alignment([r.slots for r in sorted(tuples)], total_weight, report, "test")
+    report = ConsistencyReport(np.zeros(0), np.zeros(0), delta, (), True)
+    return Alignment([r.slots for r in sorted(tuples)], total_weight, report)
 
 
 class TestScore:
@@ -36,7 +37,9 @@ class TestScore:
         assert report.precision == 1.0
         assert report.recall == 1.0
         assert report.f1 == 1.0
-        assert report.aligned_tuple_count == 6
+        # the count and the total are the alignment's; the report holds only the scores
+        assert (len(alignment), alignment.total_weight) == (6, 0.0)
+        assert [f.name for f in dataclasses.fields(report)] == ["precision", "recall", "f1"]
 
     def test_empty_alignment_scores_zero(self):
         _, truth = generate_synthetic(4, 2, 0.5, seed=1)

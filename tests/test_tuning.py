@@ -24,8 +24,9 @@ from tsalign import composers
 from tsalign.candidate import CandidateSet
 from tsalign.composers import _expectation_scorer
 from tsalign.tuning import DEFAULT_GRID, _beta_from_gap_counts, nearest_rank
-from conftest import (beta_samples_scan, drawing_segments_scan, gappy_table, group_pass_scan,
-                      segment_bounds_scan, segment_ranks_scan, sorted_rank, theta_scan)
+from conftest import (beta_samples_scan, class_ranks_scan, drawing_segments_scan, gappy_table,
+                      group_pass_scan, segment_bounds_scan, segment_ranks_scan, sorted_rank,
+                      theta_scan)
 
 
 def candidates(t, theta, beta):
@@ -229,9 +230,23 @@ class TestDetermineWeightsAndDelta:
             drew += grid_drew
         assert 0 < drew < 2 * len(DEFAULT_GRID)
 
+    def test_fitted_reports_hold_no_array_per_tuple(self):
+        # the seed-3 input above: a memoized report keeps delta, the flags and
+        # one loss and one normalizer per series, not the residual of each cell
+        table, _ = generate_synthetic(150, 4, 4.0, seed=3, tick=10.0)
+        masked = inject_mcar(table, 0.2, seed=1, target="values")
+        theta = determine_theta(masked)
+        rc = candidates(masked, theta, determine_beta(masked, theta))
+        determine_weights_and_delta(rc, strategy="greedy", seed=3)
+        assert rc.reports
+        for report in rc.reports.values():
+            arrays = [x for x in vars(report).values() if isinstance(x, np.ndarray)]
+            assert len(arrays) == 2 and all(x.size <= rc.table.m for x in arrays)
+
     def test_memo_composes_each_distinct_pass_once(self, monkeypatch):
-        # the seeds-3/4 inputs above; the key here is the dense rank of each
-        # non-isolated candidate's weight within its conflict segment
+        # the seeds-3/4 inputs above; the ranking here is the dense rank of each
+        # non-isolated candidate's weight within its conflict segment, and the
+        # key holds that rank once per (p, d) class present in a segment
         def rank(rc, w):
             return segment_ranks_scan(rc, batch_weights(rc.table, rc.slots, w).tolist())
 
@@ -253,12 +268,14 @@ class TestDetermineWeightsAndDelta:
             keys = {key for key, _ in composed}
             assert len(composed) == len(set(composed)) < len(DEFAULT_GRID) * 4
             assert {key for key, s in composed if s == seed} == keys
-            # every grid point's ranking was composed, and its key is that ranking
+            # every grid point's ranking was composed, and its key ranks the classes
             for k1, k2 in DEFAULT_GRID:
                 params = WeightParams(k1=k1, k2=k2)
                 assert rank(rc, params) in keys
                 key = composers.pass_key("greedy", rc, params)
-                assert key == np.array(rank(rc, params), dtype=np.int32).tobytes()
+                weights = batch_weights(rc.table, rc.slots, params).tolist()
+                assert key == np.array(class_ranks_scan(rc, weights), dtype=np.int32).tobytes()
+                assert len(key) < 4 * rc.visited.size
             assert report.diagnostics["grid_composes"] == len(composed)
             assert report.diagnostics["grid_distinct_passes"] == len(keys) < len(DEFAULT_GRID)
             assert composers.pass_key("expect", rc, WeightParams()) is None
