@@ -76,13 +76,14 @@ class CandidateSet:
 
     ``slots`` is the (N, m) int32 array of slot vectors, one row per
     candidate.  It and the weight-independent state every compose of the set
-    needs (weight terms, isolated mask, cell keys and conflict segments of
-    the visited candidates, their weight classes per segment, the row window
+    needs (the int32 (p, d) weight class of each candidate with each class's
+    p and d, the isolated mask, cell keys and conflict segments of the
+    visited candidates, their weight classes per segment, the row window
     state of ``expect``, fitted reports, and the greedy segment walks, ranks
     and whole passes) are shared by every compose of the set, so the arrays
     are read-only; the state is built on first use and kept, so a run that
     tunes delta on the set and then composes it builds it once.  It holds
-    no Python list.
+    no Python list and no per-candidate weight.
 
     The group pass visits the non-isolated candidates (``visited``) in index
     order.  A conflict segment is a maximal run of them that no cell links
@@ -104,10 +105,32 @@ class CandidateSet:
         return self.slots.shape[0]
 
     @cached_property
-    def weight_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pair counts p and index spreads d, as ``batch_weights`` computes them."""
+    def weight_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (p, d) weight class of each candidate, and each class's p and d.
+
+        A weight reads only the pair count p and the index spread d, so every
+        candidate of a class weighs alike under any ``WeightParams``.  Returns
+        the int32 class id of each candidate, then the C classes' p and d as
+        ``core.weight_terms`` computes them, in ascending (p, d) order: class
+        ids ascend with (p, d).  Both terms are whole numbers, so the int64
+        key p * (d_max + 1) + d orders the candidates by (p, d), and the
+        classes are the runs of equal keys in its stable sort.
+        """
         p, d = weight_terms(self.table, self.slots)
-        return _read_only(p), _read_only(d)
+        key = p.astype(np.int64)
+        key *= int(d.max(initial=0)) + 1
+        key += d.astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        del key
+        ids = np.empty(first.size, dtype=np.int32)
+        ids[order] = np.cumsum(first)
+        ids -= 1
+        # the first candidate of each class in the sort holds its p and d
+        heads = order[first]
+        return _read_only(ids), _read_only(p[heads]), _read_only(d[heads])
 
     def cell_keys(self, rows=slice(None)) -> np.ndarray:
         """The int32 key s * n + r of each cell (series s, row r) of candidates ``rows``;
@@ -122,10 +145,17 @@ class CandidateSet:
 
     @cached_property
     def isolated(self) -> np.ndarray:
-        """Mask of the candidates that share no cell with any other candidate."""
-        keys = self.cell_keys()
-        counts = np.bincount(keys.ravel(), minlength=self.table.m * self.table.n)
-        return _read_only((counts == 1)[keys].all(axis=1))
+        """Mask of the candidates that share no cell with any other candidate.
+
+        A cell is one row of one series, so the rows of each series are
+        counted on their own: one bincount of n entries per series.
+        """
+        n = self.table.n
+        alone = np.ones(len(self), dtype=bool)
+        for k in range(self.table.m):
+            rows = self.slots[:, k]
+            alone &= (np.bincount(rows, minlength=n) == 1)[rows]
+        return _read_only(alone)
 
     @cached_property
     def visited(self) -> np.ndarray:
@@ -186,35 +216,27 @@ class CandidateSet:
         return _read_only(np.searchsorted(self.slot_columns[0], rows))
 
     @cached_property
-    def class_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The weight-term classes (p, d) of the visited candidates, per conflict segment.
+    def class_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``weight_classes`` of the visited candidates, per conflict segment.
 
-        A weight reads only p and d, so every candidate weighs as its class's
-        representative under any ``WeightParams``.  Returns one visited
-        candidate per class, in (p, d) order; the class of each (segment,
-        class) pair present, in (segment, class) order; and the positions of
-        each segment's first pair, then the pair count, so segment j's pairs
-        are ``pair_bounds[j]:pair_bounds[j + 1]``.  The classes are the runs
-        of the visited candidates sorted on (p, d), and the pairs the distinct
-        keys segment * classes + class, found by one sort.
+        Returns the class of each (segment, class) pair present, in (segment,
+        class) order, and the positions of each segment's first pair, then
+        the pair count, so segment j's pairs are
+        ``pair_bounds[j]:pair_bounds[j + 1]``.  The pairs are the distinct
+        keys segment * C + class id of the visited candidates, for C the
+        class count, found by one sort.
         """
-        p, d = self.weight_terms
-        rest = self.visited
-        order = np.lexsort((d[rest], p[rest]))
-        ranked = rest[order]
-        po, do = p[ranked], d[ranked]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (po[1:] != po[:-1]) | (do[1:] != do[:-1])
-        count = max(int(np.count_nonzero(first)), 1)
+        ids, p, _ = self.weight_classes
+        count = max(p.size, 1)
         sizes = np.diff(self.segment_bounds)
         keys = np.repeat(np.arange(sizes.size) * count, sizes)
-        keys[order] += np.cumsum(first) - 1
+        keys += ids[self.visited]
         keys.sort()
         new = np.ones(keys.size, dtype=bool)
         new[1:] = keys[1:] != keys[:-1]
         keys = keys[new]
         pair_bounds = np.searchsorted(keys, np.arange(sizes.size + 1) * count)
-        return _read_only(ranked[first]), _read_only(keys % count), _read_only(pair_bounds)
+        return _read_only(keys % count), _read_only(pair_bounds)
 
     @cached_property
     def reports(self) -> dict:
@@ -237,7 +259,7 @@ class CandidateSet:
     def _ranks(self) -> dict:
         """The within-segment ranks of the ``class_table`` pairs' weights (the
         greedy ``composers.pass_key``), by the int64 bytes of the dense ranks
-        of the class representatives' weights; see ``composers._segment_ranks``.
+        of the ``weight_classes``' weights; see ``composers._segment_ranks``.
         """
         return {}
 

@@ -526,8 +526,8 @@ def _cmd_score(args) -> int:
     truth = evaluation.GroundTruth.same_row(ingest(args.truth))
     lines, slots, cells, sims, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
     _check_rows(args.aligned, lines, slots, cells, sims)
-    precision, recall, f1 = evaluation.pair_accuracy(slots, truth)
     _check_cells(args.aligned, lines, slots, cells, truth.table)
+    precision, recall, f1 = evaluation.pair_accuracy(slots, truth)
     payload = {
         "precision": precision, "recall": recall, "f1": f1,
         "aligned_tuple_count": len(slots),
@@ -633,12 +633,18 @@ def _check_rows(path: str, lines: np.ndarray, slots: np.ndarray, cells: np.ndarr
 
 def _check_cells(path: str, lines: np.ndarray, slots: np.ndarray,
                  cells: np.ndarray, table: SeriesTable) -> None:
-    """DataError naming the first line with a present t/v cell that differs
+    """DataError naming the first line with an index outside the truth
+    table's rows, or else the first with a present t/v cell that differs
     from the truth table's cell at that row's slot.
-
-    The slots must lie inside the table, as ``evaluation.pair_accuracy`` checks.
     """
-    m = table.m
+    m, n = table.m, table.n
+    outside = (slots < 0) | (slots >= n)
+    rows = np.flatnonzero(outside.any(axis=1))
+    if rows.size:
+        r = int(rows[0])
+        k = int(np.flatnonzero(outside[r])[0])
+        raise DataError(f"{path}:{lines[r]}: idx_{k + 1} {slots[r, k] + 1} is outside "
+                        f"the truth's rows 1..{n}")
     got = cells.reshape(-1, m, 2)
     series = np.arange(m)
     want = np.stack([table.timestamps[series, slots], table.values[series, slots]], axis=2)

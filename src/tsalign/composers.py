@@ -25,12 +25,15 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
 dispatches through it.
 
 Cost model of the group pass behind ``greedy`` and ``expect``.  The
-weight-independent state (slot array, weight terms p and d, isolated mask,
-the (V, m) int32 cell keys of the V visited candidates and their conflict
-segments) lives on the ``CandidateSet`` as arrays and is built on its first
-compose, so a run whose tuning grid and final compose share one set builds
-it once.  A pass reads indices, weights and each candidate's cell keys
-through ``memoryview``s, so it holds no list of the candidates it walks.
+weight-independent state (slot array, the int32 (p, d) weight class of each
+candidate with each class's p and d, isolated mask, the (V, m) int32 cell
+keys of the V visited candidates and their conflict segments) lives on the
+``CandidateSet`` as arrays and is built on its first compose, so a run whose
+tuning grid and final compose share one set builds it once.  A compose
+weighs the C classes and gathers each candidate's weight from its class's
+(``_weights``), the one per-candidate weight array it holds.  A pass reads
+indices, weights and each candidate's cell keys through ``memoryview``s, so
+it holds no list of the candidates it walks.
 Isolated candidates, which share no cell with any other, are always chosen
 and never draw from the RNG, so they are added in bulk; the Python loop
 visits only the rest, at O(m) per candidate: used cells are one byte each
@@ -71,7 +74,7 @@ import numpy as np
 from .candidate import CandidateSet, _read_only
 from .consistency import ConsistencyReport, delta_report
 # ``batch_weights`` is kept only for the benchmark's tracer (perfbench/tracing.py),
-# which wraps ``composers.batch_weights``; the composers read the set's weight terms
+# which wraps ``composers.batch_weights``; the composers read the set's weight classes
 from .core import AlignedTuple, ConstraintConfig, WeightParams, batch_weights, combine_weights
 from .errors import ConfigError, SizeError
 
@@ -137,8 +140,10 @@ class Alignment:
         return tuple(map(AlignedTuple, self.slots.tolist()))
 
 
-def _weights(rc: CandidateSet, w: WeightParams) -> list[float]:
-    return combine_weights(*rc.weight_terms, w).tolist()
+def _weights(rc: CandidateSet, w: WeightParams) -> np.ndarray:
+    """The weight of each candidate: its (p, d) class's (``rc.weight_classes``)."""
+    ids, p, d = rc.weight_classes
+    return combine_weights(p, d, w)[ids]
 
 
 def _sum_in_order(xs) -> float:
@@ -207,7 +212,7 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> A
     if k > EXACT_GUARD:
         raise SizeError(f"|R_c| = {k} > {EXACT_GUARD}: exact enumeration refused, "
                         "use setpack/greedy/expect")
-    weights = _weights(rc, w)
+    weights = _weights(rc, w).tolist()
     conflict = _conflict_masks(rc)
     check_delta = math.isfinite(cfg.delta)
 
@@ -253,17 +258,16 @@ def compose_exact(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams) -> A
 def _segment_ranks(rc: CandidateSet, weights: np.ndarray) -> bytes:
     """Dense rank (tied weights share a rank) of the weight of each (segment,
     class) pair of ``rc.class_table`` within its conflict segment, as int32
-    bytes in that table's order.
+    bytes in that table's order, from the C weights of ``rc.weight_classes``.
 
-    Every candidate weighs as the representative of its (p, d) class, so a
-    visited candidate's rank within its segment is its pair's, and
-    weightings that rank the representatives alike, ties included, rank every
-    segment alike.  The ranks are computed once per such class ranking and
-    kept in ``rc._ranks`` under the representatives' dense ranks.
+    Every candidate weighs as its (p, d) class, so a visited candidate's rank
+    within its segment is its pair's, and weightings that rank the classes
+    alike, ties included, rank every segment alike.  The ranks are computed
+    once per such class ranking and kept in ``rc._ranks`` under the classes'
+    dense ranks.
     """
-    reps, classes, bounds = rc.class_table
-    w = weights[reps]
-    ranking = np.searchsorted(_sorted_unique(w), w)
+    classes, bounds = rc.class_table
+    ranking = np.searchsorted(_sorted_unique(weights), weights)
     key = ranking.tobytes()
     ranks = rc._ranks.get(key)
     if ranks is not None:
@@ -283,8 +287,8 @@ def _segment_ranks(rc: CandidateSet, weights: np.ndarray) -> bytes:
     return ranks
 
 
-def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
-                ) -> tuple[np.ndarray, int, int, tuple[int, int]]:
+def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None,
+                ranks: Optional[bytes] = None) -> tuple[np.ndarray, int, int, tuple[int, int]]:
     """One grouped selection scan; returns the chosen indices as a sorted intp
     array, the RNG draws, the segments walked, and the number of groups of two
     or more members with the size of the largest group (1 if all were
@@ -311,19 +315,19 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
     (``rc.segment_bounds``) at a time: a segment's choices depend only on
     its own weights and on the RNG draws it makes.  Without
     ``group_scores`` (``greedy``) the weights are read only through ``max``
-    and ``==`` within a group, so the segments' ranks (``_segment_ranks``)
-    decide the pass.  A walk that drew no tie-break is stored in
-    ``rc.walks`` under (segment index, its ranks) with its group counts,
-    and the first pass under a key stores in ``rc._passes`` its selection
-    and counts without the segments that drew, and their indices.  A walk
-    is deterministic up to its first draw, so a later pass under the key
-    walks just those segments.  A walk that drew is never stored, so every
-    pass makes the same draws in the same order and leaves the RNG as the
-    unsegmented scan would.  ``group_scores`` adds weights into its scores,
-    so with it every segment is walked and nothing is stored.
+    and ``==`` within a group, so the segments' ranks decide the pass;
+    ``ranks`` is then the ``pass_key`` of ``weights``, or None to store
+    nothing.  A walk that drew no tie-break is stored in ``rc.walks`` under
+    (segment index, its ranks) with its group counts, and the first pass
+    under a key stores in ``rc._passes`` its selection and counts without
+    the segments that drew, and their indices.  A walk is deterministic up
+    to its first draw, so a later pass under the key walks just those
+    segments.  A walk that drew is never stored, so every pass makes the
+    same draws in the same order and leaves the RNG as the unsegmented scan
+    would.  ``group_scores`` adds weights into its scores and comes with no
+    ``ranks``: every segment is walked and nothing is stored.
     """
     weights = np.ascontiguousarray(weights, dtype=float)
-    ranks = _segment_ranks(rc, weights) if group_scores is None else None
     whole = None if ranks is None else rc._passes.get(ranks)
     bounds = rc.segment_bounds.tolist()
     if whole is None:
@@ -332,7 +336,7 @@ def _group_pass(rc: CandidateSet, weights, rng: random.Random, group_scores=None
     else:
         base, segments, (kept_multi, kept_largest) = whole
     # a segment's walk is stored under its pairs' slice of the ranks
-    pairs = rc.class_table[2].tolist() if whole is None and ranks is not None else None
+    pairs = rc.class_table[1].tolist() if whole is None and ranks is not None else None
     visit, m = memoryview(rc.visited), rc.table.m
     # memoryviews read the weights as Python floats and a candidate's cell
     # keys as a slice of one flat view, so a walk holds no list of its rows
@@ -445,7 +449,8 @@ def pass_key(strategy: str, rc: CandidateSet, w: WeightParams) -> Optional[bytes
     """
     if strategy != "greedy":
         return None
-    return _segment_ranks(rc, combine_weights(*rc.weight_terms, w))
+    _, p, d = rc.weight_classes
+    return _segment_ranks(rc, combine_weights(p, d, w))
 
 
 def _retry_compose(rc, cfg, w, seed, max_retries, scorer_factory):
@@ -453,15 +458,19 @@ def _retry_compose(rc, cfg, w, seed, max_retries, scorer_factory):
 
     ``scorer_factory(rc, weights)``, if given, returns the ``group_scores``
     hook; it is called once per compose, so its set-up serves every attempt.
+    Without it the passes are ``greedy``'s, under its ``pass_key``.
     """
-    weights = combine_weights(*rc.weight_terms, w)
-    group_scores = scorer_factory(rc, weights) if scorer_factory is not None else None
+    weights = _weights(rc, w)
+    if scorer_factory is None:
+        group_scores, ranks = None, pass_key("greedy", rc, w)
+    else:
+        group_scores, ranks = scorer_factory(rc, weights), None
     attempts = max(1, max_retries)
     best = None
     deltas = ()
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
-        chosen, draws, walked, groups = _group_pass(rc, weights, rng, group_scores)
+        chosen, draws, walked, groups = _group_pass(rc, weights, rng, group_scores, ranks)
         report = _report(rc, chosen)
         deltas += (report.delta,)
         alignment = _finish(chosen, rc, weights, retries_used=attempt,
@@ -585,7 +594,7 @@ def compose_setpacking(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams)
     capped); the best terminal branch satisfying the model constraint wins.
     """
     k = len(rc)
-    weights = _weights(rc, w)
+    weights = _weights(rc, w).tolist()
     m = rc.table.m
     conflict = _conflict_masks(rc)
 

@@ -115,7 +115,7 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     """Pick (k1, k2) minimizing the mean consistency score, and set delta to it.
 
     ``rc`` is the candidate set of the run, generated under the tuned theta
-    and beta; the final compose uses the same set, so the weight terms,
+    and beta; the final compose uses the same set, so the weight classes,
     isolated mask, conflict segments, fitted reports and the stored greedy
     ranks, segment walks and passes are built once for both.  The bias
     terms are fixed at b = c = 1.  Each grid point composes ``runs``

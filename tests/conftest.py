@@ -12,10 +12,10 @@ import pytest
 from tsalign import SeriesTable, WeightParams, composers, tuning
 from tsalign.candidate import CandidateSet, generate_candidates
 from tsalign.composers import (BRANCH_CAP, DEFAULT_MAX_RETRIES, _conflict_masks, _finish,
-                               _retry_compose, _sum_in_order, _weights)
+                               _retry_compose, _sum_in_order)
 from tsalign.consistency import ConsistencyReport, delta_report, fit_model
-from tsalign.core import (AlignedTuple, ConstraintConfig, check_tuple, phi_similarity,
-                          theta_similarity)
+from tsalign.core import (AlignedTuple, ConstraintConfig, batch_weights, check_tuple,
+                          phi_similarity, theta_similarity, weight_terms)
 from tsalign.errors import ConfigError, DataError, SizeError, StructuralError
 from tsalign.evaluation import (GroundTruth, ScoreReport, generate_synthetic, inject_mcar,
                                 score)
@@ -666,7 +666,7 @@ def class_ranks_scan(rc, weights) -> tuple:
     ``segment_bounds_scan`` segment, the (p, d) classes of its candidates in
     ascending order, each with the dense rank (numbered from 0) of its weight
     among the segment's distinct weights."""
-    p, d = (x.tolist() for x in rc.weight_terms)
+    p, d = (x.tolist() for x in weight_terms(rc.table, rc.slots))
     visited = [i for i, alone in enumerate(rc.isolated.tolist()) if not alone]
     bounds = segment_bounds_scan(rc)
     ranks = []
@@ -766,7 +766,7 @@ def setpack_scan(rc, cfg, w):
     dropped; the rest, the BFS over equal-ratio swaps and its cap are the same.
     """
     k = len(rc)
-    weights = _weights(rc, w)
+    weights = batch_weights(rc.table, rc.slots, w).tolist()
     m = rc.table.m
     conflict = _conflict_masks(rc)
 

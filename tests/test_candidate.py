@@ -295,15 +295,16 @@ class TestWorkingSet:
         return generate_candidates(table, ConstraintConfig(
             theta=theta, beta=determine_beta(table, theta)))
 
-    def test_isolated_holds_int32_keys_and_one_count_per_cell(self, long_values_set):
+    def test_isolated_counts_one_series_at_a_time(self, long_values_set):
         rc = replace(long_values_set)  # the same candidates, nothing cached yet
-        (k, m), cells = rc.slots.shape, rc.table.m * rc.table.n
+        k, n = len(rc), rc.table.n
         mask, peak = traced_peak(lambda: rc.isolated)
         assert mask.shape == (k,) and k > 8000
-        # per key: its int32 value, bincount's intp copy of it and its bool
-        # gather; per cell: its intp count.  int64 keys with an int64 gather
-        # of the counts would hold 16 bytes a key and break the bound.
-        assert peak <= 13 * k * m + 8 * cells
+        # per candidate: the mask, bincount's intp copy of one series' slots
+        # and that series' bool gather; per row of one series: its intp count
+        # and its bool.  A bincount over the N * m cell keys of all series at
+        # once holds 8 bytes a key and breaks the bound.
+        assert peak <= 10 * k + 9 * n
 
     def test_pass_state_has_no_list_per_candidate(self, long_values_set):
         rc = replace(long_values_set)  # the same candidates, nothing cached yet
@@ -321,10 +322,20 @@ class TestWorkingSet:
             compose(strategy, rc, rc.config, WeightParams(k1=3, k2=2))
         assert rc.reports and rc.walks
         # the greedy keys hold 4 bytes per (segment, class) pair, not per candidate
-        pairs = rc.class_table[2]
+        pairs = rc.class_table[1]
         assert all(len(ranks) == 4 * (pairs[j + 1] - pairs[j]) for j, ranks in rc.walks)
         assert [len(ranks) for ranks in rc._ranks.values()] == [4 * pairs[-1]]
         assert not [name for name, value in vars(rc).items() if isinstance(value, list)]
+        # the weight state is an int32 class per candidate and a p and d per
+        # class; no array on the set holds a float per candidate
+        ids, p, d = rc.weight_classes
+        assert ids.dtype == np.int32 and ids.shape == (len(rc),)
+        assert ids.nbytes + p.nbytes + d.nbytes <= 4 * len(rc) + 16 * p.size
+        assert p.size < len(rc) / 100
+        arrays = [a for value in vars(rc).values()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+        assert not [a.shape for a in arrays if a.dtype.kind == "f" and a.size >= len(rc)]
 
 
 def test_level_overflowing_int32_is_size_error(monkeypatch, staggered_table):
@@ -352,10 +363,10 @@ def test_split_level_overflowing_int32_is_size_error(monkeypatch):
 def test_cell_keys_overflowing_int32_is_size_error(monkeypatch, staggered_table):
     cfg = ConstraintConfig(theta=25, beta=1)
     rc, visited, exact = (generate_candidates(staggered_table, cfg) for _ in range(3))
-    assert visited.visited.size  # its isolated mask is built before the patch
+    alone = rc.isolated.tolist()
     monkeypatch.setattr(candidate, "INT32_MAX", 5)  # m * n = 6 cells
-    with pytest.raises(SizeError, match="cell keys"):
-        rc.isolated
+    # the isolated mask counts each series' rows on their own, with no cell keys
+    assert visited.isolated.tolist() == alone and visited.visited.size
     with pytest.raises(SizeError, match="cell keys"):
         visited.visited_cells
     with pytest.raises(SizeError, match="cell keys"):
@@ -367,7 +378,7 @@ class TestReadOnly:
 
     def test_candidate_arrays_reject_writes(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
-        for array in (rc.slots, *rc.weight_terms, rc.isolated, *rc.class_table,
+        for array in (rc.slots, *rc.weight_classes, rc.isolated, *rc.class_table,
                       rc.slot_columns, rc.row_starts, rc.visited, rc.visited_cells,
                       rc.segment_bounds):
             with pytest.raises(ValueError, match="read-only"):
@@ -399,7 +410,9 @@ class TestCandidateState:
         rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
         assert rc.slots.shape == (len(rc), table.m) and rc.slots.dtype == np.int32
         tuples = aligned_tuples(rc.slots)
-        p, d = rc.weight_terms
+        ids, class_p, class_d = rc.weight_classes
+        assert ids.dtype == np.int32 and ids.shape == (len(rc),)
+        p, d = class_p[ids], class_d[ids]
         assert p.tolist() == [pair_count(r, table) for r in tuples]
         assert d.tolist() == [index_spread(r) for r in tuples]
         params = WeightParams(k1=3, k2=2)
@@ -408,20 +421,18 @@ class TestCandidateState:
         assert rc.isolated.tolist() == [
             not any(conflicts(r, o) for j, o in enumerate(tuples) if j != i)
             for i, r in enumerate(tuples)]
-        # one representative per (p, d) class of the non-isolated candidates,
-        # in (p, d) order, and the classes present in each conflict segment
-        classes = list(zip(p.tolist(), d.tolist()))
-        reps, pair_classes, pair_bounds = (a.tolist() for a in rc.class_table)
-        assert not rc.isolated[reps].any()
-        assert [classes[i] for i in reps] == sorted(
-            {c for c, alone in zip(classes, rc.isolated) if not alone})
+        # the (p, d) classes present, each once, and their ids ascend in (p, d)
+        # order; then the classes present in each conflict segment
+        classes = list(zip(class_p.tolist(), class_d.tolist()))
+        assert classes == sorted(set(zip(p.tolist(), d.tolist())))
+        pair_classes, pair_bounds = (a.tolist() for a in rc.class_table)
         visited = [i for i, alone in enumerate(rc.isolated.tolist()) if not alone]
         bounds = segment_bounds_scan(rc)
         assert len(pair_bounds) == len(bounds) and pair_bounds[0] == 0
         assert pair_bounds[-1] == len(pair_classes)
         for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            present = [classes[reps[c]] for c in pair_classes[pair_bounds[j]:pair_bounds[j + 1]]]
-            assert present == sorted({classes[i] for i in visited[lo:hi]})
+            present = [classes[c] for c in pair_classes[pair_bounds[j]:pair_bounds[j + 1]]]
+            assert present == sorted({classes[ids[i]] for i in visited[lo:hi]})
         # the row window state of expect
         assert rc.slot_spread == max((max(r.slots) - min(r.slots) for r in tuples), default=0)
         assert rc.slot_columns.flags.c_contiguous

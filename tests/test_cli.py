@@ -1294,6 +1294,24 @@ class TestScoreCommand:
         assert self.score_rows(tmp_path, [rows[0], row] + rows[2:], truth, capsys) == (
             3, None, f"data error: edited.csv:2: {message}\n")
 
+    @pytest.mark.parametrize("index", ["0", "31", "-4"])
+    def test_index_outside_the_truth_names_its_line(self, aligned_rows, tmp_path, capsys,
+                                                     index):
+        # both indices of row 2 set alike keep its phi_sim of 0; the parent
+        # said only "alignment does not fit the truth table".  Line 10's
+        # idx_2, outside too, comes later in the file
+        rows, truth = aligned_rows
+        row = list(rows[1])
+        row[0] = row[3] = index
+        later = list(rows[9])
+        later[3], later[8] = "35", str(35 - int(later[0]))
+        edited = [rows[0], row] + rows[2:9] + [later] + rows[10:]
+        assert self.score_rows(tmp_path, edited, truth, capsys) == (
+            3, None, f"data error: edited.csv:2: idx_1 {index} is outside the truth's "
+                     "rows 1..30\n")
+        assert self.score_rows(tmp_path, rows[:9] + [later] + rows[10:], truth, capsys) == (
+            3, None, "data error: edited.csv:10: idx_2 35 is outside the truth's rows 1..30\n")
+
     def test_row_rules_report_the_first_defect_in_file_order(self, aligned_rows, tmp_path,
                                                                capsys):
         # a repeated row at line 31, and a phi_sim off by one at line 5

@@ -26,7 +26,7 @@ from tsalign import (
 from tsalign import composers
 from tsalign.candidate import CandidateSet
 from tsalign.composers import _expectation_scorer, _group_pass, _sum_in_order, _weights
-from tsalign.core import combine_weights
+from tsalign.core import batch_weights, combine_weights
 from tsalign.tuning import DEFAULT_GRID
 from tsalign.errors import ConfigError
 from conftest import (
@@ -219,6 +219,13 @@ class TestComposeGreedy:
             assert alignment.retries_used == 2
 
 
+def greedy_pass(rc, params, rng):
+    """``_group_pass`` as ``compose_greedy`` runs it under ``params``: with its
+    ``pass_key``, so the pass reads and stores the set's greedy walks."""
+    return _group_pass(rc, _weights(rc, params), rng,
+                       ranks=composers.pass_key("greedy", rc, params))
+
+
 def assert_pass_matches_scan(rc, table, params, seeds=(0, 1, 2, 3)):
     """Greedy and expect scoring: same chosen set, draw count and RNG state as the
     plain scan, whatever greedy walks ``rc`` has stored already.
@@ -229,9 +236,10 @@ def assert_pass_matches_scan(rc, table, params, seeds=(0, 1, 2, 3)):
     segments = len(rc.segment_bounds) - 1
     drawn = 0
     for scorer in (None, _expectation_scorer(rc, weights)):
+        ranks = None if scorer else composers.pass_key("greedy", rc, params)
         for seed in seeds:
             fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
-            chosen, draws, walked, _ = _group_pass(rc, weights, fast_rng, scorer)
+            chosen, draws, walked, _ = _group_pass(rc, weights, fast_rng, scorer, ranks)
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, slow_rng, scorer))
             assert draws == slow_rng.draws
             assert fast_rng.getstate() == slow_rng.getstate()
@@ -291,7 +299,7 @@ class TestGroupPass:
         assert rc.isolated.tolist() == [False, False, True, False]
         params = WeightParams(k1=1, k2=1)
         assert_pass_matches_scan(rc, t, params)
-        chosen, _, _, _ = _group_pass(rc, _weights(rc, params), random.Random(0))
+        chosen, _, _, _ = greedy_pass(rc, params, random.Random(0))
         assert sorted(chosen) in ([0, 2], [1, 2])
 
     def test_empty_and_all_isolated(self, staggered_table, fig_params):
@@ -412,7 +420,7 @@ class TestSegmentedPass:
             for k1, k2 in grid:
                 params = WeightParams(k1=k1, k2=k2)
                 drawn += assert_pass_matches_scan(rc, masked, params, seeds=(seed, seed + 1))
-                walked += _group_pass(rc, _weights(rc, params), random.Random(seed))[2]
+                walked += greedy_pass(rc, params, random.Random(seed))[2]
             assert drawn
             assert walked < segments * len(grid) / 2
 
@@ -440,7 +448,7 @@ class TestSegmentedPass:
                 if greedy:
                     # the first pass walks and stores segments, the second reads them
                     for _ in range(2):
-                        assert _group_pass(rc, weights, random.Random(0))[3] == counts
+                        assert greedy_pass(rc, params, random.Random(0))[3] == counts
 
     def test_tie_drawing_walk_is_not_stored(self):
         # a = (1, 0) and b = (1, 2) share (0, 1) and weigh alike under any
@@ -450,11 +458,12 @@ class TestSegmentedPass:
         slots = [(1, 0), (1, 2), (5, 5), (5, 6), (8, 8)]
         rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
         assert rc.segment_bounds.tolist() == [0, 2, 4]
-        weights = _weights(rc, WeightParams(k1=3, k2=2))
+        params = WeightParams(k1=3, k2=2)
+        weights = _weights(rc, params)
         picks = []
         for seed in (0, 1, 0):
             fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
-            chosen, draws, walked, _ = _group_pass(rc, weights, fast_rng)
+            chosen, draws, walked, _ = greedy_pass(rc, params, fast_rng)
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, slow_rng))
             assert draws == slow_rng.draws == 1
             assert fast_rng.getstate() == slow_rng.getstate()
@@ -475,14 +484,18 @@ class TestSegmentedPass:
         t = SeriesTable(np.tile(np.arange(12.0), (3, 1)), vs)
         slots = [(0, 0, 0), (0, 0, 1), (5, 6, 5), (5, 8, 7), (10, 10, 10)]
         rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=9), t)
-        p, d = rc.weight_terms
-        assert (p.tolist(), d.tolist()) == ([3.0, 3.0, 1.0, 3.0, 3.0], [0.0, 2.0, 2.0, 6.0, 0.0])
+        ids, p, d = rc.weight_classes
+        assert (p[ids].tolist(), d[ids].tolist()) == (
+            [3.0, 3.0, 1.0, 3.0, 3.0], [0.0, 2.0, 2.0, 6.0, 0.0])
+        # the classes (1, 2), (3, 0), (3, 2) and (3, 6), numbered in that order
+        assert ids.tolist() == [1, 2, 0, 3, 1]
         assert rc.segment_bounds.tolist() == [0, 2, 4]
         # (1, 1) walks both segments, (6, 1) only segment 1, (1, 1) again none
         for (k1, k2), picked, walks in (((1, 1), [0, 2, 4], 2), ((6, 1), [0, 3, 4], 1),
                                         ((1, 1), [0, 2, 4], 0)):
-            weights = _weights(rc, WeightParams(k1=k1, k2=k2))
-            chosen, draws, walked, _ = _group_pass(rc, weights, random.Random(0))
+            params = WeightParams(k1=k1, k2=k2)
+            weights = _weights(rc, params)
+            chosen, draws, walked, _ = greedy_pass(rc, params, random.Random(0))
             assert sorted(chosen) == sorted(group_pass_scan(rc, weights, random.Random(0)))
             assert (sorted(chosen), draws, walked) == (picked, 0, walks)
         # the grid composes both rankings: 2 + 1 segment walks, not 2 * 2
@@ -509,6 +522,29 @@ class TestSegmentedPass:
         assert rc.segment_bounds.tolist() == [0, 2, 4, 6]
         return rc
 
+    def test_class_weights_gathered_are_the_batch_weights(self):
+        # random sets, an empty set, an all-isolated set and two synthetic
+        # sets: each candidate's class weight is its weight, bit for bit
+        t = SeriesTable(np.tile(np.arange(6.0), (2, 1)), np.ones((2, 6)))
+        sets = [rc for _, rc, _, _ in collect_instances(30, start_seed=900, max_candidates=16)]
+        sets += [CandidateSet(np.empty((0, 2), dtype=np.int32), ConstraintConfig(1e9, 9), t),
+                 CandidateSet(np.array([(i, i) for i in range(6)]), ConstraintConfig(1e9, 9), t)]
+        assert sets[-1].isolated.all()
+        for seed in (3, 4):
+            table, _ = generate_synthetic(60, 3, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.3, seed=seed, target="both")
+            theta = determine_theta(masked)
+            sets.append(generate_candidates(masked, ConstraintConfig(
+                theta=theta, beta=determine_beta(masked, theta))))
+        assert len(sets[-1]) > 100
+        for rc in sets:
+            ids, p, d = rc.weight_classes
+            for k1, k2 in DEFAULT_GRID:
+                params = WeightParams(k1=k1, k2=k2)
+                want = batch_weights(rc.table, rc.slots, params)
+                assert combine_weights(p, d, params)[ids].tobytes() == want.tobytes()
+                assert _weights(rc, params).tobytes() == want.tobytes()
+
     def test_equal_keys_select_alike(self):
         # random sets, an empty set and an all-isolated set under the whole grid
         ts = np.tile(np.arange(6.0), (2, 1))
@@ -529,7 +565,7 @@ class TestSegmentedPass:
                     for params in grid_points:
                         weights = _weights(rc, params)
                         fast_rng, slow_rng = random.Random(seed), CountingRandom(seed)
-                        chosen, draws, _, _ = _group_pass(rc, weights, fast_rng)
+                        chosen, draws, _, _ = greedy_pass(rc, params, fast_rng)
                         scanned = sorted(group_pass_scan(rc, weights, slow_rng))
                         assert chosen.tolist() == scanned and draws == slow_rng.draws
                         assert fast_rng.getstate() == slow_rng.getstate()
@@ -541,11 +577,10 @@ class TestSegmentedPass:
         # b = (1, 2) outweighs c = (5, 5) at (2, 1) (3 / 2 against 1) and not at
         # (1, 2) (2 / 3 against 1); each segment ranks its members alike
         rc = self.three_segment_set()
-        reps = rc.class_table[0]
-        p, d = rc.weight_terms
+        _, p, d = rc.weight_classes
         rankings = set()
         for k1, k2 in ((2, 1), (1, 2)):
-            w = combine_weights(p[reps], d[reps], WeightParams(k1=k1, k2=k2)).tolist()
+            w = combine_weights(p, d, WeightParams(k1=k1, k2=k2)).tolist()
             rankings.add(tuple(sorted(set(w)).index(x) for x in w))
         assert len(rankings) == 2
         keys = {composers.pass_key("greedy", rc, WeightParams(k1=k1, k2=k2))
@@ -596,7 +631,7 @@ class TestSegmentedPass:
                 theta=theta, beta=determine_beta(masked, theta))))
         shared = split = 0
         for rc in sets:
-            _, classes, pairs = rc.class_table
+            classes, pairs = rc.class_table
             bounds = segment_bounds_scan(rc)
             points, walks = set(), set()
             for k1, k2 in DEFAULT_GRID:
@@ -633,7 +668,7 @@ class TestSegmentedPass:
                 # the multi-member groups of all three segments, every pass
                 assert (alignment.multi_member_groups, alignment.largest_group) == (3, 2)
             fast_rng = random.Random(seed)
-            assert _group_pass(rc, weights, fast_rng)[2] == 1
+            assert greedy_pass(rc, params, fast_rng)[2] == 1
             assert fast_rng.getstate() == slow_rng.getstate()
 
     def test_repeat_pass_counts_the_groups_it_walks(self):
@@ -759,7 +794,7 @@ class TestWindowScorer:
         t = SeriesTable(np.tile(np.arange(float(n)), (2, 1)), np.ones((2, n)))
         slots = [(r, q) for r in range(n) for q in range(max(r - 3, 0), min(r + 4, n))]
         rc = CandidateSet(np.array(slots, dtype=np.int32), ConstraintConfig(theta=1e9, beta=3), t)
-        weights = combine_weights(*rc.weight_terms, WeightParams(k1=1, k2=1))
+        weights = _weights(rc, WeightParams(k1=1, k2=1))
         assert rc.visited.size == len(slots) > 5000
         for name in ("slot_columns", "row_starts", "slot_spread", "visited_cells"):
             getattr(rc, name)

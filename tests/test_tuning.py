@@ -342,8 +342,8 @@ class TestDetermineWeightsAndDelta:
         slots = [(0, 1, 0), (0, 3, 2)] + [(i, i, i) for i in range(4, 12)]
         rc = CandidateSet(np.array(slots), ConstraintConfig(theta=1e9, beta=3),
                           SeriesTable(ts, vs))
-        p, d = rc.weight_terms
-        assert (p[:2].tolist(), d[:2].tolist()) == ([1.0, 3.0], [2.0, 6.0])
+        ids, p, d = rc.weight_classes
+        assert (p[ids[:2]].tolist(), d[ids[:2]].tolist()) == ([1.0, 3.0], [2.0, 6.0])
         assert rc.isolated.tolist() == [False, False] + [True] * 8
         for k1, k2 in ((2, 1), (4, 2), (6, 3)):
             weights = batch_weights(rc.table, rc.slots[:2], WeightParams(k1=k1, k2=k2))
