@@ -1,9 +1,10 @@
 """Candidate tuple generation under the time and position constraints.
 
 Candidates are built level by level, one series at a time, straight into one
-(N, m) int32 slot array.  After level k, every prefix (a slot of each of the
-series 1..k) that still satisfies both constraints is kept, with its row
-range (smin, smax) and the range (tmin, tmax) of its present timestamps.
+(m, N) int32 slot array with one row per series.  After level k, every
+prefix (a slot of each of the series 1..k) that still satisfies both
+constraints is kept, with its row range (smin, smax) and the range (tmin,
+tmax) of its present timestamps.
 A prefix can only be extended by a row of the next series in the window
 
     [max(smax - beta, 0), min(smin + beta, n - 1)],
@@ -24,7 +25,7 @@ parents in that order, and each parent's window rows are ascending, so the
 expansion is already sorted by (parent, row), which is lexicographic order
 of the longer prefixes.  The levels are one recursion over the series: a
 level keeps only each kept row's parent index and slot, hands its kept rows
-to the next series as that level's prefixes, and fills its own column of
+to the next series as that level's prefixes, and fills its own row of
 each piece of candidates that comes back, reading the slots through the
 piece's prefix indices and passing their parents on to the level before.
 
@@ -57,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ConstraintConfig, SeriesTable, weight_terms
+from .core import ConstraintConfig, SeriesTable, adopt, weight_terms
 from .errors import SizeError
 
 INT32_MAX = np.iinfo(np.int32).max
@@ -75,13 +76,20 @@ class CandidateSet:
     """Constraint-feasible tuples in ascending lexicographic slot order.
 
     ``slots`` is the (N, m) int32 array of slot vectors, one row per
-    candidate.  It and the weight-independent state every compose of the set
-    needs (the int32 (p, d) weight class of each candidate with each class's
-    p and d, the isolated mask, cell keys and conflict segments of the
-    visited candidates, their weight classes per segment, the row window
-    state of ``expect``, fitted reports, and the greedy segment walks, ranks
-    and whole passes) are shared by every compose of the set, so the arrays
-    are read-only; the state is built on first use and kept, so a run that
+    candidate, and the transpose of the set's one slot store: ``slots.T``
+    is a C-contiguous (m, N) array, one row per series, since every hot
+    reader of the slots (the weight terms, the isolated mask, the beta
+    scan, ``expect``'s window test) works one series at a time.  The set
+    owns that array: ``__post_init__`` copies whatever it is given into it,
+    so a later write to a caller's array changes nothing here, and
+    ``generate_candidates`` hands over the array it built.  It and the
+    weight-independent state every compose of the set needs (the int32
+    (p, d) weight class of each candidate with each class's p and d, the
+    isolated mask, cell keys and conflict segments of the visited
+    candidates, their weight classes per segment, the row window state of
+    ``expect``, fitted reports, and the greedy segment walks, ranks and
+    whole passes) are shared by every compose of the set, so the arrays are
+    read-only; the state is built on first use and kept, so a run that
     tunes delta on the set and then composes it builds it once.  It holds
     no Python list and no per-candidate weight.
 
@@ -99,7 +107,9 @@ class CandidateSet:
 
     def __post_init__(self):
         slots = np.asarray(self.slots, dtype=np.int32).reshape(-1, self.table.m)
-        object.__setattr__(self, "slots", _read_only(slots))
+        # always a copy: the set never shares memory with a caller's array
+        columns = np.array(slots.T, order="C")
+        object.__setattr__(self, "slots", _read_only(columns).T)
 
     def __len__(self) -> int:
         return self.slots.shape[0]
@@ -138,8 +148,9 @@ class CandidateSet:
         m, n = self.table.m, self.table.n
         if m * n > INT32_MAX:
             raise SizeError(f"{m * n} cells overflow the int32 cell keys")
-        # a slice is a view of the read-only slots: copy it; a gather is a copy already
-        keys = np.require(self.slots[rows], requirements="W")
+        # a slice is a view of the read-only, series-major slots: copy it into
+        # one row per candidate; a gather is such a copy already
+        keys = np.require(self.slots[rows], requirements="CW")
         keys += np.arange(m, dtype=np.int32) * n
         return keys
 
@@ -176,16 +187,18 @@ class CandidateSet:
         ``reach[q]``, the running maximum over positions up to q of the last
         position using any of their cells, equals q.
         """
-        position = np.arange(self.visited.size)
+        # generation caps every level at INT32_MAX rows, so positions fit int32
+        position = np.arange(self.visited.size, dtype=np.int32)
         columns = self.visited_cells.T
-        last = np.zeros(self.table.m * self.table.n, dtype=np.intp)
+        last = np.zeros(self.table.m * self.table.n, dtype=np.int32)
         for keys in columns:
             np.maximum.at(last, keys, position)
         reach = last[columns[0]]
         for keys in columns[1:]:
             np.maximum(reach, last[keys], out=reach)
         np.maximum.accumulate(reach, out=reach)
-        ends = np.flatnonzero(reach == position) + 1
+        ends = np.flatnonzero(reach == position)
+        ends += 1
         return _read_only(np.concatenate(([0], ends)))
 
     @cached_property
@@ -200,11 +213,6 @@ class CandidateSet:
         return int((self.slots.max(axis=1) - self.slots.min(axis=1)).max())
 
     @cached_property
-    def slot_columns(self) -> np.ndarray:
-        """The slots as a contiguous (m, N) array, one row per series."""
-        return _read_only(np.ascontiguousarray(self.slots.T))
-
-    @cached_property
     def row_starts(self) -> np.ndarray:
         """``row_starts[r]``: index of the first candidate whose first slot is >= r.
 
@@ -213,7 +221,7 @@ class CandidateSet:
         in lexicographic order with the first series as the major key.
         """
         rows = np.arange(self.table.n + 1)
-        return _read_only(np.searchsorted(self.slot_columns[0], rows))
+        return _read_only(np.searchsorted(self.slots[:, 0], rows))
 
     @cached_property
     def class_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +282,12 @@ class CandidateSet:
 
 
 def generate_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
-    """All tuples with theta_similarity <= theta and phi_similarity <= beta."""
+    """All tuples with theta_similarity <= theta and phi_similarity <= beta.
+
+    The (m, rows) pieces of ``_extend`` are joined along the candidate axis
+    into one C-contiguous (m, N) array, which the set adopts as its own
+    series-major slot store without a further copy.
+    """
     m, n = t.m, t.n
     theta = cfg.theta
     beta = min(cfg.beta, n)  # a wider window is clipped to the table anyway
@@ -286,9 +299,10 @@ def generate_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
     tmax = np.where(present, ts[0], -np.inf)
     pieces = []
     for index, slots in _extend(ts, theta, beta, 1, smin, smax, tmin, tmax, [0] * m):
-        slots[:, 0] = index
+        slots[0] = index
         pieces.append(slots)
-    return CandidateSet(np.concatenate(pieces), cfg, t)
+    columns = _read_only(np.concatenate(pieces, axis=1))
+    return adopt(CandidateSet, slots=columns.T, config=cfg, table=t)
 
 
 def _extend(ts: np.ndarray, theta: float, beta: int, k: int, smin: np.ndarray,
@@ -296,12 +310,13 @@ def _extend(ts: np.ndarray, theta: float, beta: int, k: int, smin: np.ndarray,
             ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The candidates extending the given prefixes of series 0..k-1, in order.
 
-    Yields pieces (index, slots): ``slots`` is an (N, m) int32 array with
-    the columns of series k..m-1 filled, and ``index[i]`` is the prefix that
-    row i extends.  A level of more than ``SPLIT_ROWS`` expanded rows is
-    split into runs of consecutive prefixes, each extended on its own;
+    Yields pieces (index, slots): ``slots`` is a C-contiguous (m, N) int32
+    array with the rows of series k..m-1 filled, and ``index[i]`` is the
+    prefix that candidate i extends.  A level of more than ``SPLIT_ROWS``
+    expanded rows is split into runs of consecutive prefixes, each extended
+    on its own;
     otherwise the kept rows of series k are the prefixes of the call for
-    series k + 1, and each piece that comes back gets its column k here.
+    series k + 1, and each piece that comes back gets its row k here.
     ``expanded[k]`` counts the rows expanded so far at series k over all
     runs, so a level overflows int32 exactly when it would unsplit too.
     """
@@ -329,8 +344,8 @@ def _extend(ts: np.ndarray, theta: float, beta: int, k: int, smin: np.ndarray,
     keep = ~((x - np.repeat(tmin, widths) > theta) | (np.repeat(tmax, widths) - x > theta))
     parent, row = parent[keep], row[keep]
     if k == m - 1:
-        slots = np.empty((row.size, m), dtype=np.int32)
-        slots[:, k] = row
+        slots = np.empty((m, row.size), dtype=np.int32)
+        slots[k] = row
         yield parent, slots
         return
     x = x[keep]
@@ -341,7 +356,7 @@ def _extend(ts: np.ndarray, theta: float, beta: int, k: int, smin: np.ndarray,
     # the ranges live on in that call only, while it runs
     del keep, widths, lo, x, smin, smax, tmin, tmax
     for index, slots in pieces:
-        slots[:, k] = row[index]
+        slots[k] = row[index]
         yield parent[index], slots
 
 

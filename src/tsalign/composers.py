@@ -18,22 +18,24 @@ pairwise non-conflicting candidates, subject to the model-consistency bound.
   scored in plain Python, O(|W| * (m + |G|)), by looking up the window's
   visited candidates' cells in the group pass's own cell-to-member map; a
   larger one costs O(|G| * |W| * m) in numpy, one equality test of the
-  members against the window.  The window state is cached on the
-  ``CandidateSet``.
+  members against the window, read from the set's own series-major slot
+  store (``rc.slots.T``), in which each series' slots are contiguous.  The
+  window state is cached on the ``CandidateSet``.
 
 ``STRATEGIES`` maps the strategy names to these functions and ``compose``
 dispatches through it.
 
 Cost model of the group pass behind ``greedy`` and ``expect``.  The
-weight-independent state (slot array, the int32 (p, d) weight class of each
-candidate with each class's p and d, isolated mask, the (V, m) int32 cell
-keys of the V visited candidates and their conflict segments) lives on the
-``CandidateSet`` as arrays and is built on its first compose, so a run whose
-tuning grid and final compose share one set builds it once.  A compose
-weighs the C classes and gathers each candidate's weight from its class's
-(``_weights``), the one per-candidate weight array it holds.  A pass reads
-indices, weights and each candidate's cell keys through ``memoryview``s, so
-it holds no list of the candidates it walks.
+weight-independent state (the slots, held once as a read-only series-major
+array that the set owns, the int32 (p, d) weight class of each candidate
+with each class's p and d, isolated mask, the (V, m) int32 cell keys of the
+V visited candidates, one row per candidate, and their conflict segments)
+lives on the ``CandidateSet`` as arrays and is built on its first compose,
+so a run whose tuning grid and final compose share one set builds it once.
+A compose weighs the C classes and gathers each candidate's weight from its
+class's (``_weights``), the one per-candidate weight array it holds.  A
+pass reads indices, weights and each candidate's cell keys through
+``memoryview``s, so it holds no list of the candidates it walks.
 Isolated candidates, which share no cell with any other, are always chosen
 and never draw from the RNG, so they are added in bulk; the Python loop
 visits only the rest, at O(m) per candidate: used cells are one byte each
@@ -195,7 +197,11 @@ def _finish(indices, rc, weights, retries_used=0, exhausted=False, truncated=Fal
     picked = np.asarray(weights, dtype=float)[indices]
     # add.accumulate adds left to right; adding 0.0 last turns a -0.0 total
     # into the 0.0 that ``_sum_in_order``, starting from 0.0, returns
-    total = float(np.add.accumulate(picked, out=picked)[-1]) + 0.0 if picked.size else 0.0
+    with np.errstate(over="ignore"):
+        total = float(np.add.accumulate(picked, out=picked)[-1]) + 0.0 if picked.size else 0.0
+    if not math.isfinite(total):
+        raise ConfigError("the chosen tuple weights sum past the largest float under "
+                          "these k1, k2, b and c")
     return Alignment(chosen, total, report, retries_used=retries_used,
                      exhausted=exhausted, truncated=truncated, tie_breaks=tie_breaks,
                      segment_walks=segment_walks, multi_member_groups=groups[0],
@@ -519,7 +525,7 @@ def _expectation_scorer(rc: CandidateSet, weights: np.ndarray):
     indices, so the visited candidates of W follow ``group[0]``, at ``start``
     in ``rc.visited``, and each one's cell keys are looked up in the pass's
     ``member_bits``; isolated candidates share no cell and add nothing.  A
-    larger group takes one (m, |G|, |W|) equality test on the column-major
+    larger group takes one (m, |G|, |W|) equality test on the series-major
     slots, reduced over the series axis, which tells which members share a
     cell with which window candidates, and its row-wise ``cumsum``.  Both
     add the kept weights one at a time in ascending i, the cumsum's other
@@ -530,7 +536,8 @@ def _expectation_scorer(rc: CandidateSet, weights: np.ndarray):
     w = np.ascontiguousarray(weights, dtype=float)
     # the Python path reads weights, visited indices and cell keys through memoryviews
     weights = memoryview(w)
-    columns = rc.slot_columns
+    # the set's own series-major store: each series' slots are contiguous
+    columns = rc.slots.T
     first = columns[0]
     starts = memoryview(rc.row_starts)
     reach = 2 * rc.slot_spread

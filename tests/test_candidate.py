@@ -286,14 +286,23 @@ class TestWorkingSet:
         assert len(rc) > 20000
         assert peak <= 2 * rc.slots.nbytes + 64 * candidate.SPLIT_ROWS
 
-    @pytest.fixture(scope="class")
-    def long_values_set(self):
-        """The candidate set of the ``long_values`` benchmark input (n=8000, m=4)."""
-        table, _ = generate_synthetic(8000, 4, 4.0, seed=1, tick=10.0)
-        table = inject_mcar(table, 0.2, seed=1, target="values")
+    @staticmethod
+    def tuned_set(n, target):
+        table, _ = generate_synthetic(n, 4, 4.0, seed=1, tick=10.0)
+        table = inject_mcar(table, 0.2, seed=1, target=target)
         theta = determine_theta(table)
         return generate_candidates(table, ConstraintConfig(
             theta=theta, beta=determine_beta(table, theta)))
+
+    @pytest.fixture(scope="class")
+    def long_values_set(self):
+        """The candidate set of the ``long_values`` benchmark input (n=8000, m=4)."""
+        return self.tuned_set(8000, "values")
+
+    @pytest.fixture(scope="class")
+    def dense_expect_set(self):
+        """The candidate set of the ``dense_expect`` benchmark input (n=300, m=4)."""
+        return self.tuned_set(300, "both")
 
     def test_isolated_counts_one_series_at_a_time(self, long_values_set):
         rc = replace(long_values_set)  # the same candidates, nothing cached yet
@@ -306,10 +315,28 @@ class TestWorkingSet:
         # once holds 8 bytes a key and breaks the bound.
         assert peak <= 10 * k + 9 * n
 
+    @pytest.mark.parametrize("name", ["long_values_set", "dense_expect_set"])
+    def test_segment_bounds_hold_int32_positions(self, request, name):
+        rc = replace(request.getfixturevalue(name))  # the same candidates, nothing cached yet
+        rc.visited_cells
+        bounds, peak = traced_peak(lambda: rc.segment_bounds)
+        assert bounds.tolist() == segment_bounds_scan(rc)
+        # per visited candidate: its int32 position and reach, one int32
+        # gather of last positions, the end mask and the intp segment ends;
+        # per cell: its int32 last position.  intp positions, last positions
+        # and reach break the bound.
+        visited = rc.visited.size
+        assert visited > 3000
+        assert peak <= 24 * visited + 4 * rc.table.m * rc.table.n
+
     def test_pass_state_has_no_list_per_candidate(self, long_values_set):
         rc = replace(long_values_set)  # the same candidates, nothing cached yet
         visited = rc.visited.size
         assert visited > 1000
+        # the set's one slot store, one contiguous row per series
+        columns = rc.slots.T
+        assert columns.flags.c_contiguous and not columns.flags.writeable
+        assert columns.shape == (rc.table.m, len(rc)) and columns.dtype == np.int32
         cells, peak = traced_peak(lambda: rc.visited_cells)
         assert cells.dtype == np.int32 and cells.shape == (visited, rc.table.m)
         with pytest.raises(ValueError, match="read-only"):
@@ -332,10 +359,16 @@ class TestWorkingSet:
         assert ids.dtype == np.int32 and ids.shape == (len(rc),)
         assert ids.nbytes + p.nbytes + d.nbytes <= 4 * len(rc) + 16 * p.size
         assert p.size < len(rc) / 100
-        arrays = [a for value in vars(rc).values()
-                  for a in (value if isinstance(value, tuple) else (value,))
-                  if isinstance(a, np.ndarray)]
-        assert not [a.shape for a in arrays if a.dtype.kind == "f" and a.size >= len(rc)]
+        arrays = {(name, j): a for name, value in vars(rc).items()
+                  for j, a in enumerate(value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)}
+        assert not [a.shape for a in arrays.values()
+                    if a.dtype.kind == "f" and a.size >= len(rc)]
+        # the slots are held once: apart from the visited candidates' cell
+        # keys, no cached array is another int32 array of N * m entries
+        size = len(rc) * rc.table.m
+        assert [name for (name, _), a in arrays.items() if name != "slots"
+                and a.dtype == np.int32 and a.size == size] in ([], ["visited_cells"])
 
 
 def test_level_overflowing_int32_is_size_error(monkeypatch, staggered_table):
@@ -378,8 +411,8 @@ class TestReadOnly:
 
     def test_candidate_arrays_reject_writes(self, staggered_table):
         rc = generate_candidates(staggered_table, ConstraintConfig(theta=25, beta=2))
-        for array in (rc.slots, *rc.weight_classes, rc.isolated, *rc.class_table,
-                      rc.slot_columns, rc.row_starts, rc.visited, rc.visited_cells,
+        for array in (rc.slots, rc.slots.T, *rc.weight_classes, rc.isolated,
+                      *rc.class_table, rc.row_starts, rc.visited, rc.visited_cells,
                       rc.segment_bounds):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
@@ -395,6 +428,18 @@ class TestReadOnly:
             with pytest.raises(ValueError, match="read-only"):
                 made.slots[0, 0] = 1
         slots[0, 0] = 1  # the caller's own array stays writeable
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_set_owns_its_slots(self, staggered_table, order):
+        # a later write to the caller's array leaves the set as it was built
+        slots = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int32, order=order)
+        rc = candidate.CandidateSet(slots, ConstraintConfig(theta=25, beta=0), staggered_table)
+        slots[1] = 0
+        assert rc.slots.tolist() == [[0, 0], [1, 1], [2, 2]]
+        assert rc.isolated.tolist() == [True, True, True]
+        assert not np.shares_memory(rc.slots, slots)
+        columns = rc.slots.T
+        assert columns.flags.c_contiguous and not columns.flags.writeable
 
     def test_alignment_slots_reject_writes(self, staggered_table, fig_params):
         cfg = ConstraintConfig(theta=2, beta=0)
@@ -435,8 +480,9 @@ class TestCandidateState:
             assert present == sorted({classes[ids[i]] for i in visited[lo:hi]})
         # the row window state of expect
         assert rc.slot_spread == max((max(r.slots) - min(r.slots) for r in tuples), default=0)
-        assert rc.slot_columns.flags.c_contiguous
-        assert np.array_equal(rc.slot_columns, rc.slots.T)
+        columns = rc.slots.T
+        assert columns.flags.c_contiguous and not columns.flags.writeable
+        assert columns.tolist() == [[r.slots[k] for r in tuples] for k in range(table.m)]
         assert rc.row_starts.tolist() == [sum(r.slots[0] < row for r in tuples)
                                           for row in range(table.n + 1)]
 

@@ -999,6 +999,24 @@ class TestAlign:
         assert code == 2
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--tune-delta"]])
+    def test_total_weight_past_the_largest_float_is_config_error_without_artifacts(
+            self, tmp_path, capsys, flags):
+        # every chosen weight is finite, but their sum overflows to inf, which
+        # neither the CSV nor the JSON report can hold
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--n", "30", "--m", "2", "--rate", "0.2", "--seed", "3",
+                     "--out", str(data)]) == 0
+        out, report = tmp_path / "aligned.csv", tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["align", "--input", str(data), "--theta", "5", "--beta", "1",
+                         "--k1", "1e308", *flags, "--out", str(out), "--report", str(report)])
+        assert code == 2
+        assert not out.exists() and not report.exists()
+        assert not caught
+        assert "weights sum past the largest float" in capsys.readouterr().err
+
     def test_infinite_theta_is_reported_as_null(self, tmp_path):
         data = tmp_path / "data.csv"
         assert main(["synth", "--n", "50", "--m", "3", "--out", str(data)]) == 0

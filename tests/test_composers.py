@@ -796,7 +796,7 @@ class TestWindowScorer:
         rc = CandidateSet(np.array(slots, dtype=np.int32), ConstraintConfig(theta=1e9, beta=3), t)
         weights = _weights(rc, WeightParams(k1=1, k2=1))
         assert rc.visited.size == len(slots) > 5000
-        for name in ("slot_columns", "row_starts", "slot_spread", "visited_cells"):
+        for name in ("row_starts", "slot_spread", "visited_cells"):
             getattr(rc, name)
         tracemalloc.start()
         try:
