@@ -28,15 +28,17 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
+from dataclasses import asdict, replace
 from itertools import chain, islice, repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import composers, evaluation, tuning
-from .candidate import generate_candidates
+from .candidate import CandidateSet, generate_candidates
 from .composers import Alignment
 from .core import (ConstraintConfig, SeriesTable, WeightParams, _check_timestamp_span, adopt,
                    batch_weights)
@@ -168,9 +170,10 @@ def ingest(path: str) -> SeriesTable:
     without the copy and checks of ``SeriesTable(...)``.
     """
     with _csv_blocks(path) as blocks:
-        header = next(blocks, ([[]],))[0][0]
-        if not header:
+        first = next(blocks, None)
+        if first is None:
             raise DataError(f"{path}: empty file")
+        header = first[0][0]  # a blank first record fails the header check
         m, rem = divmod(len(header), 2)
         if rem or m < 2 or [h.strip() for h in header] != _header(m):
             raise DataError(f"{path}: header must be t_1,v_1,...,t_m,v_m with m >= 2")
@@ -292,7 +295,7 @@ def _write_rows(header: list[str], columns: list[np.ndarray], path: str) -> None
     row has at least two cells, so no cell needs quoting.
     """
     n = len(columns[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, BLOCK_ROWS):
             cells = [_format_column(x[start:start + BLOCK_ROWS]) for x in columns]
@@ -321,36 +324,39 @@ def _format_column(x: np.ndarray) -> list[str]:
     return out
 
 
-def run_pipeline(table: SeriesTable, strategy: str, params: WeightParams, *,
-                 theta: Optional[float] = None, beta: Optional[int] = None,
-                 delta: float = math.inf, grid=None, seed: int = 0,
-                 max_retries: int = composers.DEFAULT_MAX_RETRIES,
-                 percentile: float = 95.0, beta_lower: int = 0
-                 ) -> tuple[Alignment, WeightParams, dict]:
-    """The stages ``align`` and ``bench`` share: tune each window not given
-    (theta at ``percentile``), generate, tune delta and (k1, k2) over
-    ``grid`` if given, compose.  Returns the alignment, the weights it was
-    composed under and the report's deterministic fields; the candidate set
-    is freed on return, before the alignment is scored and written."""
+def _configure(table: SeriesTable, strategy: str, params: WeightParams, *,
+               theta: Optional[float] = None, beta: Optional[int] = None,
+               delta: float = math.inf, grid=None, seed: int = 0, percentile: float = 95.0,
+               beta_lower: int = 0) -> tuple[CandidateSet, tuning.TuningReport]:
+    """The stages before the compose, shared by ``align``, ``bench`` and ``tune``: tune each
+    window not given (theta at ``percentile``), generate the candidate set, and tune delta
+    and (k1, k2) over ``grid`` if given.  Returns the set and the configuration to compose
+    it under, which holds ``delta`` and ``params`` as given when there is no grid."""
     theta, beta = tuning.determine_windows(table, theta, beta, percentile=percentile,
                                            beta_lower=beta_lower)
     # the tuning grid and the final compose share this set; each reads delta
     # from the constraint it is given
     rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
-    diagnostics = {}
-    if grid is not None:
-        report = tuning.determine_weights_and_delta(rc, grid=grid, strategy=strategy, seed=seed)
-        delta = report.delta
-        params = WeightParams(k1=report.k1, k2=report.k2, b=params.b, c=params.c)
-        diagnostics = {key: report.diagnostics[key]
-                       for key in ("grid_composes", "grid_distinct_passes", "grid_segment_walks")}
-    cfg = ConstraintConfig(theta=theta, beta=beta, delta=delta)
+    if grid is None:
+        return rc, tuning.TuningReport(replace(rc.config, delta=delta), params)
+    return rc, tuning.determine_weights_and_delta(rc, params, grid=grid, strategy=strategy,
+                                                  seed=seed)
+
+
+def run_pipeline(table: SeriesTable, strategy: str, params: WeightParams, *, seed: int = 0,
+                 max_retries: int = composers.DEFAULT_MAX_RETRIES, **options
+                 ) -> tuple[Alignment, WeightParams, dict]:
+    """The stages of ``align`` and ``bench``: ``_configure``'s under ``options``, then the
+    compose under the configuration it returns.  Returns the alignment, its weights and the
+    report's deterministic fields; the candidate set is freed on return, before scoring."""
+    rc, tuned = _configure(table, strategy, params, seed=seed, **options)
+    cfg, params = tuned.config, tuned.weights
     alignment = composers.compose(strategy, rc, cfg, params, seed=seed, max_retries=max_retries)
     fields = {
         "strategy": strategy,
-        "theta": None if math.isinf(theta) else theta,
-        "beta": beta,
-        "delta": None if math.isinf(delta) else delta,
+        "theta": None if math.isinf(cfg.theta) else cfg.theta,
+        "beta": cfg.beta,
+        "delta": None if math.isinf(cfg.delta) else cfg.delta,
         "k1": params.k1, "k2": params.k2, "b": params.b, "c": params.c,
         "seed": seed,
         "candidate_count": len(rc),
@@ -363,7 +369,9 @@ def run_pipeline(table: SeriesTable, strategy: str, params: WeightParams, *,
         "diagnostics": {"tie_breaks": alignment.tie_breaks,
                         "truncated": alignment.truncated,
                         **_model_flags(alignment.report),
-                        "segments": len(rc.segment_bounds) - 1, **diagnostics,
+                        "segments": len(rc.segment_bounds) - 1,
+                        **{key: count for key, count in tuned.diagnostics.items()
+                           if key.startswith("grid_")},
                         **_group_counts(strategy, alignment),
                         "attempt_deltas": list(alignment.attempt_deltas)},
     }
@@ -393,6 +401,7 @@ def run(args) -> int:
     grid = list(dict.fromkeys(
         (g1 if args.k1 is None else args.k1, g2 if args.k2 is None else args.k2)
         for g1, g2 in tuning.DEFAULT_GRID)) if args.tune_delta else None
+    _check_outputs(args, "out", "report")
     started = time.perf_counter()
     table = ingest(args.input)
     truth_present, truth_s = None, 0.0  # truth_s is left out of wall_time_ms
@@ -458,9 +467,33 @@ def _write_json(payload, path: str) -> str:
     """
     text = json.dumps(payload, indent=2, allow_nan=False)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_output(path) as fh:
             fh.write(text + "\n")
     return text
+
+
+def _open_output(path: str, newline: Optional[str] = None):
+    """``path`` opened for writing UTF-8 text; an OSError is a ConfigError."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_outputs(args, *dests: str) -> None:
+    """ConfigError naming the option unless each output option ``dests`` of ``args``
+    names a file to write, not a directory, in a directory that exists.  An empty
+    ``--out`` is an error; an empty ``--report`` or ``--truth-out`` writes nothing.
+    Each command calls it before it reads or writes a file."""
+    for dest in dests:
+        path, option = getattr(args, dest), "--" + dest.replace("_", "-")
+        if not path:
+            if dest == "out":
+                raise ConfigError(f"{option} must name a file")
+        elif os.path.isdir(path):
+            raise ConfigError(f"{option} {path}: is a directory")
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{option} {path}: no directory {os.path.dirname(path)}")
 
 
 def _add_align_parser(sub) -> None:
@@ -492,25 +525,19 @@ def _cmd_tune(args) -> int:
         raise ConfigError("--k-max must be at least 1")
     if not 0 <= args.percentile <= 100:
         raise ConfigError("--percentile must lie in [0, 100]")
+    _check_outputs(args, "report")
     table = ingest(args.input)
-    theta, beta = tuning.determine_windows(table, percentile=args.percentile,
-                                           beta_lower=args.beta_lower)
-    rc = generate_candidates(table, ConstraintConfig(theta=theta, beta=beta))
     grid = [(k1, k2) for k1 in range(1, args.k_max + 1) for k2 in range(1, args.k_max + 1)]
-    report = tuning.determine_weights_and_delta(
-        rc, grid=grid, strategy=args.strategy, seed=args.seed)
-    payload = {
-        "theta": report.theta, "beta": report.beta, "delta": report.delta,
-        "k1": report.k1, "k2": report.k2, "b": report.b, "c": report.c,
-        "diagnostics": report.diagnostics,
-    }
-    _write_json(payload, args.report)
-    print(f"theta={report.theta} beta={report.beta} delta={report.delta} "
-          f"k1={report.k1} k2={report.k2}")
+    _, report = _configure(table, args.strategy, WeightParams(), grid=grid, seed=args.seed,
+                           percentile=args.percentile, beta_lower=args.beta_lower)
+    payload = {**asdict(report.config), **asdict(report.weights)}
+    _write_json({**payload, "diagnostics": report.diagnostics}, args.report)
+    print(" ".join(f"{key}={payload[key]}" for key in ("theta", "beta", "delta", "k1", "k2")))
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
+    _check_outputs(args, "out", "truth_out")
     table, truth = evaluation.generate_synthetic(
         args.n, args.m, args.jitter, value_model=args.value_model,
         seed=args.seed, tick=args.tick)
@@ -523,6 +550,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    _check_outputs(args, "report")
     truth = evaluation.GroundTruth.same_row(ingest(args.truth))
     lines, slots, cells, sims, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
     _check_rows(args.aligned, lines, slots, cells, sims)
@@ -683,6 +711,7 @@ def _cmd_bench(args) -> int:
         evaluation.check_mcar(rate)
     ConstraintConfig(theta=0.0 if args.theta is None else args.theta,
                      beta=0 if args.beta is None else args.beta)
+    _check_outputs(args, "report")
     rows, summary = [], []
     for strategy in args.strategies:
         previous = {}  # rate -> median wall time at the previous size

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,15 +19,11 @@ DEFAULT_GRID = tuple((k1, k2) for k1 in range(1, 7) for k2 in range(1, 7))
 
 @dataclass(frozen=True)
 class TuningReport:
-    """Determined thresholds and weight factors, with the grid diagnostics."""
+    """The configuration a run composes under: ``config`` holds the tuned delta, ``weights``
+    the tuned k1 and k2 and the run's b and c; with the grid diagnostics."""
 
-    theta: float
-    beta: int
-    delta: float
-    k1: float
-    k2: float
-    b: float = 1.0
-    c: float = 1.0
+    config: ConstraintConfig
+    weights: WeightParams
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -110,18 +106,22 @@ def determine_windows(t: SeriesTable, theta: float | None = None, beta: int | No
     return theta, beta
 
 
-def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: str = "greedy",
+def determine_weights_and_delta(rc: CandidateSet, params: WeightParams = WeightParams(),
+                                grid=DEFAULT_GRID, strategy: str = "greedy",
                                 seed: int = 0, runs: int = 4) -> TuningReport:
     """Pick (k1, k2) minimizing the mean consistency score, and set delta to it.
 
     ``rc`` is the candidate set of the run, generated under the tuned theta
     and beta; the final compose uses the same set, so the weight classes,
     isolated mask, conflict segments, fitted reports and the stored greedy
-    ranks, segment walks and passes are built once for both.  The bias
-    terms are fixed at b = c = 1.  Each grid point composes ``runs``
-    alignments with an unbounded model constraint and derived seeds; the
-    point with the smallest mean score wins (ties toward the smaller pair)
-    and that mean becomes delta.
+    ranks, segment walks and passes are built once for both.  Each grid
+    point weighs as ``params`` with the point's k1 and k2, so b and c are
+    the run's.  It composes ``runs`` alignments with an unbounded model
+    constraint and seeds seed, seed + 1, ...; the point with the smallest
+    mean score wins (ties toward the smaller pair) and that mean becomes
+    delta.  A final compose under the returned ``config`` and ``weights``
+    with the same seed tries these seeds first, so given ``runs`` attempts
+    one of them holds delta: the least of the deltas is at most their mean.
 
     Seeds only break weight ties, so when the first run of a grid point
     draws no tie-break every seed selects the same, and its delta stands for
@@ -146,22 +146,21 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     grid = list(grid)
     if not grid:
         raise ConfigError("empty (k1, k2) grid")
-    theta, beta = rc.config.theta, rc.config.beta
-    cfg = ConstraintConfig(theta=theta, beta=beta, delta=math.inf)
+    cfg = replace(rc.config, delta=math.inf)
 
     memo: dict[bytes, list[float]] = {}
     composes = passes = walks = 0
     rows = []
     best = None
     for k1, k2 in grid:
-        params = WeightParams(k1=k1, k2=k2, b=1.0, c=1.0)
-        memo_key = composers.pass_key(strategy, rc, params)
+        point = replace(params, k1=k1, k2=k2)
+        memo_key = composers.pass_key(strategy, rc, point)
         deltas = memo.get(memo_key)  # None for a strategy without a key
         if deltas is None:
             passes += 1
             deltas = []
             for i in range(runs):
-                alignment = composers.compose(strategy, rc, cfg, params, seed=seed + i)
+                alignment = composers.compose(strategy, rc, cfg, point, seed=seed + i)
                 composes += 1
                 walks += alignment.segment_walks
                 if i == 0 and alignment.tie_breaks == 0:
@@ -179,7 +178,8 @@ def determine_weights_and_delta(rc: CandidateSet, grid=DEFAULT_GRID, strategy: s
     if best is None or not math.isfinite(best[0]):
         raise ConfigError("composer produced no usable alignment on any grid point")
     delta_bar, k1, k2 = best
-    return TuningReport(theta=theta, beta=beta, delta=delta_bar, k1=float(k1), k2=float(k2),
+    return TuningReport(replace(cfg, delta=delta_bar),
+                        replace(params, k1=float(k1), k2=float(k2)),
                         diagnostics={"delta_grid": rows, "strategy": strategy,
                                      "runs": runs, "seed": seed, "grid_composes": composes,
                                      "grid_distinct_passes": passes,

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 import weakref
 from contextlib import contextmanager, nullcontext
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from tsalign import cli
 from tsalign.cli import BLOCK_ROWS, ingest, main, write_alignment_csv, write_table
 from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import GroundTruth, generate_synthetic, inject_mcar
-from tsalign.tuning import determine_beta, determine_theta
+from tsalign.tuning import DEFAULT_GRID, determine_beta, determine_theta
 from conftest import (assert_same_table, benchmark_scan, check_rows_scan, csv_lines, gappy_table,
                       ingest_scan, random_table, read_alignment_scan, write_alignment_scan,
                       write_table_scan)
@@ -111,6 +112,11 @@ class TestIngest:
         path = write_csv(tmp_path / "t.csv", "time,value\n0,1\n")
         with pytest.raises(DataError, match="header"):
             ingest(path)
+
+    @pytest.mark.parametrize("text", ["\n", "\nt_1,v_1,t_2,v_2\n0,1,0,1\n"])
+    def test_blank_first_record_is_a_bad_header(self, tmp_path, text):
+        with pytest.raises(DataError, match="t.csv: header must be t_1,v_1,...,t_m,v_m"):
+            ingest(write_csv(tmp_path / "t.csv", text))
 
     def test_ragged_row_with_line_number(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "t_1,v_1,t_2,v_2\n0,1,0\n")
@@ -800,6 +806,23 @@ class TestAlign:
         assert metrics["diagnostics"]["attempt_deltas"] == expected
         assert metrics["delta_score"] == min(expected)
 
+    @pytest.mark.parametrize("strategy", ["greedy", "expect"])
+    def test_tuned_delta_holds_within_the_grids_seeds_under_any_bias(self, strategy):
+        # the grid composes under the run's b and c, so the final compose's
+        # first four attempts repeat the winning point's four seeds, and the
+        # least of their deltas is at most their mean, the tuned delta
+        for seed in (4, 5):
+            table, _ = generate_synthetic(150, 4, 4.0, seed=seed, tick=10.0)
+            masked = inject_mcar(table, 0.2, seed=1, target="values")
+            for b in (0.5, 1.0, 50.0):
+                for c in (0.1, 1.0, 40.0):
+                    _, params, fields = cli.run_pipeline(
+                        masked, strategy, WeightParams(b=b, c=c), grid=DEFAULT_GRID,
+                        seed=seed, max_retries=4)
+                    assert (params.b, params.c, fields["b"], fields["c"]) == (b, c, b, c)
+                    assert not fields["exhausted"] and fields["retries_used"] <= 3, (seed, b, c)
+                    assert fields["delta_score"] <= fields["delta"]
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["align", "--input", str(tmp_path / "nope.csv"),
                      "--theta", "1", "--beta", "1"]) == 3
@@ -899,8 +922,8 @@ class TestAlign:
         tuned = determine_weights_and_delta(rc, grid=grid, strategy="greedy")
         metrics = json.loads(report.read_text())
         assert {key: metrics[key] for key in given} == given
-        assert (metrics["k1"], metrics["k2"], metrics["delta"]) == (tuned.k1, tuned.k2,
-                                                                     tuned.delta)
+        assert (metrics["k1"], metrics["k2"], metrics["delta"]) == (
+            tuned.weights.k1, tuned.weights.k2, tuned.config.delta)
         assert metrics["diagnostics"]["grid_composes"] == tuned.diagnostics["grid_composes"]
 
     def test_report_diagnostics(self, tmp_path):
@@ -919,7 +942,7 @@ class TestAlign:
         tie_breaks = []
         for tune, delta, params, counts in (
                 (False, math.inf, WeightParams(k1=1, k2=1), {}),
-                (True, tuned.delta, WeightParams(k1=tuned.k1, k2=tuned.k2), grid)):
+                (True, tuned.config.delta, tuned.weights, grid)):
             main(["align", "--input", str(data), "--strategy", "greedy", "--seed", "2",
                   "--theta", "8", "--beta", "2", *(["--tune-delta"] if tune else []),
                   "--out", str(tmp_path / "a.csv"), "--report", str(report)])
@@ -1094,6 +1117,90 @@ class TestOptionsCheckedFirst:
     ])
     def test_tune(self, run, flags, message):
         assert run(["tune", *flags]) == (2, f"config error: {message}\n")
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 naming its option, before
+    any input is read and with nothing written."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the command read an input or started a run")
+
+        for module, name in ((cli, "ingest"), (cli.evaluation, "generate_synthetic")):
+            monkeypatch.setattr(module, name, must_not_run)
+        (tmp_path / "folder").mkdir()
+        bad = {"missing": (str(tmp_path / "missing" / "x.json"),
+                           f"no directory {tmp_path / 'missing'}"),
+               "folder": (str(tmp_path / "folder"), "is a directory")}
+
+        def run(argv, option, kind):
+            path, message = bad[kind]
+            capsys.readouterr()
+            assert main([a.replace("BAD", path) for a in argv]) == 2
+            assert capsys.readouterr().err == f"config error: {option} {path}: {message}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+
+        return run
+
+    @pytest.mark.parametrize("kind", ["missing", "folder"])
+    @pytest.mark.parametrize("option", ["--out", "--report"])
+    def test_align(self, run, tmp_path, option, kind):
+        outputs = {"--out": str(tmp_path / "a.csv"), "--report": str(tmp_path / "r.json"),
+                   option: "BAD"}
+        run(["align", "--input", "data.csv", "--theta", "3", "--beta", "1",
+             *chain.from_iterable(outputs.items())], option, kind)
+
+    @pytest.mark.parametrize("kind", ["missing", "folder"])
+    def test_tune(self, run, kind):
+        run(["tune", "--input", "data.csv", "--report", "BAD"], "--report", kind)
+
+    @pytest.mark.parametrize("kind", ["missing", "folder"])
+    def test_score(self, run, kind):
+        run(["score", "--aligned", "a.csv", "--truth", "t.csv", "--report", "BAD"],
+            "--report", kind)
+
+    @pytest.mark.parametrize("kind", ["missing", "folder"])
+    @pytest.mark.parametrize("option", ["--out", "--truth-out"])
+    def test_synth(self, run, tmp_path, option, kind):
+        outputs = {"--out": str(tmp_path / "d.csv"), "--truth-out": str(tmp_path / "t.csv"),
+                   option: "BAD"}
+        run(["synth", "--n", "20", *chain.from_iterable(outputs.items())], option, kind)
+
+    @pytest.mark.parametrize("kind", ["missing", "folder"])
+    def test_bench(self, run, kind):
+        run(["bench", "--n", "40", "--seeds", "1", "--rates", "0.1", "--report", "BAD"],
+            "--report", kind)
+
+    @pytest.mark.parametrize("command", ["align", "synth"])
+    def test_empty_out_is_config_error(self, tmp_path, capsys, command):
+        argv = (["align", "--input", "data.csv", "--theta", "3", "--beta", "1",
+                 "--report", str(tmp_path / "r.json")] if command == "align" else ["synth"])
+        assert main([*argv, "--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: --out must name a file\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_empty_report_writes_none(self, small_files, tmp_path):
+        data, truth = small_files
+        aligned = tmp_path / "a.csv"
+        for argv in (["align", "--input", str(data), "--theta", "3", "--beta", "1",
+                      "--out", str(aligned)],
+                     ["tune", "--input", str(data), "--k-max", "2"],
+                     ["score", "--aligned", str(aligned), "--truth", str(truth)]):
+            assert main([*argv, "--report", ""]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "data.csv", "truth.csv"]
+
+    def test_output_that_cannot_be_opened_is_config_error(self, small_files, tmp_path, capsys):
+        # a name past the file system's limit passes the checks made before
+        # the run and fails only when the file is opened
+        data, _ = small_files
+        out, report = tmp_path / ("x" * 300 + ".csv"), tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["align", "--input", str(data), "--theta", "3", "--beta", "1",
+                     "--out", str(out), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {out}: File name too long\n"
+        assert not report.exists()
 
 
 class TestSynth:
@@ -1701,6 +1808,6 @@ class TestTune:
             rc, grid=[(k1, k2) for k1 in range(1, 4) for k2 in range(1, 4)],
             strategy="greedy", seed=1)
         assert json.loads(report.read_text()) == json.loads(json.dumps({
-            "theta": tuned.theta, "beta": tuned.beta, "delta": tuned.delta,
-            "k1": tuned.k1, "k2": tuned.k2, "b": tuned.b, "c": tuned.c,
-            "diagnostics": tuned.diagnostics}))
+            "theta": tuned.config.theta, "beta": tuned.config.beta,
+            "delta": tuned.config.delta, "k1": tuned.weights.k1, "k2": tuned.weights.k2,
+            "b": tuned.weights.b, "c": tuned.weights.c, "diagnostics": tuned.diagnostics}))

@@ -33,8 +33,9 @@ def candidates(t, theta, beta):
     return generate_candidates(t, ConstraintConfig(theta=theta, beta=beta))
 
 
-def grid_by_fresh_composes(rc, strategy, seed, runs):
-    """Oracle for the tuning grid: every grid point and seed scanned, every report fitted anew.
+def grid_by_fresh_composes(rc, strategy, seed, runs, params=WeightParams()):
+    """Oracle for the tuning grid: every grid point and seed scanned, every report fitted anew,
+    each point weighing as ``params`` with its k1 and k2.
 
     Only ``rc.slots`` and ``rc.table`` are read, none of the set's cached
     state.  Returns the delta_grid rows, the winning (delta_bar, k1, k2), and
@@ -43,7 +44,8 @@ def grid_by_fresh_composes(rc, strategy, seed, runs):
     t, slots = rc.table, rc.slots
     rows, drew = [], 0
     for k1, k2 in DEFAULT_GRID:
-        weights = batch_weights(t, slots, WeightParams(k1=k1, k2=k2)).tolist()
+        point = WeightParams(k1=k1, k2=k2, b=params.b, c=params.c)
+        weights = batch_weights(t, slots, point).tolist()
         scorer = _expectation_scorer(rc, weights) if strategy == "expect" else None
         deltas = []
         for i in range(runs):
@@ -185,9 +187,9 @@ class TestDetermineWeightsAndDelta:
         table, _ = generate_synthetic(30, 2, 1.0, seed=2)
         report = determine_weights_and_delta(candidates(table, theta=3.0, beta=1),
                                              grid=[(3, 2)], strategy="greedy", seed=0)
-        assert (report.k1, report.k2) == (3.0, 2.0)
-        assert report.b == 1.0 and report.c == 1.0
-        assert report.delta == report.diagnostics["delta_grid"][0]["delta_bar"]
+        assert (report.weights.k1, report.weights.k2) == (3.0, 2.0)
+        assert report.weights.b == 1.0 and report.weights.c == 1.0
+        assert report.config.delta == report.diagnostics["delta_grid"][0]["delta_bar"]
 
     def test_argmin_selection(self):
         table, _ = generate_synthetic(40, 2, 1.0, seed=3)
@@ -196,9 +198,9 @@ class TestDetermineWeightsAndDelta:
                                              strategy="greedy", seed=1)
         grid_rows = report.diagnostics["delta_grid"]
         best = min(r["delta_bar"] for r in grid_rows)
-        assert report.delta == best
+        assert report.config.delta == best
         winner = [r for r in grid_rows if r["delta_bar"] == best][0]
-        assert (report.k1, report.k2) == (winner["k1"], winner["k2"])
+        assert (report.weights.k1, report.weights.k2) == (winner["k1"], winner["k2"])
 
     def test_lexicographic_tie_break(self):
         # zero jitter + beta 0 leaves only conflict-free diagonal candidates, so
@@ -209,7 +211,7 @@ class TestDetermineWeightsAndDelta:
                                              strategy="greedy", seed=0)
         deltas = {r["delta_bar"] for r in report.diagnostics["delta_grid"]}
         assert len(deltas) == 1
-        assert (report.k1, report.k2) == (1.0, 6.0)
+        assert (report.weights.k1, report.weights.k2) == (1.0, 6.0)
 
     @pytest.mark.parametrize("strategy", ["greedy", "expect"])
     def test_matches_fresh_composes_of_every_grid_point(self, strategy):
@@ -226,9 +228,27 @@ class TestDetermineWeightsAndDelta:
             rows, best, grid_drew = grid_by_fresh_composes(candidates(masked, theta, beta),
                                                            strategy, seed, runs=4)
             assert report.diagnostics["delta_grid"] == rows
-            assert (report.delta, report.k1, report.k2) == best
+            assert (report.config.delta, report.weights.k1, report.weights.k2) == best
             drew += grid_drew
         assert 0 < drew < 2 * len(DEFAULT_GRID)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "expect"])
+    def test_grid_weighs_under_the_given_bias_terms(self, strategy):
+        # the seed-4 input above, whose grid picks another point under these
+        # b and c than under b = c = 1
+        table, _ = generate_synthetic(150, 4, 4.0, seed=4, tick=10.0)
+        masked = inject_mcar(table, 0.2, seed=1, target="values")
+        theta = determine_theta(masked)
+        beta = determine_beta(masked, theta)
+        for params in (WeightParams(b=50.0, c=1.0), WeightParams(b=0.5, c=0.1)):
+            report = determine_weights_and_delta(candidates(masked, theta, beta), params,
+                                                 strategy=strategy, seed=4)
+            rows, best, _ = grid_by_fresh_composes(candidates(masked, theta, beta), strategy, 4,
+                                                   runs=4, params=params)
+            assert report.diagnostics["delta_grid"] == rows
+            assert (report.config.delta, report.weights.k1, report.weights.k2) == best
+            assert (report.config.theta, report.config.beta) == (theta, beta)
+            assert (report.weights.b, report.weights.c) == (params.b, params.c)
 
     def test_fitted_reports_hold_no_array_per_tuple(self):
         # the seed-3 input above: a memoized report keeps delta, the flags and
@@ -351,7 +371,7 @@ class TestDetermineWeightsAndDelta:
         report = determine_weights_and_delta(rc, strategy="greedy", seed=0)
         rows, best, drew = grid_by_fresh_composes(rc, "greedy", 0, runs=4)
         assert report.diagnostics["delta_grid"] == rows
-        assert (report.delta, report.k1, report.k2) == best
+        assert (report.config.delta, report.weights.k1, report.weights.k2) == best
         assert drew == 3
         # A only, B only, and the seeds' mix of both at the tied points
         assert len({row["delta_bar"] for row in rows}) == 3
@@ -369,7 +389,7 @@ class TestDetermineWeightsAndDelta:
         beta = determine_beta(table, theta, beta_lower=0)
         report = determine_weights_and_delta(candidates(table, theta, beta),
                                              strategy="greedy", seed=0, runs=2)
-        assert math.isfinite(report.delta)
-        assert report.delta > 0
+        assert math.isfinite(report.config.delta)
+        assert report.config.delta > 0
         # frozen baseline from the first run of this configuration
-        assert report.delta == pytest.approx(0.10886527869442479, rel=1e-6)
+        assert report.config.delta == pytest.approx(0.10886527869442479, rel=1e-6)
