@@ -23,16 +23,18 @@ The output is in ascending lexicographic slot order with no duplicates: the
 prefixes of a level are in lexicographic order, ``np.repeat`` keeps the
 parents in that order, and each parent's window rows are ascending, so the
 expansion is already sorted by (parent, row), which is lexicographic order
-of the longer prefixes.  The levels are one recursion over the series: a
-level keeps only each kept row's parent index and slot, hands its kept rows
-to the next series as that level's prefixes, and fills its own row of
-each piece of candidates that comes back, reading the slots through the
-piece's prefix indices and passing their parents on to the level before.
+of the longer prefixes.  The levels are one recursion over the series,
+started from one empty prefix whose window is every row (smin = n - 1,
+smax = 0) and whose timestamp range is empty (tmin = +inf, tmax = -inf), so
+the first series is a level like any other: a level keeps only each kept
+row's parent index and slot, hands its kept rows to the next series as
+that level's prefixes, and fills its own row of each piece of candidates
+that comes back, reading the slots through the piece's prefix indices and
+passing their parents on to the level before.
 
 A level of more than ``SPLIT_ROWS`` expanded rows is split into runs of
 consecutive prefixes, each extended to the last series on its own before
-the next run; the first level, over every row of the first series, is
-split like any other.  A run yields the candidates that
+the next run.  A run yields the candidates that
 extend its prefixes, in order, and the runs are taken in order, so the
 pieces come out in lexicographic order and their concatenation is the slot
 array of the unsplit levels, row for row.  The rows a level expands are
@@ -59,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ConstraintConfig, SeriesTable, adopt, weight_terms
-from .errors import SizeError
+from .errors import SizeError, StructuralError
 
 INT32_MAX = np.iinfo(np.int32).max
 # a level of more expanded rows is split into runs of consecutive prefixes
@@ -69,6 +71,18 @@ SPLIT_ROWS = 1 << 15
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending; ``np.searchsorted`` into them
+    numbers each value of ``x`` by its rank among them."""
+    # np.unique would do, but its first call pages in about 2 MB of numpy code;
+    # equal values share a rank whichever of them is kept, so the sort need not
+    # be stable
+    x = np.sort(x)
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
 
 
 @dataclass(frozen=True)
@@ -82,7 +96,10 @@ class CandidateSet:
     scan, ``expect``'s window test) works one series at a time.  The set
     owns that array: ``__post_init__`` copies whatever it is given into it,
     so a later write to a caller's array changes nothing here, and
-    ``generate_candidates`` hands over the array it built.  It and the
+    ``generate_candidates`` hands over the array it built.  Every reader of
+    the order (``row_starts``, ``expect``'s window, the sorted selections)
+    relies on it, so ``__post_init__`` raises ``StructuralError`` at the
+    first row that is not above the one before it.  It and the
     weight-independent state every compose of the set needs (the int32
     (p, d) weight class of each candidate with each class's p and d, the
     isolated mask, cell keys and conflict segments of the visited
@@ -109,6 +126,15 @@ class CandidateSet:
         slots = np.asarray(self.slots, dtype=np.int32).reshape(-1, self.table.m)
         # always a copy: the set never shares memory with a caller's array
         columns = np.array(slots.T, order="C")
+        # a row is above the one before it where they first differ
+        above = np.zeros(max(len(slots) - 1, 0), dtype=bool)
+        for rows in columns[::-1]:
+            above = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & above)
+        if not above.all():
+            i = int(np.argmin(above)) + 1
+            raise StructuralError(f"candidate {i} {slots[i].tolist()} is not above candidate "
+                                  f"{i - 1} {slots[i - 1].tolist()}: the slots must be in "
+                                  "strictly ascending lexicographic order")
         object.__setattr__(self, "slots", _read_only(columns).T)
 
     def __len__(self) -> int:
@@ -123,24 +149,22 @@ class CandidateSet:
         the int32 class id of each candidate, then the C classes' p and d as
         ``core.weight_terms`` computes them, in ascending (p, d) order: class
         ids ascend with (p, d).  Both terms are whole numbers, so the int64
-        key p * (d_max + 1) + d orders the candidates by (p, d), and the
-        classes are the runs of equal keys in its stable sort.
+        key p * (d_max + 1) + d orders the candidates by (p, d); a class id
+        is its key's position among the distinct keys, found by
+        ``np.searchsorted``, and every member of a class holds its p and d.
         """
         p, d = weight_terms(self.table, self.slots)
         key = p.astype(np.int64)
         key *= int(d.max(initial=0)) + 1
         key += d.astype(np.int64)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
+        classes = _sorted_unique(key)
+        ids = np.searchsorted(classes, key).astype(np.int32)
         del key
-        ids = np.empty(first.size, dtype=np.int32)
-        ids[order] = np.cumsum(first)
-        ids -= 1
-        # the first candidate of each class in the sort holds its p and d
-        heads = order[first]
-        return _read_only(ids), _read_only(p[heads]), _read_only(d[heads])
+        # any one member of a class gives its p and d
+        class_p, class_d = np.empty(classes.size), np.empty(classes.size)
+        class_p[ids] = p
+        class_d[ids] = d
+        return _read_only(ids), _read_only(class_p), _read_only(class_d)
 
     def cell_keys(self, rows=slice(None)) -> np.ndarray:
         """The int32 key s * n + r of each cell (series s, row r) of candidates ``rows``;
@@ -284,23 +308,17 @@ class CandidateSet:
 def generate_candidates(t: SeriesTable, cfg: ConstraintConfig) -> CandidateSet:
     """All tuples with theta_similarity <= theta and phi_similarity <= beta.
 
-    The (m, rows) pieces of ``_extend`` are joined along the candidate axis
-    into one C-contiguous (m, N) array, which the set adopts as its own
-    series-major slot store without a further copy.
+    ``_extend`` is called once, at the first series, from the empty prefix,
+    and its (m, rows) pieces are joined along the candidate axis into one
+    C-contiguous (m, N) array, which the set adopts as its own series-major
+    slot store without a further copy.
     """
-    m, n = t.m, t.n
-    theta = cfg.theta
+    n = t.n
     beta = min(cfg.beta, n)  # a wider window is clipped to the table anyway
-    ts = t.timestamps
-    # the prefixes of the first series: every row, with its timestamp as the range
-    smin = smax = np.arange(n, dtype=np.int32)
-    present = ~np.isnan(ts[0])
-    tmin = np.where(present, ts[0], np.inf)
-    tmax = np.where(present, ts[0], -np.inf)
-    pieces = []
-    for index, slots in _extend(ts, theta, beta, 1, smin, smax, tmin, tmax, [0] * m):
-        slots[0] = index
-        pieces.append(slots)
+    # one empty prefix: its window is every row and its timestamp range is empty
+    pieces = [slots for _, slots in _extend(
+        t.timestamps, cfg.theta, beta, 0, np.array([n - 1], dtype=np.int32),
+        np.zeros(1, dtype=np.int32), np.array([np.inf]), np.array([-np.inf]), [0] * t.m)]
     columns = _read_only(np.concatenate(pieces, axis=1))
     return adopt(CandidateSet, slots=columns.T, config=cfg, table=t)
 

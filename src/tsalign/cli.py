@@ -38,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import composers, evaluation, tuning
-from .candidate import CandidateSet, generate_candidates
+from .candidate import CandidateSet, _sorted_unique, generate_candidates
 from .composers import Alignment
 from .core import (ConstraintConfig, SeriesTable, WeightParams, _check_timestamp_span, adopt,
                    batch_weights)
@@ -309,7 +309,7 @@ def _format_distinct(x: np.ndarray) -> np.ndarray:
     The values are told apart by their bits, as ``repr`` tells them apart.
     """
     bits = x.view(np.int64)
-    keys = composers._sorted_unique(bits)
+    keys = _sorted_unique(bits)
     return np.array(_format_column(keys.view(float)), dtype=object)[np.searchsorted(keys, bits)]
 
 
@@ -401,7 +401,7 @@ def run(args) -> int:
     grid = list(dict.fromkeys(
         (g1 if args.k1 is None else args.k1, g2 if args.k2 is None else args.k2)
         for g1, g2 in tuning.DEFAULT_GRID)) if args.tune_delta else None
-    _check_outputs(args, "out", "report")
+    _check_outputs(args, "out", "report", inputs=("input", "truth"))
     started = time.perf_counter()
     table = ingest(args.input)
     truth_present, truth_s = None, 0.0  # truth_s is left out of wall_time_ms
@@ -472,28 +472,57 @@ def _write_json(payload, path: str) -> str:
     return text
 
 
+# the files opened for writing by the command ``main`` runs; None outside ``main``
+_written: Optional[list[str]] = None
+
+
 def _open_output(path: str, newline: Optional[str] = None):
-    """``path`` opened for writing UTF-8 text; an OSError is a ConfigError."""
+    """``path`` opened for writing UTF-8 text; an OSError is a ConfigError.
+
+    Within ``main`` the file is listed in ``_written``, and a file that
+    cannot be opened first removes the ones listed: a command that cannot
+    write one of its outputs leaves none of them.
+    """
     try:
-        return open(path, "w", newline=newline, encoding="utf-8")
+        fh = open(path, "w", newline=newline, encoding="utf-8")
     except OSError as exc:
+        for done in _written or ():
+            with contextlib.suppress(OSError):
+                os.remove(done)
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if _written is not None:
+        _written.append(path)
+    return fh
 
 
-def _check_outputs(args, *dests: str) -> None:
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: by ``os.path.samefile`` if
+    both exist, else by their real paths."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args, *dests: str, inputs: Sequence[str] = ()) -> None:
     """ConfigError naming the option unless each output option ``dests`` of ``args``
-    names a file to write, not a directory, in a directory that exists.  An empty
-    ``--out`` is an error; an empty ``--report`` or ``--truth-out`` writes nothing.
-    Each command calls it before it reads or writes a file."""
-    for dest in dests:
-        path, option = getattr(args, dest), "--" + dest.replace("_", "-")
+    names a file to write, not a directory, in a directory that exists, and not
+    the file of another output or of an input option ``inputs`` (that error
+    names both options).  An empty ``--out`` is an error; an empty ``--report``
+    or ``--truth-out`` writes nothing.  Each command calls it before it reads
+    or writes a file."""
+    named = [("--" + dest.replace("_", "-"), getattr(args, dest)) for dest in (*dests, *inputs)]
+    for i, (option, path) in enumerate(named[:len(dests)]):
         if not path:
-            if dest == "out":
+            if option == "--out":
                 raise ConfigError(f"{option} must name a file")
         elif os.path.isdir(path):
             raise ConfigError(f"{option} {path}: is a directory")
         elif not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{option} {path}: no directory {os.path.dirname(path)}")
+        else:
+            for other, given in named[i + 1:]:
+                if given and _same_file(path, given):
+                    raise ConfigError(f"{option} {path}: the same file as {other} {given}")
 
 
 def _add_align_parser(sub) -> None:
@@ -525,7 +554,7 @@ def _cmd_tune(args) -> int:
         raise ConfigError("--k-max must be at least 1")
     if not 0 <= args.percentile <= 100:
         raise ConfigError("--percentile must lie in [0, 100]")
-    _check_outputs(args, "report")
+    _check_outputs(args, "report", inputs=("input",))
     table = ingest(args.input)
     grid = [(k1, k2) for k1 in range(1, args.k_max + 1) for k2 in range(1, args.k_max + 1)]
     _, report = _configure(table, args.strategy, WeightParams(), grid=grid, seed=args.seed,
@@ -550,7 +579,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    _check_outputs(args, "report")
+    _check_outputs(args, "report", inputs=("aligned", "truth"))
     truth = evaluation.GroundTruth.same_row(ingest(args.truth))
     lines, slots, cells, sims, weight_sum = _read_alignment_csv(args.aligned, truth.table.m)
     _check_rows(args.aligned, lines, slots, cells, sims)
@@ -812,6 +841,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"align": run, "tune": _cmd_tune, "synth": _cmd_synth,
                 "score": _cmd_score, "bench": _cmd_bench}
+    global _written
+    _written = []
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
@@ -826,6 +857,8 @@ def main(argv=None) -> int:
     except AlignmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        _written = None
 
 
 def entry() -> None:

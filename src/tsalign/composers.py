@@ -73,7 +73,7 @@ from typing import Optional
 
 import numpy as np
 
-from .candidate import CandidateSet, _read_only
+from .candidate import CandidateSet, _read_only, _sorted_unique
 from .consistency import ConsistencyReport, delta_report
 # ``batch_weights`` is kept only for the benchmark's tracer (perfbench/tracing.py),
 # which wraps ``composers.batch_weights``; the composers read the set's weight classes
@@ -270,26 +270,22 @@ def _segment_ranks(rc: CandidateSet, weights: np.ndarray) -> bytes:
     within its segment is its pair's, and weightings that rank the classes
     alike, ties included, rank every segment alike.  The ranks are computed
     once per such class ranking and kept in ``rc._ranks`` under the classes'
-    dense ranks.
+    dense ranks.  With R the count of distinct class ranks, each pair is the
+    integer segment * R + rank; its dense rank within its segment is its
+    position among the distinct pair keys less that of the key segment * R.
     """
     classes, bounds = rc.class_table
-    ranking = np.searchsorted(_sorted_unique(weights), weights)
+    distinct = _sorted_unique(weights)
+    ranking = np.searchsorted(distinct, weights)
     key = ranking.tobytes()
     ranks = rc._ranks.get(key)
     if ranks is not None:
         return ranks
-    sizes = np.diff(bounds)
-    r = ranking[classes]
-    # sorted by segment, then rank, so segment j keeps positions bounds[j]:bounds[j + 1]
-    order = np.lexsort((r, np.repeat(np.arange(sizes.size), sizes)))
-    rs = r[order]
-    new = np.ones(rs.size, dtype=bool)
-    new[1:] = rs[1:] != rs[:-1]
-    new[bounds[:-1]] = True
-    rank = np.cumsum(new)
-    dense = np.empty(rs.size, dtype=np.int32)
-    dense[order] = rank - np.repeat(rank[bounds[:-1]], sizes)
-    ranks = rc._ranks[key] = dense.tobytes()
+    start = np.repeat(np.arange(bounds.size - 1) * distinct.size, np.diff(bounds))
+    pairs = start + ranking[classes]
+    present = _sorted_unique(pairs)
+    dense = np.searchsorted(present, pairs) - np.searchsorted(present, start)
+    ranks = rc._ranks[key] = dense.astype(np.int32).tobytes()
     return ranks
 
 
@@ -498,14 +494,6 @@ def compose_greedy(rc: CandidateSet, cfg: ConstraintConfig, w: WeightParams, see
     attempt is returned with ``exhausted`` set when all fail.
     """
     return _retry_compose(rc, cfg, w, seed, max_retries, None)
-
-
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    # np.unique would do, but its first call pages in about 2 MB of numpy code
-    x = np.sort(x, kind="stable")
-    first = np.ones(x.size, dtype=bool)
-    first[1:] = x[1:] != x[:-1]
-    return x[first]
 
 
 def _expectation_scorer(rc: CandidateSet, weights: np.ndarray):

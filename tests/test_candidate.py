@@ -12,6 +12,7 @@ from tsalign import (
     ConstraintConfig,
     SeriesTable,
     SizeError,
+    StructuralError,
     WeightParams,
     compose_greedy,
     conflicts,
@@ -26,7 +27,7 @@ from tsalign import (
 from tsalign import candidate
 from tsalign.candidate import _runs
 from tsalign.composers import compose
-from tsalign.core import combine_weights
+from tsalign.core import combine_weights, weight_terms
 from conftest import (
     aligned_tuples,
     brute_force_candidates,
@@ -304,6 +305,23 @@ class TestWorkingSet:
         """The candidate set of the ``dense_expect`` benchmark input (n=300, m=4)."""
         return self.tuned_set(300, "both")
 
+    def test_class_build_holds_the_terms_and_six_bytes_a_candidate(self):
+        # scenario (b): n=2000, m=4, 40 % of both halves missing, tuned windows
+        table, _ = generate_synthetic(2000, 4, 4.0, seed=7)
+        table = inject_mcar(table, 0.4, seed=8, target="both")
+        theta = determine_theta(table)
+        rc = generate_candidates(table, ConstraintConfig(
+            theta=theta, beta=determine_beta(table, theta)))
+        k = len(rc)
+        assert k > 90_000
+        _, terms = traced_peak(lambda: weight_terms(rc.table, rc.slots))
+        _, peak = traced_peak(lambda: rc.weight_classes)
+        # the terms peak at their two floats and two intp sums (32 bytes a
+        # candidate); the build holds the two floats, the int64 key, its intp
+        # positions among the distinct keys and their int32 ids (36 bytes).
+        # A sorted copy of the key or an intp sort order breaks the bound.
+        assert peak <= terms + 6 * k
+
     def test_isolated_counts_one_series_at_a_time(self, long_values_set):
         rc = replace(long_values_set)  # the same candidates, nothing cached yet
         k, n = len(rc), rc.table.n
@@ -446,6 +464,42 @@ class TestReadOnly:
         alignment = compose_greedy(generate_candidates(staggered_table, cfg), cfg, fig_params)
         with pytest.raises(ValueError, match="read-only"):
             alignment.slots[0, 0] = 2
+
+
+class TestSlotOrder:
+    """Every reader of a set relies on its rows being in strictly ascending
+    lexicographic order, so a set made from rows out of that order is refused."""
+
+    @staticmethod
+    def two_series():
+        table = SeriesTable.from_columns([([0.0, 10.0, 20.0], [1.0, 2.0, 3.0]),
+                                          ([1.0, 11.0, 21.0], [2.0, 2.5, 4.0])])
+        return table, generate_candidates(table, ConstraintConfig(theta=30, beta=2))
+
+    def test_permuted_rows_are_structural_error(self):
+        # composed, these rows gave greedy and expect a weight of 5.6 instead
+        # of 12.0 and every strategy its slots out of order
+        table, rc = self.two_series()
+        for strategy in ("exact", "setpack", "greedy", "expect"):
+            alignment = compose(strategy, rc, rc.config, WeightParams(3, 2, 1, 1))
+            assert alignment.total_weight == 12.0
+            assert alignment.slots.tolist() == [[0, 0], [1, 1], [2, 2]]
+        slots = rc.slots[np.random.default_rng(0).permutation(len(rc))]
+        with pytest.raises(StructuralError, match=r"^candidate 2 \[0, 2\] is not above "
+                                                  r"candidate 1 \[1, 2\]"):
+            candidate.CandidateSet(slots, rc.config, table)
+        for rows in (rc.slots, rc.slots[::2], rc.slots[:1], rc.slots[:0]):
+            assert candidate.CandidateSet(rows, rc.config, table).slots.tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("rows, first", [
+        ([[0, 1], [0, 1]], 1),  # a repeated row
+        ([[0, 0], [1, 2], [1, 1]], 2),  # the first series ties, the second falls
+        ([[0, 2], [1, 0], [2, 1], [1, 2]], 3),
+    ])
+    def test_first_row_not_above_the_one_before_is_named(self, rows, first):
+        table, rc = self.two_series()
+        with pytest.raises(StructuralError, match=f"^candidate {first} "):
+            candidate.CandidateSet(np.array(rows), rc.config, table)
 
 
 class TestCandidateState:

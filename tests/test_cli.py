@@ -1202,6 +1202,83 @@ class TestOutputPaths:
         assert capsys.readouterr().err == f"config error: cannot write {out}: File name too long\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["align", "synth"])
+    def test_output_that_cannot_be_opened_leaves_no_other(self, small_files, tmp_path, capsys,
+                                                           command):
+        # the first output is written before the second fails to open; the
+        # command removes it, so it exits 2 with no half set of outputs
+        data, _ = small_files
+        first, second = tmp_path / "first.csv", tmp_path / ("x" * 300 + ".json")
+        argv = (["align", "--input", str(data), "--theta", "3", "--beta", "1",
+                 "--out", str(first), "--report", str(second)] if command == "align" else
+                ["synth", "--n", "20", "--out", str(first), "--truth-out", str(second)])
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {second}: File name too long\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "truth.csv"]
+
+
+class TestOutputNamesAnotherFile:
+    """An output that names another output or an input exits 2 naming both
+    options, before any input is read and with every file as it was."""
+
+    @pytest.fixture
+    def run(self, small_files, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the command read an input or started a run")
+
+        for module, name in ((cli, "ingest"), (cli.evaluation, "generate_synthetic")):
+            monkeypatch.setattr(module, name, must_not_run)
+        folder = small_files[0].parent
+
+        def run(argv, output, other):
+            before = {p.name: p.read_bytes() for p in folder.iterdir()}
+            capsys.readouterr()
+            assert main(argv) == 2
+            path, given = (argv[argv.index(option) + 1] for option in (output, other))
+            assert capsys.readouterr().err == (
+                f"config error: {output} {path}: the same file as {other} {given}\n")
+            assert {p.name: p.read_bytes() for p in folder.iterdir()} == before
+
+        return run
+
+    @pytest.mark.parametrize("output, other", [("--out", "--report"), ("--out", "--input"),
+                                               ("--out", "--truth"), ("--report", "--input"),
+                                               ("--report", "--truth")])
+    def test_align(self, run, small_files, tmp_path, output, other):
+        data, truth = small_files
+        paths = {"--input": str(data), "--truth": str(truth),
+                 "--out": str(tmp_path / "a.csv"), "--report": str(tmp_path / "r.json")}
+        paths[output] = paths[other]
+        run(["align", "--theta", "3", "--beta", "1", *chain.from_iterable(paths.items())],
+            output, other)
+
+    @pytest.mark.parametrize("spelling", ["dotted", "link"])
+    def test_align_report_naming_the_input_another_way(self, run, small_files, tmp_path,
+                                                      spelling):
+        data, _ = small_files
+        if spelling == "link":
+            (tmp_path / "link.csv").symlink_to(data)
+        report = f"{tmp_path}/./data.csv" if spelling == "dotted" else str(tmp_path / "link.csv")
+        run(["align", "--input", str(data), "--theta", "3", "--beta", "1",
+             "--out", str(tmp_path / "a.csv"), "--report", report], "--report", "--input")
+
+    def test_synth(self, run, tmp_path):
+        both = str(tmp_path / "s.csv")
+        run(["synth", "--n", "20", "--out", both, "--truth-out", both], "--out", "--truth-out")
+
+    @pytest.mark.parametrize("other", ["--aligned", "--truth"])
+    def test_score(self, run, small_files, other):
+        data, truth = small_files
+        paths = {"--aligned": str(data), "--truth": str(truth)}
+        run(["score", *chain.from_iterable(paths.items()), "--report", paths[other]],
+            "--report", other)
+
+    def test_tune(self, run, small_files):
+        data = str(small_files[0])
+        run(["tune", "--input", data, "--report", data], "--report", "--input")
+
 
 class TestSynth:
     def test_deterministic_files(self, tmp_path):
