@@ -13,7 +13,7 @@ line each of its records starts on.  ``_cell_blocks``, the one cell parser
 of every file, parses a block's cells in one pass of Python ``float`` and
 scans row by row only a block with a defect, so several defects report the
 first in file order.  ``ingest`` views each block as a (2, m, rows) array
-of timestamps and values, checks their order on whole columns at the end
+of timestamps and values, checks them under the table rule at the end
 and keeps the two halves of the joined blocks without a copy.
 ``write_alignment_csv`` gathers the cells of all tuples with one index into
 numeric columns, and both writers format, join and write one block of rows
@@ -40,8 +40,7 @@ import numpy as np
 from . import composers, evaluation, tuning
 from .candidate import CandidateSet, _sorted_unique, generate_candidates
 from .composers import Alignment
-from .core import (ConstraintConfig, SeriesTable, WeightParams, _check_timestamp_span, adopt,
-                   batch_weights)
+from .core import ConstraintConfig, SeriesTable, WeightParams, _check_table, adopt, batch_weights
 from .errors import AlignmentError, ConfigError, DataError, SizeError, StructuralError
 
 EXIT_OK = 0
@@ -164,10 +163,10 @@ def ingest(path: str) -> SeriesTable:
     """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics.
 
     The cells come from ``_cell_blocks`` in blocks of ``BLOCK_ROWS``, each
-    viewed as its (2, m, rows) timestamps and values.  The strictly-increasing
-    check runs on whole columns once every block has parsed, and the table is
-    handed the contiguous timestamp and value halves of the joined blocks
-    without the copy and checks of ``SeriesTable(...)``.
+    viewed as its (2, m, rows) timestamps and values.  Once every block has
+    parsed, the table rule runs on whole columns, naming an out-of-order
+    timestamp by its file line, and the table is handed the contiguous halves
+    of the joined blocks without the copy of ``SeriesTable(...)``.
     """
     with _csv_blocks(path) as blocks:
         first = next(blocks, None)
@@ -187,16 +186,7 @@ def ingest(path: str) -> SeriesTable:
     del parts
     cells.setflags(write=False)
     ts, vs = cells
-    bad = []  # (series, row) of each timestamp not above the series' last
-    for k in range(m):
-        rows = np.flatnonzero(~np.isnan(ts[k]))
-        present = ts[k, rows]
-        bad += [(k, row) for row in rows[1:][present[1:] <= present[:-1]].tolist()]
-    if bad:
-        lines = list(chain.from_iterable(spans))
-        raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(
-            f"series {k + 1} line {lines[row]}" for k, row in bad))
-    _check_timestamp_span(ts, f"{path}: ")
+    _check_table(ts, vs, f"{path}: ", lambda: list(chain.from_iterable(spans)))
     return adopt(SeriesTable, timestamps=ts, values=vs)
 
 

@@ -67,7 +67,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 from typing import Optional
 
@@ -77,7 +77,7 @@ from .candidate import CandidateSet, _read_only, _sorted_unique
 from .consistency import ConsistencyReport, delta_report
 # ``batch_weights`` is kept only for the benchmark's tracer (perfbench/tracing.py),
 # which wraps ``composers.batch_weights``; the composers read the set's weight classes
-from .core import AlignedTuple, ConstraintConfig, WeightParams, batch_weights, combine_weights
+from .core import ConstraintConfig, WeightParams, batch_weights, combine_weights
 from .errors import ConfigError, SizeError
 
 EXACT_GUARD = 24
@@ -134,12 +134,10 @@ class Alignment:
     def __len__(self) -> int:
         return len(self.slots)
 
-    # Kept only for the benchmark's tracer (perfbench/tracing.py), which counts
-    # the rows of ``cli.write_alignment_csv`` with ``len(alignment.tuples)``;
-    # the package and its tests read ``slots``.
-    @cached_property
-    def tuples(self) -> tuple[AlignedTuple, ...]:
-        return tuple(map(AlignedTuple, self.slots.tolist()))
+    @property
+    def tuples(self) -> np.ndarray:
+        """``slots``, under the name the benchmark's tracer counts rows by."""
+        return self.slots
 
 
 def _weights(rc: CandidateSet, w: WeightParams) -> np.ndarray:

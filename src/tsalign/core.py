@@ -19,9 +19,10 @@ class SeriesTable:
 
     ``timestamps`` and ``values`` are (m, n) float arrays where NaN marks a
     missing entry.  Row i of series k is the cell (timestamps[k, i],
-    values[k, i]); either half may be missing independently.  Within each
-    series the non-missing timestamps must be strictly increasing by row
-    index.
+    values[k, i]); either half may be missing independently.  Present values
+    must be finite, and within each series the present timestamps strictly
+    increasing by row index: ``_check_table`` holds the whole rule, for
+    ``cli.ingest`` too, so a table can be written and read back.
     """
 
     timestamps: np.ndarray
@@ -30,17 +31,7 @@ class SeriesTable:
     def __post_init__(self):
         ts = np.array(self.timestamps, dtype=float)
         vs = np.array(self.values, dtype=float)
-        if ts.ndim != 2 or vs.ndim != 2:
-            raise DataError("timestamps and values must be 2-D (series x rows)")
-        if ts.shape != vs.shape:
-            raise DataError(f"shape mismatch: timestamps {ts.shape} vs values {vs.shape}")
-        if ts.shape[0] < 2:
-            raise DataError("a table needs at least 2 series")
-        for k in range(ts.shape[0]):
-            col = ts[k][~np.isnan(ts[k])]
-            if col.size > 1 and not np.all(np.diff(col) > 0):
-                raise DataError(f"series {k + 1}: non-missing timestamps must be strictly increasing")
-        _check_timestamp_span(ts)
+        _check_table(ts, vs)
         ts.setflags(write=False)
         vs.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -87,18 +78,39 @@ class SeriesTable:
         return cls(ts, vs)
 
 
-def _check_timestamp_span(ts: np.ndarray, where: str = "") -> None:
-    """DataError, prefixed by ``where``, unless the largest present timestamp
-    minus the smallest is a finite float.
+def _check_table(ts: np.ndarray, vs: np.ndarray, where: str = "", lines=None) -> None:
+    """DataError, prefixed by ``where``, unless ``ts`` and ``vs`` hold a table: 2-D
+    arrays of one shape with at least 2 series, every present value finite, each
+    series' present timestamps strictly increasing, and the largest present
+    timestamp minus the smallest a finite float.  This is the rule of
+    ``SeriesTable`` and of ``cli.ingest``.
 
     Every timestamp difference the package takes, a same-row gap of theta's
     tuning, a candidate's spread or an aligned row's theta_sim, is at most
-    this span, so none overflows to inf.
+    this span, so none overflows to inf.  Every out-of-order timestamp is
+    named by its series and row, both counted from 1, or, when ``lines`` is
+    given, by its series and file line ``lines()[row]``, called only then.
     """
-    if not ts.size:
-        return
-    hi, lo = float(np.fmax.reduce(ts, axis=None)), float(np.fmin.reduce(ts, axis=None))
+    if ts.ndim != 2 or vs.ndim != 2:
+        raise DataError(f"{where}timestamps and values must be 2-D (series x rows)")
+    if ts.shape != vs.shape:
+        raise DataError(f"{where}shape mismatch: timestamps {ts.shape} vs values {vs.shape}")
+    if ts.shape[0] < 2:
+        raise DataError(f"{where}a table needs at least 2 series")
+    if np.isinf(vs).any():
+        raise DataError(f"{where}present values must be finite (NaN marks a missing value)")
+    bad = []  # (series, row) of each present timestamp not above the series' last
+    for k in range(ts.shape[0]):
+        rows = np.flatnonzero(~np.isnan(ts[k]))
+        present = ts[k, rows]
+        bad += [(k, row) for row in rows[1:][present[1:] <= present[:-1]].tolist()]
+    if bad:
+        unit, names = ("line", lines()) if lines else ("row", range(1, ts.shape[1] + 1))
+        raise DataError(f"{where}timestamps not strictly increasing at " + ", ".join(
+            f"series {k + 1} {unit} {names[row]}" for k, row in bad))
     # NaN when no timestamp is present; a Python float difference overflows to inf quietly
+    hi = float(np.fmax.reduce(ts, axis=None, initial=np.nan))
+    lo = float(np.fmin.reduce(ts, axis=None, initial=np.nan))
     if hi == hi and not math.isfinite(hi - lo):
         raise DataError(f"{where}timestamps span {lo!r} to {hi!r}, "
                         "a difference that overflows a float")

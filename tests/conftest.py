@@ -858,8 +858,9 @@ def setpack_scan(rc, cfg, w):
 
 def benchmark_scan(n: int, m: int, jitter: float, rate: float, strategy: str,
                    seed: int, *, tick: float = 10.0, value_model: str = "ar1") -> dict:
-    """Oracle for ``evaluation.benchmark_alignment`` with both windows tuned: the
-    stage sequence spelled out, theta at the 100th percentile and beta above 0."""
+    """Oracle for ``cli.run_pipeline`` as ``bench`` runs it, with both windows
+    tuned: the stage sequence spelled out, theta at the 100th percentile and
+    beta above 0."""
     complete, truth = generate_synthetic(n, m, jitter, value_model=value_model,
                                          seed=seed, tick=tick)
     masked = inject_mcar(complete, rate, seed=seed + 1, target="values")

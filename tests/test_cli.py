@@ -135,6 +135,47 @@ class TestIngest:
             ingest(path)
 
 
+# finite cells as write_table writes them and ingest reads them back: -0.0,
+# subnormals and magnitudes up to 1e300
+CELL_FLOATS = st.one_of(st.floats(-1e300, 1e300),
+                        st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e300]))
+
+
+@st.composite
+def accepted_cells(draw):
+    """(timestamps, values) of a table ``SeriesTable`` accepts: missing cells in
+    both halves, and each series' present timestamps strictly increasing and
+    at most 1e300 in magnitude, so their span is a finite float."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 8))
+    ts = np.full((m, n), np.nan)
+    for k in range(m):
+        rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        ts[k, rows] = sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=len(rows),
+                                           max_size=len(rows), unique=True)))
+    values = draw(st.lists(st.one_of(st.just(math.nan), CELL_FLOATS),
+                           min_size=m * n, max_size=m * n))
+    return ts, np.array(values, dtype=float).reshape(m, n)
+
+
+class TestTableRule:
+    """``SeriesTable`` accepts exactly the tables a CSV can hold."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(accepted_cells(), st.data())
+    def test_accepted_table_reads_back_and_an_infinite_value_is_not_accepted(
+            self, tmp_path_factory, cells, data):
+        table = SeriesTable(*cells)
+        path = str(tmp_path_factory.mktemp("rule") / "t.csv")
+        write_table(table, path)
+        assert_same_table(ingest(path), table)
+        values = table.values.copy()
+        k = data.draw(st.integers(0, table.m - 1))
+        i = data.draw(st.integers(0, table.n - 1))
+        values[k, i] = data.draw(st.sampled_from([math.inf, -math.inf]))
+        with pytest.raises(DataError, match="present values must be finite"):
+            SeriesTable(table.timestamps, values)
+
+
 class TestIngestMatchesScan:
     """The column-wise ingest against the row-major scan it replaced."""
 

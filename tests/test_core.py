@@ -40,6 +40,12 @@ class TestSeriesTable:
         with pytest.raises(DataError):
             table_with_timestamps([1, 1, 5], [1, 2, 3])
 
+    def test_names_every_out_of_order_timestamp_by_series_and_row(self):
+        ts = np.array([[0.0, 5.0, 2.0, 3.0, 1.0], [0.0, np.nan, 0.0, 1.0, 2.0]])
+        with pytest.raises(DataError, match="^timestamps not strictly increasing at "
+                           "series 1 row 3, series 1 row 5, series 2 row 3$"):
+            SeriesTable(ts, np.zeros(ts.shape))
+
     def test_missing_gaps_do_not_break_monotonicity(self):
         t = SeriesTable.from_columns([([1, None, 5], [1, 2, 3]), ([0, 1, 2], [0, 0, 0])])
         assert t.n == 3
