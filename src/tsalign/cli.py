@@ -3,22 +3,26 @@
 Subcommands: align, tune, synth, score, bench.  Data files are wide CSVs
 with header t_1,v_1,...,t_m,v_m where an empty cell means missing.
 
-The data path works on blocks of ``BLOCK_ROWS`` rows, so it holds the
-Python strings of one block at a time.  ``_blocks`` reads every CSV the
-program reads, the input, the truth and the aligned CSV of ``score``, a
-block of lines at a time, and splits each line on commas; from the first
-block with a quote, a NUL or a line over csv's field size limit on,
-``csv.reader`` reads the rest of the file; each block comes with the file
-line each of its records starts on.  ``_cell_blocks``, the one cell parser
-of every file, parses a block's cells in one pass of Python ``float`` and
-scans row by row only a block with a defect, so several defects report the
-first in file order.  ``ingest`` views each block as a (2, m, rows) array
-of timestamps and values, checks them under the table rule at the end
-and keeps the two halves of the joined blocks without a copy.
-``write_alignment_csv`` gathers the cells of all tuples with one index into
-numeric columns, and both writers format, join and write one block of rows
-at a time.  A file that is not UTF-8, or that ``csv`` cannot read, is a
-DataError.
+The data path works on blocks of ``BLOCK_ROWS`` rows, so it holds the Python
+strings of one block at a time.  ``_blocks`` reads every CSV the program
+reads, the input, the truth and the aligned CSV of ``score``, a block of
+lines at a time, and splits each line on commas; from the first block with a
+quote, a NUL or a line over csv's field size limit on, ``csv.reader`` reads
+the rest of the file; each block comes with the file line each of its
+records starts on.  ``_cell_blocks``, the one cell parser of every file,
+parses a block's cells in one pass of Python ``float`` and scans row by row
+only a block with a defect, so several defects report the first in file
+order.  ``ingest`` views each block as a (2, m, rows) array of timestamps
+and values, checks them under the table rule at the end and keeps the two
+halves of the joined blocks without a copy.  ``align --truth`` reads the
+truth beside its input, a truth block after each input block: a truth cell
+spelled as the input's cell at its row and column takes the input's float,
+only the other cells are parsed, and the truth's errors wait until the input
+has been read; of the truth only the mask of its present cells outlives the
+read.  ``write_alignment_csv`` gathers the cells of all tuples with one
+index into numeric columns, and both writers format, join and write one
+block of rows at a time.  A file that is not UTF-8, or that ``csv`` cannot
+read, is a DataError.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
+from operator import ne
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -130,25 +135,25 @@ def _blocks(fh, path: str) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
         size = BLOCK_ROWS
 
 
-def _cell_blocks(blocks, path: str, width: int) -> Iterator[tuple[Sequence[int], np.ndarray]]:
-    """The file lines and (rows, width) cells of the non-blank records of
-    ``_blocks``, a block at a time, under the one cell rule of every CSV read:
-    a blank cell, or a cell of blanks, is missing (NaN), and any other cell
-    must be a finite Python ``float``.  In a block ``_parse_cells`` rejects,
-    the rows before its first defect are yielded, then the defect is raised
-    at its line, so a reader that checks each block finds the first in file
-    order."""
+def _cell_blocks(blocks, path: str, width: int, parse=None):
+    """The non-blank records of ``_blocks``, their file lines and their
+    (rows, width) cells, a block at a time, under the one cell rule of every
+    CSV read: a blank cell, or a cell of blanks, is missing (NaN), and any
+    other cell must be a finite Python ``float``.  ``parse`` stands in for
+    ``_parse_cells`` if given.  In a block it rejects, the rows before its
+    first defect are yielded, then the defect is raised at its line, so a
+    reader that checks each block finds the first in file order."""
     for records, lines in blocks:
         if not all(records):
             lines = [line for row, line in zip(records, lines) if row]
             records = list(filter(None, records))
-        cells = _parse_cells(records, width)
+        cells = (parse or _parse_cells)(records, width)
         if cells is None:
             row, message = _first_defect(records, width)
             if row:
-                yield lines[:row], _parse_cells(records[:row], width)
+                yield records[:row], lines[:row], _parse_cells(records[:row], width)
             raise DataError(f"{path}:{lines[row]}: {message}")
-        yield lines, cells
+        yield records, lines, cells
 
 
 def _header(m: int, aligned: bool = False) -> list[str]:
@@ -159,14 +164,30 @@ def _header(m: int, aligned: bool = False) -> list[str]:
     return header + ["weight", "theta_sim", "phi_sim"] if aligned else header
 
 
-def ingest(path: str) -> SeriesTable:
+def ingest(path: str, on_block=None) -> SeriesTable:
     """Parse a wide CSV into a SeriesTable, with line-numbered diagnostics.
 
-    The cells come from ``_cell_blocks`` in blocks of ``BLOCK_ROWS``, each
-    viewed as its (2, m, rows) timestamps and values.  Once every block has
-    parsed, the table rule runs on whole columns, naming an out-of-order
-    timestamp by its file line, and the table is handed the contiguous halves
-    of the joined blocks without the copy of ``SeriesTable(...)``.
+    ``on_block``, if given, is called with each block's non-blank records and
+    their (rows, 2m) cells once they parse; ``align`` reads its truth there.
+    """
+    out = []
+    for block in _table_blocks(path, out):
+        if block and on_block is not None:
+            on_block(*block)
+    return out[0]
+
+
+def _table_blocks(path: str, out: list, parse=None):
+    """The reading of ``ingest`` as a generator: it yields None once the
+    header is read, then each block's non-blank records and (rows, 2m) cells,
+    from ``_cell_blocks`` under ``parse``, and at its end appends the table
+    to ``out``.
+
+    Each block is viewed as its (2, m, rows) timestamps and values.  Once
+    every block has parsed, the table rule runs on whole columns, naming an
+    out-of-order timestamp by its file line, and the table is handed the
+    contiguous halves of the joined blocks without the copy of
+    ``SeriesTable(...)``.
     """
     with _csv_blocks(path) as blocks:
         first = next(blocks, None)
@@ -176,18 +197,20 @@ def ingest(path: str) -> SeriesTable:
         m, rem = divmod(len(header), 2)
         if rem or m < 2 or [h.strip() for h in header] != _header(m):
             raise DataError(f"{path}: header must be t_1,v_1,...,t_m,v_m with m >= 2")
+        yield
         parts = [np.empty((2, m, 0))]  # the (2, m, rows) cells of each block
         spans = []  # the file lines of each block's rows, as ``_blocks`` yields them
-        for lines, cells in _cell_blocks(blocks, path, 2 * m):
+        for records, lines, cells in _cell_blocks(blocks, path, 2 * m, parse):
             parts.append(cells.reshape(-1, m, 2).transpose(2, 1, 0))
             spans.append(lines)
+            yield records, cells
     # the timestamps and values are the contiguous halves of one array
     cells = np.concatenate(parts, axis=2)
     del parts
     cells.setflags(write=False)
     ts, vs = cells
     _check_table(ts, vs, f"{path}: ", lambda: list(chain.from_iterable(spans)))
-    return adopt(SeriesTable, timestamps=ts, values=vs)
+    out.append(adopt(SeriesTable, timestamps=ts, values=vs))
 
 
 def _parse_cells(records: list[list[str]], width: int) -> Optional[np.ndarray]:
@@ -393,15 +416,14 @@ def run(args) -> int:
         for g1, g2 in tuning.DEFAULT_GRID)) if args.tune_delta else None
     _check_outputs(args, "out", "report", inputs=("input", "truth"))
     started = time.perf_counter()
-    table = ingest(args.input)
     truth_present, truth_s = None, 0.0  # truth_s is left out of wall_time_ms
     if args.truth:
-        # read and checked before any work, and kept only as the mask of its
-        # present cells: the group ids are built from it after the compose,
-        # in memory the beta scan and the candidate set have freed
-        truth_started = time.perf_counter()
-        truth_present = _truth_present(args.truth, table)
-        truth_s = time.perf_counter() - truth_started
+        # kept only as the mask of its present cells: the group ids are built
+        # from it after the compose, in memory the beta scan and the candidate
+        # set have freed
+        table, truth_present, truth_s = _ingest_with_truth(args.input, args.truth)
+    else:
+        table = ingest(args.input)
     alignment, params, fields = run_pipeline(
         table, args.strategy, params, theta=args.theta, beta=args.beta, delta=delta,
         grid=grid, seed=args.seed, max_retries=args.max_retries, beta_lower=args.beta_lower)
@@ -418,19 +440,68 @@ def run(args) -> int:
     return EXIT_EXHAUSTED if alignment.exhausted else EXIT_OK
 
 
-def _truth_present(path: str, table: SeriesTable) -> np.ndarray:
-    """The (m, n) mask of the cells with a timestamp or a value in the truth
-    CSV at ``path``, from which ``evaluation.same_row_groups`` builds its ids.
+def _ingest_with_truth(path: str, truth_path: str) -> tuple[SeriesTable, np.ndarray, float]:
+    """``ingest(path)`` with the truth CSV at ``truth_path`` read beside it, a
+    block of the truth for each block of the input.  Returns the input's
+    table, the (m, n) mask of the truth's cells with a timestamp or a value,
+    from which ``evaluation.same_row_groups`` builds its ids, and the seconds
+    spent on the truth.
 
-    The truth must have the input's series and rows.  Its cells are dropped
-    on return, so one byte per cell stays alive through the stages that follow.
+    A truth block with the input block's first row, row count and 2m cells a
+    row takes the input's float for each cell spelled as the input's cell
+    there, and parses only the others; any other block is parsed whole.  A
+    cell's float, or its defect, depends only on its text, so the cells are
+    those of ``ingest(truth_path)``.  The truth's errors are held until the
+    input has been read; then the truth must have the input's series and
+    rows.  Its cells are dropped on return.
     """
-    truth = ingest(path)
+    given = None  # the records and cells of the input block just parsed
+    rows = [0, 0]  # the rows parsed so far, of the input and of the truth
+    end = []  # the truth's table, or its DataError, once its reading ends
+    spent = 0.0
+
+    def parse(records, width):
+        rows[1] += len(records)
+        if (given is None or rows[0] != rows[1] or given[1].shape != (len(records), width)
+                or not set(map(len, records)) <= {width}):
+            return _parse_cells(records, width)
+        texts = list(chain.from_iterable(records))
+        redo = list(compress(range(len(texts)), map(ne, texts, chain.from_iterable(given[0]))))
+        cells = given[1].flatten()
+        if redo:
+            x = _parse_cells([[texts[i] for i in redo]], len(redo))
+            if x is None:
+                return None
+            cells[redo] = x[0]
+        return cells.reshape(-1, width)
+
+    def step(*block):
+        nonlocal given, spent
+        started = time.perf_counter()
+        if block:
+            given = block
+            rows[0] += len(block[0])
+        try:
+            next(truth, None)
+        except DataError as exc:
+            end.append(exc)
+        spent += time.perf_counter() - started
+
+    with contextlib.closing(_table_blocks(truth_path, end, parse)) as truth:
+        step()  # opens the truth and reads its header
+        table = ingest(path, step)
+        given = None
+        while not end:
+            step()
+    started = time.perf_counter()
+    if isinstance(end[0], DataError):
+        raise end[0]
+    truth = end[0]
     if (truth.m, truth.n) != (table.m, table.n):
         raise StructuralError(
-            f"{path}: truth has {truth.m} series of {truth.n} rows, "
+            f"{truth_path}: truth has {truth.m} series of {truth.n} rows, "
             f"input has {table.m} series of {table.n} rows")
-    return truth.timestamp_mask | truth.value_mask
+    return table, truth.timestamp_mask | truth.value_mask, spent + time.perf_counter() - started
 
 
 def _group_counts(strategy: str, alignment: Alignment) -> dict:
@@ -606,7 +677,7 @@ def _read_alignment_csv(path: str, m: int
         header = next(blocks, ([[]],))[0][0]
         if [h.strip() for h in header] != _header(m, aligned=True):
             raise DataError(f"{path}: expected an alignment CSV for {m} series")
-        for block_lines, x in _cell_blocks(blocks, path, 3 * m + 3):
+        for _, block_lines, x in _cell_blocks(blocks, path, 3 * m + 3):
             idx = x[:, :3 * m:3]
             # one sequential sum from the running total, as a row-by-row loop adds
             with np.errstate(over="ignore"):

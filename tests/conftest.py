@@ -11,6 +11,7 @@ import pytest
 
 from tsalign import SeriesTable, WeightParams, composers, tuning
 from tsalign.candidate import CandidateSet, generate_candidates
+from tsalign.cli import ingest
 from tsalign.composers import (BRANCH_CAP, DEFAULT_MAX_RETRIES, _conflict_masks, _finish,
                                _retry_compose, _sum_in_order)
 from tsalign.consistency import ConsistencyReport, delta_report, fit_model
@@ -106,6 +107,22 @@ def ingest_scan(path: str) -> SeriesTable:
     if bad:
         raise DataError(f"{path}: timestamps not strictly increasing at " + ", ".join(bad))
     return SeriesTable.from_columns(list(zip(ts_cols, v_cols)))
+
+
+def truth_present_scan(path: str, truth_path: str) -> tuple[SeriesTable, np.ndarray]:
+    """Oracle for ``cli._ingest_with_truth``: the sequential read it replaced.
+
+    ``ingest`` reads the input, then the truth, and then the truth must have
+    the input's series and rows.  Returns the input's table and the mask of
+    the truth's cells with a timestamp or a value.
+    """
+    table = ingest(path)
+    truth = ingest(truth_path)
+    if (truth.m, truth.n) != (table.m, table.n):
+        raise StructuralError(
+            f"{truth_path}: truth has {truth.m} series of {truth.n} rows, "
+            f"input has {table.m} series of {table.n} rows")
+    return table, truth.timestamp_mask | truth.value_mask
 
 
 def _parse_cell_scan(cell, path, lineno):

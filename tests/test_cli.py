@@ -22,6 +22,7 @@ from tsalign import (
     ConstraintConfig,
     DataError,
     SeriesTable,
+    StructuralError,
     WeightParams,
     compose_greedy,
     determine_weights_and_delta,
@@ -33,8 +34,8 @@ from tsalign.consistency import ConsistencyReport
 from tsalign.evaluation import GroundTruth, generate_synthetic, inject_mcar
 from tsalign.tuning import DEFAULT_GRID, determine_beta, determine_theta
 from conftest import (assert_same_table, benchmark_scan, check_rows_scan, csv_lines, gappy_table,
-                      ingest_scan, random_table, read_alignment_scan, write_alignment_scan,
-                      write_table_scan)
+                      ingest_scan, random_table, read_alignment_scan, truth_present_scan,
+                      write_alignment_scan, write_table_scan)
 
 # row counts around the block boundaries of BLOCK_ROWS and of a quarter of it;
 # the writer tests run each count at both block sizes
@@ -479,6 +480,199 @@ class TestBlocksMatchCsvReaderInSmallBlocks(TestBlocksMatchCsvReader):
         assert_same_table(ingest(quoted), plain)
 
 
+def respell(cell, kind):
+    """Another spelling of the cell ``write_table`` wrote, with the same float:
+    padded, signed, with trailing zeros or as ``%.17g``; a blank cell becomes
+    a cell of blanks."""
+    if not cell:
+        return " \t"
+    if kind == "padded":
+        return f" {cell}\t"
+    if kind == "signed":
+        return cell if cell.startswith("-") else "+" + cell
+    if kind == "zeros":
+        mantissa, e, exponent = cell.partition("e")
+        return mantissa + ("0" if "." in mantissa else ".0") + e + exponent
+    return "%.17g" % float(cell)
+
+
+RESPELLINGS = ("padded", "signed", "zeros", "%.17g")
+DEFECTS = ("x", "inf", "nan", "ragged", "order", "not UTF-8", "header", "empty")
+
+
+def csv_text(rows, rng, *, quote_from=None, blank_lines=0, crlf=False, bom=False):
+    """The CSV text of ``rows`` (header first): every cell quoted from row
+    ``quote_from`` on, some of them over two lines, ``blank_lines`` blank lines
+    at random places, CRLF line ends and a leading byte-order mark."""
+    lines = []
+    for i, row in enumerate(rows):
+        if quote_from is not None and i >= quote_from:
+            row = [f'"{cell}\n"' if cell and rng.random() < 0.1 else f'"{cell}"'
+                   for cell in row]
+        lines.append(",".join(row))
+    for _ in range(blank_lines):
+        lines.insert(int(rng.integers(1, len(lines) + 1)), "")
+    end = "\r\n" if crlf else "\n"
+    return ("﻿" if bom else "") + end.join(lines) + end
+
+
+def inject(rows, defect, rng):
+    """``rows`` (header first) with one ``defect`` at a random cell."""
+    rows = [list(row) for row in rows]
+    if defect == "header":
+        rows[0][0] = "x_1"
+        return rows
+    if len(rows) < 3:
+        rows.append(["0"] * len(rows[0]))
+        rows.append(["0"] * len(rows[0]))
+    r, c = int(rng.integers(1, len(rows))), int(rng.integers(len(rows[0])))
+    if defect == "ragged":
+        del rows[r][c]
+    elif defect == "order":
+        rows[r][2 * (c // 2)] = "-1e300"
+    else:
+        rows[r][c] = {"x": "x", "inf": "inf", "nan": "nan", "not UTF-8": "\xe9"}[defect]
+    return rows
+
+
+class TestTruthReadBesideInput:
+    """``align``'s truth read beside its input against the sequential read.
+
+    Each pair is a table and its truth with cells blanked, written by
+    ``write_table``; the truth's cells are respelled, its rows and series
+    changed, either file laid out anew or given one defect, or the truth is
+    the input file itself.  The new read must give the same table and mask,
+    or raise the same error with the same message.
+    """
+
+    @staticmethod
+    def both(data, truth):
+        """Each read's table and truth mask, or the type and message of its error."""
+        out = []
+        for read in (lambda: cli._ingest_with_truth(data, truth)[:2],
+                     lambda: truth_present_scan(data, truth)):
+            try:
+                out.append(read())
+            except (DataError, StructuralError) as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    def check(self, data, truth):
+        fast, scan = self.both(data, truth)
+        if isinstance(scan[0], SeriesTable):
+            assert_same_table(fast[0], scan[0])
+            assert fast[1].dtype == bool and np.array_equal(fast[1], scan[1])
+        else:
+            assert fast == scan
+        return scan
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_random_pairs(self, tmp_path_factory, seed, data):
+        self.check_random_pair(tmp_path_factory, seed, data)
+
+    def check_random_pair(self, tmp_path_factory, seed, data):
+        rng = np.random.default_rng(seed)
+        m, n = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 20))
+        truth_table = gappy_table(rng, m, n)
+        blanked = rng.random((m, n)) < data.draw(st.sampled_from([0.0, 0.2, 0.6]))
+        table = SeriesTable(np.where(blanked & (rng.random((m, n)) < 0.5), np.nan,
+                                     truth_table.timestamps),
+                            np.where(blanked, np.nan, truth_table.values))
+        tmp = tmp_path_factory.mktemp("beside")
+        paths = {"data": tmp / "data.csv", "truth": tmp / "truth.csv"}
+        if data.draw(st.booleans()):  # another row count or series count
+            n_truth = data.draw(st.integers(0, 24))
+            m_truth = data.draw(st.sampled_from([m, m, 2, 3, 5]))
+            truth_table = gappy_table(rng, m_truth, n_truth)
+        write_table(table, str(paths["data"]))
+        write_table(truth_table, str(paths["truth"]))
+        rows = {key: list(csv.reader(path.read_text().splitlines()))
+                for key, path in paths.items()}
+        respelled = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        rows["truth"] = rows["truth"][:1] + [
+            [respell(cell, RESPELLINGS[rng.integers(4)]) if rng.random() < respelled else cell
+             for cell in row] for row in rows["truth"][1:]]
+        defect = data.draw(st.sampled_from((None,) * 4 + DEFECTS))
+        defective = data.draw(st.sampled_from(["data", "truth"]))
+        if defect not in (None, "empty"):
+            rows[defective] = inject(rows[defective], defect, rng)
+        for key, path in paths.items():
+            if defect == "empty" and key == defective:
+                path.write_bytes(b"")
+                continue
+            text = csv_text(
+                rows[key], rng,
+                quote_from=data.draw(st.one_of(st.none(), st.integers(0, len(rows[key])))),
+                blank_lines=data.draw(st.sampled_from([0, 0, 1, 5])),
+                crlf=data.draw(st.booleans()), bom=data.draw(st.booleans()))
+            path.write_bytes(text.encode().replace("\xe9".encode(), b"\xe9"))
+        truth = paths["data"] if data.draw(st.booleans(), "truth is the input") else paths["truth"]
+        self.check(str(paths["data"]), str(truth))
+
+    def test_respelled_truth_of_the_same_layout(self, tmp_path):
+        # every truth block lines up with an input block; each respelling reads back
+        table, truth = generate_synthetic(300, 3, 1.0, seed=4)
+        data, truth_csv = tmp_path / "data.csv", tmp_path / "truth.csv"
+        write_table(inject_mcar(table, 0.3, seed=5, target="both"), str(data))
+        write_table(truth.table, str(truth_csv))
+        rows = list(csv.reader(truth_csv.read_text().splitlines()))
+        for kind in RESPELLINGS:
+            path = tmp_path / f"{kind}.csv"
+            path.write_text(csv_text(rows[:1] + [[respell(cell, kind) for cell in row]
+                                                 for row in rows[1:]], None))
+            _, mask = self.check(str(data), str(path))
+            assert mask.all()
+
+    def test_only_truth_cells_spelled_differently_are_parsed(self, tmp_path, monkeypatch):
+        table, truth = generate_synthetic(300, 3, 1.0, seed=4)
+        data, truth_csv = tmp_path / "data.csv", tmp_path / "truth.csv"
+        write_table(inject_mcar(table, 0.3, seed=5, target="both"), str(data))
+        write_table(truth.table, str(truth_csv))
+        rows = [list(csv.reader(path.read_text().splitlines()))[1:] for path in (data, truth_csv)]
+        differ = sum(a != b for x, y in zip(*rows) for a, b in zip(x, y))
+        parsed, parse = [], cli._parse_cells
+        monkeypatch.setattr(cli, "_parse_cells",
+                            lambda records, width: parsed.append(sum(map(len, records)))
+                            or parse(records, width))
+        cli._ingest_with_truth(str(data), str(truth_csv))
+        assert 0 < differ < 2 * 3 * 300 and sum(parsed) == 2 * 3 * 300 + differ
+
+    @pytest.mark.parametrize("data_text, truth_text, message", [
+        # the input's defect comes first, the truth's next, the shape last
+        ("0,x,0,1\n", "0,y,0,1\n1,1,1,1\n", "{data}:2: not a number: 'x'"),
+        ("0,x,0,1\n", None, "{data}:2: not a number: 'x'"),
+        ("0,1,0,1\n", "0,y,0,1\n1,1,1,1\n", "{truth}:2: not a number: 'y'"),
+        ("0,1,0,1\n", "1,1,1,1\n0,1,0,1\n", "{truth}: timestamps not strictly increasing"),
+        ("0,1,0,1\n", "0,1,0,1\n1,1,1,1\n", "{truth}: truth has 2 series of 2 rows, "
+                                               "input has 2 series of 1 rows"),
+        (None, "0,1,0,1\n", "cannot open {data}"),
+        ("0,1,0,1\n", None, "cannot open {truth}"),
+    ])
+    def test_order_of_errors(self, tmp_path, capsys, data_text, truth_text, message):
+        paths = {"data": str(tmp_path / "data.csv"), "truth": str(tmp_path / "truth.csv")}
+        for key, text in (("data", data_text), ("truth", truth_text)):
+            if text is not None:
+                write_csv(Path(paths[key]), "t_1,v_1,t_2,v_2\n" + text)
+        message = message.format(**paths)
+        assert self.check(paths["data"], paths["truth"])[1].startswith(message)
+        assert main(["align", "--input", paths["data"], "--truth", paths["truth"],
+                     "--theta", "3", "--beta", "1", "--out", str(tmp_path / "a.csv"),
+                     "--report", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {message}")
+
+
+@pytest.mark.usefixtures("blocks_of_three")
+class TestTruthReadBesideInputInSmallBlocks(TestTruthReadBesideInput):
+    """The same comparisons in blocks of 3 records, so a pair crosses many blocks."""
+
+    # hypothesis runs a test method from one class only
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_random_pairs(self, tmp_path_factory, seed, data):
+        self.check_random_pair(tmp_path_factory, seed, data)
+
+
 def traced_peak(call, *args):
     """The result of ``call(*args)`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -810,25 +1004,34 @@ class TestAlign:
                                                      flags):
         # the input's table lives on; of the truth only its presence mask does
         data, truth = small_files
-        tables, alive_at_generate = [], []
-        read, generate = cli.ingest, cli.generate_candidates
+        tables, alive_at_generate, masks = {}, [], []
+        read, generate = cli._table_blocks, cli.generate_candidates
+        groups = cli.evaluation.same_row_groups
 
-        def read_and_watch(path):
-            table = read(path)
-            tables.append(weakref.ref(table))
-            return table
+        def read_and_watch(path, out, parse=None):
+            # every table file's reader: the input's ingest and the truth's
+            yield from read(path, out, parse)
+            table = out[-1]
+            tables[Path(path).name] = (weakref.ref(table), weakref.ref(table.timestamps.base))
 
         def generate_and_check(*args, **kwargs):
             gc.collect()
-            alive_at_generate.append([ref() is not None for ref in tables])
+            alive_at_generate.append({name: [ref() is not None for ref in refs]
+                                      for name, refs in tables.items()})
             return generate(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ingest", read_and_watch)
+        def groups_and_check(present):
+            masks.append((present.dtype, present.shape))
+            return groups(present)
+
+        monkeypatch.setattr(cli, "_table_blocks", read_and_watch)
         monkeypatch.setattr(cli, "generate_candidates", generate_and_check)
+        monkeypatch.setattr(cli.evaluation, "same_row_groups", groups_and_check)
         code = main(["align", "--input", str(data), *flags, "--truth", str(truth),
                      "--out", str(tmp_path / "a.csv"), "--report", str(tmp_path / "r.json")])
         assert code == 0
-        assert alive_at_generate == [[True, False]]
+        assert alive_at_generate == [{"data.csv": [True, True], "truth.csv": [False, False]}]
+        assert masks == [(np.dtype(bool), (2, 40))]
 
     def test_report_lists_the_delta_of_each_attempt(self, small_files, tmp_path):
         data, _ = small_files
